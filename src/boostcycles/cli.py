@@ -98,7 +98,11 @@ def cmd_run(args, parser) -> int:
             parser.error("--dataset requires --label and --positive")
         if not isinstance(rule, Optimal):
             parser.error("dataset runs train trees greedily; only --rule optimal applies")
-        ds = _load_dataset(args)
+        try:
+            ds = _load_dataset(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
         provenance.update(ds.provenance)
         provenance.update({"max_depth": args.depth, "max_leaves": args.leaves})
         trace = learners.run_on_dataset(ds, args.depth, args.leaves, args.iters, args.mode)

@@ -1,5 +1,12 @@
 """The iterative boosting map: selection, weight update, trace recording.
 
+Selection picks the row of largest edge sum_i eta_i * w_i, lowest index on
+ties. In exact mode every edge is summed as a Fraction. In float mode the
+pool is screened with one matrix-vector product, and only the rows within
+the product's rounding error of its maximum are re-scored with the
+reference sum, so the chosen row and edge are bit-identical to scoring
+every row with that sum.
+
 The primary update is the rational form w_i -> w_i / (1 + eta_i * r), which is
 self-normalizing: when r is the true edge of eta on w, the output sums to 1
 with no renormalization. The exponential form w_i * exp(-eta_i * alpha) / Z
@@ -11,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .simplex import (
     DimensionMismatch,
@@ -69,6 +78,17 @@ class FixedSequence:
 
 SelectionRule = Union[Optimal, FirstAbove, FixedSequence]
 
+# Float screening margin, per point. The reference edge (edge_dot, Python's
+# sum) and the matrix-vector product (any summation order) each add n exact
+# terms +-w_i, so each lies within (n-1) * eps/2 * sum(w) of the exact dot
+# product (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1),
+# and sum(w) <= 1 + FLOAT_SUM_TOL. Let k be the row with the largest product.
+# Comparing an excluded row's reference edge with row k's crosses four such
+# errors, about 2 * (n-1) * eps in all, and the margin 4 * n * eps is twice
+# that. So an excluded row's reference edge lies strictly below row k's: it
+# can neither win nor tie the reference argmax.
+SCREEN_MARGIN = 4 * np.finfo(np.float64).eps
+
 
 def select(
     w: WeightVector, pool: HypothesisPool, rule: SelectionRule, t: int = 0
@@ -85,19 +105,26 @@ def select(
             raise IndexError(f"scheduled row {row} outside pool of {len(pool)} rows")
         return row, pool[row], edge_dot(w, pool[row])
 
-    edges = [edge_dot(w, eta) for eta in pool.rows]
-
     if isinstance(rule, FirstAbove):
+        edges = [edge_dot(w, eta) for eta in pool.rows]
         qualifying = [(r, row) for row, r in enumerate(edges) if r >= rule.theta]
         if qualifying:
             r, row = min(qualifying)
             return row, pool[row], r
         # nothing at the threshold: fall back to the optimal choice
 
-    best = max(range(len(edges)), key=lambda i: (edges[i], -i))
-    if edges[best] <= 0:
+    rows = range(len(pool))
+    weights = np.array(w.components)
+    if weights.dtype == np.float64:  # Fraction weights give an object array
+        if len(w) != pool.n_points:
+            raise DimensionMismatch(f"weights have {len(w)} components, pool rows {pool.n_points}")
+        approx = pool.matrix @ weights
+        top = approx[approx.argmax()]
+        rows = (approx >= top - SCREEN_MARGIN * len(w)).nonzero()[0].tolist()
+    edge, neg_row = max((edge_dot(w, pool[i]), -i) for i in rows)
+    if edge <= 0:
         raise WeakLearningFailure("all available edges are <= 0")
-    return best, pool[best], edges[best]
+    return -neg_row, pool[-neg_row], edge
 
 
 def alpha(r: Scalar) -> float:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 Scalar = Union[int, Fraction, float]
 
@@ -152,6 +155,14 @@ class HypothesisPool:
     @property
     def n_points(self) -> int:
         return len(self.rows[0])
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The rows as a read-only float64 (rows x points) matrix of ±1,
+        built on first use and kept for the pool's lifetime."""
+        m = np.array([row.entries for row in self.rows], dtype=np.float64)
+        m.flags.writeable = False
+        return m
 
     def __len__(self) -> int:
         return len(self.rows)

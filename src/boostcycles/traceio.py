@@ -104,22 +104,32 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
         origin=doc["pool"].get("origin", "synthetic"),
     )
     rule = _decode_rule(doc["rule"], mode)
+    n = pool.n_points
     initial = WeightVector(tuple(_decode_scalar(c, mode) for c in doc["initial_weights"]))
+    if len(initial) != n:
+        raise TraceFormatError(f"initial_weights has {len(initial)} components, pool rows {n}")
+    row_strings = [r.to_string() for r in pool.rows]
     steps = []
     for rec in doc["steps"]:
         edge = (
             Fraction(rec["r_exact"]) if mode == "exact" else float(rec["r"])
         )
+        row = int(rec["row"])
+        if not 0 <= row < len(pool):
+            raise TraceFormatError(f"step {rec['t']}: row {row} outside pool of {len(pool)} rows")
+        if rec["eta"] != row_strings[row]:
+            raise TraceFormatError(f"step {rec['t']}: eta {rec['eta']!r} is not pool row {row}")
+        weights = WeightVector(tuple(_decode_scalar(c, mode) for c in rec["weights"]))
+        if len(weights) != n:
+            raise TraceFormatError(f"step {rec['t']}: weights have {len(weights)} components, pool rows {n}")
         steps.append(
             BoostStep(
                 t=int(rec["t"]),
-                row=int(rec["row"]),
-                eta=MistakeDichotomy.from_string(rec["eta"]),
+                row=row,
+                eta=pool[row],
                 edge=edge,
                 alpha=float(rec["alpha"]),
-                weights_after=WeightVector(
-                    tuple(_decode_scalar(c, mode) for c in rec["weights"])
-                ),
+                weights_after=weights,
             )
         )
     return BoostTrace(mode, pool, rule, initial, tuple(steps), doc.get("halt"))
@@ -174,6 +184,10 @@ def load_pool(path: str) -> HypothesisPool:
                 rows.append(MistakeDichotomy.from_string(text))
             except ValueError as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
+            if len(rows[-1]) != len(rows[0]):
+                raise TraceFormatError(
+                    f"{path}:{lineno}: row has {len(rows[-1])} points, the first row {len(rows[0])}"
+                )
     if not rows:
         raise TraceFormatError(f"{path}: no dichotomies found")
     return HypothesisPool(tuple(rows), origin="synthetic")

@@ -76,6 +76,21 @@ class TestRun:
             == 4
         )
 
+    def test_unequal_pool_rows_io_error(self, tmp_path, capsys):
+        pool = tmp_path / "bad.pool"
+        pool.write_text("-++\n+-\n")
+        assert run_cli("run", "--pool", str(pool), "--iters", "5") == 4
+        assert "bad.pool:2" in capsys.readouterr().err
+
+    def test_non_numeric_dataset_column_io_error(self, tmp_path, capsys):
+        csv = tmp_path / "bad.csv"
+        csv.write_text("x,color,label\n1.0,red,a\n2.0,blue,b\n3.0,red,a\n")
+        code = run_cli(
+            "run", "--dataset", str(csv), "--label", "label", "--positive", "a", "--iters", "5",
+        )
+        assert code == 4
+        assert "error:" in capsys.readouterr().err
+
     def test_exact_round_trip_bytes(self, tmp_path):
         path = tmp_path / "exact.json"
         run_cli("run", "--pool", POOL3, "--rule", "optimal", "--iters", "25",
@@ -144,6 +159,24 @@ class TestAnalyze:
         path = tmp_path / "garbage.json"
         path.write_text("{]")
         assert run_cli("analyze", str(path)) == 4
+
+    def test_initial_weights_wider_than_pool_io_error(self, golden_trace_file):
+        with open(golden_trace_file) as fh:
+            doc = json.load(fh)
+        w = doc["initial_weights"]
+        w[-1] /= 2  # split the last weight in two, so the weights still sum to 1
+        w.append(w[-1])
+        with open(golden_trace_file, "w") as fh:
+            json.dump(doc, fh)
+        assert run_cli("analyze", golden_trace_file) == 4
+
+    def test_step_eta_not_its_pool_row_io_error(self, golden_trace_file):
+        with open(golden_trace_file) as fh:
+            doc = json.load(fh)
+        doc["steps"][5]["eta"] = doc["pool"]["rows"][(doc["steps"][5]["row"] + 1) % 3]
+        with open(golden_trace_file, "w") as fh:
+            json.dump(doc, fh)
+        assert run_cli("analyze", golden_trace_file) == 4
 
 
 class TestFarey:

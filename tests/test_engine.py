@@ -21,6 +21,7 @@ from boostcycles import (
     run,
     select,
     strong_classify,
+    uniform_weights,
     weight_update,
 )
 
@@ -85,6 +86,70 @@ class TestSelect:
             FirstAbove(1.0)
         with pytest.raises(ValueError):
             FixedSequence(())
+
+
+def reference_select(w, pool):
+    """Optimal selection as the reference defines it: every row scored with
+    edge_dot, ties to the lowest index."""
+    best = max(range(len(pool)), key=lambda i: (edge_dot(w, pool[i]), -i))
+    return best, edge_dot(w, pool[best])
+
+
+def wide_pool(seed, n_points=64, n_pairs=100):
+    """n_pairs random rows over n_points points plus their negations."""
+    rng = random.Random(seed)
+    rows, seen = [], set()
+    while len(rows) < 2 * n_pairs:
+        row = tuple(rng.choice((1, -1)) for _ in range(n_points))
+        neg = tuple(-e for e in row)
+        if 1 not in row or 1 not in neg or row in seen:
+            continue
+        seen.update((row, neg))
+        rows += [row, neg]
+    return HypothesisPool.from_signs(rows)
+
+
+class TestScreenedSelect:
+    """Float selection screens the pool with one matrix product; it must
+    choose the same row and the same edge bits as the reference."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_wide_pool_matches_reference(self, seed):
+        pool = wide_pool(seed)
+        w = uniform_weights(pool.n_points, "float")
+        for _ in range(100):
+            row, d, r = select(w, pool, Optimal())
+            assert (row, r) == reference_select(w, pool)
+            assert d is pool[row]
+            w = weight_update(w, d, r)
+
+    def test_fuzz_float_cycles_match_reference(self, fuzz_float_cycles):
+        fallbacks = 0
+        for trace, _ in fuzz_float_cycles:
+            for t in range(len(trace)):
+                w = trace.weights_before(t)
+                expected = reference_select(w, trace.pool)
+                assert select(w, trace.pool, Optimal())[::2] == expected
+                rule = trace.rule
+                if isinstance(rule, FirstAbove) and all(
+                    edge_dot(w, d) < rule.theta for d in trace.pool.rows
+                ):
+                    fallbacks += 1
+                    assert select(w, trace.pool, rule)[::2] == expected
+        assert fallbacks > 0
+
+    def test_equal_edges_lowest_index_wins(self):
+        pool = HypothesisPool.from_signs([(1, 1, -1), (-1, 1, 1), (1, -1, 1)])
+        w = WeightVector((0.25, 0.25, 0.5))
+        assert edge_dot(w, pool[1]) == edge_dot(w, pool[2]) == 0.5
+        assert select(w, pool, Optimal())[::2] == (1, 0.5) == reference_select(w, pool)
+
+    def test_one_ulp_larger_edge_wins(self):
+        pool = HypothesisPool.from_signs([(1, -1, 1), (1, 1, -1)])
+        w = WeightVector((0.5, math.nextafter(0.25, 1), 0.25))
+        low, high = edge_dot(w, pool[0]), edge_dot(w, pool[1])
+        assert high == math.nextafter(low, 1)
+        assert select(w, pool, Optimal())[::2] == (1, high) == reference_select(w, pool)
 
 
 class TestAlpha:

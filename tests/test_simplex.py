@@ -80,6 +80,14 @@ class TestHypothesisPool:
         with pytest.raises(DimensionMismatch):
             HypothesisPool.from_signs([(1, -1), (1, 1, -1)])
 
+    def test_matrix_cached_read_only(self):
+        pool = HypothesisPool.from_signs([(1, -1, 1), (1, -1, 1), (-1, 1, 1)])
+        m = pool.matrix
+        assert m is pool.matrix
+        assert m.dtype.name == "float64" and m.tolist() == [[1, -1, 1], [-1, 1, 1]]
+        with pytest.raises(ValueError):
+            m[0, 0] = -1.0
+
     def test_n_points(self):
         pool = HypothesisPool.from_signs([(-1, 1, 1)])
         assert pool.n_points == 3

@@ -101,6 +101,50 @@ class TestTraceErrors:
             loads_trace(json.dumps(doc))
 
 
+def split_last_weight(w):
+    """Widen an exact weight list by one and keep its sum at 1."""
+    w[-1] = str(Fraction(w[-1]) / 2)
+    w.append(w[-1])
+
+
+def tamper_initial_width(doc):
+    split_last_weight(doc["initial_weights"])
+
+
+def tamper_row_range(doc):
+    doc["steps"][1]["row"] = len(doc["pool"]["rows"])
+
+
+def tamper_negative_row(doc):
+    doc["steps"][1]["row"] = -1
+
+
+def tamper_eta(doc):
+    doc["steps"][1]["eta"] = doc["pool"]["rows"][0]
+
+
+def tamper_step_width(doc):
+    split_last_weight(doc["steps"][1]["weights"])
+
+
+class TestTraceConsistency:
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (tamper_initial_width, "initial_weights"),
+            (tamper_row_range, "outside pool"),
+            (tamper_negative_row, "outside pool"),
+            (tamper_eta, "is not pool row"),
+            (tamper_step_width, "weights have"),
+        ],
+    )
+    def test_tampered_trace_rejected(self, pool3, tamper, message):
+        doc = json.loads(dumps_trace(run(pool3, Optimal(), 3, "exact")))
+        tamper(doc)
+        with pytest.raises(TraceFormatError, match=message):
+            loads_trace(json.dumps(doc))
+
+
 class TestPoolFiles:
     def test_round_trip(self, pool3, tmp_path):
         path = tmp_path / "p.pool"
@@ -117,6 +161,12 @@ class TestPoolFiles:
         path = tmp_path / "p.pool"
         path.write_text("-+x\n")
         with pytest.raises(TraceFormatError, match="p.pool:1"):
+            load_pool(str(path))
+
+    def test_unequal_row_lengths(self, tmp_path):
+        path = tmp_path / "p.pool"
+        path.write_text("-++\n+-\n")
+        with pytest.raises(TraceFormatError, match="p.pool:2"):
             load_pool(str(path))
 
     def test_empty_pool_file(self, tmp_path):
