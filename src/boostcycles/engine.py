@@ -5,7 +5,9 @@ ties. In exact mode every edge is summed as a Fraction. In float mode the
 pool is screened with one matrix-vector product, and only the rows within
 the product's rounding error of its maximum are re-scored with the
 reference sum, so the chosen row and edge are bit-identical to scoring
-every row with that sum.
+every row with that sum. The first-above threshold scan is screened the
+same way: only rows whose product comes within that error of the threshold
+are re-scored.
 
 The primary update is the rational form w_i -> w_i / (1 + eta_i * r), which is
 self-normalizing: when r is the true edge of eta on w, the output sums to 1
@@ -86,7 +88,10 @@ SelectionRule = Union[Optimal, FirstAbove, FixedSequence]
 # Comparing an excluded row's reference edge with row k's crosses four such
 # errors, about 2 * (n-1) * eps in all, and the margin 4 * n * eps is twice
 # that. So an excluded row's reference edge lies strictly below row k's: it
-# can neither win nor tie the reference argmax.
+# can neither win nor tie the reference argmax. For the first-above scan, a
+# row whose product is below theta - margin has a reference edge within
+# (n-1) * eps * sum(w) of it, so below theta with room to spare for the
+# rounding of theta - margin itself.
 SCREEN_MARGIN = 4 * np.finfo(np.float64).eps
 
 
@@ -105,22 +110,29 @@ def select(
             raise IndexError(f"scheduled row {row} outside pool of {len(pool)} rows")
         return row, pool[row], edge_dot(w, pool[row])
 
-    if isinstance(rule, FirstAbove):
-        edges = [edge_dot(w, eta) for eta in pool.rows]
-        qualifying = [(r, row) for row, r in enumerate(edges) if r >= rule.theta]
-        if qualifying:
-            r, row = min(qualifying)
-            return row, pool[row], r
-        # nothing at the threshold: fall back to the optimal choice
-
     rows = range(len(pool))
+    approx = None
     weights = np.array(w.components)
     if weights.dtype == np.float64:  # Fraction weights give an object array
         if len(w) != pool.n_points:
             raise DimensionMismatch(f"weights have {len(w)} components, pool rows {pool.n_points}")
         approx = pool.matrix @ weights
+        margin = SCREEN_MARGIN * len(w)
+
+    if isinstance(rule, FirstAbove):
+        # A row whose product is below theta - margin has a reference edge
+        # below theta, by the argument beside SCREEN_MARGIN.
+        scan = rows if approx is None else (approx >= rule.theta - margin).nonzero()[0].tolist()
+        edges = ((edge_dot(w, pool[i]), i) for i in scan)
+        qualifying = [(r, i) for r, i in edges if r >= rule.theta]
+        if qualifying:
+            r, row = min(qualifying)
+            return row, pool[row], r
+        # nothing at the threshold: fall back to the optimal choice
+
+    if approx is not None:
         top = approx[approx.argmax()]
-        rows = (approx >= top - SCREEN_MARGIN * len(w)).nonzero()[0].tolist()
+        rows = (approx >= top - margin).nonzero()[0].tolist()
     edge, neg_row = max((edge_dot(w, pool[i]), -i) for i in rows)
     if edge <= 0:
         raise WeakLearningFailure("all available edges are <= 0")

@@ -5,13 +5,31 @@ The tree learner is greedy: best-first growth, splitting on weighted
 misclassification so that tree selection aligns with edge maximization.
 Split scores are computed in floats even for exact-mode runs; only the
 weight/edge arithmetic of the trace follows the numeric mode.
+
+The sort order of each feature never depends on the weights, so it is
+computed once per dataset (`Dataset.presort`, SLIQ-style attribute lists:
+Mehta, Agrawal & Rissanen, EDBT 1996). Every open leaf carries its members
+in ascending index order plus, per feature, its member ids in stable sorted
+order and the matching values. A split partitions those lists with one
+boolean test per point; a stable sort restricted to an ascending subset is
+the stable sort of that subset, so each child's lists are exactly what a
+stable argsort of its members would give. A node is scored for all
+features at once from the cumulative sums of the weighted labels along its
+lists. Cumulative sums add the same terms in the same order as a
+per-feature sort-then-cumsum, and the unsplit sum and leaf labels still sum
+the members in index order, so scores, gains and thresholds are
+bit-identical to that reference. Ties break to the lowest feature, then the
+lowest threshold, then the lowest leaf id. A leaf's best split depends only
+on its members and the weights, so it is computed once per leaf.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -27,7 +45,11 @@ from .simplex import (
 
 @dataclass(frozen=True)
 class Dataset:
-    """Numeric feature matrix with ±1 labels and loading provenance."""
+    """Numeric feature matrix with ±1 labels and loading provenance.
+
+    `x` is stored as a read-only float64 copy, so values derived from it
+    (the presort) can never go stale. Every feature value must be finite.
+    """
 
     x: np.ndarray  # (n, m) float64
     y: Tuple[int, ...]
@@ -35,10 +57,26 @@ class Dataset:
     provenance: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.x.ndim != 2 or self.x.shape[0] != len(self.y):
+        x = np.array(self.x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] != len(self.y):
             raise ValueError("feature matrix and labels disagree")
+        if not np.isfinite(x).all():
+            raise ValueError("feature values must be finite")
         if any(label not in (1, -1) for label in self.y):
             raise ValueError("labels must be +1 or -1")
+        x.flags.writeable = False
+        object.__setattr__(self, "x", x)
+
+    @cached_property
+    def presort(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-feature stable sort, built on first use: an (m, n) array of
+        point ids in ascending order of each feature, and the (m, n) array
+        of the matching values. Both are read-only."""
+        order = np.ascontiguousarray(np.argsort(self.x, axis=0, kind="stable").T)
+        vals = self.x[order, np.arange(self.m)[:, None]]
+        order.flags.writeable = False
+        vals.flags.writeable = False
+        return order, vals
 
     @property
     def n(self) -> int:
@@ -52,8 +90,9 @@ class Dataset:
 def load_csv(path: str, label_column: str, positive: str) -> Dataset:
     """Load a comma-separated file with a header row.
 
-    Rows whose feature cells fail numeric parsing are dropped (the count is
-    recorded in provenance); a column that never parses is rejected outright.
+    Rows whose feature cells fail numeric parsing or are not finite (nan,
+    inf) are dropped (the count is recorded in provenance); a column with no
+    finite cell is rejected outright.
     Labels become +1 when the label cell equals `positive`, else -1.
     """
     with open(path, newline="") as fh:
@@ -82,8 +121,12 @@ def load_csv(path: str, label_column: str, positive: str) -> Dataset:
         ok = True
         for i in feature_idx:
             try:
-                feats.append(float(row[i]))
+                value = float(row[i])
             except ValueError:
+                value = math.nan
+            if math.isfinite(value):
+                feats.append(value)
+            else:
                 bad_by_column[i] += 1
                 ok = False
         if not ok:
@@ -174,38 +217,30 @@ class TreeHypothesis:
         return out
 
 
-def _best_split(
-    x: np.ndarray, wy: np.ndarray, idx: np.ndarray
+def _score_node(
+    wy: np.ndarray, members: np.ndarray, order: np.ndarray, vals: np.ndarray
 ) -> Optional[Tuple[float, int, float]]:
-    """Best (score gain, feature, threshold) for the points in idx.
+    """Best (score gain, feature, threshold) for one node, from its members
+    (ascending) and its (m, n_node) attribute lists `order` and `vals`.
 
     Score of a split is |sum wy left| + |sum wy right|; the gain is measured
     against the unsplit |sum wy|. Candidate thresholds are midpoints between
     consecutive distinct sorted values. Ties break to the lowest feature
-    index, then the lowest threshold. Returns None when no cut exists.
+    index, then the lowest threshold. Returns None when no cut improves.
     """
-    node_wy = wy[idx]
-    base = abs(float(node_wy.sum()))
-    best = None
-    for f in range(x.shape[1]):
-        vals = x[idx, f]
-        order = np.argsort(vals, kind="stable")
-        v_sorted = vals[order]
-        cuts = np.nonzero(v_sorted[:-1] < v_sorted[1:])[0]
-        if cuts.size == 0:
-            continue
-        prefix = np.cumsum(node_wy[order])
-        total = prefix[-1]
-        scores = np.abs(prefix[cuts]) + np.abs(total - prefix[cuts])
-        pbest = int(np.argmax(scores))  # first max: lowest threshold wins ties
-        gain = float(scores[pbest]) - base
-        if gain <= 0:
-            continue
-        p = int(cuts[pbest])
-        threshold = float((v_sorted[p] + v_sorted[p + 1]) / 2.0)
-        if best is None or gain > best[0]:  # strict: lowest feature wins ties
-            best = (gain, f, threshold)
-    return best
+    cut = vals[:, :-1] < vals[:, 1:]
+    if not cut.any():
+        return None
+    base = abs(float(wy[members].sum()))
+    prefix = wy[order].cumsum(axis=1)
+    left = prefix[:, :-1]
+    scores = np.where(cut, np.abs(left) + np.abs(prefix[:, -1:] - left), -np.inf)
+    gains = scores.max(axis=1) - base
+    f = int(gains.argmax())  # first max: lowest feature wins ties
+    if not gains[f] > 0:
+        return None
+    p = int(scores[f].argmax())  # first max: lowest threshold wins ties
+    return float(gains[f]), f, float((vals[f, p] + vals[f, p + 1]) / 2.0)
 
 
 def train_tree(
@@ -225,30 +260,29 @@ def train_tree(
     if max_depth < 1 or max_leaves < 1:
         raise ValueError("tree bounds must be at least 1")
     weights = np.asarray(
-        w.as_floats() if isinstance(w, WeightVector) else w, dtype=np.float64
+        w.components if isinstance(w, WeightVector) else w, dtype=np.float64
     )
     if weights.shape[0] != ds.n:
         raise ValueError("weight vector does not match dataset size")
     y = np.asarray(ds.y, dtype=np.float64)
     wy = weights * y
 
-    def leaf_label(idx: np.ndarray) -> int:
-        s = wy[idx].sum()
-        return 1 if s >= 0 else -1
-
-    all_idx = np.arange(ds.n)
     splits: Dict[int, Tuple[int, float, int, int]] = {}  # leaf id -> (feature, thr, left id, right id)
     next_id = 1
-    ids = {0: (0, all_idx)}  # leaf id -> (depth, members)
+    # leaf id -> (depth, members, per-feature sorted ids, matching values)
+    ids = {0: (0, np.arange(ds.n), *ds.presort)}
+    candidates: Dict[int, Optional[Tuple[float, int, float]]] = {}  # leaf id -> its best split
 
     while len(ids) < max_leaves:
         best_leaf = None
         best_split = None
         for leaf_id in sorted(ids):
-            depth, idx = ids[leaf_id]
+            depth, members, order, vals = ids[leaf_id]
             if depth >= max_depth:
                 continue
-            found = _best_split(ds.x, wy, idx)
+            if leaf_id not in candidates:
+                candidates[leaf_id] = _score_node(wy, members, order, vals)
+            found = candidates[leaf_id]
             if found is None:
                 continue
             if best_split is None or found[0] > best_split[0]:
@@ -256,12 +290,21 @@ def train_tree(
         if best_leaf is None:
             break
         _, feature, threshold = best_split
-        depth, idx = ids.pop(best_leaf)
-        go_left = ds.x[idx, feature] <= threshold
+        depth, members, order, vals = ids.pop(best_leaf)
+        go = ds.x[:, feature] <= threshold
+        go_members, go_lists = go[members], go[order]
         left_id, right_id = next_id, next_id + 1
         next_id += 2
-        ids[left_id] = (depth + 1, idx[go_left])
-        ids[right_id] = (depth + 1, idx[~go_left])
+        for child, in_members, in_lists in (
+            (left_id, go_members, go_lists),
+            (right_id, ~go_members, ~go_lists),
+        ):
+            ids[child] = (
+                depth + 1,
+                members[in_members],
+                order[in_lists].reshape(ds.m, -1),
+                vals[in_lists].reshape(ds.m, -1),
+            )
         splits[best_leaf] = (feature, threshold, left_id, right_id)
 
     def build(node_id: int, flip: int) -> TreeNode:
@@ -273,7 +316,7 @@ def train_tree(
                 left=build(left_id, flip),
                 right=build(right_id, flip),
             )
-        return TreeNode(label=flip * leaf_label(ids[node_id][1]))
+        return TreeNode(label=flip * labels[node_id])
 
     def tree_depth(node_id: int) -> int:
         if node_id in splits:
@@ -281,17 +324,20 @@ def train_tree(
             return 1 + max(tree_depth(l), tree_depth(r))
         return 0
 
-    tree = TreeHypothesis(build(0, 1), tree_depth(0), len(ids))
-    raw_edge = float(np.dot(wy, tree.predict(ds.x)))
-    if raw_edge < 0:
-        tree = TreeHypothesis(build(0, -1), tree.depth, tree.n_leaves)
-    return tree
+    # The leaves partitioned the points with the same tests predict applies,
+    # so their labels are the unflipped tree's predictions.
+    preds = np.empty(ds.n, dtype=np.int64)
+    labels = {}
+    for leaf_id, (_, members, _, _) in ids.items():
+        labels[leaf_id] = 1 if wy[members].sum() >= 0 else -1
+        preds[members] = labels[leaf_id]
+    raw_edge = float(np.dot(wy, preds))
+    return TreeHypothesis(build(0, -1 if raw_edge < 0 else 1), tree_depth(0), len(ids))
 
 
 def dichotomy_of(h: TreeHypothesis, ds: Dataset) -> MistakeDichotomy:
     """eta_i = y_i * h(x_i): +1 where the tree agrees with the label."""
-    preds = h.predict(ds.x)
-    return MistakeDichotomy(tuple(int(label * p) for label, p in zip(ds.y, preds)))
+    return MistakeDichotomy(tuple((np.asarray(ds.y) * h.predict(ds.x)).tolist()))
 
 
 def run_on_dataset(
@@ -323,7 +369,7 @@ def run_on_dataset(
         if mode == "exact":
             r = sum(e * c for e, c in zip(eta, w))
         else:
-            r = float(np.dot(np.asarray(w.as_floats()), np.asarray(eta.entries, dtype=np.float64)))
+            r = float(np.dot(np.asarray(w.components), np.asarray(eta.entries, dtype=np.float64)))
         if r <= 0:
             halt = "weak_learning_failure"
             break

@@ -44,7 +44,7 @@ class WeightVector:
     """A strictly positive point on the (n-1)-simplex.
 
     Exact components must sum to exactly 1; float components to within
-    FLOAT_SUM_TOL.
+    FLOAT_SUM_TOL. NaN fails the positivity check and inf the sum check.
     """
 
     components: Tuple[Scalar, ...]
@@ -52,7 +52,7 @@ class WeightVector:
     def __post_init__(self) -> None:
         if not self.components:
             raise ValueError("empty weight vector")
-        if any(c <= 0 for c in self.components):
+        if any(not c > 0 for c in self.components):  # nan > 0 is false: NaN is rejected
             raise ValueError("weights must be strictly positive")
         total = sum(self.components)
         if is_exact(self.components):

@@ -91,6 +91,37 @@ class TestRun:
         assert code == 4
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "replicate"])
+    def test_infinite_feature_row_dropped(self, tmp_path, capsys, command):
+        # an inf row used to be split off by a perfect stump whose threshold
+        # came out as inf, so the stored tree sent it to the wrong side
+        csv = tmp_path / "inf.csv"
+        csv.write_text("x,label\n1,p\n1,p\ninf,n\n")
+        argv = [
+            command, "--dataset", str(csv), "--label", "label", "--positive", "p",
+            "--depth", "1", "--leaves", "2", "--iters", "5",
+        ]
+        if command == "replicate":
+            argv += ["--out-dir", str(tmp_path / "rep")]
+        with pytest.warns(UserWarning, match="dropped 1 rows"):
+            code = run_cli(*argv)
+        assert code == 4
+        assert "single-class" in capsys.readouterr().err
+
+    def test_infinite_feature_with_finite_negative(self, tmp_path):
+        csv = tmp_path / "inf.csv"
+        csv.write_text("x,label\n1,p\n1,p\ninf,n\n2,n\n")
+        out = tmp_path / "t.json"
+        with pytest.warns(UserWarning, match="dropped 1 rows"):
+            code = run_cli(
+                "run", "--dataset", str(csv), "--label", "label", "--positive", "p",
+                "--depth", "1", "--leaves", "2", "--iters", "5", "--out", str(out),
+            )
+        assert code == 0
+        trace = load_trace(str(out))
+        assert trace.halt == "perfect_classification"
+        assert [row.entries for row in trace.pool.rows] == [(1, 1, 1)]
+
     def test_exact_round_trip_bytes(self, tmp_path):
         path = tmp_path / "exact.json"
         run_cli("run", "--pool", POOL3, "--rule", "optimal", "--iters", "25",
@@ -176,6 +207,14 @@ class TestAnalyze:
         doc["steps"][5]["eta"] = doc["pool"]["rows"][(doc["steps"][5]["row"] + 1) % 3]
         with open(golden_trace_file, "w") as fh:
             json.dump(doc, fh)
+        assert run_cli("analyze", golden_trace_file) == 4
+
+    def test_nan_step_weights_io_error(self, golden_trace_file):
+        with open(golden_trace_file) as fh:
+            doc = json.load(fh)
+        doc["steps"][5]["weights"][0] = float("nan")
+        with open(golden_trace_file, "w") as fh:
+            json.dump(doc, fh)  # writes the bare token NaN, which json.load accepts
         assert run_cli("analyze", golden_trace_file) == 4
 
 

@@ -144,6 +144,32 @@ class TestScreenedSelect:
         assert edge_dot(w, pool[1]) == edge_dot(w, pool[2]) == 0.5
         assert select(w, pool, Optimal())[::2] == (1, 0.5) == reference_select(w, pool)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_first_above_matches_full_scan(self, seed):
+        pool = wide_pool(seed)
+        w = uniform_weights(pool.n_points, "float")
+        checked = {theta: 0 for theta in (0.05, 0.1, 0.2, 0.3, 0.99)}
+        for _ in range(100):
+            edges = [edge_dot(w, d) for d in pool.rows]
+            for theta in checked:
+                # the full scan the screen replaces: every row, smallest
+                # qualifying edge, ties to the lowest index
+                qualifying = [(r, i) for i, r in enumerate(edges) if r >= theta]
+                expected = min(qualifying)[::-1] if qualifying else reference_select(w, pool)
+                assert select(w, pool, FirstAbove(theta))[::2] == expected
+                checked[theta] += bool(qualifying)
+            row, d, r = select(w, pool, Optimal())
+            w = weight_update(w, d, r)
+        assert checked[0.99] == 0  # no row reaches it: always the fallback
+        assert all(checked[t] > 0 for t in (0.05, 0.1))
+
+    def test_first_above_edge_equal_to_theta_qualifies(self):
+        pool = HypothesisPool.from_signs([(1, 1, 1), (1, -1, 1), (-1, 1, 1)])
+        w = WeightVector((0.5, 0.25, 0.25))
+        assert [edge_dot(w, d) for d in pool.rows] == [1.0, 0.5, 0.0]
+        assert select(w, pool, FirstAbove(0.5))[::2] == (1, 0.5)
+        assert select(w, pool, FirstAbove(math.nextafter(0.5, 1)))[::2] == (0, 1.0)
+
     def test_one_ulp_larger_edge_wins(self):
         pool = HypothesisPool.from_signs([(1, -1, 1), (1, 1, -1)])
         w = WeightVector((0.5, math.nextafter(0.25, 1), 0.25))

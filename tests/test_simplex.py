@@ -40,6 +40,12 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             WeightVector((0.5, -0.1, 0.6))
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            WeightVector((float("nan"), 0.5, 0.5))
+        with pytest.raises(ValueError, match="sum"):
+            WeightVector((float("inf"), 0.5, 0.5))
+
     def test_float_tolerance(self):
         WeightVector((0.5, 0.25, 0.25 + 1e-13))
         with pytest.raises(ValueError):
