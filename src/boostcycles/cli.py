@@ -26,7 +26,7 @@ from .cycles import (
     subsums,
 )
 from .engine import BoostTrace, FirstAbove, FixedSequence, Optimal
-from .farey import GOLDEN, FareyWord, enumerate_orbits, inv_L, inv_R, periodic_point
+from .farey import GOLDEN, MAX_ENUMERATION_LENGTH, FareyWord, enumerate_orbits, orbit_values
 from .figures import FigureSpec, save_figure
 from .simplex import check_periodic_learning
 from .traceio import (
@@ -296,8 +296,8 @@ def cmd_analyze(args, parser) -> int:
 
 def cmd_farey(args, parser) -> int:
     if args.what == "enumerate":
-        if not 1 <= args.k <= 20:
-            parser.error("--k must be in 1..20")
+        if not 1 <= args.k <= MAX_ENUMERATION_LENGTH:
+            parser.error(f"--k must be in 1..{MAX_ENUMERATION_LENGTH}")
         for rec in enumerate_orbits(args.k):
             word = str(rec.word)
             if rec.degenerate:
@@ -322,10 +322,7 @@ def cmd_farey(args, parser) -> int:
     if word.degenerate:
         print(f"{word}: degenerate all-L word; only periodic point is 0")
         return EXIT_OK
-    x0 = periodic_point(word)
-    values = [x0]
-    for letter in word.letters[:-1]:
-        values.append(inv_L(values[-1]) if letter == "L" else inv_R(values[-1]))
+    values = orbit_values(word)
     if not word.primitive:
         print(f"note: {word} is a power word; primitive period {len(word.primitive_root())}")
     for v in values:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -253,36 +253,3 @@ def run(pool: HypothesisPool, rule: SelectionRule, t_max: int, mode: str = "exac
         steps.append(BoostStep(t, row, eta, r, a, w))
     return BoostTrace(mode, pool, rule, initial, tuple(steps), halt)
 
-
-@dataclass(frozen=True)
-class StrongClassification:
-    """Signs of the combined classifier; exact-zero margins flagged as ties."""
-
-    labels: Tuple[int, ...]
-    ties: Tuple[bool, ...]
-    margins: Tuple[float, ...]
-
-
-def strong_classify(
-    trace: BoostTrace, pool_predictions: Optional[Sequence[Sequence[float]]] = None
-) -> StrongClassification:
-    """Sign of sum_t alpha_t * h_t(x_i) per point.
-
-    pool_predictions[row][i] gives h(x_i) for each pool row; by default the
-    pool's own dichotomy entries are used (the all-correct-labels convention
-    for synthetic pools, where eta and h coincide). Zero margins are reported
-    as +1 with the tie flag set.
-    """
-    if not trace.steps:
-        raise ValueError("empty trace")
-    n = trace.pool.n_points
-    if pool_predictions is None:
-        pool_predictions = [row.entries for row in trace.pool.rows]
-    margins = [0.0] * n
-    for step in trace.steps:
-        preds = pool_predictions[step.row]
-        for i in range(n):
-            margins[i] += step.alpha * preds[i]
-    labels = tuple(1 if m >= 0 else -1 for m in margins)
-    ties = tuple(m == 0 for m in margins)
-    return StrongClassification(labels, ties, tuple(margins))

@@ -5,14 +5,25 @@ orbit enumeration by word length.
 Values live in Q(sqrt(d)) for a fixed square-free d; all comparisons are
 resolved by exact sign analysis, never through floats. Words over {L, R}
 are written in application order: the word "RL" means apply R first, then L.
+
+Enumeration lists each rotation class once, as its least rotation: the
+binary necklaces of length k (L < R) come from the FKM algorithm (Ruskey,
+Savage & Wang, J. Algorithms 1992) already in lexicographic order. The
+orbit of a word is read off word matrices. Rotating the word left by one
+letter conjugates its matrix by that letter's generator, M -> G M G^-1, so
+tr^2 - 4 det, the discriminant of every rotation's fixed-point equation, is
+the same for the whole orbit and is factored once. Point j of the orbit is
+the root in (0, 1] of the j-th rotation's equation; it is the same field
+element as the inverse-branch image of point j - 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 Number = Union[int, Fraction, float]
 
@@ -21,6 +32,7 @@ class DegenerateWord(ValueError):
     """The all-L word: its only periodic point is the fixed point 0."""
 
 
+@functools.lru_cache(maxsize=4096)
 def square_free_decompose(n: int) -> Tuple[int, int]:
     """Write n = s*s*d with d square-free; returns (s, d). Requires n >= 0."""
     if n < 0:
@@ -309,6 +321,11 @@ class MoebiusMatrix:
 
 L_MATRIX = MoebiusMatrix(1, 0, 1, 1)
 R_MATRIX = MoebiusMatrix(0, 1, 1, 1)
+# letter -> (generator, its inverse), for conjugating a word matrix
+_CONJUGATORS = {
+    "L": (L_MATRIX, MoebiusMatrix(1, 0, -1, 1)),
+    "R": (R_MATRIX, MoebiusMatrix(-1, 1, 1, 0)),
+}
 
 
 @dataclass(frozen=True)
@@ -341,12 +358,9 @@ class FareyWord:
     def degenerate(self) -> bool:
         return "R" not in self.letters
 
-    def rotations(self) -> List["FareyWord"]:
-        s = self.letters
-        return [FareyWord(s[i:] + s[:i]) for i in range(len(s))]
-
     def canonical(self) -> "FareyWord":
-        return min(self.rotations(), key=lambda w: w.letters)
+        s = self.letters
+        return FareyWord(min(s[i:] + s[:i] for i in range(len(s))))
 
     def primitive_root(self) -> "FareyWord":
         """Shortest word u with self = u repeated; self when already primitive."""
@@ -388,13 +402,44 @@ def periodic_point(word: FareyWord) -> QuadraticIrrational:
     if word.degenerate:
         raise DegenerateWord("all-L word fixes only 0")
     m = word_matrix(word)
-    # c >= 1 for any word over {L, R}: both generators have bottom row (1, 1)
-    disc = (m.d - m.a) ** 2 + 4 * m.b * m.c
-    s, d0 = square_free_decompose(disc)
-    x = QuadraticIrrational(Fraction(m.a - m.d, 2 * m.c), Fraction(s, 2 * m.c), d0)
+    x = _upper_root(m, *square_free_decompose(_discriminant(m)))
     if not (x > 0 and x <= 1):
         raise AssertionError(f"no root of {word} in (0, 1]")
     return x
+
+
+def _discriminant(m: MoebiusMatrix) -> int:
+    """(d - a)^2 + 4bc = tr^2 - 4 det: invariant under conjugation."""
+    return (m.d - m.a) ** 2 + 4 * m.b * m.c
+
+
+def _upper_root(m: MoebiusMatrix, s: int, d0: int) -> QuadraticIrrational:
+    """The larger root of c x^2 + (d - a) x - b = 0, given its discriminant
+    as s*s*d0. c >= 1 for any word over {L, R}: both generators have bottom
+    row (1, 1)."""
+    return QuadraticIrrational(Fraction(m.a - m.d, 2 * m.c), Fraction(s, 2 * m.c), d0)
+
+
+def orbit_values(word: FareyWord) -> Tuple[QuadraticIrrational, ...]:
+    """The k points of a non-degenerate word's periodic orbit: point 0 is
+    periodic_point(word) and point j + 1 is the inverse branch of letter j
+    applied to point j. Power words repeat their primitive root's orbit.
+
+    Point j is the fixed point of the word rotated left by j letters, whose
+    matrix is the previous rotation's conjugated by its first letter. The
+    discriminant is the same for every rotation, so it is factored once.
+    """
+    x0 = periodic_point(word)
+    m = word_matrix(word)
+    s, d0 = square_free_decompose(_discriminant(m))
+    values = []
+    for letter in word.letters:
+        values.append(_upper_root(m, s, d0))
+        gen, gen_inv = _CONJUGATORS[letter]
+        m = gen * m * gen_inv
+    if values[0] != x0:
+        raise AssertionError(f"conjugated orbit of {word} misses its periodic point")
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -414,8 +459,34 @@ class OrbitRecord:
 MAX_ENUMERATION_LENGTH = 20
 
 
+def necklaces(k: int) -> Iterator[Tuple[Tuple[str, ...], int]]:
+    """Binary necklaces of length k over L < R, in lexicographic order, each
+    with its primitive period p (p < k exactly for power words).
+
+    FKM algorithm: step through the prenecklaces in lexicographic order by
+    turning the last L, at 1-based position p, into R and repeating the
+    first p letters to length k; the result is a necklace when p divides k.
+    """
+    if k < 1:
+        raise ValueError("word length must be at least 1")
+    a = ["L"] * k
+    yield tuple(a), 1
+    while True:
+        p = k
+        while p and a[p - 1] == "R":
+            p -= 1
+        if not p:
+            return
+        a[p - 1] = "R"
+        for j in range(p, k):
+            a[j] = a[j - p]
+        if k % p == 0:
+            yield tuple(a), p
+
+
 def enumerate_orbits(k: int) -> List[OrbitRecord]:
-    """All rotation classes of {L,R}^k with their exact orbit values.
+    """All rotation classes of {L,R}^k with their exact orbit values, one
+    record per class, keyed by its least rotation and sorted by it.
 
     The degenerate all-L class is reported with the single value 0; words
     that are powers of shorter words are annotated with their primitive
@@ -424,26 +495,17 @@ def enumerate_orbits(k: int) -> List[OrbitRecord]:
     """
     if not 1 <= k <= MAX_ENUMERATION_LENGTH:
         raise ValueError(f"word length must be in 1..{MAX_ENUMERATION_LENGTH}")
-    seen = set()
     records = []
-    for bits in range(2**k):
-        letters = tuple("R" if (bits >> i) & 1 else "L" for i in range(k))
-        canon = FareyWord(letters).canonical()
-        if canon.letters in seen:
-            continue
-        seen.add(canon.letters)
+    for letters, period in necklaces(k):
+        canon = FareyWord(letters)
+        if canon.canonical() != canon:
+            raise AssertionError(f"necklace {canon} is not its least rotation")
         if canon.degenerate:
             records.append(
                 OrbitRecord(canon, (QuadraticIrrational.from_rational(0),), 1, True)
             )
-            continue
-        root = canon.primitive_root()
-        x0 = periodic_point(canon)
-        values = [x0]
-        for letter in canon.letters[:-1]:
-            values.append(_LETTER_FUNCS[letter](values[-1]))
-        records.append(OrbitRecord(canon, tuple(values), len(root), False))
-    records.sort(key=lambda rec: rec.word.letters)
+        else:
+            records.append(OrbitRecord(canon, orbit_values(canon), period, False))
     return records
 
 

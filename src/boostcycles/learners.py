@@ -225,7 +225,8 @@ def _score_node(
 
     Score of a split is |sum wy left| + |sum wy right|; the gain is measured
     against the unsplit |sum wy|. Candidate thresholds are midpoints between
-    consecutive distinct sorted values. Ties break to the lowest feature
+    consecutive distinct sorted values (the lower value when no float lies
+    strictly between them). Ties break to the lowest feature
     index, then the lowest threshold. Returns None when no cut improves.
     """
     cut = vals[:, :-1] < vals[:, 1:]
@@ -240,7 +241,14 @@ def _score_node(
     if not gains[f] > 0:
         return None
     p = int(scores[f].argmax())  # first max: lowest threshold wins ties
-    return float(gains[f]), f, float((vals[f, p] + vals[f, p + 1]) / 2.0)
+    lo, hi = float(vals[f, p]), float(vals[f, p + 1])
+    # (lo + hi) / 2 rounded, without its overflow (halving is exact above the
+    # subnormals); between adjacent floats it rounds to hi, and the split
+    # sends x <= threshold left, so it needs lo <= threshold < hi
+    threshold = lo / 2 + hi / 2
+    if not lo <= threshold < hi:
+        threshold = lo
+    return float(gains[f]), f, threshold
 
 
 def train_tree(

@@ -236,9 +236,10 @@ class TestFarey:
         assert "(0+1/2*sqrt(2))" in out
 
     def test_enumerate_bounds(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("farey", "enumerate", "--k", "25")
-        assert exc.value.code == 2
+        for k in ("0", "21", "25"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("farey", "enumerate", "--k", k)
+            assert exc.value.code == 2
 
     def test_orbit_word(self, capsys):
         assert run_cli("farey", "orbit", "--word", "RL", "--exact") == 0

@@ -5,8 +5,6 @@ from fractions import Fraction
 import pytest
 
 from boostcycles import (
-    BoostStep,
-    BoostTrace,
     FirstAbove,
     FixedSequence,
     HypothesisPool,
@@ -20,7 +18,6 @@ from boostcycles import (
     exponential_update,
     run,
     select,
-    strong_classify,
     uniform_weights,
     weight_update,
 )
@@ -331,38 +328,3 @@ class TestRun:
         assert trace.weights_before(2) == trace.steps[1].weights_after
         assert len(trace.lattice()) == 4
         assert trace.lattice()[0] == trace.steps[0].eta
-
-
-class TestStrongClassify:
-    def test_single_step_matches_hypothesis(self, pool3):
-        trace = run(pool3, Optimal(), 1, "exact")
-        result = strong_classify(trace)
-        assert result.labels == trace.steps[0].eta.entries
-        assert not any(result.ties)
-
-    def test_equal_alphas_opposite_predictions_tie(self, pool3):
-        w = WeightVector((0.5, 0.25, 0.25))
-        a = alpha(Fraction(1, 3))
-        steps = (
-            BoostStep(0, 0, eta(-1, 1, 1), Fraction(1, 3), a, w),
-            BoostStep(1, 2, eta(1, 1, -1), Fraction(1, 3), a, w),
-        )
-        trace = BoostTrace("exact", pool3, FixedSequence((0, 2)), wv("1/3", "1/3", "1/3"), steps)
-        result = strong_classify(trace)
-        assert result.ties == (True, False, True)
-        assert result.labels == (1, 1, 1)
-
-    def test_golden_trace_all_points_positive(self, pool3):
-        trace = run(pool3, Optimal(), 6, "exact")
-        result = strong_classify(trace)
-        expected = [
-            sum(s.alpha * s.eta[i] for s in trace.steps) for i in range(3)
-        ]
-        assert result.margins == pytest.approx(expected, abs=1e-15)
-        assert all(m > 0 for m in result.margins)
-        assert result.labels == (1, 1, 1)
-
-    def test_empty_trace_rejected(self, pool3):
-        trace = BoostTrace("exact", pool3, Optimal(), wv("1/3", "1/3", "1/3"), ())
-        with pytest.raises(ValueError):
-            strong_classify(trace)

@@ -15,13 +15,17 @@ from boostcycles import (
     gauss,
     inv_L,
     inv_R,
+    necklaces,
+    orbit_values,
     periodic_point,
     word_matrix,
 )
+from boostcycles.cli import main
 from boostcycles.farey import (
     DegenerateWord,
     L_MATRIX,
     R_MATRIX,
+    OrbitRecord,
     apply_word,
     square_free_decompose,
 )
@@ -308,6 +312,100 @@ class TestEnumeration:
             for rec in enumerate_orbits(k):
                 for v in rec.values:
                     assert (not v.is_rational) or (rec.degenerate and v == 0)
+
+
+def reference_orbit(word):
+    """periodic_point(word), then the inverse branch of each letter but the last."""
+    values = [periodic_point(word)]
+    for letter in word.letters[:-1]:
+        values.append((inv_L if letter == "L" else inv_R)(values[-1]))
+    return tuple(values)
+
+
+def reference_enumerate_orbits(k):
+    """The enumeration before necklaces: canonicalise every word of {L,R}^k,
+    keep the first of each class, step its orbit through the inverse
+    branches from periodic_point, sort by word."""
+    seen = set()
+    records = []
+    for bits in range(2**k):
+        letters = tuple("R" if (bits >> i) & 1 else "L" for i in range(k))
+        canon = FareyWord(letters).canonical()
+        if canon.letters in seen:
+            continue
+        seen.add(canon.letters)
+        if canon.degenerate:
+            records.append(OrbitRecord(canon, (QI.from_rational(0),), 1, True))
+            continue
+        root = canon.primitive_root()
+        records.append(OrbitRecord(canon, reference_orbit(canon), len(root), False))
+    records.sort(key=lambda rec: rec.word.letters)
+    return records
+
+
+def reference_enumerate_stdout(k, exact):
+    """`farey enumerate` output rendered from the reference records."""
+    lines = []
+    for rec in reference_enumerate_orbits(k):
+        if rec.degenerate:
+            status = "degenerate (fixed point 0)"
+        elif not rec.primitive:
+            status = f"power word, primitive period {rec.primitive_period}"
+        else:
+            status = "primitive"
+        lines.append(f"{rec.word}: {status}")
+        for v in rec.values:
+            lines.append(f"  {v} = {v.decimal(50)}" if exact else f"  {v.decimal(50)}")
+    return "\n".join(lines) + "\n"
+
+
+def necklace_count(k):
+    """(1/k) * sum over d | k of phi(d) * 2^(k/d)."""
+
+    def phi(d):
+        return sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1)
+
+    return sum(phi(d) * 2 ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+
+
+class TestNecklaceEnumeration:
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_records_equal_reference(self, k):
+        assert enumerate_orbits(k) == reference_enumerate_orbits(k)
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_necklaces_are_the_rotation_classes(self, k):
+        found = list(necklaces(k))
+        assert len(found) == necklace_count(k)
+        words = [letters for letters, _ in found]
+        assert words == sorted(set(words))
+        for letters, period in found:
+            word = FareyWord(letters)
+            assert word.canonical() == word
+            assert period == len(word.primitive_root())
+
+    def test_necklaces_reject_empty_length(self):
+        with pytest.raises(ValueError):
+            list(necklaces(0))
+
+    def test_orbit_values_match_inverse_branches_fuzz(self):
+        rng = random.Random(16)
+        for _ in range(200):
+            k = rng.randint(1, 10)
+            word = FareyWord(tuple(rng.choice("LR") for _ in range(k)))
+            if word.degenerate:
+                continue
+            assert orbit_values(word) == reference_orbit(word)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_cli_enumerate_matches_reference(self, capsys, exact):
+        assert main(["farey", "enumerate", "--k", "8"] + (["--exact"] if exact else [])) == 0
+        assert capsys.readouterr().out == reference_enumerate_stdout(8, exact)
+
+    def test_cli_orbit_matches_reference(self, capsys):
+        assert main(["farey", "orbit", "--word", "RRLRL", "--exact"]) == 0
+        values = reference_orbit(W("RRLRL"))
+        assert capsys.readouterr().out == "".join(f"{v} = {v.decimal(50)}\n" for v in values)
 
 
 def cf_euclid(x: Fraction):

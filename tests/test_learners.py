@@ -243,6 +243,19 @@ class TestTrainTree:
         assert tree_accuracy(tree, ds, [0.25] * 4) == pytest.approx(1.0)
         assert tree.root.threshold == pytest.approx(1.5)
 
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (1.0000000000000002, 1.0000000000000004),  # adjacent: (lo + hi) / 2 rounds to hi
+            (1e308, 1.5e308),  # lo + hi overflows to inf
+        ],
+    )
+    def test_threshold_separates_the_cut(self, lo, hi):
+        ds = make_dataset([[lo], [hi]], [1, -1])
+        tree = train_tree(ds, uniform(2), max_depth=1, max_leaves=2)
+        assert lo <= tree.root.threshold < hi
+        assert dichotomy_of(tree, ds).entries == (1, 1)
+
     def test_stump_bounds(self):
         ds = make_dataset([[0.0], [1.0], [2.0]], [1, -1, 1])
         tree = train_tree(ds, uniform(3), max_depth=1, max_leaves=2)
