@@ -51,6 +51,19 @@ def _fmt(value, mode: str) -> str:
     return f"{float(value):.12g}"
 
 
+def _checked(convert, ok, requirement: str):
+    """An argparse type: convert the text, then reject values failing ok."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in its bad-value message
+    return parse
+
+
 def _parse_rule(text: str, mode: str):
     if text == "optimal":
         return Optimal()
@@ -79,8 +92,6 @@ def _load_dataset(args) -> learners.Dataset:
 
 
 def cmd_run(args, parser) -> int:
-    if args.iters < 1:
-        parser.error("--iters must be at least 1")
     if (args.pool is None) == (args.dataset is None):
         parser.error("exactly one of --pool or --dataset is required")
     try:
@@ -91,6 +102,10 @@ def cmd_run(args, parser) -> int:
     provenance: Dict[str, object] = {"rule": args.rule, "iters": args.iters}
     if args.pool is not None:
         pool = load_pool(args.pool)
+        if isinstance(rule, FixedSequence):
+            outside = [row for row in rule.rows if not 0 <= row < len(pool)]
+            if outside:
+                parser.error(f"--rule {args.rule}: rows {outside} outside pool of {len(pool)} rows")
         provenance["pool_path"] = args.pool
         trace = engine.run(pool, rule, args.iters, args.mode)
     else:
@@ -334,8 +349,6 @@ def cmd_farey(args, parser) -> int:
 
 
 def cmd_replicate(args, parser) -> int:
-    if args.iters < 1:
-        parser.error("--iters must be at least 1")
     try:
         ds = _load_dataset(args)
     except OSError as exc:
@@ -446,6 +459,9 @@ def cmd_plot(args, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    at_least_1 = _checked(int, lambda v: v >= 1, "at least 1")
+    repeats = _checked(int, lambda v: v >= 2, "at least 2")
+    tolerance = _checked(float, lambda v: 0 < v < float("inf"), "a finite number above 0")
     parser = argparse.ArgumentParser(
         prog="boostcycles",
         description="Boosting limit cycles and their continued-fraction structure.",
@@ -457,23 +473,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--dataset", help="CSV dataset with a header row")
     p_run.add_argument("--label", help="label column name (dataset runs)")
     p_run.add_argument("--positive", help="label value mapped to +1 (dataset runs)")
-    p_run.add_argument("--sample", type=int, help="sample this many rows without replacement")
+    p_run.add_argument("--sample", type=at_least_1, help="sample this many rows without replacement")
     p_run.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p_run.add_argument("--depth", type=int, default=3, help="max tree depth (dataset runs)")
-    p_run.add_argument("--leaves", type=int, default=4, help="max tree leaves (dataset runs)")
+    p_run.add_argument("--depth", type=at_least_1, default=3, help="max tree depth (dataset runs)")
+    p_run.add_argument("--leaves", type=at_least_1, default=4, help="max tree leaves (dataset runs)")
     p_run.add_argument(
         "--rule",
         default="optimal",
         help="optimal | first-above:THETA | fixed:ROW,ROW,... (pool runs only for the latter)",
     )
-    p_run.add_argument("--iters", type=int, required=True)
+    p_run.add_argument("--iters", type=at_least_1, required=True)
     p_run.add_argument("--mode", choices=("exact", "float"), default="float")
     p_run.add_argument("--out", help="trace file to write (stdout when omitted)")
 
     p_an = sub.add_parser("analyze", help="detect cycles and verify structural identities")
     p_an.add_argument("trace")
-    p_an.add_argument("--tol", type=float, default=1e-9)
-    p_an.add_argument("--min-repeats", type=int, default=3)
+    p_an.add_argument("--tol", type=tolerance, default=1e-9)
+    p_an.add_argument("--min-repeats", type=repeats, default=3)
     p_an.add_argument(
         "--check",
         help=f"comma list from: {', '.join(ALL_CHECKS)} (default: report all, "
@@ -494,20 +510,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--dataset", required=True)
     p_rep.add_argument("--label", required=True)
     p_rep.add_argument("--positive", required=True)
-    p_rep.add_argument("--sample", type=int)
+    p_rep.add_argument("--sample", type=at_least_1)
     p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--depth", type=int, default=3)
-    p_rep.add_argument("--leaves", type=int, default=4)
-    p_rep.add_argument("--iters", type=int, default=20000)
-    p_rep.add_argument("--tol", type=float, default=1e-9)
-    p_rep.add_argument("--min-repeats", type=int, default=3)
+    p_rep.add_argument("--depth", type=at_least_1, default=3)
+    p_rep.add_argument("--leaves", type=at_least_1, default=4)
+    p_rep.add_argument("--iters", type=at_least_1, default=20000)
+    p_rep.add_argument("--tol", type=tolerance, default=1e-9)
+    p_rep.add_argument("--min-repeats", type=repeats, default=3)
     p_rep.add_argument("--out-dir", required=True)
 
     p_plot = sub.add_parser("plot", help="edge-vs-iteration SVG from a trace")
     p_plot.add_argument("trace")
     p_plot.add_argument("--out", required=True)
     p_plot.add_argument("--ref", action="append", help="'golden' or a numeric value; repeatable")
-    p_plot.add_argument("--last", type=int, help="plot only the final N iterations")
+    p_plot.add_argument("--last", type=at_least_1, help="plot only the final N iterations")
     p_plot.add_argument("--title")
 
     return parser

@@ -163,7 +163,8 @@ def weight_update(w: WeightVector, eta: MistakeDichotomy, r: Scalar) -> WeightVe
         raise PerfectClassification("edge reached 1; rational update undefined")
     if r <= 0:
         raise ValueError(f"invalid edge {r!r}: must be positive")
-    new = tuple(c / (1 + e * r) for c, e in zip(w, eta))
+    right, wrong = 1 + r, 1 - r  # 1 + eta_i * r, computed once per sign
+    new = tuple(c / (right if e == 1 else wrong) for c, e in zip(w, eta))
     if not is_exact(new):
         total = sum(new)
         new = tuple(c / total for c in new)

@@ -56,6 +56,34 @@ def square_free_decompose(n: int) -> Tuple[int, int]:
     return s, d
 
 
+def _sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Exact sign of a + b*sqrt(d), d square-free."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # opposite signs: compare a*a against b*b*d
+    lhs, rhs = a * a, b * b * d
+    if a > 0:  # b < 0
+        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+    return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+
+
+@functools.lru_cache(maxsize=256)
+def _decimal_sqrt(d: int, precision: int):
+    """sqrt(d) as a Decimal to the given precision; the values of an orbit
+    share d, so each is computed once."""
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = precision
+        return decimal.Decimal(d).sqrt()
+
+
 @dataclass(frozen=True)
 class QuadraticIrrational:
     """Exact element a + b*sqrt(d) of Q(sqrt(d)), d square-free and positive.
@@ -172,26 +200,15 @@ class QuadraticIrrational:
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d) via sign analysis, no floats."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a*a against b*b*d
-        lhs, rhs = a * a, b * b * self.d
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+        return _sign(self.a, self.b, self.d)
 
     def _cmp(self, other) -> int:
+        """Sign of self - other, taken from the parts of the difference
+        without building it."""
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented  # type: ignore[return-value]
-        return (self - o).sign()
+        return _sign(self.a - o.a, self.b - o.b, self._common_d(o))
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -248,7 +265,7 @@ class QuadraticIrrational:
                 decimal.Decimal(self.a.numerator) / decimal.Decimal(self.a.denominator)
                 + decimal.Decimal(self.b.numerator)
                 / decimal.Decimal(self.b.denominator)
-                * decimal.Decimal(self.d).sqrt()
+                * _decimal_sqrt(self.d, ctx.prec)
             )
             ctx.prec = digits
             return str(+val)

@@ -49,7 +49,7 @@ class TestRun:
     def test_stdout_trace(self, capsys):
         assert run_cli("run", "--pool", POOL3, "--rule", "optimal", "--iters", "3", "--mode", "exact") == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "boostcycles-trace-v1"
+        assert doc["schema"] == "boostcycles-trace-v2"
         assert [s["r_exact"] for s in doc["steps"]] == ["1/3", "1/2", "2/3"]
 
     def test_zero_iters_usage_error(self):
@@ -134,6 +134,61 @@ class TestRun:
         assert path2.read_bytes() == path.read_bytes()
 
 
+    @pytest.mark.parametrize("schedule", ["fixed:5", "fixed:-1", "fixed:0,3,1"])
+    def test_fixed_row_outside_pool_usage_error(self, capsys, schedule):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--pool", POOL3, "--rule", schedule, "--iters", "5")
+        assert exc.value.code == 2
+        assert "outside pool of 3 rows" in capsys.readouterr().err
+
+
+class TestNumericOptions:
+    """Out-of-range numeric options are usage errors (exit 2), never a
+    traceback or a misleading check result."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{trace}", "--min-repeats", "1"],
+            ["analyze", "{trace}", "--min-repeats", "-3"],
+            ["analyze", "{trace}", "--tol", "nan"],
+            ["analyze", "{trace}", "--tol", "-1"],
+            ["analyze", "{trace}", "--tol", "0"],
+            ["analyze", "{trace}", "--tol", "inf"],
+            ["replicate", "--min-repeats", "1"],
+            ["replicate", "--tol", "nan"],
+            ["replicate", "--depth", "0"],
+            ["replicate", "--leaves", "0"],
+            ["replicate", "--sample", "0"],
+            ["replicate", "--iters", "0"],
+            ["run", "--dataset", SYNTH3, "--label", "label", "--positive", "a", "--iters", "5", "--depth", "0"],
+            ["run", "--dataset", SYNTH3, "--label", "label", "--positive", "a", "--iters", "5", "--leaves", "0"],
+            ["run", "--dataset", SYNTH3, "--label", "label", "--positive", "a", "--iters", "5", "--sample", "0"],
+            ["run", "--dataset", SYNTH3, "--label", "label", "--positive", "a", "--iters", "5", "--sample", "-2"],
+            ["plot", "{trace}", "--out", "{svg}", "--last", "0"],
+            ["plot", "{trace}", "--out", "{svg}", "--last", "-5"],
+        ],
+    )
+    def test_usage_error(self, golden_trace_file, tmp_path, argv):
+        if argv[0] == "replicate":
+            argv = argv[:1] + [
+                "--dataset", SYNTH3, "--label", "label", "--positive", "a",
+                "--out-dir", str(tmp_path / "rep"),
+            ] + argv[1:]
+        svg = tmp_path / "f.svg"
+        argv = [a.format(trace=golden_trace_file, svg=svg) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert not svg.exists() and not (tmp_path / "rep").exists()
+
+    def test_smallest_valid_values(self, golden_trace_file, tmp_path):
+        assert run_cli("analyze", golden_trace_file, "--min-repeats", "2", "--tol", "1e-300") in (0, 3)
+        assert run_cli("plot", golden_trace_file, "--out", str(tmp_path / "f.svg"), "--last", "1") == 0
+        svg = (tmp_path / "f.svg").read_text()
+        assert "199.0," in svg and "198.0," not in svg  # only the last of 200 steps
+
+
 class TestAnalyze:
     def test_golden_all_checks_pass(self, golden_trace_file, capsys):
         assert run_cli("analyze", golden_trace_file) == 0
@@ -212,7 +267,7 @@ class TestAnalyze:
     def test_nan_step_weights_io_error(self, golden_trace_file):
         with open(golden_trace_file) as fh:
             doc = json.load(fh)
-        doc["steps"][5]["weights"][0] = float("nan")
+        doc["steps"][-1]["weights"][0] = float("nan")  # the last step always has weights
         with open(golden_trace_file, "w") as fh:
             json.dump(doc, fh)  # writes the bare token NaN, which json.load accepts
         assert run_cli("analyze", golden_trace_file) == 4

@@ -104,6 +104,38 @@ class TestQuadraticIrrational:
         assert GOLDEN.decimal(20).startswith("0.6180339887498948482")
         assert len(GOLDEN.decimal(50).replace("0.", "")) == 50
 
+    def test_comparison_matches_sign_of_difference(self):
+        # comparisons take the sign straight from the parts of the
+        # difference; the reference builds the difference and takes its sign
+        rng = random.Random(5)
+
+        def draw(d):
+            frac = lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 12))  # noqa: E731
+            return QI(frac(), frac() if rng.random() < 0.8 else 0, d)
+
+        for _ in range(3000):
+            d = rng.choice((2, 3, 5, 8, 12))
+            x, y = draw(d), draw(d)
+            other = y if rng.random() < 0.8 else y.a
+            ref = (x - other).sign()
+            assert (x < other, x <= other, x > other, x >= other) == (ref < 0, ref <= 0, ref > 0, ref >= 0)
+        x = QI(Fraction(1, 3), Fraction(1, 2), 5)
+        assert x < x + QI.sqrt(5) * Fraction(1, 10**30) and not x < x
+        with pytest.raises(ValueError, match="mixed radicands"):
+            QI.sqrt(2) < QI.sqrt(3)
+
+    def test_decimal_matches_direct_sqrt(self):
+        import decimal
+
+        for d in (2, 5, 7, 13):
+            x = QI(Fraction(-3, 7), Fraction(5, 11), d)
+            for digits in (5, 30, 50):
+                with decimal.localcontext() as ctx:
+                    ctx.prec = digits + 10
+                    val = decimal.Decimal(-3) / 7 + decimal.Decimal(5) / 11 * decimal.Decimal(d).sqrt()
+                    ctx.prec = digits
+                    assert x.decimal(digits) == str(+val)
+
     def test_hash_consistency(self):
         assert hash(QI(Fraction(1, 2), Fraction(0), 7)) == hash(Fraction(1, 2))
         assert len({GOLDEN, QI(Fraction(-1, 2), Fraction(1, 2), 5)}) == 1

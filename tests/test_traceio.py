@@ -1,11 +1,26 @@
 import json
+import math
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from boostcycles import FirstAbove, FixedSequence, Optimal, run
+from boostcycles import (
+    BoostTrace,
+    FirstAbove,
+    FixedSequence,
+    Optimal,
+    load_csv,
+    run,
+    run_on_dataset,
+    uniform_weights,
+)
+from boostcycles.cli import main
 from boostcycles.traceio import (
+    CHECKPOINT_EVERY,
     TraceFormatError,
+    _encode_rule,
+    _encode_scalar,
     dumps_trace,
     load_pool,
     load_trace,
@@ -14,6 +29,57 @@ from boostcycles.traceio import (
     save_trace,
     trace_provenance,
 )
+
+DATA = resources.files("boostcycles") / "data"
+
+
+def v1_trace_to_dict(trace, provenance=None):
+    """The boostcycles-trace-v1 writer, kept as the reference for the v1
+    reader: every step stores t, row, eta, r, alpha and its weights."""
+    mode = trace.mode
+    steps = []
+    for s in trace.steps:
+        record = {
+            "t": s.t,
+            "row": s.row,
+            "eta": s.eta.to_string(),
+            "r": float(s.edge),
+            "alpha": s.alpha,
+            "weights": [_encode_scalar(c, mode) for c in s.weights_after],
+        }
+        if mode == "exact":
+            record["r_exact"] = str(Fraction(s.edge))
+        steps.append(record)
+    doc = {
+        "schema": "boostcycles-trace-v1",
+        "mode": mode,
+        "rule": _encode_rule(trace.rule),
+        "pool": {
+            "origin": trace.pool.origin,
+            "rows": [row.to_string() for row in trace.pool.rows],
+        },
+        "provenance": provenance or {},
+        "initial_weights": [_encode_scalar(c, mode) for c in trace.initial_weights],
+        "halt": trace.halt,
+        "steps": steps,
+    }
+    return doc
+
+
+def v1_dumps_trace(trace, provenance=None):
+    return json.dumps(v1_trace_to_dict(trace, provenance), indent=1) + "\n"
+
+
+@pytest.fixture(scope="module")
+def iris_trace():
+    ds = load_csv(str(DATA / "iris.csv"), "species", "versicolor")
+    return run_on_dataset(ds, 3, 4, 1000, "float")
+
+
+@pytest.fixture(scope="module")
+def synthetic3_trace():
+    ds = load_csv(str(DATA / "synthetic3.csv"), "label", "a")
+    return run_on_dataset(ds, 1, 2, 400, "float")
 
 
 class TestTraceRoundTrip:
@@ -128,6 +194,8 @@ def tamper_step_width(doc):
 
 
 class TestTraceConsistency:
+    """Tampered v1 documents: the fields only v1 stores are still checked."""
+
     @pytest.mark.parametrize(
         "tamper, message",
         [
@@ -139,9 +207,185 @@ class TestTraceConsistency:
         ],
     )
     def test_tampered_trace_rejected(self, pool3, tamper, message):
-        doc = json.loads(dumps_trace(run(pool3, Optimal(), 3, "exact")))
+        doc = json.loads(v1_dumps_trace(run(pool3, Optimal(), 3, "exact")))
         tamper(doc)
         with pytest.raises(TraceFormatError, match=message):
+            loads_trace(json.dumps(doc))
+
+    def test_tampered_alpha_rejected(self, pool3):
+        doc = v1_trace_to_dict(run(pool3, Optimal(), 3, "float"))
+        doc["steps"][1]["alpha"] *= 1.001
+        with pytest.raises(TraceFormatError, match="alpha"):
+            loads_trace(json.dumps(doc))
+
+    def test_tampered_t_rejected(self, pool3):
+        doc = v1_trace_to_dict(run(pool3, Optimal(), 3, "exact"))
+        doc["steps"][1]["t"] = 2
+        with pytest.raises(TraceFormatError, match="recorded t"):
+            loads_trace(json.dumps(doc))
+
+
+class TestV2Layout:
+    def test_checkpoints_and_fields(self, pool3):
+        trace = run(pool3, Optimal(), 2 * CHECKPOINT_EVERY + 7, "float")
+        text = dumps_trace(trace)
+        doc = json.loads(text)
+        assert doc["schema"] == "boostcycles-trace-v2"
+        steps = doc["steps"]
+        with_weights = [t for t, rec in enumerate(steps) if "weights" in rec]
+        assert with_weights == [CHECKPOINT_EVERY - 1, 2 * CHECKPOINT_EVERY - 1, len(steps) - 1]
+        assert {key for rec in steps for key in rec} == {"row", "r", "weights"}
+        # one step record per line after the header
+        assert len(text.splitlines()) == len(steps) + 2
+
+    def test_exact_steps_store_only_the_exact_edge(self, pool3):
+        doc = json.loads(dumps_trace(run(pool3, Optimal(), 3, "exact")))
+        assert doc["steps"][0] == {"row": 0, "r_exact": "1/3"}
+        assert doc["steps"][-1]["weights"] == ["1/5", "3/10", "1/2"]
+
+    def test_no_steps(self, pool3):
+        empty = BoostTrace("exact", pool3, Optimal(), uniform_weights(3, "exact"), (), "weak_learning_failure")
+        assert loads_trace(dumps_trace(empty)) == empty
+
+
+class TestRoundTripCorpora:
+    def test_fuzz_exact_traces(self, fuzz_exact_traces):
+        for trace in fuzz_exact_traces:
+            text = dumps_trace(trace)
+            again = loads_trace(text)
+            assert again == trace
+            assert dumps_trace(again) == text
+
+    def test_fuzz_float_cycles(self, fuzz_float_cycles):
+        for trace, _ in fuzz_float_cycles:
+            assert loads_trace(dumps_trace(trace)) == trace
+
+    def test_iris(self, iris_trace):
+        assert len(iris_trace) == 1000
+        assert loads_trace(dumps_trace(iris_trace)) == iris_trace
+
+    def test_synthetic3(self, synthetic3_trace):
+        assert len(synthetic3_trace) == 400
+        assert loads_trace(dumps_trace(synthetic3_trace)) == synthetic3_trace
+
+
+class TestV1Reader:
+    def test_exact_and_float_runs(self, pool3):
+        for rule in (Optimal(), FirstAbove(Fraction(2, 5)), FixedSequence((0, 1, 2))):
+            for mode in ("exact", "float"):
+                trace = run(pool3, rule, 150, mode)
+                assert loads_trace(v1_dumps_trace(trace)) == trace
+
+    def test_fuzz_exact_traces(self, fuzz_exact_traces):
+        for trace in fuzz_exact_traces[:200]:
+            assert loads_trace(v1_dumps_trace(trace)) == trace
+
+    def test_dataset_runs(self, iris_trace, synthetic3_trace):
+        assert loads_trace(v1_dumps_trace(iris_trace)) == iris_trace
+        assert loads_trace(v1_dumps_trace(synthetic3_trace)) == synthetic3_trace
+
+    def test_v1_rewritten_as_v2(self, pool3):
+        trace = run(pool3, Optimal(), 30, "exact")
+        assert dumps_trace(loads_trace(v1_dumps_trace(trace))) == dumps_trace(trace)
+
+
+def float_edge_off(doc):
+    doc["steps"][5]["r"] += 1e-9
+
+
+def exact_edge_changed(doc):
+    doc["steps"][5]["r_exact"] = str(Fraction(doc["steps"][5]["r_exact"]) + Fraction(1, 10**6))
+
+
+def checkpoint_weight_changed(doc):
+    # move mass between two components: the sum stays 1, the replay differs
+    w = doc["steps"][CHECKPOINT_EVERY - 1]["weights"]
+    if doc["mode"] == "exact":
+        delta = Fraction(w[0]) / 1000
+        w[0], w[1] = str(Fraction(w[0]) - delta), str(Fraction(w[1]) + delta)
+    else:
+        delta = w[0] / 1000
+        w[0], w[1] = w[0] - delta, w[1] + delta
+
+
+def row_swapped(doc):
+    rec = doc["steps"][5]
+    rec["row"] = (rec["row"] + 1) % len(doc["pool"]["rows"])
+
+
+def last_weights_removed(doc):
+    del doc["steps"][-1]["weights"]
+
+
+def step_deleted(doc):
+    del doc["steps"][5]
+
+
+V2_TAMPERS = [
+    ("float", float_edge_off, "is not the edge of row"),
+    ("exact", exact_edge_changed, "is not the edge of row"),
+    ("exact", checkpoint_weight_changed, "do not match the replayed update"),
+    ("float", checkpoint_weight_changed, "do not match the replayed update"),
+    ("exact", row_swapped, "is not the edge of row"),
+    ("float", row_swapped, "is not the edge of row"),
+    ("exact", last_weights_removed, "no weights checkpoint"),
+    ("exact", step_deleted, "is not the edge of row"),
+    ("float", step_deleted, "is not the edge of row"),
+]
+
+
+class TestReplayVerification:
+    @pytest.fixture(scope="class")
+    def docs(self, pool3):
+        return {
+            mode: dumps_trace(run(pool3, Optimal(), CHECKPOINT_EVERY + 20, mode))
+            for mode in ("exact", "float")
+        }
+
+    @pytest.mark.parametrize(
+        "mode, tamper, message", V2_TAMPERS, ids=[f"{m}-{f.__name__}" for m, f, _ in V2_TAMPERS]
+    )
+    def test_tampered_v2_rejected(self, docs, tmp_path, mode, tamper, message):
+        doc = json.loads(docs[mode])
+        tamper(doc)
+        text = json.dumps(doc)
+        with pytest.raises(TraceFormatError, match=message):
+            loads_trace(text)
+        path = tmp_path / "tampered.json"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 4
+
+    @pytest.mark.parametrize("tamper", [tamper_eta, tamper_step_width, tamper_row_range])
+    def test_tampered_v1_exits_4(self, pool3, tmp_path, tamper):
+        doc = v1_trace_to_dict(run(pool3, Optimal(), 3, "exact"))
+        tamper(doc)
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 4
+
+    def test_float_edge_within_rounding_accepted(self, pool3):
+        # an edge summed in another order differs in its last bits only
+        trace = run(pool3, Optimal(), 20, "float")
+        doc = json.loads(dumps_trace(trace))
+        doc["steps"][5]["r"] = math.nextafter(doc["steps"][5]["r"], 1.0)
+        assert loads_trace(json.dumps(doc)).steps[5].edge == doc["steps"][5]["r"]
+
+    def test_replay_continues_from_stored_checkpoint(self, pool3):
+        # a checkpoint written by a Python that sums in another order may
+        # differ from this replay in its last bits; it loads as stored
+        trace = run(pool3, Optimal(), CHECKPOINT_EVERY + 20, "float")
+        doc = json.loads(dumps_trace(trace))
+        w = doc["steps"][CHECKPOINT_EVERY - 1]["weights"]
+        w[0] = math.nextafter(w[0], 1.0)
+        w[1] = math.nextafter(w[1], 0.0)
+        again = loads_trace(json.dumps(doc))
+        assert list(again.steps[CHECKPOINT_EVERY - 1].weights_after) == w
+        assert again.steps[CHECKPOINT_EVERY - 2] == trace.steps[CHECKPOINT_EVERY - 2]
+
+    def test_edge_outside_unit_interval(self, pool3):
+        doc = json.loads(dumps_trace(run(pool3, Optimal(), 3, "exact")))
+        doc["steps"][1]["r_exact"] = "1"
+        with pytest.raises(TraceFormatError, match=r"outside \(0, 1\)"):
             loads_trace(json.dumps(doc))
 
 
