@@ -13,24 +13,23 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from . import engine, learners
 from .cycles import (
+    ALL_CHECKS,
+    IDENTITY_CHECKS,
     CycleReport,
+    analyze_trace,
     attach_farey,
-    check_edge_update,
     detect_cycle,
-    lattice_agreement,
-    partition,
-    subsums,
 )
-from .engine import BoostTrace, FirstAbove, FixedSequence, Optimal
+from .engine import FirstAbove, FixedSequence, Optimal
 from .farey import GOLDEN, MAX_ENUMERATION_LENGTH, FareyWord, enumerate_orbits, orbit_values
 from .figures import FigureSpec, save_figure
-from .simplex import check_periodic_learning
 from .traceio import (
     TraceFormatError,
+    _fraction_text,
     dumps_trace,
     load_pool,
     load_trace,
@@ -47,7 +46,7 @@ GOLDEN_FLOAT = float(GOLDEN)
 
 def _fmt(value, mode: str) -> str:
     if mode == "exact":
-        return str(Fraction(value))
+        return _fraction_text(Fraction(value))
     return f"{float(value):.12g}"
 
 
@@ -158,83 +157,6 @@ def _report_cycle(report: Optional[CycleReport], mode: str, out) -> None:
         print("no Farey word matches the edge cycle", file=out)
 
 
-def _check_edge_update(trace: BoostTrace, tol: float) -> Tuple[bool, str]:
-    reports = check_edge_update(trace, tol)
-    broken = [r.t for r in reports if r.matches != r.j_minus_empty]
-    mismatch = [r.t for r in reports if not r.matches]
-    if broken:
-        return False, f"biconditional broken at iterations {broken}"
-    if mismatch:
-        return True, f"holds; update differs exactly where J- is nonempty: iterations {mismatch}"
-    return True, "holds; update matches at every iteration (J- always empty)"
-
-
-def _check_subsums(trace: BoostTrace, tol: float) -> Tuple[bool, str]:
-    checked = 0
-    for t in range(1, len(trace)):
-        prev = trace.steps[t - 1]
-        part = partition(prev.eta, trace.steps[t].eta)
-        if not part.periodic_learning_holds:
-            continue
-        w_prev = trace.weights_before(t - 1)
-        try:
-            rep = subsums(w_prev, prev.edge, part)
-        except ValueError as exc:
-            return False, f"iteration {t}: {exc}"
-        r = rep.edge
-        half = Fraction(1, 2) if trace.mode == "exact" else 0.5
-        targets = (r / 2, half, (1 - r) / 2)
-        got = (rep.i_plus, rep.i_minus, rep.j_plus)
-        if trace.mode == "exact":
-            ok = got == targets
-        else:
-            ok = all(abs(float(g) - float(tv)) <= tol for g, tv in zip(got, targets))
-        if not ok:
-            return False, f"iteration {t}: subsums {got} != {targets}"
-        checked += 1
-    if checked == 0:
-        return True, "no step satisfied the periodic learning condition"
-    return True, f"subsum values (r/2, 1/2, (1-r)/2) verified on {checked} steps"
-
-
-def _check_farey(report: Optional[CycleReport]) -> Tuple[bool, str]:
-    if report is None:
-        return False, "no cycle to match"
-    if report.farey_word is None:
-        return False, "edge cycle is not generated by the inverse branches"
-    return True, f"word {report.farey_word}"
-
-
-def _check_agreement(trace: BoostTrace, report: Optional[CycleReport], tol: float) -> Tuple[bool, str]:
-    if report is None:
-        return False, "no cycle detected"
-    k = report.period
-    length = 2 * k
-    start_a = report.phase
-    start_b = report.phase + k
-    if start_b + length > len(trace):
-        length = k
-    if start_b + length > len(trace) or length < 2:
-        return False, "cycling window too short to compare offset copies"
-    result = lattice_agreement(trace, trace, (start_a, length), (start_b, length), 0, tol)
-    if result.status == "agree_everywhere":
-        return True, f"offset windows of length {length} agree everywhere"
-    return False, f"{result.status}: {result.reason} (offset {result.offset})"
-
-
-def _check_periodic_learning(trace: BoostTrace) -> Tuple[bool, str]:
-    if len(trace) < 2:
-        return False, "trace too short"
-    violation = check_periodic_learning(trace.lattice())
-    if violation is None:
-        return True, "holds on the whole trace"
-    return False, f"violated at point {violation[0]}, iteration {violation[1]}"
-
-
-IDENTITY_CHECKS = ("edge-update", "subsums", "agreement")
-ALL_CHECKS = ("periodic-learning", "edge-update", "subsums", "farey", "agreement")
-
-
 def cmd_analyze(args, parser) -> int:
     try:
         trace = load_trace(args.trace)
@@ -249,34 +171,11 @@ def cmd_analyze(args, parser) -> int:
         if unknown:
             parser.error(f"unknown checks {unknown}; available: {', '.join(ALL_CHECKS)}")
 
-    report = None
-    if trace.steps:
-        report = detect_cycle(trace, tol=args.tol, min_repeats=args.min_repeats)
-        if report is not None:
-            report = attach_farey(report)
+    names = requested if requested is not None else ALL_CHECKS
+    report, results = analyze_trace(trace, args.tol, args.min_repeats, names)
     _report_cycle(report, trace.mode, sys.stdout)
-
-    names = requested if requested is not None else list(ALL_CHECKS)
-    results: Dict[str, Tuple[bool, str]] = {}
-    for name in names:
-        if name == "periodic-learning":
-            results[name] = _check_periodic_learning(trace)
-        elif name == "edge-update":
-            results[name] = (
-                _check_edge_update(trace, args.tol) if len(trace) >= 2 else (False, "trace too short")
-            )
-        elif name == "subsums":
-            results[name] = (
-                _check_subsums(trace, args.tol) if len(trace) >= 2 else (False, "trace too short")
-            )
-        elif name == "farey":
-            results[name] = _check_farey(report)
-        elif name == "agreement":
-            results[name] = _check_agreement(trace, report, args.tol)
-
-    for name in names:
-        ok, detail = results[name]
-        print(f"check {name}: {'pass' if ok else 'FAIL'} - {detail}")
+    for result in results:
+        print(f"check {result.name}: {'pass' if result.ok else 'FAIL'} - {result.detail}")
 
     if args.json:
         doc = {
@@ -292,18 +191,19 @@ def cmd_analyze(args, parser) -> int:
                 "periodic_learning_holds": report.periodic_learning_holds,
                 "farey_word": None if report.farey_word is None else str(report.farey_word),
             },
-            "checks": {name: {"pass": ok, "detail": detail} for name, (ok, detail) in results.items()},
+            "checks": {r.name: {"pass": r.ok, "detail": r.detail, "data": r.data} for r in results},
         }
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
 
+    passed = {r.name: r.ok for r in results}
     if requested is not None:
-        failing = [n for n in requested if not results[n][0]]
+        failing = [n for n in requested if not passed[n]]
     else:
         # unrequested informational checks (periodic-learning status, farey
         # match on a non-branch cycle) do not fail the run; broken identities do
-        failing = [n for n in IDENTITY_CHECKS if n in results and not results[n][0]]
+        failing = [n for n in IDENTITY_CHECKS if not passed[n]]
         if report is None:
             failing = [n for n in failing if n != "agreement"]
     return EXIT_CHECK_FAILED if failing else EXIT_OK

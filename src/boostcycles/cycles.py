@@ -5,22 +5,43 @@ shares, Farey-word matching, and the window-agreement property.
 
 Iteration indexing follows the engine: the transition "into" step t uses the
 weights and dichotomy of step t-1.
+
+The `analyze` checks are defined once, here, in the CHECKS registry;
+`analyze_trace` runs them and the CLI only renders their CheckResults. One
+analysis detects the cycle once and every check reads that report. The checks
+run as array kernels over the trace's sign and state matrices
+(`BoostTrace.sign_matrix`, `BoostTrace.state_matrix`), built once per trace:
+
+- Cycle detection compares float64 states in both modes, within tol (exact
+  values rounded to the nearest double). Candidate periods come from
+  quantized-state collisions in float mode and from exact state equality in
+  exact mode.
+- The identity checks (edge update, subsums) read the group masks of every
+  transition, computed once per analysis (`transition_groups`), and the
+  previous weights' mass on each group, summed block by block as the checks
+  read them. Exact traces keep their weights as Fractions in an object
+  array, so each identity is a Fraction equality; float traces compare
+  within tol.
+- The periodic learning condition, the cycle window's violation and the
+  agreement windows all read the trace's J- masks
+  (`BoostTrace.repeated_mistakes`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .engine import BoostTrace
 from .farey import FareyWord, inv_L, inv_R
 from .simplex import (
     MistakeDichotomy,
-    MistakeLattice,
     Scalar,
     WeightVector,
-    check_periodic_learning,
+    first_repeated_mistake,
     is_exact,
 )
 
@@ -102,6 +123,88 @@ def four_term_edge(
 
 
 @dataclass(frozen=True)
+class TransitionGroups:
+    """Every transition t-1 -> t of a trace (t = 1 .. T-1, at row t-1 of
+    each array) split into the groups of IndexPartition, with the mass of
+    weights_before(t-1) on each group.
+
+    j_minus is the trace's (T-1, n) J- mask; was_right and is_right mark the
+    points classified correctly at t-1 and at t. The weights and edges are
+    float64 in float mode and, in exact mode, object arrays holding the
+    trace's Fractions, so that every identity computed from them is exact.
+    A mass is summed when read (an empty group's exact mass is the int 0).
+    A float mass is summed in another order than a left-to-right sum over
+    the group, so it may differ from one by the rounding of n terms: less
+    than n * eps, as the weights sum to 1.
+    """
+
+    j_minus: np.ndarray
+    was_right: np.ndarray
+    is_right: np.ndarray
+    w_prev: np.ndarray
+    r_prev: np.ndarray
+    r_cur: np.ndarray
+
+    def _mass(self, mask: np.ndarray) -> np.ndarray:
+        zero = 0 if self.w_prev.dtype == object else 0.0
+        return np.where(mask, self.w_prev, zero).sum(axis=1)
+
+    @property
+    def mass_i_plus(self) -> np.ndarray:
+        return self._mass(self.was_right & self.is_right)
+
+    @property
+    def mass_i_minus(self) -> np.ndarray:
+        return self._mass(~self.was_right & self.is_right)
+
+    @property
+    def mass_j_plus(self) -> np.ndarray:
+        return self._mass(self.was_right & ~self.is_right)
+
+    def rows(self, index) -> "TransitionGroups":
+        """The groups of the transitions selected by index (a slice or an
+        index array)."""
+        return TransitionGroups(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def blocks(self) -> Iterator[Tuple[int, "TransitionGroups"]]:
+        """(first row, the groups of the next _GROUP_BLOCK rows), in order.
+        The checks read the masses and evaluate their expressions block by
+        block, so that an exact trace holds one block's Fractions at a time
+        rather than the whole trace's."""
+        for lo in range(0, len(self.r_prev), _GROUP_BLOCK):
+            yield lo, self.rows(slice(lo, lo + _GROUP_BLOCK))
+
+
+_GROUP_BLOCK = 256
+
+
+def transition_groups(trace: BoostTrace) -> TransitionGroups:
+    """The groups of every transition, from the trace's sign matrix."""
+    if len(trace) < 2:
+        raise ValueError("need at least 2 steps")
+    signs = trace.sign_matrix
+    if trace.mode == "exact":
+        steps = trace.steps
+        w_prev = np.empty((len(steps) - 1, len(trace.initial_weights)), dtype=object)
+        w_prev[:] = [trace.initial_weights.components] + [s.weights_after.components for s in steps[:-2]]
+        edges = np.empty(len(steps), dtype=object)
+        edges[:] = [s.edge for s in steps]
+    else:
+        states = trace.state_matrix
+        initial = np.array(trace.initial_weights.components, dtype=np.float64)
+        w_prev = np.vstack((initial, states[:-2, 1:]))
+        edges = states[:, 0]
+    return TransitionGroups(
+        j_minus=trace.repeated_mistakes,
+        was_right=signs[:-1] > 0,
+        is_right=signs[1:] > 0,
+        w_prev=w_prev,
+        r_prev=edges[:-1],
+        r_cur=edges[1:],
+    )
+
+
+@dataclass(frozen=True)
 class EdgeUpdateReport:
     """Per-iteration comparison of the simplified edge update against truth.
 
@@ -117,30 +220,36 @@ class EdgeUpdateReport:
     matches: bool
 
 
+def _edge_update(groups: TransitionGroups, exact: bool, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The simplified edges (1 + r_prev - 2*sum_{J+} w_prev) / (1 + r_prev)
+    of every transition, and whether each equals (exact) or lies within tol
+    of (float) the true edge."""
+    r_prev = groups.r_prev
+    simplified = (1 + r_prev - 2 * groups.mass_j_plus) / (1 + r_prev)
+    if exact:
+        return simplified, simplified == groups.r_cur
+    return simplified, np.abs(simplified - groups.r_cur) <= tol
+
+
 def check_edge_update(trace: BoostTrace, tol: float = 1e-12) -> List[EdgeUpdateReport]:
     """Evaluate r_t = (1 + r_prev - 2*sum_{J+} w_prev) / (1 + r_prev) at every
     iteration t >= 1 and report where it reproduces the true edge.
 
     Exact traces compare with equality; float traces within tol.
     """
-    if len(trace) < 2:
-        raise ValueError("need at least 2 steps")
-    reports = []
-    for t in range(1, len(trace)):
-        prev_step = trace.steps[t - 1]
-        cur_step = trace.steps[t]
-        w_prev = trace.weights_before(t - 1)
-        r_prev = prev_step.edge
-        part = partition(prev_step.eta, cur_step.eta)
-        simplified = (1 + r_prev - 2 * sum(w_prev[j] for j in part.j_plus)) / (1 + r_prev)
-        if trace.mode == "exact":
-            matches = simplified == cur_step.edge
-        else:
-            matches = abs(simplified - cur_step.edge) <= tol
-        reports.append(
-            EdgeUpdateReport(t, part.periodic_learning_holds, simplified, cur_step.edge, matches)
+    groups = transition_groups(trace)
+    simplified, matches = _edge_update(groups, trace.mode == "exact", tol)
+    j_minus_empty = ~groups.j_minus.any(axis=1)
+    return [
+        EdgeUpdateReport(t, empty, value, step.edge, match)
+        for t, empty, value, step, match in zip(
+            range(1, len(trace)),
+            j_minus_empty.tolist(),
+            simplified.tolist(),
+            trace.steps[1:],
+            matches.tolist(),
         )
-    return reports
+    ]
 
 
 @dataclass(frozen=True)
@@ -153,6 +262,11 @@ class SubsumReport:
     i_minus: Scalar
     j_plus: Scalar
     edge: Scalar
+
+
+SUBSUMS_INCONSISTENT = (
+    "subsums inconsistent: r_prev is not the edge of the previous dichotomy on these weights"
+)
 
 
 def subsums(w_prev: WeightVector, r_prev: Scalar, part: IndexPartition) -> SubsumReport:
@@ -174,10 +288,7 @@ def subsums(w_prev: WeightVector, r_prev: Scalar, part: IndexPartition) -> Subsu
     if is_exact(w_prev.components) and isinstance(r_prev, (int, Fraction)):
         half = Fraction(1, 2)
         if b != half or a + c != half:
-            raise ValueError(
-                "subsums inconsistent: r_prev is not the edge of the previous "
-                "dichotomy on these weights"
-            )
+            raise ValueError(SUBSUMS_INCONSISTENT)
     return SubsumReport(a, b, c, edge)
 
 
@@ -271,34 +382,6 @@ class CycleReport:
         return self.periodic_violation is None
 
 
-def _state_distance(
-    edges: Sequence[Scalar], weights: Sequence[WeightVector], s: int, t: int
-) -> float:
-    d = abs(float(edges[s]) - float(edges[t]))
-    for a, b in zip(weights[s], weights[t]):
-        d = max(d, abs(float(a) - float(b)))
-    return d
-
-
-def _window_periodic(
-    edges: Sequence[Scalar],
-    weights: Sequence[WeightVector],
-    k: int,
-    start: int,
-    end: int,
-    tol: float,
-) -> Optional[float]:
-    """Max deviation between states k apart over [start, end-k), or None if
-    any pair exceeds tol."""
-    worst = 0.0
-    for t in range(start, end - k):
-        d = _state_distance(edges, weights, t, t + k)
-        if d > tol:
-            return None
-        worst = max(worst, d)
-    return worst
-
-
 def _prime_factors(n: int) -> List[int]:
     out = []
     f = 2
@@ -311,6 +394,17 @@ def _prime_factors(n: int) -> List[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+# The smallest quantum of the float collision keys. State values lie in
+# [0, 1 + FLOAT_SUM_TOL], so a value divided by it stays finite however
+# small tol is; below it the keys tell apart every value above 2**-970.
+_MIN_QUANTUM = np.finfo(np.float64).tiny
+
+# Rows of the phase walk-back compared at once: a cycle reached late in a
+# long trace does not pay for a scan of the whole trace, and the temporary
+# stays small beside the state matrix.
+_WALK_BACK_BLOCK = 256
 
 
 def detect_cycle(
@@ -336,25 +430,35 @@ def detect_cycle(
     if k_max < 1:
         return None
 
-    edges = [s.edge for s in trace.steps]
-    weights = [s.weights_after for s in trace.steps]
+    states = trace.state_matrix
+
+    def deviation(k: int, start: int, stop: int) -> np.ndarray:
+        """max |S[t] - S[t+k]| over the state's entries, for t in [start, stop)."""
+        d = states[start + k : stop + k] - states[start:stop]
+        return np.abs(d, out=d).max(axis=1)
 
     def verified(k: int) -> Optional[float]:
-        return _window_periodic(edges, weights, k, n_steps - min_repeats * k, n_steps, tol)
+        """The largest deviation between states k apart over the last
+        min_repeats periods, or None if any exceeds tol."""
+        d = deviation(k, n_steps - min_repeats * k, n_steps - k)
+        return None if (d > tol).any() else float(d.max())
 
-    candidates = set(range(1, min(k_max, 64) + 1))
+    # steps t >= burn_in whose state collides with the last one
+    tail = states[burn_in:]
     if trace.mode == "float":
-        quantum = tol / 10
-        last_key = tuple(round(float(v) / quantum) for v in (edges[-1], *weights[-1]))
-        for t in range(n_steps - 2, burn_in - 1, -1):
-            key = tuple(round(float(v) / quantum) for v in (edges[t], *weights[t]))
-            if key == last_key:
-                candidates.add(n_steps - 1 - t)
+        keys = tail / max(tol / 10, _MIN_QUANTUM)
+        np.rint(keys, out=keys)
+        hits = (np.flatnonzero((keys[:-1] == keys[-1]).all(axis=1)) + burn_in).tolist()
     else:
-        last = (edges[-1], weights[-1].components)
-        for t in range(n_steps - 2, burn_in - 1, -1):
-            if (edges[t], weights[t].components) == last:
-                candidates.add(n_steps - 1 - t)
+        # equal states round to equal doubles: screen on those, then
+        # confirm with exact equality
+        def exact_state(t: int) -> tuple:
+            return trace.steps[t].edge, trace.steps[t].weights_after.components
+
+        screened = np.flatnonzero((tail[:-1] == tail[-1]).all(axis=1)) + burn_in
+        hits = [t for t in screened.tolist() if exact_state(t) == exact_state(n_steps - 1)]
+    candidates = set(range(1, min(k_max, 64) + 1))
+    candidates.update(n_steps - 1 - t for t in hits)
 
     period = None
     residual = 0.0
@@ -377,24 +481,27 @@ def detect_cycle(
                 reduced = True
                 break
 
-    phase = n_steps - min_repeats * period
-    while phase > 0 and _state_distance(edges, weights, phase - 1, phase - 1 + period) <= tol:
-        phase -= 1
+    # walk back from the verified window while states one period apart agree
+    window_start = n_steps - min_repeats * period
+    phase = window_start
+    while phase > 0:
+        lo = max(0, phase - _WALK_BACK_BLOCK)
+        apart = np.flatnonzero(deviation(period, lo, phase) > tol)
+        if apart.size:
+            phase = lo + int(apart[-1]) + 1
+            break
+        phase = lo
 
+    edges = states[:, 0]
     edge_period = period
     for e in sorted(d for d in range(1, period) if period % d == 0):
-        ok = all(
-            abs(float(edges[t]) - float(edges[t + e])) <= tol
-            for t in range(n_steps - min_repeats * period, n_steps - e)
-        )
-        if ok:
+        if (np.abs(edges[window_start + e :] - edges[window_start : n_steps - e]) <= tol).all():
             edge_period = e
             break
 
-    edge_values = tuple(edges[n_steps - edge_period:])
-    weight_cycle = tuple(weights[n_steps - period:])
-    window_lattice = MistakeLattice(tuple(s.eta for s in trace.steps[phase:]))
-    violation = check_periodic_learning(window_lattice) if len(window_lattice) >= 2 else None
+    edge_values = tuple(s.edge for s in trace.steps[n_steps - edge_period :])
+    weight_cycle = tuple(s.weights_after for s in trace.steps[n_steps - period :])
+    violation = first_repeated_mistake(trace.repeated_mistakes[phase:])
     if violation is not None:
         violation = (violation[0], violation[1] + phase)
     distinct = all(
@@ -459,12 +566,6 @@ class AgreementReport:
     offset: Optional[int] = None
 
 
-def _weights_close(a: WeightVector, b: WeightVector, tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(abs(float(x) - float(y)) <= tol for x, y in zip(a, b))
-
-
 def aligned_weight_distance(a: WeightVector, b: WeightVector) -> float:
     """Max componentwise gap after the best permutation alignment.
 
@@ -477,6 +578,65 @@ def aligned_weight_distance(a: WeightVector, b: WeightVector) -> float:
     xs = sorted(float(v) for v in a)
     ys = sorted(float(v) for v in b)
     return max(abs(x - y) for x, y in zip(xs, ys))
+
+
+def _weights_before(trace: BoostTrace, start: int, stop: int) -> np.ndarray:
+    """weights_before(t) for t in [start, stop) as float64 rows."""
+    rows = trace.state_matrix[max(start - 1, 0) : stop - 1, 1:]
+    if start == 0:
+        rows = np.vstack((np.array(trace.initial_weights.components, dtype=np.float64), rows))
+    return rows
+
+
+def _windows_agree(
+    trace_a: BoostTrace,
+    rep_a: CycleReport,
+    trace_b: BoostTrace,
+    rep_b: CycleReport,
+    window_a: Tuple[int, int],
+    window_b: Tuple[int, int],
+    q: int,
+    tol: float,
+) -> AgreementReport:
+    """lattice_agreement on windows known to lie in their traces, given
+    both traces' cycle reports."""
+    (start_a, length), (start_b, _) = window_a, window_b
+    if rep_a.edge_period != rep_b.edge_period or not all(
+        any(abs(float(x) - float(y)) <= 2 * tol for y in rep_b.edge_values)
+        for x in rep_a.edge_values
+    ):
+        return AgreementReport("precondition_failed", "edge cycles differ")
+
+    for trace, start in ((trace_a, start_a), (trace_b, start_b)):
+        if trace.repeated_mistakes[start : start + length - 1].any():
+            return AgreementReport(
+                "precondition_failed", "periodic learning condition fails on a window"
+            )
+
+    signs_a = trace_a.sign_matrix[start_a : start_a + length]
+    signs_b = trace_b.sign_matrix[start_b : start_b + length]
+    if signs_a.shape != signs_b.shape:
+        return AgreementReport("precondition_failed", "windows do not agree at q")
+    etas_differ = (signs_a != signs_b).any(axis=1)
+    weights_differ = (
+        np.abs(
+            _weights_before(trace_a, start_a, start_a + length)
+            - _weights_before(trace_b, start_b, start_b + length)
+        )
+        > tol
+    ).any(axis=1)
+    if etas_differ[q] or weights_differ[q]:
+        return AgreementReport("precondition_failed", "windows do not agree at q")
+
+    # forward from q, then backward from q - 1
+    order = np.concatenate((np.arange(q, length), np.arange(q - 1, -1, -1)))
+    differ = np.flatnonzero((etas_differ | weights_differ)[order])
+    if differ.size:
+        offset = int(order[differ[0]])
+        if etas_differ[offset]:
+            return AgreementReport("disagreement", "mistake dichotomies differ", offset)
+        return AgreementReport("disagreement", "weights differ beyond tolerance", offset)
+    return AgreementReport("agree_everywhere")
 
 
 def lattice_agreement(
@@ -508,35 +668,168 @@ def lattice_agreement(
         return AgreementReport("precondition_failed", "q outside the windows")
 
     rep_a = detect_cycle(trace_a, tol=tol)
-    rep_b = detect_cycle(trace_b, tol=tol)
+    rep_b = rep_a if trace_b is trace_a else detect_cycle(trace_b, tol=tol)
     if rep_a is None or rep_b is None:
         return AgreementReport("precondition_failed", "both traces must cycle")
-    if rep_a.edge_period != rep_b.edge_period or not all(
-        any(abs(float(x) - float(y)) <= 2 * tol for y in rep_b.edge_values)
-        for x in rep_a.edge_values
-    ):
-        return AgreementReport("precondition_failed", "edge cycles differ")
+    return _windows_agree(trace_a, rep_a, trace_b, rep_b, window_a, window_b, q, tol)
 
-    for trace, start in ((trace_a, start_a), (trace_b, start_b)):
-        cols = tuple(s.eta for s in trace.steps[start : start + length])
-        if check_periodic_learning(MistakeLattice(cols)) is not None:
-            return AgreementReport(
-                "precondition_failed", "periodic learning condition fails on a window"
+
+@dataclass(frozen=True)
+class CheckResult:
+    """The verdict of one analysis check: ok, a one-line detail, and the
+    facts behind it as JSON-ready data."""
+
+    name: str
+    ok: bool
+    detail: str
+    data: Dict[str, object]
+
+
+def _too_short(name: str, trace: BoostTrace) -> CheckResult:
+    return CheckResult(name, False, "trace too short", {"steps": len(trace)})
+
+
+def _check_periodic_learning(trace, report, groups, tol) -> CheckResult:
+    name = "periodic-learning"
+    if len(trace) < 2:
+        return _too_short(name, trace)
+    violation = first_repeated_mistake(trace.repeated_mistakes)
+    if violation is None:
+        return CheckResult(name, True, "holds on the whole trace", {"violation": None})
+    i, t = violation
+    data = {"violation": {"point": i, "iteration": t}}
+    return CheckResult(name, False, f"violated at point {i}, iteration {t}", data)
+
+
+def _check_edge_update(trace, report, groups, tol) -> CheckResult:
+    name = "edge-update"
+    if groups is None:
+        return _too_short(name, trace)
+    exact = trace.mode == "exact"
+    matches = np.concatenate([_edge_update(block, exact, tol)[1] for _, block in groups.blocks()])
+    j_minus_empty = ~groups.j_minus.any(axis=1)
+    broken = (np.flatnonzero(matches != j_minus_empty) + 1).tolist()
+    mismatch = (np.flatnonzero(~matches) + 1).tolist()
+    data = {"steps_checked": len(matches), "mismatch_iterations": mismatch, "broken_iterations": broken}
+    if broken:
+        return CheckResult(name, False, f"biconditional broken at iterations {broken}", data)
+    if mismatch:
+        detail = f"holds; update differs exactly where J- is nonempty: iterations {mismatch}"
+        return CheckResult(name, True, detail, data)
+    return CheckResult(name, True, "holds; update matches at every iteration (J- always empty)", data)
+
+
+def _check_subsums(trace, report, groups, tol) -> CheckResult:
+    name = "subsums"
+    if groups is None:
+        return _too_short(name, trace)
+    exact = trace.mode == "exact"
+    half = Fraction(1, 2) if exact else 0.5
+    data = {"steps_verified": 0, "steps_skipped": int(groups.j_minus.any(axis=1).sum()), "failed_iteration": None}
+    for lo, block in groups.blocks():
+        held = np.flatnonzero(~block.j_minus.any(axis=1))
+        block = block.rows(held)
+        shrink, grow = 1 + block.r_prev, 1 - block.r_prev
+        a = block.mass_i_plus / shrink
+        b = block.mass_i_minus / grow
+        c = block.mass_j_plus / shrink
+        edge = a - c + b
+        if exact:
+            inconsistent = (b != half) | (a + c != half)
+            ok = (a == edge / 2) & (b == half) & (c == (1 - edge) / 2)
+        else:
+            inconsistent = np.zeros(len(a), dtype=bool)
+            ok = (
+                (np.abs(a - edge / 2) <= tol)
+                & (np.abs(b - half) <= tol)
+                & (np.abs(c - (1 - edge) / 2) <= tol)
             )
+        failed = inconsistent | ~ok
+        if failed.any():
+            j = int(failed.argmax())
+            t = lo + int(held[j]) + 1
+            data.update(steps_verified=data["steps_verified"] + j, failed_iteration=t)
+            if inconsistent[j]:
+                return CheckResult(name, False, f"iteration {t}: {SUBSUMS_INCONSISTENT}", data)
+            r = edge.item(j)
+            got = (a.item(j), b.item(j), c.item(j))
+            targets = (r / 2, half, (1 - r) / 2)
+            return CheckResult(name, False, f"iteration {t}: subsums {got} != {targets}", data)
+        data["steps_verified"] += len(a)
+    checked = data["steps_verified"]
+    if checked == 0:
+        return CheckResult(name, True, "no step satisfied the periodic learning condition", data)
+    return CheckResult(name, True, f"subsum values (r/2, 1/2, (1-r)/2) verified on {checked} steps", data)
 
-    def state(trace: BoostTrace, t: int) -> Tuple[MistakeDichotomy, WeightVector]:
-        return trace.steps[t].eta, trace.weights_before(t)
 
-    eta_qa, w_qa = state(trace_a, start_a + q)
-    eta_qb, w_qb = state(trace_b, start_b + q)
-    if eta_qa != eta_qb or not _weights_close(w_qa, w_qb, tol):
-        return AgreementReport("precondition_failed", "windows do not agree at q")
+def _check_farey(trace, report, groups, tol) -> CheckResult:
+    name = "farey"
+    if report is None:
+        return CheckResult(name, False, "no cycle to match", {"word": None})
+    if report.farey_word is None:
+        return CheckResult(name, False, "edge cycle is not generated by the inverse branches", {"word": None})
+    data = {"word": str(report.farey_word), "canonical": str(report.farey_word.canonical())}
+    return CheckResult(name, True, f"word {report.farey_word}", data)
 
-    for offset in list(range(q, length)) + list(range(q - 1, -1, -1)):
-        eta_a, w_a = state(trace_a, start_a + offset)
-        eta_b, w_b = state(trace_b, start_b + offset)
-        if eta_a != eta_b:
-            return AgreementReport("disagreement", "mistake dichotomies differ", offset)
-        if not _weights_close(w_a, w_b, tol):
-            return AgreementReport("disagreement", "weights differ beyond tolerance", offset)
-    return AgreementReport("agree_everywhere")
+
+def _check_agreement(trace, report, groups, tol) -> CheckResult:
+    """Two copies of the cycling window, one period apart, must agree
+    everywhere (lattice_agreement on the analysis' own cycle report)."""
+    name = "agreement"
+    if report is None:
+        return CheckResult(name, False, "no cycle detected", {"status": None})
+    k = report.period
+    length = 2 * k
+    start_a = report.phase
+    start_b = report.phase + k
+    if start_b + length > len(trace):
+        length = k
+    if start_b + length > len(trace) or length < 2:
+        return CheckResult(name, False, "cycling window too short to compare offset copies", {"status": None})
+    windows = ((start_a, length), (start_b, length))
+    result = _windows_agree(trace, report, trace, report, windows[0], windows[1], 0, tol)
+    data = {
+        "status": result.status,
+        "reason": result.reason,
+        "offset": result.offset,
+        "windows": [list(w) for w in windows],
+    }
+    if result.status == "agree_everywhere":
+        return CheckResult(name, True, f"offset windows of length {length} agree everywhere", data)
+    return CheckResult(name, False, f"{result.status}: {result.reason} (offset {result.offset})", data)
+
+
+# name -> check(trace, report, groups, tol); analyze runs them in this order
+CHECKS: Dict[str, Callable[..., CheckResult]] = {
+    "periodic-learning": _check_periodic_learning,
+    "edge-update": _check_edge_update,
+    "subsums": _check_subsums,
+    "farey": _check_farey,
+    "agreement": _check_agreement,
+}
+ALL_CHECKS = tuple(CHECKS)
+# the checks of theorems; the others (periodic-learning status, a Farey match)
+# describe the trace
+IDENTITY_CHECKS = ("edge-update", "subsums", "agreement")
+
+
+def analyze_trace(
+    trace: BoostTrace,
+    tol: float = 1e-9,
+    min_repeats: int = 3,
+    checks: Sequence[str] = ALL_CHECKS,
+) -> Tuple[Optional[CycleReport], List[CheckResult]]:
+    """Detect the trace's cycle once (with its Farey word attached) and run
+    the named checks against it, in the order given."""
+    unknown = [name for name in checks if name not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}; available: {', '.join(ALL_CHECKS)}")
+    report = None
+    if trace.steps:
+        report = detect_cycle(trace, tol=tol, min_repeats=min_repeats)
+        if report is not None:
+            report = attach_farey(report)
+    groups = None
+    if len(trace) >= 2 and not {"edge-update", "subsums"}.isdisjoint(checks):
+        groups = transition_groups(trace)
+    return report, [CHECKS[name](trace, report, groups, tol) for name in checks]

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -32,6 +34,7 @@ from .simplex import (
     WeightVector,
     edge_dot,
     is_exact,
+    repeated_mistakes,
     uniform_weights,
 )
 
@@ -223,6 +226,42 @@ class BoostTrace:
         if not self.steps:
             raise ValueError("empty trace has no lattice")
         return MistakeLattice(tuple(s.eta for s in self.steps))
+
+    # Array views of the steps for the analysis kernels in `cycles`. Each is
+    # built on first use and kept for the trace's lifetime, so every check
+    # on one trace reads the same arrays. They are read-only.
+
+    @cached_property
+    def sign_matrix(self) -> np.ndarray:
+        """The chosen dichotomies as a (steps x points) int8 matrix of ±1."""
+        # steps share their dichotomy objects (the pool's rows), so each
+        # distinct one is converted once and the rows are gathered by index
+        distinct = {id(s.eta): s.eta for s in self.steps}
+        slot = {key: i for i, key in enumerate(distinct)}
+        table = np.array([eta.entries for eta in distinct.values()], dtype=np.int8)
+        signs = table.reshape(len(distinct), len(self.initial_weights))[
+            [slot[id(s.eta)] for s in self.steps]
+        ]
+        signs.flags.writeable = False
+        return signs
+
+    @cached_property
+    def state_matrix(self) -> np.ndarray:
+        """Each step's state as a float64 row: the edge, then the weights
+        after the step (exact values rounded to the nearest double)."""
+        width = 1 + len(self.initial_weights)
+        values = chain.from_iterable((s.edge, *s.weights_after.components) for s in self.steps)
+        states = np.fromiter(values, np.float64, count=len(self.steps) * width).reshape(-1, width)
+        states.flags.writeable = False
+        return states
+
+    @cached_property
+    def repeated_mistakes(self) -> np.ndarray:
+        """The J- masks: entry (t, i) is true when point i is misclassified
+        at both iteration t and t+1 (the periodic learning condition fails)."""
+        repeats = repeated_mistakes(self.sign_matrix)
+        repeats.flags.writeable = False
+        return repeats
 
 
 def run(pool: HypothesisPool, rule: SelectionRule, t_max: int, mode: str = "exact") -> BoostTrace:

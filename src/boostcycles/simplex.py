@@ -216,6 +216,25 @@ def edge_from_misclassified(w: WeightVector, misclassified: Iterable[int]) -> Sc
     return one - 2 * sum(w[j] for j in miss)
 
 
+def repeated_mistakes(signs: np.ndarray) -> np.ndarray:
+    """The J- masks of a (iterations x points) ±1 sign matrix: entry (t, i)
+    is true when point i is misclassified at both t and t+1."""
+    repeats = signs[:-1] < 0
+    repeats &= signs[1:] < 0
+    return repeats
+
+
+def first_repeated_mistake(repeats: np.ndarray) -> Optional[Tuple[int, int]]:
+    """The earliest true entry of a repeated_mistakes mask as (row i,
+    iteration t), earliest by iteration first, then row; None if there is
+    none."""
+    hit = repeats.any(axis=1)
+    if not hit.any():
+        return None
+    t = int(hit.argmax())
+    return int(repeats[t].argmax()), t
+
+
 def check_periodic_learning(lattice: MistakeLattice) -> Optional[Tuple[int, int]]:
     """Check the periodic learning condition: -1 at (i, t) forces +1 at (i, t+1).
 
@@ -225,12 +244,8 @@ def check_periodic_learning(lattice: MistakeLattice) -> Optional[Tuple[int, int]
     """
     if len(lattice) < 2:
         raise ValueError("periodic learning condition needs at least 2 columns")
-    for t in range(len(lattice) - 1):
-        cur, nxt = lattice[t], lattice[t + 1]
-        for i in range(lattice.n_points):
-            if cur[i] == -1 and nxt[i] == -1:
-                return (i, t)
-    return None
+    signs = np.array([column.entries for column in lattice.columns], dtype=np.int8)
+    return first_repeated_mistake(repeated_mistakes(signs))
 
 
 def periodic_learning_holds(lattice: MistakeLattice) -> bool:

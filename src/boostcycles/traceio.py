@@ -2,7 +2,9 @@
 
 Traces are schema-versioned JSON documents that round-trip losslessly:
 exact scalars are stored as `p/q` strings, floats as JSON numbers (whose
-shortest-repr encoding is exact). Pools are plain text, one dichotomy per
+shortest-repr encoding is exact). A `p/q` whose decimal form would pass the
+interpreter's int-to-string digit limit (4300 digits by default) is written
+in hexadecimal, `0x.../0x...`. Pools are plain text, one dichotomy per
 line over the alphabet {+, -}.
 
 A `boostcycles-trace-v2` document stores the run, not its every state. The
@@ -85,15 +87,36 @@ class TraceFormatError(ValueError):
     """The document is not a valid trace file."""
 
 
+def _fraction_text(value: Fraction) -> str:
+    """`p/q` in decimal (`p` when q is 1), or in hexadecimal (`0x...`) when
+    a decimal form would pass the interpreter's limit on int-to-string
+    digits: binary bases are exempt from that limit, and the process-wide
+    limit is left as it is."""
+    try:
+        return str(value)
+    except ValueError:
+        if value.denominator == 1:
+            return f"{value.numerator:#x}"
+        return f"{value.numerator:#x}/{value.denominator:#x}"
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """Read a `_fraction_text` string back."""
+    if "x" in text:
+        numerator, _, denominator = text.partition("/")
+        return Fraction(int(numerator, 16), int(denominator, 16) if denominator else 1)
+    return Fraction(text)
+
+
 def _encode_scalar(value: Scalar, mode: str) -> Union[str, float]:
     if mode == "exact":
-        return str(Fraction(value))
+        return _fraction_text(Fraction(value))
     return float(value)
 
 
 def _decode_scalar(value: Union[str, float, int], mode: str) -> Scalar:
     if mode == "exact":
-        return Fraction(value)
+        return _parse_fraction(value) if isinstance(value, str) else Fraction(value)
     return float(value)
 
 
@@ -104,7 +127,7 @@ def _encode_rule(rule: SelectionRule) -> Dict[str, object]:
         # a rational threshold stays a p/q string in either mode: a float run
         # compares float edges with it exactly, so a rounded one is another rule
         theta = rule.theta
-        return {"kind": "first_above", "theta": theta if isinstance(theta, float) else str(Fraction(theta))}
+        return {"kind": "first_above", "theta": theta if isinstance(theta, float) else _fraction_text(Fraction(theta))}
     if isinstance(rule, FixedSequence):
         return {"kind": "fixed_sequence", "rows": list(rule.rows)}
     raise TraceFormatError(f"unknown rule {rule!r}")
@@ -116,7 +139,7 @@ def _decode_rule(doc: Dict[str, object]) -> SelectionRule:
         return Optimal()
     if kind == "first_above":
         theta = doc["theta"]
-        return FirstAbove(Fraction(theta) if isinstance(theta, str) else float(theta))
+        return FirstAbove(_parse_fraction(theta) if isinstance(theta, str) else float(theta))
     if kind == "fixed_sequence":
         return FixedSequence(tuple(int(r) for r in doc["rows"]))
     raise TraceFormatError(f"unknown rule kind {kind!r}")
@@ -182,7 +205,7 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
         if "eta" in rec and rec["eta"] != row_strings[row]:
             raise TraceFormatError(f"step {t}: eta {rec['eta']!r} is not pool row {row}")
         eta = pool[row]
-        edge = Fraction(rec["r_exact"]) if exact else float(rec["r"])
+        edge = _decode_scalar(rec["r_exact"], mode) if exact else float(rec["r"])
         try:
             a = alpha(edge)
         except ValueError:
@@ -237,7 +260,7 @@ def loads_trace(text: str) -> BoostTrace:
         raise TraceFormatError("trace document must be a JSON object")
     try:
         return trace_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:  # a p/0 number
         if isinstance(exc, TraceFormatError):
             raise
         raise TraceFormatError(f"malformed trace: {exc}") from exc

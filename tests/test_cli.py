@@ -373,3 +373,118 @@ class TestPlot:
         with pytest.raises(SystemExit) as exc:
             run_cli("plot", golden_trace_file, "--out", str(tmp_path / "f.svg"), "--ref", "gold")
         assert exc.value.code == 2
+
+
+class TestTinyTolerance:
+    """A tol so small that tol / 10 overflows the collision keys (or is 0)
+    used to end in an OverflowError or ZeroDivisionError traceback."""
+
+    @pytest.fixture()
+    def trace300(self, tmp_path):
+        path = tmp_path / "t300.json"
+        assert run_cli("run", "--pool", POOL3, "--iters", "300", "--mode", "float", "--out", str(path)) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("tol", ["1e-320", "5e-324"])
+    def test_analyze(self, trace300, capsys, tol):
+        # the float orbit repeats bit for bit, so even this tol finds the
+        # cycle; the float identities fail by their rounding error
+        assert run_cli("analyze", trace300, "--tol", tol) == 3
+        out = capsys.readouterr().out
+        assert "cycle: period 3 (edges alone: 3), phase 39, residual 0\n" in out
+        assert "check edge-update: FAIL" in out
+
+    @pytest.mark.parametrize("tol", ["1e-320", "5e-324"])
+    def test_replicate(self, tmp_path, tol):
+        out_dir = tmp_path / "rep"
+        code = run_cli(
+            "replicate", "--dataset", SYNTH3, "--label", "label", "--positive", "a",
+            "--depth", "1", "--leaves", "2", "--iters", "300", "--tol", tol,
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        assert json.loads((out_dir / "summary.json").read_text())["iters_run"] == 300
+
+
+class TestHugeExactNumbers:
+    """Exact numbers past the interpreter's 4300-digit limit on int-to-str
+    conversion are written in hexadecimal; smaller ones stay decimal."""
+
+    POOL7 = "-+--+--\n--+-+--\n+--+-++\n---+-+-\n-++++++\n-----+-\n++-+--+\n-+++++-\n++++-+-\n+-++--+\n++-+---\n"
+
+    def test_run_analyze_round_trip(self, tmp_path, capsys):
+        from boostcycles.traceio import dumps_trace, loads_trace, trace_provenance
+
+        pool = tmp_path / "p7.pool"
+        pool.write_text(self.POOL7)
+        path = tmp_path / "t.json"
+        assert run_cli(
+            "run", "--pool", str(pool), "--rule", "first-above:1/5", "--iters", "30",
+            "--mode", "exact", "--out", str(path),
+        ) == 0
+        assert "final edge 0x" in capsys.readouterr().out
+        text = path.read_text()
+        doc = json.loads(text)
+        assert doc["steps"][0]["r_exact"] == "3/7"  # small values keep the decimal form
+        assert any(w.startswith("0x") for w in doc["steps"][-1]["weights"])
+        assert run_cli("analyze", str(path)) == 0
+        trace = loads_trace(text)
+        assert dumps_trace(trace, trace_provenance(str(path))) == text
+        assert len(str(trace.steps[0].edge)) < 10 and trace.steps[-1].edge.denominator.bit_length() > 14300
+
+
+class TestAnalyzeSharing:
+    def test_json_carries_check_data(self, golden_trace_file, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        assert run_cli("analyze", golden_trace_file, "--json", str(report_path)) == 0
+        checks = json.loads(report_path.read_text())["checks"]
+        assert checks["periodic-learning"]["data"] == {"violation": None}
+        assert checks["edge-update"]["data"] == {
+            "steps_checked": 199, "mismatch_iterations": [], "broken_iterations": [],
+        }
+        assert checks["subsums"]["data"] == {"steps_verified": 199, "steps_skipped": 0, "failed_iteration": None}
+        assert checks["farey"]["data"] == {"word": "R", "canonical": "R"}
+        agreement = checks["agreement"]["data"]
+        assert agreement["status"] == "agree_everywhere" and len(agreement["windows"]) == 2
+
+    def test_json_data_locates_failures(self, tmp_path):
+        pool_path = tmp_path / "wide.pool"
+        pool_path.write_text("--+++\n-++++\n++-++\n")
+        trace_path = tmp_path / "forced.json"
+        run_cli("run", "--pool", str(pool_path), "--rule", "fixed:0,1,2",
+                "--iters", "3", "--mode", "exact", "--out", str(trace_path))
+        report_path = tmp_path / "report.json"
+        assert run_cli("analyze", str(trace_path), "--json", str(report_path)) == 0
+        checks = json.loads(report_path.read_text())["checks"]
+        assert checks["periodic-learning"]["data"] == {"violation": {"point": 0, "iteration": 0}}
+        assert checks["edge-update"]["data"]["mismatch_iterations"] == [1]
+        assert checks["subsums"]["data"]["steps_skipped"] == 1
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        """Calls of these functions, through any module's binding of them."""
+        from boostcycles import cli, cycles
+
+        calls = {"detect_cycle": 0, "partition": 0}
+        for name in calls:
+            real = getattr(cycles, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in (cycles, cli):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_analyze_detects_once(self, golden_trace_file, counted):
+        assert run_cli("analyze", golden_trace_file) == 0
+        assert counted == {"detect_cycle": 1, "partition": 0}
+
+    def test_replicate_detects_once(self, tmp_path, counted):
+        assert run_cli(
+            "replicate", "--dataset", SYNTH3, "--label", "label", "--positive", "a",
+            "--depth", "1", "--leaves", "2", "--iters", "200", "--out-dir", str(tmp_path / "rep"),
+        ) == 0
+        assert counted == {"detect_cycle": 1, "partition": 0}

@@ -21,6 +21,8 @@ from boostcycles.traceio import (
     TraceFormatError,
     _encode_rule,
     _encode_scalar,
+    _fraction_text,
+    _parse_fraction,
     dumps_trace,
     load_pool,
     load_trace,
@@ -164,6 +166,27 @@ class TestTraceErrors:
         doc = json.loads(dumps_trace(run(pool3, Optimal(), 2, "exact")))
         doc["mode"] = "decimal"
         with pytest.raises(TraceFormatError, match="mode"):
+            loads_trace(json.dumps(doc))
+
+
+class TestHugeFractions:
+    """Past the interpreter's 4300-digit limit on int-to-str conversion,
+    exact numbers are written in hexadecimal; below it, in decimal."""
+
+    def test_text_round_trip(self):
+        big = 10**4400 + 1
+        for value in (Fraction(3, 7), Fraction(5), Fraction(-2, 9), Fraction(big, 3),
+                      Fraction(1, big), Fraction(-big), Fraction(10**4299, 7)):
+            assert _parse_fraction(_fraction_text(value)) == value
+        assert _fraction_text(Fraction(10**4299, 7)) == f"{10**4299}/7"  # 4300 digits: decimal
+        assert _fraction_text(Fraction(big, 3)) == f"{big:#x}/0x3"
+        assert _fraction_text(Fraction(-big)) == f"{-big:#x}"
+
+    @pytest.mark.parametrize("text", ["0x", "0x1/", "0xg/0x3", "0x1/0x0", "1/0"])
+    def test_malformed_hex_edge(self, pool3, text):
+        doc = json.loads(dumps_trace(run(pool3, Optimal(), 2, "exact")))
+        doc["steps"][0]["r_exact"] = text
+        with pytest.raises(TraceFormatError):
             loads_trace(json.dumps(doc))
 
 
