@@ -127,8 +127,8 @@ def cmd_run(args, parser) -> int:
     else:
         sys.stdout.write(dumps_trace(trace, provenance))
         return EXIT_OK
-    if trace.steps:
-        print(f", final edge {_fmt(trace.steps[-1].edge, trace.mode)}", end="")
+    if len(trace):
+        print(f", final edge {_fmt(trace.states[-1, 0], trace.mode)}", end="")
     if trace.halt:
         print(f", halted: {trace.halt}", end="")
     print()
@@ -165,8 +165,10 @@ def cmd_analyze(args, parser) -> int:
         return EXIT_IO
 
     requested = None
-    if args.check:
+    if args.check is not None:
         requested = [c.strip() for c in args.check.split(",") if c.strip()]
+        if not requested:
+            parser.error(f"--check names no check; available: {', '.join(ALL_CHECKS)}")
         unknown = [c for c in requested if c not in ALL_CHECKS]
         if unknown:
             parser.error(f"unknown checks {unknown}; available: {', '.join(ALL_CHECKS)}")
@@ -272,8 +274,9 @@ def cmd_replicate(args, parser) -> int:
             report = attach_farey(report)
 
     figure_path = os.path.join(args.out_dir, "edges.svg")
-    if trace.steps:
-        points = tuple((float(s.t), float(s.edge)) for s in trace.steps)
+    edges = trace.states[:, 0].tolist()
+    if edges:
+        points = tuple((float(t), edge) for t, edge in enumerate(edges))
         refs = ((GOLDEN_FLOAT, "(sqrt(5)-1)/2"),)
         name = os.path.basename(args.dataset)
         save_figure(
@@ -289,7 +292,7 @@ def cmd_replicate(args, parser) -> int:
 
     mean_edge = None
     if report is not None:
-        window = [float(s.edge) for s in trace.steps[report.phase :]]
+        window = edges[report.phase :]
         mean_edge = sum(window) / len(window)
     summary = {
         "dataset": os.path.basename(args.dataset),
@@ -328,13 +331,12 @@ def cmd_plot(args, parser) -> int:
     except (OSError, TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    if not trace.steps:
+    if not len(trace):
         print("error: trace has no steps to plot", file=sys.stderr)
         return EXIT_IO
-    steps = trace.steps
+    points = tuple((float(t), float(edge)) for t, edge in enumerate(trace.states[:, 0].tolist()))
     if args.last is not None:
-        steps = steps[-args.last :]
-    points = tuple((float(s.t), float(s.edge)) for s in steps)
+        points = points[-args.last :]
     refs = []
     for ref in args.ref or ():
         if ref == "golden":

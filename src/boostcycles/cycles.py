@@ -9,8 +9,8 @@ weights and dichotomy of step t-1.
 The `analyze` checks are defined once, here, in the CHECKS registry;
 `analyze_trace` runs them and the CLI only renders their CheckResults. One
 analysis detects the cycle once and every check reads that report. The checks
-run as array kernels over the trace's sign and state matrices
-(`BoostTrace.sign_matrix`, `BoostTrace.state_matrix`), built once per trace:
+run as array kernels over the trace's columns: its signs, its states and the
+float64 `BoostTrace.state_matrix` (the states themselves in float mode):
 
 - Cycle detection compares float64 states in both modes, within tol (exact
   values rounded to the nearest double). Candidate periods come from
@@ -179,21 +179,12 @@ _GROUP_BLOCK = 256
 
 
 def transition_groups(trace: BoostTrace) -> TransitionGroups:
-    """The groups of every transition, from the trace's sign matrix."""
+    """The groups of every transition, from the trace's columns."""
     if len(trace) < 2:
         raise ValueError("need at least 2 steps")
-    signs = trace.sign_matrix
-    if trace.mode == "exact":
-        steps = trace.steps
-        w_prev = np.empty((len(steps) - 1, len(trace.initial_weights)), dtype=object)
-        w_prev[:] = [trace.initial_weights.components] + [s.weights_after.components for s in steps[:-2]]
-        edges = np.empty(len(steps), dtype=object)
-        edges[:] = [s.edge for s in steps]
-    else:
-        states = trace.state_matrix
-        initial = np.array(trace.initial_weights.components, dtype=np.float64)
-        w_prev = np.vstack((initial, states[:-2, 1:]))
-        edges = states[:, 0]
+    signs, states = trace.signs, trace.states
+    w_prev = np.vstack((trace.initial_weights.as_array(), states[:-2, 1:]))
+    edges = states[:, 0]
     return TransitionGroups(
         j_minus=trace.repeated_mistakes,
         was_right=signs[:-1] > 0,
@@ -241,12 +232,12 @@ def check_edge_update(trace: BoostTrace, tol: float = 1e-12) -> List[EdgeUpdateR
     simplified, matches = _edge_update(groups, trace.mode == "exact", tol)
     j_minus_empty = ~groups.j_minus.any(axis=1)
     return [
-        EdgeUpdateReport(t, empty, value, step.edge, match)
-        for t, empty, value, step, match in zip(
+        EdgeUpdateReport(t, empty, value, edge, match)
+        for t, empty, value, edge, match in zip(
             range(1, len(trace)),
             j_minus_empty.tolist(),
             simplified.tolist(),
-            trace.steps[1:],
+            trace.states[1:, 0].tolist(),
             matches.tolist(),
         )
     ]
@@ -452,11 +443,9 @@ def detect_cycle(
     else:
         # equal states round to equal doubles: screen on those, then
         # confirm with exact equality
-        def exact_state(t: int) -> tuple:
-            return trace.steps[t].edge, trace.steps[t].weights_after.components
-
         screened = np.flatnonzero((tail[:-1] == tail[-1]).all(axis=1)) + burn_in
-        hits = [t for t in screened.tolist() if exact_state(t) == exact_state(n_steps - 1)]
+        last = trace.states[-1].tolist()
+        hits = [t for t in screened.tolist() if trace.states[t].tolist() == last]
     candidates = set(range(1, min(k_max, 64) + 1))
     candidates.update(n_steps - 1 - t for t in hits)
 
@@ -499,8 +488,8 @@ def detect_cycle(
             edge_period = e
             break
 
-    edge_values = tuple(s.edge for s in trace.steps[n_steps - edge_period :])
-    weight_cycle = tuple(s.weights_after for s in trace.steps[n_steps - period :])
+    edge_values = tuple(trace.states[n_steps - edge_period :, 0].tolist())
+    weight_cycle = tuple(WeightVector(tuple(w)) for w in trace.states[n_steps - period :, 1:].tolist())
     violation = first_repeated_mistake(trace.repeated_mistakes[phase:])
     if violation is not None:
         violation = (violation[0], violation[1] + phase)
@@ -613,8 +602,8 @@ def _windows_agree(
                 "precondition_failed", "periodic learning condition fails on a window"
             )
 
-    signs_a = trace_a.sign_matrix[start_a : start_a + length]
-    signs_b = trace_b.sign_matrix[start_b : start_b + length]
+    signs_a = trace_a.signs[start_a : start_a + length]
+    signs_b = trace_b.signs[start_b : start_b + length]
     if signs_a.shape != signs_b.shape:
         return AgreementReport("precondition_failed", "windows do not agree at q")
     etas_differ = (signs_a != signs_b).any(axis=1)
@@ -825,7 +814,7 @@ def analyze_trace(
     if unknown:
         raise ValueError(f"unknown checks {unknown}; available: {', '.join(ALL_CHECKS)}")
     report = None
-    if trace.steps:
+    if len(trace):
         report = detect_cycle(trace, tol=tol, min_repeats=min_repeats)
         if report is not None:
             report = attach_farey(report)

@@ -13,15 +13,28 @@ The primary update is the rational form w_i -> w_i / (1 + eta_i * r), which is
 self-normalizing: when r is the true edge of eta on w, the output sums to 1
 with no renormalization. The exponential form w_i * exp(-eta_i * alpha) / Z
 is kept as an independent oracle for it.
+
+One loop, `boost`, runs both pool selection (`run`) and the tree learner
+(`learners.run_on_dataset`); they differ only in the `choose` function that
+picks each step's dichotomy and edge. The weights are an array: float64 in
+float mode, an object array of Fractions in exact mode. Each step applies
+the update kernel `_update` to the whole array; float weights are then
+divided by their left-to-right sum, bit-equal to Python's `sum`, and exact
+weights must sum to exactly 1. The loop builds no per-step object: it
+appends the step's row, signs, edge and weights, and the trace keeps them
+as three columns (see BoostTrace). `select`, `weight_update` and
+`simplex.edge_dot` are wrappers over the same kernels for single value
+objects. A trace's BoostSteps are built only when `BoostTrace.steps` is
+read.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -32,7 +45,7 @@ from .simplex import (
     MistakeLattice,
     Scalar,
     WeightVector,
-    edge_dot,
+    _signed_sums,
     is_exact,
     repeated_mistakes,
     uniform_weights,
@@ -98,6 +111,48 @@ SelectionRule = Union[Optimal, FirstAbove, FixedSequence]
 SCREEN_MARGIN = 4 * np.finfo(np.float64).eps
 
 
+def _select(w: np.ndarray, pool: HypothesisPool, rule: SelectionRule, t: int) -> Tuple[int, Scalar]:
+    """The selection kernel: (row index, edge) for a weight array (float64,
+    or an object array of Fractions in exact mode). See `select`."""
+    exact = w.dtype == object
+    # the pool's signs in the weights' arithmetic: ints against Fractions
+    signs = pool.signs if exact else pool.matrix
+    if isinstance(rule, FixedSequence):
+        row = rule.rows[t % len(rule.rows)]
+        if not 0 <= row < len(pool):
+            raise IndexError(f"scheduled row {row} outside pool of {len(pool)} rows")
+        return row, _signed_sums(signs[row : row + 1], w).tolist()[0]
+
+    if exact:
+        # every row's edge, exactly
+        rows = np.arange(len(pool))
+        edges = _signed_sums(signs, w)
+    else:
+        approx = signs @ w
+        margin = SCREEN_MARGIN * len(w)
+
+    if isinstance(rule, FirstAbove):
+        if not exact:
+            # a row whose product is below theta - margin has a reference
+            # edge below theta, by the argument beside SCREEN_MARGIN
+            rows = (approx >= rule.theta - margin).nonzero()[0]
+            edges = _signed_sums(signs[rows], w)
+        qualifying = [(r, i) for r, i in zip(edges.tolist(), rows.tolist()) if r >= rule.theta]
+        if qualifying:
+            r, row = min(qualifying)
+            return row, r
+        # nothing at the threshold: fall back to the optimal choice
+
+    if not exact:
+        rows = (approx >= approx[approx.argmax()] - margin).nonzero()[0]
+        edges = _signed_sums(signs[rows], w)
+    best = int(edges.argmax())  # the first maximum: ties go to the lowest row
+    edge = edges.tolist()[best]
+    if edge <= 0:
+        raise WeakLearningFailure("all available edges are <= 0")
+    return int(rows[best]), edge
+
+
 def select(
     w: WeightVector, pool: HypothesisPool, rule: SelectionRule, t: int = 0
 ) -> Tuple[int, MistakeDichotomy, Scalar]:
@@ -107,39 +162,10 @@ def select(
     Raises WeakLearningFailure when Optimal (or the FirstAbove fallback)
     finds no positive edge.
     """
-    if isinstance(rule, FixedSequence):
-        row = rule.rows[t % len(rule.rows)]
-        if not 0 <= row < len(pool):
-            raise IndexError(f"scheduled row {row} outside pool of {len(pool)} rows")
-        return row, pool[row], edge_dot(w, pool[row])
-
-    rows = range(len(pool))
-    approx = None
-    weights = np.array(w.components)
-    if weights.dtype == np.float64:  # Fraction weights give an object array
-        if len(w) != pool.n_points:
-            raise DimensionMismatch(f"weights have {len(w)} components, pool rows {pool.n_points}")
-        approx = pool.matrix @ weights
-        margin = SCREEN_MARGIN * len(w)
-
-    if isinstance(rule, FirstAbove):
-        # A row whose product is below theta - margin has a reference edge
-        # below theta, by the argument beside SCREEN_MARGIN.
-        scan = rows if approx is None else (approx >= rule.theta - margin).nonzero()[0].tolist()
-        edges = ((edge_dot(w, pool[i]), i) for i in scan)
-        qualifying = [(r, i) for r, i in edges if r >= rule.theta]
-        if qualifying:
-            r, row = min(qualifying)
-            return row, pool[row], r
-        # nothing at the threshold: fall back to the optimal choice
-
-    if approx is not None:
-        top = approx[approx.argmax()]
-        rows = (approx >= top - margin).nonzero()[0].tolist()
-    edge, neg_row = max((edge_dot(w, pool[i]), -i) for i in rows)
-    if edge <= 0:
-        raise WeakLearningFailure("all available edges are <= 0")
-    return -neg_row, pool[-neg_row], edge
+    if len(w) != pool.n_points:
+        raise DimensionMismatch(f"weights have {len(w)} components, pool rows {pool.n_points}")
+    row, edge = _select(w.as_array(), pool, rule, t)
+    return row, pool[row], edge
 
 
 def alpha(r: Scalar) -> float:
@@ -151,6 +177,27 @@ def alpha(r: Scalar) -> float:
     if not 0 < r < 1:
         raise ValueError(f"edge {r!r} outside (0, 1)")
     return 0.5 * math.log((1 + float(r)) / (1 - float(r)))
+
+
+def _update(w: np.ndarray, eta: np.ndarray, r) -> Tuple[np.ndarray, object]:
+    """The update kernel w_i -> w_i / (1 + eta_i * r) along the last axis.
+
+    eta holds the ±1 signs; r is one edge, or a column of edges (one per
+    weight row). Returns the new weights and the total the update produced.
+    Object (Fraction) weights are returned as computed, so the total is 1
+    exactly when r was their edge. Float weights are divided by their
+    left-to-right sum (bit-equal to Python's `sum`), which is returned.
+    """
+    if w.dtype == object:
+        # two Fraction divisors per row, not one product per weight
+        new = w / np.where(eta > 0, 1 + r, 1 - r)
+        return new, new.sum(axis=-1)
+    new = eta * r  # exactly +-r
+    new += 1.0
+    np.divide(w, new, out=new)
+    total = np.add.accumulate(new, axis=-1)[..., -1:]
+    new /= total
+    return new, total
 
 
 def weight_update(w: WeightVector, eta: MistakeDichotomy, r: Scalar) -> WeightVector:
@@ -166,12 +213,13 @@ def weight_update(w: WeightVector, eta: MistakeDichotomy, r: Scalar) -> WeightVe
         raise PerfectClassification("edge reached 1; rational update undefined")
     if r <= 0:
         raise ValueError(f"invalid edge {r!r}: must be positive")
-    right, wrong = 1 + r, 1 - r  # 1 + eta_i * r, computed once per sign
-    new = tuple(c / (right if e == 1 else wrong) for c, e in zip(w, eta))
-    if not is_exact(new):
-        total = sum(new)
-        new = tuple(c / total for c in new)
-    return WeightVector(new)
+    weights = w.as_array()
+    if not is_exact((r,)):  # a float edge makes a float update
+        weights = weights.astype(np.float64)
+    elif weights.dtype != object:
+        r = float(r)
+    new, _ = _update(weights, np.array(eta.entries, dtype=np.float64), r)
+    return WeightVector(tuple(new.tolist()))
 
 
 def exponential_update(w: WeightVector, eta: MistakeDichotomy, a: float) -> WeightVector:
@@ -201,57 +249,125 @@ class BoostStep:
     weights_after: WeightVector
 
 
-@dataclass(frozen=True)
+class _Steps(Sequence):
+    """The steps of a trace as BoostSteps, each built from the columns when
+    it is first read and kept. A slice gives a tuple."""
+
+    def __init__(self, trace: "BoostTrace") -> None:
+        self._trace = trace
+        self._built: List[Optional[BoostStep]] = [None] * len(trace)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[t] for t in range(*index.indices(len(self))))
+        t = range(len(self))[index]  # normalises a negative index, raises IndexError
+        step = self._built[t]
+        if step is None:
+            trace = self._trace
+            edge, *weights = trace.states[t].tolist()
+            step = self._built[t] = BoostStep(
+                t,
+                int(trace.rows[t]),
+                MistakeDichotomy(tuple(trace.signs[t].tolist())),
+                edge,
+                alpha(edge),
+                WeightVector(tuple(weights)),
+            )
+        return step
+
+
+@dataclass(frozen=True, eq=False)
 class BoostTrace:
-    """Full record of a run. halt is None, or the reason the loop ended early."""
+    """Full record of a run, as three read-only columns over its T steps:
+
+    - rows: (T,) int64, the chosen row of the pool;
+    - signs: (T, n) int8, the chosen dichotomy (±1 per point);
+    - states: (T, n+1), the edge followed by the weights after the step,
+      float64 in float mode and an object array of Fractions in exact mode.
+
+    halt is None, or the reason the loop ended early. The constructor checks
+    the columns' shapes and makes them read-only; the values are the
+    producer's (the loop, or the replay of a trace file) to vouch for.
+    Traces are equal when their columns are.
+    """
 
     mode: str
     pool: HypothesisPool
     rule: SelectionRule
     initial_weights: WeightVector
-    steps: Tuple[BoostStep, ...]
+    rows: np.ndarray
+    signs: np.ndarray
+    states: np.ndarray
     halt: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.mode not in ("exact", "float"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        n = len(self.initial_weights)
+        columns = {
+            "rows": (np.asarray(self.rows, dtype=np.int64), 1),
+            "signs": (np.asarray(self.signs, dtype=np.int8), n),
+            "states": (np.asarray(self.states, dtype=object if self.mode == "exact" else np.float64), n + 1),
+        }
+        steps = len(columns["rows"][0])
+        for name, (column, width) in columns.items():
+            shape = (steps,) if name == "rows" else (steps, width)
+            if column.shape != shape:
+                raise DimensionMismatch(f"{name} has shape {column.shape}, expected {shape}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BoostTrace):
+            return NotImplemented
+        header = (self.mode, self.pool, self.rule, self.initial_weights, self.halt)
+        return header == (other.mode, other.pool, other.rule, other.initial_weights, other.halt) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in ("rows", "signs", "states")
+        )
+
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.rows)
+
+    @cached_property
+    def steps(self) -> Sequence[BoostStep]:
+        """The steps as BoostSteps, each built when first read (see _Steps)."""
+        return _Steps(self)
 
     def edges(self) -> Tuple[Scalar, ...]:
-        return tuple(s.edge for s in self.steps)
+        return tuple(self.states[:, 0].tolist())
 
     def weights_before(self, t: int) -> WeightVector:
         """The weight vector the selection at iteration t saw."""
-        return self.initial_weights if t == 0 else self.steps[t - 1].weights_after
+        if t == 0:
+            return self.initial_weights
+        return WeightVector(tuple(self.states[t - 1, 1:].tolist()))
 
     def lattice(self) -> MistakeLattice:
-        if not self.steps:
+        if not len(self):
             raise ValueError("empty trace has no lattice")
-        return MistakeLattice(tuple(s.eta for s in self.steps))
+        return MistakeLattice(tuple(MistakeDichotomy(tuple(eta)) for eta in self.signs.tolist()))
 
-    # Array views of the steps for the analysis kernels in `cycles`. Each is
-    # built on first use and kept for the trace's lifetime, so every check
-    # on one trace reads the same arrays. They are read-only.
+    # Array views for the analysis kernels in `cycles`. Each is built on
+    # first use and kept for the trace's lifetime, so every check on one
+    # trace reads the same arrays. They are read-only.
 
-    @cached_property
+    @property
     def sign_matrix(self) -> np.ndarray:
-        """The chosen dichotomies as a (steps x points) int8 matrix of ±1."""
-        # steps share their dichotomy objects (the pool's rows), so each
-        # distinct one is converted once and the rows are gathered by index
-        distinct = {id(s.eta): s.eta for s in self.steps}
-        slot = {key: i for i, key in enumerate(distinct)}
-        table = np.array([eta.entries for eta in distinct.values()], dtype=np.int8)
-        signs = table.reshape(len(distinct), len(self.initial_weights))[
-            [slot[id(s.eta)] for s in self.steps]
-        ]
-        signs.flags.writeable = False
-        return signs
+        """The chosen dichotomies as a (steps x points) int8 matrix of ±1:
+        the signs column."""
+        return self.signs
 
     @cached_property
     def state_matrix(self) -> np.ndarray:
         """Each step's state as a float64 row: the edge, then the weights
-        after the step (exact values rounded to the nearest double)."""
-        width = 1 + len(self.initial_weights)
-        values = chain.from_iterable((s.edge, *s.weights_after.components) for s in self.steps)
-        states = np.fromiter(values, np.float64, count=len(self.steps) * width).reshape(-1, width)
+        after the step. The states column itself in float mode; exact values
+        are rounded to the nearest double."""
+        if self.mode == "float":
+            return self.states
+        states = self.states.astype(np.float64)
         states.flags.writeable = False
         return states
 
@@ -259,9 +375,62 @@ class BoostTrace:
     def repeated_mistakes(self) -> np.ndarray:
         """The J- masks: entry (t, i) is true when point i is misclassified
         at both iteration t and t+1 (the periodic learning condition fails)."""
-        repeats = repeated_mistakes(self.sign_matrix)
+        repeats = repeated_mistakes(self.signs)
         repeats.flags.writeable = False
         return repeats
+
+
+# The halt of a trace: None when it ran its iterations, else why it stopped.
+HALTS = (None, "weak_learning_failure", "perfect_classification")
+
+# Choose(weights, t) -> (row, signs, edge): one iteration's choice of a
+# dichotomy (its row index and its ±1 signs, in any numeric dtype) and its
+# edge on the weights.
+Choose = Callable[[np.ndarray, int], Tuple[int, np.ndarray, Scalar]]
+
+
+def boost(
+    choose: Choose, initial: WeightVector, t_max: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[str]]:
+    """The boosting loop: up to t_max iterations from the initial weights,
+    returning the trace's rows, signs and states columns and its halt.
+
+    Each iteration asks choose for a dichotomy and its edge, halts when
+    choose raises WeakLearningFailure or the edge leaves (0, 1), and applies
+    the update kernel to the weight array. Exact weights must sum to exactly
+    1 after every update (they do when each edge is the true edge); float
+    weights are renormalised. Weights are validated as a WeightVector once,
+    after the last step: a float weight that underflows to 0, or turns NaN,
+    stays so, so the last vector shows it.
+    """
+    w = initial.as_array()
+    exact = w.dtype == object
+    rows, signs, edges, weights = [], [], [], []
+    halt = None
+    for t in range(t_max):
+        try:
+            row, eta, r = choose(w, t)
+        except WeakLearningFailure:
+            halt = "weak_learning_failure"
+            break
+        if r <= 0:
+            halt = "weak_learning_failure"
+            break
+        if r >= 1:
+            halt = "perfect_classification"
+            break
+        w, total = _update(w, eta, r)
+        if exact and total != 1:
+            raise ValueError(f"exact weights sum to {total}, not 1")
+        rows.append(row)
+        signs.append(eta)
+        edges.append(r)
+        weights.append(w)
+    if not rows:
+        return np.empty(0, np.int64), np.empty((0, len(w)), np.int8), np.empty((0, len(w) + 1), w.dtype), halt
+    WeightVector(tuple(w.tolist()))
+    states = np.column_stack((np.array(edges, dtype=w.dtype), np.stack(weights)))
+    return np.array(rows, dtype=np.int64), np.array(signs, dtype=np.int8), states, halt
 
 
 def run(pool: HypothesisPool, rule: SelectionRule, t_max: int, mode: str = "exact") -> BoostTrace:
@@ -272,24 +441,11 @@ def run(pool: HypothesisPool, rule: SelectionRule, t_max: int, mode: str = "exac
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    w = uniform_weights(pool.n_points, mode)
-    initial = w
-    steps = []
-    halt = None
-    for t in range(t_max):
-        try:
-            row, eta, r = select(w, pool, rule, t)
-        except WeakLearningFailure:
-            halt = "weak_learning_failure"
-            break
-        if r <= 0:
-            halt = "weak_learning_failure"
-            break
-        if r >= 1:
-            halt = "perfect_classification"
-            break
-        a = alpha(r)
-        w = weight_update(w, eta, r)
-        steps.append(BoostStep(t, row, eta, r, a, w))
-    return BoostTrace(mode, pool, rule, initial, tuple(steps), halt)
+    initial = uniform_weights(pool.n_points, mode)
+    signs = list(pool.matrix)  # one view per row, shared by the steps that choose it
 
+    def choose(w: np.ndarray, t: int) -> Tuple[int, np.ndarray, Scalar]:
+        row, edge = _select(w, pool, rule, t)
+        return row, signs[row], edge
+
+    return BoostTrace(mode, pool, rule, initial, *boost(choose, initial, t_max))

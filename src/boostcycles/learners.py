@@ -34,11 +34,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .engine import BoostStep, BoostTrace, Optimal, alpha, weight_update
+from .engine import BoostTrace, Optimal, boost
 from .simplex import (
     HypothesisPool,
     MistakeDichotomy,
+    Scalar,
     WeightVector,
+    _signed_sums,
     uniform_weights,
 )
 
@@ -253,7 +255,7 @@ def _score_node(
 
 def train_tree(
     ds: Dataset,
-    w: Union[WeightVector, Sequence[float]],
+    w: Union[WeightVector, np.ndarray, Sequence[float]],
     max_depth: int,
     max_leaves: int,
 ) -> TreeHypothesis:
@@ -357,41 +359,30 @@ def run_on_dataset(
 ) -> BoostTrace:
     """Boost over freshly trained trees: each iteration fits a tree to the
     current weights, converts it to a dichotomy, and applies the rational
-    weight update.
+    weight update (the `engine.boost` loop).
 
-    The trace's pool collects the distinct dichotomies encountered, so every
-    analysis that works on synthetic-pool traces works here too. Halts with
-    a recorded reason when the edge leaves (0, 1).
+    The trace's pool collects the distinct dichotomies of the steps taken,
+    in order of first use, so every analysis that works on synthetic-pool
+    traces works here too. Halts with a recorded reason when the edge
+    leaves (0, 1).
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    w = uniform_weights(ds.n, mode)
-    initial = w
-    row_of: Dict[Tuple[int, ...], int] = {}
-    pool_rows: List[MistakeDichotomy] = []
-    steps: List[BoostStep] = []
-    halt = None
-    for t in range(t_max):
-        tree = train_tree(ds, w, max_depth, max_leaves)
-        eta = dichotomy_of(tree, ds)
-        if mode == "exact":
-            r = sum(e * c for e, c in zip(eta, w))
-        else:
-            r = float(np.dot(np.asarray(w.components), np.asarray(eta.entries, dtype=np.float64)))
-        if r <= 0:
-            halt = "weak_learning_failure"
-            break
-        if r >= 1:
-            halt = "perfect_classification"
-            break
-        if eta.entries not in row_of:
-            row_of[eta.entries] = len(pool_rows)
-            pool_rows.append(eta)
-        a = alpha(r)
-        w = weight_update(w, eta, r)
-        steps.append(BoostStep(t, row_of[eta.entries], eta, r, a, w))
-    if not pool_rows:
-        # halted before any usable step; keep a one-row pool so the trace is valid
-        pool_rows = [eta]
-    pool = HypothesisPool(tuple(pool_rows), origin="learned")
-    return BoostTrace(mode, pool, Optimal(), initial, tuple(steps), halt)
+    initial = uniform_weights(ds.n, mode)
+    chosen: Dict[Tuple[int, ...], Tuple[int, MistakeDichotomy]] = {}  # entries -> (row, dichotomy)
+
+    def choose(w: np.ndarray, t: int) -> Tuple[int, np.ndarray, Scalar]:
+        eta = dichotomy_of(train_tree(ds, w, max_depth, max_leaves), ds)
+        row, _ = chosen.setdefault(eta.entries, (len(chosen), eta))
+        if w.dtype == object:
+            signs = np.array([eta.entries], dtype=np.int8)
+            return row, signs[0], _signed_sums(signs, w).tolist()[0]
+        signs = np.array(eta.entries, dtype=np.float64)
+        return row, signs, float(np.dot(w, signs))
+
+    rows, signs, states, halt = boost(choose, initial, t_max)
+    # rows are numbered in order of first use; a dichotomy met only on the
+    # halting step is not in the trace, unless no step was taken at all
+    used = int(rows.max()) + 1 if len(rows) else 1
+    pool = HypothesisPool(tuple(eta for _, eta in list(chosen.values())[:used]), origin="learned")
+    return BoostTrace(mode, pool, Optimal(), initial, rows, signs, states, halt)

@@ -73,6 +73,14 @@ class WeightVector:
     def as_floats(self) -> Tuple[float, ...]:
         return tuple(float(c) for c in self.components)
 
+    def as_array(self) -> np.ndarray:
+        """The components as a float64 array, or in exact mode as an object
+        array of the Fractions themselves."""
+        return np.array(self.components, dtype=object if is_exact(self.components) else np.float64)
+
+
+_SIGN_OF = {"+": 1, "-": -1}
+
 
 @dataclass(frozen=True)
 class MistakeDichotomy:
@@ -87,7 +95,7 @@ class MistakeDichotomy:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("empty dichotomy")
-        if any(e not in (1, -1) for e in self.entries):
+        if not set(self.entries) <= {1, -1}:
             raise ValueError("dichotomy entries must be +1 or -1")
         if 1 not in self.entries:
             raise ValueError("dichotomy must classify at least one point correctly")
@@ -111,15 +119,12 @@ class MistakeDichotomy:
 
     @classmethod
     def from_string(cls, text: str) -> "MistakeDichotomy":
-        entries = []
-        for ch in text.strip():
-            if ch == "+":
-                entries.append(1)
-            elif ch == "-":
-                entries.append(-1)
-            else:
-                raise ValueError(f"bad dichotomy character {ch!r}")
-        return cls(tuple(entries))
+        text = text.strip()
+        try:
+            return cls(tuple(map(_SIGN_OF.__getitem__, text)))
+        except KeyError:
+            bad = next(ch for ch in text if ch not in _SIGN_OF)
+            raise ValueError(f"bad dichotomy character {bad!r}") from None
 
 
 @dataclass(frozen=True)
@@ -157,10 +162,18 @@ class HypothesisPool:
         return len(self.rows[0])
 
     @cached_property
+    def signs(self) -> np.ndarray:
+        """The rows as a read-only int8 (rows x points) matrix of ±1, built
+        on first use and kept for the pool's lifetime."""
+        signs = np.array([row.entries for row in self.rows], dtype=np.int8)
+        signs.flags.writeable = False
+        return signs
+
+    @cached_property
     def matrix(self) -> np.ndarray:
-        """The rows as a read-only float64 (rows x points) matrix of ±1,
-        built on first use and kept for the pool's lifetime."""
-        m = np.array([row.entries for row in self.rows], dtype=np.float64)
+        """The same matrix in float64, for the float screen's matrix-vector
+        product."""
+        m = self.signs.astype(np.float64)
         m.flags.writeable = False
         return m
 
@@ -195,11 +208,27 @@ class MistakeLattice:
         return self.columns[t]
 
 
+def _signed_sums(signs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i s_i * w_i along the last axis, for a (rows x points) ±1 sign
+    matrix: against one weight vector, or row by row against a matrix of
+    weight rows (float only).
+
+    Object (Fraction) weights are summed exactly, by an integer @ object
+    matrix product (the signs must be integers there). Float weights are
+    summed left to right (`np.add.accumulate`, as `np.cumsum` does), so each
+    sum is bit-equal to Python's `sum` over the same terms; the products
+    s_i * w_i are exact.
+    """
+    if w.dtype == object:
+        return signs @ w
+    return np.add.accumulate(signs * w, axis=-1)[..., -1]
+
+
 def edge_dot(w: WeightVector, eta: MistakeDichotomy) -> Scalar:
     """The edge r = sum_i eta_i * w_i: correct minus misclassified weight mass."""
     if len(w) != len(eta):
         raise DimensionMismatch(f"weights have {len(w)} components, dichotomy {len(eta)}")
-    return sum(e * c for e, c in zip(eta, w))
+    return _signed_sums(np.array([eta.entries], dtype=np.int8), w.as_array()).tolist()[0]
 
 
 def edge_from_misclassified(w: WeightVector, misclassified: Iterable[int]) -> Scalar:

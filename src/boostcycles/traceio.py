@@ -24,28 +24,44 @@ wrong edge shows as replayed weights that do not sum to 1 (the update
 preserves the sum exactly when, and only when, r is the edge), and a
 checkpoint must equal the replay. After a checkpoint the replay continues
 from the stored values. A `boostcycles-trace-v1` document, which stores the
-weights, `t`, `eta` and `alpha` of every step, is read by the same loop as a
-v2 document with a checkpoint on every step; its extra fields are checked.
+weights, `t`, `eta` and `alpha` of every step, is read by the same replay as
+a v2 document with a checkpoint on every step; its extra fields are checked.
+
+The writer reads the trace's columns, and the reader builds them. Reading
+takes two passes over the steps. The first reads the records into columns
+and checks each record on its own: its fields' types (a row is an int, a
+float edge a JSON number), its row, its edge's range and the v1 fields.
+The second is the replay. Since a replay restarts at every checkpoint, the
+steps fall into segments, each starting at the initial or at stored
+weights, and `_replay` advances all segments together, one step offset at a
+time, with the engine's update kernel on a (segments x points) array. A bad
+file fails with the message of its earliest failing step, in the order in
+which the per-step reader it replaces checked a step: the record's fields,
+then the edge and the update, then the stored weights.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, List, Optional, Union
+from itertools import compress, count, repeat
+from typing import Callable, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from .engine import (
     SCREEN_MARGIN,
-    BoostStep,
+    HALTS,
     BoostTrace,
     FirstAbove,
     FixedSequence,
     Optimal,
     SelectionRule,
+    _update,
     alpha,
-    weight_update,
 )
-from .simplex import HypothesisPool, MistakeDichotomy, Scalar, WeightVector, edge_dot
+from .simplex import HypothesisPool, MistakeDichotomy, Scalar, WeightVector, _signed_sums
 
 TRACE_SCHEMA = "boostcycles-trace-v2"
 READABLE_SCHEMAS = ("boostcycles-trace-v1", TRACE_SCHEMA)
@@ -117,6 +133,8 @@ def _encode_scalar(value: Scalar, mode: str) -> Union[str, float]:
 def _decode_scalar(value: Union[str, float, int], mode: str) -> Scalar:
     if mode == "exact":
         return _parse_fraction(value) if isinstance(value, str) else Fraction(value)
+    if not _is_double(value):
+        raise TypeError(f"{value!r} is not a number")
     return float(value)
 
 
@@ -148,13 +166,11 @@ def _decode_rule(doc: Dict[str, object]) -> SelectionRule:
 def trace_to_dict(trace: BoostTrace, provenance: Optional[Dict[str, object]] = None) -> Dict:
     mode = trace.mode
     edge_key = "r_exact" if mode == "exact" else "r"
-    last = len(trace.steps) - 1
-    steps = []
-    for t, s in enumerate(trace.steps):
-        record = {"row": s.row, edge_key: _encode_scalar(s.edge, mode)}
-        if (t + 1) % CHECKPOINT_EVERY == 0 or t == last:
-            record["weights"] = [_encode_scalar(c, mode) for c in s.weights_after]
-        steps.append(record)
+    edges = [_encode_scalar(r, mode) for r in trace.states[:, 0].tolist()]
+    steps = [{"row": row, edge_key: r} for row, r in zip(trace.rows.tolist(), edges)]
+    if steps:
+        for t in (*range(CHECKPOINT_EVERY - 1, len(steps) - 1, CHECKPOINT_EVERY), len(steps) - 1):
+            steps[t]["weights"] = [_encode_scalar(c, mode) for c in trace.states[t, 1:].tolist()]
     doc = {
         "schema": TRACE_SCHEMA,
         "mode": mode,
@@ -171,6 +187,215 @@ def trace_to_dict(trace: BoostTrace, provenance: Optional[Dict[str, object]] = N
     return doc
 
 
+class _FirstFailure:
+    """The first failure found in the step records, read on their own.
+
+    `limit` is the number of leading steps whose records passed every check
+    made on the record alone; `error` is the failure at step `limit` (None
+    if there is none), and `at_checkpoint` says that it lies in the step's
+    stored weights, which are read after its edge and update are checked.
+    """
+
+    def __init__(self, steps: int) -> None:
+        self.limit = steps
+        self.error: Optional[TraceFormatError] = None
+        self.at_checkpoint = False
+
+    def fail(self, t: int, message: str, at_checkpoint: bool = False) -> None:
+        """Note a failure at step t < limit: each check reads only the steps
+        before the first failure so far."""
+        self.limit, self.error, self.at_checkpoint = t, TraceFormatError(message), at_checkpoint
+
+
+def _first(values, ok) -> Optional[int]:
+    """The index of the first value failing ok, or None."""
+    return next((t for t, v in enumerate(values) if not ok(v)), None)
+
+
+def _field(records: List[dict], key: str) -> List:
+    """Each record's value at key, None where it has none."""
+    return list(map(dict.get, records, repeat(key)))
+
+
+def _is_double(value: object) -> bool:
+    """A JSON number that converts to a double: a float, or an int below
+    2**1023 in magnitude (never a bool, a string or null)."""
+    return type(value) is float or (type(value) is int and abs(value) < 2**1023)
+
+
+def _read_steps(
+    records: List, pool: HypothesisPool, mode: str, found: _FirstFailure
+) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
+    """The rows, the edges and the stored weights (by step) of the step
+    records, each record checked on its own (everything but the replay), in
+    the order a step is read: its `t` and `row`, its `eta`, its edge and the
+    edge's range, its `alpha`, then its stored weights. Each check reads
+    only the steps before the first failure so far, so the values it reads
+    passed the checks before it. The columns cover the first found.limit
+    steps, and one more when the failure lies in stored weights."""
+    exact = mode == "exact"
+    n = pool.n_points
+    if not set(map(type, records)) <= {dict}:
+        t = _first(records, lambda rec: type(rec) is dict)
+        found.fail(t, f"step {t}: not a JSON object")
+    records = records[: found.limit]
+    keys = set().union(*records)
+
+    if "t" in keys:
+        t = _first(enumerate(records), lambda item: item[1].get("t", item[0]) == item[0])
+        if t is not None:
+            found.fail(t, f"step {t}: recorded t is {records[t]['t']!r}")
+
+    rows = _field(records[: found.limit], "row")
+    if not (set(map(type, rows)) <= {int} and (not rows or 0 <= min(rows) and max(rows) < len(pool))):
+        t = _first(rows, lambda row: type(row) is int and 0 <= row < len(pool))
+        row = rows[t]
+        if type(row) is int:
+            found.fail(t, f"step {t}: row {row} outside pool of {len(pool)} rows")
+        else:
+            found.fail(t, f"step {t}: row {row!r} is not an integer")
+
+    if "eta" in keys:
+        strings = [r.to_string() for r in pool.rows]
+        t = _first(
+            zip(records[: found.limit], rows), lambda item: item[0].get("eta", strings[item[1]]) == strings[item[1]]
+        )
+        if t is not None:
+            found.fail(t, f"step {t}: eta {records[t]['eta']!r} is not pool row {rows[t]}")
+
+    key = "r_exact" if exact else "r"
+    raw = _field(records[: found.limit], key)
+    if exact:
+        edges = []
+        for t, value in enumerate(raw):
+            try:
+                edges.append(_decode_scalar(value, mode))
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                found.fail(t, f"step {t}: edge {value!r} is not a number ({exc})")
+                break
+        edge_column = np.empty(len(edges), dtype=object)
+        edge_column[:] = edges
+    else:
+        t = None if set(map(type, raw)) <= {float} else _first(raw, _is_double)
+        if t is not None:
+            found.fail(t, f"step {t}: edge {raw[t]!r} is not a number")
+        edge_column = np.array(raw[: found.limit], dtype=np.float64)
+    outside = np.flatnonzero(~((edge_column > 0) & (edge_column < 1)))
+    if outside.size:
+        t = int(outside[0])
+        found.fail(t, f"step {t}: edge {edge_column[t]} outside (0, 1)")
+
+    if "alpha" in keys:
+        for t, rec in enumerate(records[: found.limit]):
+            if "alpha" in rec:
+                a = alpha(edge_column[t])
+                if abs(float(rec["alpha"]) - a) > ALPHA_REL_TOL * a:
+                    found.fail(t, f"step {t}: alpha {rec['alpha']!r} is not alpha(r) = {a!r}")
+                    break
+
+    # stored weights: their errors come after the step's edge and update
+    checkpoints: Dict[int, np.ndarray] = {}
+    for t in compress(count(), map(dict.__contains__, records[: found.limit], repeat("weights"))):
+        try:
+            stored = WeightVector(tuple(_decode_scalar(c, mode) for c in records[t]["weights"]))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            found.fail(t, f"step {t}: stored weights: {exc}", at_checkpoint=True)
+            break
+        if len(stored) != n:
+            found.fail(t, f"step {t}: weights have {len(stored)} components, pool rows {n}", at_checkpoint=True)
+            break
+        checkpoints[t] = stored.as_array()
+
+    stop = found.limit + found.at_checkpoint
+    return np.array(rows[:stop], dtype=np.int64), edge_column[:stop], checkpoints
+
+
+def _replay(
+    initial: np.ndarray,
+    rows: np.ndarray,
+    signs: np.ndarray,
+    edges: np.ndarray,
+    checkpoints: Dict[int, np.ndarray],
+) -> Tuple[np.ndarray, Optional[TraceFormatError]]:
+    """Rebuild the weights after every step by the update kernel, and check
+    the steps against them; returns the states column and the first
+    failure (None if there is none).
+
+    The steps are cut into segments, each starting at the initial weights or
+    at a checkpoint's stored weights, and all segments advance together,
+    one step offset j at a time, as one (segments x points) array. A float
+    edge must lie within SCREEN_MARGIN * n + _replay_drift(j, n) of its row's
+    edge on the replayed weights; exact weights must sum to exactly 1 after
+    each update; each checkpoint must match the replay that ends on it
+    (exactly, or within _replay_drift in float mode). A step whose weights
+    are stored keeps the stored values. Segments are independent, so the
+    first failure is the failure at the earliest step.
+    """
+    steps, n = signs.shape
+    exact = initial.dtype == object
+    cuts = sorted({0, steps, *(t + 1 for t in checkpoints if t + 1 < steps)})
+    # (length, start) of each segment, longest first, so that the segments
+    # still running at offset j are the first live(j) of them
+    segments = sorted(zip(np.diff(cuts).tolist(), cuts[:-1]), key=lambda seg: -seg[0])
+    starts = np.array([start for _, start in segments], dtype=np.int64)
+    negated_lengths = [-length for length, _ in segments]  # ascending
+    running = [bisect_left(negated_lengths, -j) for j in range(segments[0][0])] if steps else []
+    w = np.stack([initial if start == 0 else checkpoints[start - 1] for _, start in segments]) if steps else initial
+    # the steps whose stored weights end a segment, by the segment's last offset
+    ends: Dict[int, List[int]] = {}
+    for length, start in segments:
+        if start + length - 1 in checkpoints:
+            ends.setdefault(length - 1, []).append(start + length - 1)
+    if not exact:
+        signs = signs.astype(np.float64)  # converted once, not at every offset
+    states = np.empty((steps, n + 1), dtype=initial.dtype)
+    states[:, 0] = edges
+    first: Optional[Tuple[int, str]] = None
+
+    def fail(failed: np.ndarray, message: Callable[[int], str]) -> None:
+        """Note the earliest of the failed steps, with its message."""
+        nonlocal first
+        step = int(failed.min())
+        if first is None or step < first[0]:
+            first = step, message(step)
+
+    for j, live in enumerate(running):
+        t = starts[:live] + j
+        eta, r, w = signs[t], edges[t], w[:live]
+        if not exact:
+            replayed = _signed_sums(eta, w)
+            bad = np.abs(replayed - r) > SCREEN_MARGIN * n + _replay_drift(j, n)
+            if bad.any():
+                edge_of = dict(zip(t.tolist(), replayed.tolist()))
+                fail(t[bad], lambda step: (
+                    f"step {step}: edge {edges[step].item()!r} is not the edge of row {rows[step]} on the "
+                    f"replayed weights ({edge_of[step]!r})"
+                ))
+        w, totals = _update(w, eta, r[:, None])
+        if exact:
+            bad = totals != 1
+            if bad.any():
+                fail(t[bad], lambda step: (
+                    f"step {step}: edge {edges[step]} is not the edge of row {rows[step]} on the replayed weights"
+                ))
+        states[t, 1:] = w
+        stored = ends.get(j)
+        if stored:
+            replayed = states[stored, 1:]
+            expected = np.stack([checkpoints[u] for u in stored])
+            if exact:
+                matches = (replayed == expected).all(axis=1)
+            else:
+                matches = (np.abs(replayed - expected) <= _replay_drift(j + 1, n) * expected).all(axis=1)
+            if not matches.all():
+                fail(
+                    np.array(stored)[~matches],
+                    lambda step: f"step {step}: stored weights do not match the replayed update",
+                )
+            states[stored, 1:] = expected
+    return states, None if first is None else TraceFormatError(first[1])
+
+
 def trace_from_dict(doc: Dict) -> BoostTrace:
     """Rebuild a trace, replaying the update to recover and verify every
     step's weights (see the module docstring)."""
@@ -179,7 +404,6 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
     mode = doc["mode"]
     if mode not in ("exact", "float"):
         raise TraceFormatError(f"unknown mode {mode!r}")
-    exact = mode == "exact"
     pool = HypothesisPool(
         tuple(MistakeDichotomy.from_string(r) for r in doc["pool"]["rows"]),
         origin=doc["pool"].get("origin", "synthetic"),
@@ -189,65 +413,43 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
     initial = WeightVector(tuple(_decode_scalar(c, mode) for c in doc["initial_weights"]))
     if len(initial) != n:
         raise TraceFormatError(f"initial_weights has {len(initial)} components, pool rows {n}")
+    halt = doc.get("halt")
+    if halt not in HALTS:
+        raise TraceFormatError(f"unknown halt {halt!r}; expected one of {HALTS}")
     records = doc["steps"]
+    if type(records) is not list:
+        raise TraceFormatError("steps is not a list")
     if records and "weights" not in records[-1]:
         raise TraceFormatError(f"step {len(records) - 1}: the last step has no weights checkpoint")
-    row_strings = [r.to_string() for r in pool.rows]
-    w = initial
-    since = 0  # updates replayed since the last stored weights
-    steps = []
-    for t, rec in enumerate(records):
-        if "t" in rec and rec["t"] != t:
-            raise TraceFormatError(f"step {t}: recorded t is {rec['t']!r}")
-        row = int(rec["row"])
-        if not 0 <= row < len(pool):
-            raise TraceFormatError(f"step {t}: row {row} outside pool of {len(pool)} rows")
-        if "eta" in rec and rec["eta"] != row_strings[row]:
-            raise TraceFormatError(f"step {t}: eta {rec['eta']!r} is not pool row {row}")
-        eta = pool[row]
-        edge = _decode_scalar(rec["r_exact"], mode) if exact else float(rec["r"])
-        try:
-            a = alpha(edge)
-        except ValueError:
-            raise TraceFormatError(f"step {t}: edge {edge} outside (0, 1)") from None
-        if "alpha" in rec and abs(float(rec["alpha"]) - a) > ALPHA_REL_TOL * a:
-            raise TraceFormatError(f"step {t}: alpha {rec['alpha']!r} is not alpha(r) = {a!r}")
-        if not exact:
-            replayed_edge = edge_dot(w, eta)
-            if abs(replayed_edge - edge) > SCREEN_MARGIN * n + _replay_drift(since, n):
-                raise TraceFormatError(
-                    f"step {t}: edge {edge!r} is not the edge of row {row} on the replayed "
-                    f"weights ({replayed_edge!r})"
-                )
-        try:
-            w = weight_update(w, eta, edge)
-        except ValueError:
-            # exact mode: the update kept the sum at 1 only if r is the edge
-            raise TraceFormatError(
-                f"step {t}: edge {edge} is not the edge of row {row} on the replayed weights"
-            ) from None
-        since += 1
-        if "weights" in rec:
-            stored = WeightVector(tuple(_decode_scalar(c, mode) for c in rec["weights"]))
-            if len(stored) != n:
-                raise TraceFormatError(f"step {t}: weights have {len(stored)} components, pool rows {n}")
-            if exact:
-                matches = w.components == stored.components
-            else:
-                tol = _replay_drift(since, n)
-                matches = all(abs(x - y) <= tol * y for x, y in zip(w, stored))
-            if not matches:
-                raise TraceFormatError(f"step {t}: stored weights do not match the replayed update")
-            w, since = stored, 0
-        steps.append(BoostStep(t=t, row=row, eta=eta, edge=edge, alpha=a, weights_after=w))
-    return BoostTrace(mode, pool, rule, initial, tuple(steps), doc.get("halt"))
+    found = _FirstFailure(len(records))
+    rows, edges, checkpoints = _read_steps(records, pool, mode, found)
+    signs = pool.signs[rows]
+    states, failure = _replay(initial.as_array(), rows, signs, edges, checkpoints)
+    if failure is not None:
+        raise failure
+    if found.error is not None:
+        raise found.error
+    return BoostTrace(mode, pool, rule, initial, rows, signs, states, halt)
+
+
+# Step records encoded per json call. One call for a 5000-step trace makes
+# texts of about 200 kB, and the peak memory of a process that writes such
+# traces again and again crept up by 1 MB over 40 writes; texts of a few kB
+# leave it flat, as one call per record did.
+_WRITE_BLOCK = 64
 
 
 def dumps_trace(trace: BoostTrace, provenance: Optional[Dict[str, object]] = None) -> str:
     """The trace as JSON, one step record per line (json's C encoder: no
-    indent)."""
+    indent). The records are encoded _WRITE_BLOCK at a time, one call per
+    block; a record holds no braces inside it, so "}, {" occurs only
+    between two records."""
     doc = trace_to_dict(trace, provenance)
-    steps = ",\n".join(map(json.dumps, doc.pop("steps")))
+    records = doc.pop("steps")
+    steps = ",\n".join(
+        json.dumps(records[lo : lo + _WRITE_BLOCK])[1:-1].replace("}, {", "},\n{")
+        for lo in range(0, len(records), _WRITE_BLOCK)
+    )
     return f'{json.dumps(doc)[:-1]}, "steps": [\n{steps}\n]}}\n'
 
 

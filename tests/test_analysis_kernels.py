@@ -52,6 +52,11 @@ from boostcycles.cycles import (
 EPS = np.finfo(np.float64).eps
 
 
+def take_steps(trace, index):
+    """The trace with its steps taken at the given indices, in that order."""
+    return replace(trace, rows=trace.rows[index], signs=trace.signs[index], states=trace.states[index])
+
+
 # --- reference: the per-step loops, as they were before the array kernels ---
 
 
@@ -422,9 +427,9 @@ class TestNamedTraces:
         # here in a later block of transitions than the first
         for name, t, delta in (("golden exact 300", 280, Fraction(1, 10**6)), ("golden float 2000", 700, 1e-6)):
             trace = named_traces[name]
-            steps = list(trace.steps)
-            steps[t] = replace(steps[t], edge=steps[t].edge + delta)
-            tampered = replace(trace, steps=tuple(steps))
+            states = trace.states.copy()
+            states[t, 0] += delta
+            tampered = replace(trace, states=states)
             assert_same_checks(tampered, 1e-9, name)
             assert_same_edge_update(tampered, 1e-12, name)
             subsums_result = analyze_trace(tampered, checks=("subsums",))[1][0]
@@ -460,7 +465,7 @@ class TestNamedTraces:
         for name in ("golden exact 300", "golden float 2000"):
             trace = named_traces[name]
             # reversed, so that each block ends on the unsettled first steps
-            repeated = replace(trace, steps=trace.steps[69::-1] * 7)
+            repeated = take_steps(trace, np.tile(np.arange(69, -1, -1), 7))
             report = detect_cycle(repeated)
             assert report.period == 70 and report.residual == 0.0, name
             assert_same_report(report, reference_detect_cycle(repeated), name)
@@ -505,13 +510,12 @@ class TestNamedTraces:
     def test_disagreements_located(self, golden_float):
         report = detect_cycle(golden_float)
         start, length = report.phase + 30, 12
-        steps = list(golden_float.steps)
+        signs, states = golden_float.signs.copy(), golden_float.states.copy()
         # an all-correct dichotomy differs from every pool row without
         # creating a repeated mistake; a permuted weight vector is still one
-        steps[start + 7] = replace(steps[start + 7], eta=MistakeDichotomy((1, 1, 1)))
-        w = steps[start + 2].weights_after.components
-        steps[start + 2] = replace(steps[start + 2], weights_after=WeightVector((w[1], w[2], w[0])))
-        tampered = replace(golden_float, steps=tuple(steps))
+        signs[start + 7] = (1, 1, 1)
+        states[start + 2, 1:] = states[start + 2, [2, 3, 1]]
+        tampered = replace(golden_float, signs=signs, states=states)
         seen = set()
         for q in (0, 1, 5, 11):
             got = lattice_agreement(golden_float, tampered, (start, length), (start, length), q)
@@ -615,7 +619,7 @@ class TestSharedArrays:
             assert golden_exact.sign_matrix[t].tolist() == list(step.eta.entries)
 
     def test_empty_trace(self, pool3):
-        empty = replace(run(pool3, Optimal(), 3, "float"), steps=())
+        empty = take_steps(run(pool3, Optimal(), 3, "float"), [])
         assert empty.state_matrix.shape == (0, 4)
         assert empty.sign_matrix.shape == (0, 3)
         report, results = analyze_trace(empty)

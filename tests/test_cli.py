@@ -241,6 +241,12 @@ class TestAnalyze:
             run_cli("analyze", golden_trace_file, "--check", "margins")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("checks", [",", "", " , "])
+    def test_empty_check_list_usage_error(self, golden_trace_file, checks):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("analyze", golden_trace_file, "--check", checks)
+        assert exc.value.code == 2
+
     def test_malformed_trace_io_error(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{]")

@@ -300,7 +300,12 @@ class TestDetectCycle:
 
     def test_idempotent_on_cycling_window(self, golden_float):
         report = detect_cycle(golden_float, tol=1e-9, min_repeats=3)
-        window = replace(golden_float, steps=golden_float.steps[report.phase :])
+        window = replace(
+            golden_float,
+            rows=golden_float.rows[report.phase :],
+            signs=golden_float.signs[report.phase :],
+            states=golden_float.states[report.phase :],
+        )
         again = detect_cycle(window, tol=1e-9, min_repeats=3, burn_in=0)
         assert again is not None
         assert again.period == report.period

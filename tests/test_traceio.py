@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from boostcycles import (
@@ -267,7 +268,8 @@ class TestV2Layout:
         assert doc["steps"][-1]["weights"] == ["1/5", "3/10", "1/2"]
 
     def test_no_steps(self, pool3):
-        empty = BoostTrace("exact", pool3, Optimal(), uniform_weights(3, "exact"), (), "weak_learning_failure")
+        columns = np.empty(0), np.empty((0, 3)), np.empty((0, 4))
+        empty = BoostTrace("exact", pool3, Optimal(), uniform_weights(3, "exact"), *columns, "weak_learning_failure")
         assert loads_trace(dumps_trace(empty)) == empty
 
 
