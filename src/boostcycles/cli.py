@@ -128,7 +128,7 @@ def cmd_run(args, parser) -> int:
         sys.stdout.write(dumps_trace(trace, provenance))
         return EXIT_OK
     if len(trace):
-        print(f", final edge {_fmt(trace.states[-1, 0], trace.mode)}", end="")
+        print(f", final edge {_fmt(trace.state(-1)[0], trace.mode)}", end="")
     if trace.halt:
         print(f", halted: {trace.halt}", end="")
     print()
@@ -334,7 +334,8 @@ def cmd_plot(args, parser) -> int:
     if not len(trace):
         print("error: trace has no steps to plot", file=sys.stderr)
         return EXIT_IO
-    points = tuple((float(t), float(edge)) for t, edge in enumerate(trace.states[:, 0].tolist()))
+    # float(Fraction) and the state matrix round exact edges alike
+    points = tuple((float(t), edge) for t, edge in enumerate(trace.state_matrix[:, 0].tolist()))
     if args.last is not None:
         points = points[-args.last :]
     refs = []

@@ -19,9 +19,11 @@ float64 `BoostTrace.state_matrix` (the states themselves in float mode):
 - The identity checks (edge update, subsums) read the group masks of every
   transition, computed once per analysis (`transition_groups`), and the
   previous weights' mass on each group, summed block by block as the checks
-  read them. Exact traces keep their weights as Fractions in an object
-  array, so each identity is a Fraction equality; float traces compare
-  within tol.
+  read them. Exact traces keep their states in integer form (numerators over
+  one common denominator per step, edges as reduced p/q), so each identity
+  is an integer cross-product: an exact rational equality, with no
+  tolerance and no float. A Fraction is built only for a public function's
+  values. Float traces compare within tol.
 - The periodic learning condition, the cycle window's violation and the
   agreement windows all read the trace's J- masks
   (`BoostTrace.repeated_mistakes`).
@@ -35,7 +37,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import BoostTrace
+from .engine import BoostTrace, _lattice_point
 from .farey import FareyWord, inv_L, inv_R
 from .simplex import (
     MistakeDichotomy,
@@ -129,13 +131,17 @@ class TransitionGroups:
     weights_before(t-1) on each group.
 
     j_minus is the trace's (T-1, n) J- mask; was_right and is_right mark the
-    points classified correctly at t-1 and at t. The weights and edges are
-    float64 in float mode and, in exact mode, object arrays holding the
-    trace's Fractions, so that every identity computed from them is exact.
-    A mass is summed when read (an empty group's exact mass is the int 0).
-    A float mass is summed in another order than a left-to-right sum over
-    the group, so it may differ from one by the rounding of n terms: less
-    than n * eps, as the weights sum to 1.
+    points classified correctly at t-1 and at t. In float mode w_prev holds
+    the float64 weights and r_prev, r_cur the float64 edges. In exact mode
+    they hold the trace's integer form: w_prev the lattice points
+    [D, a_1..a_n] of the weights, r_prev and r_cur rows [p, q] of the edges,
+    so that every identity computed from them is an integer cross-product.
+    A mass is summed when read: `_mass` gives float64 masses, or in exact
+    mode the integer numerator sums over each row's D; the `mass_*`
+    properties give float64 masses or Fractions. A float mass is summed in
+    another order than a left-to-right sum over the group, so it may differ
+    from one by the rounding of n terms: less than n * eps, as the weights
+    sum to 1.
     """
 
     j_minus: np.ndarray
@@ -145,21 +151,32 @@ class TransitionGroups:
     r_prev: np.ndarray
     r_cur: np.ndarray
 
+    @property
+    def exact(self) -> bool:
+        return self.w_prev.dtype == object
+
     def _mass(self, mask: np.ndarray) -> np.ndarray:
-        zero = 0 if self.w_prev.dtype == object else 0.0
-        return np.where(mask, self.w_prev, zero).sum(axis=1)
+        if self.exact:
+            return np.where(mask, self.w_prev[:, 1:], 0).sum(axis=1)
+        return np.where(mask, self.w_prev, 0.0).sum(axis=1)
+
+    def _mass_values(self, mask: np.ndarray) -> np.ndarray:
+        mass = self._mass(mask)
+        if self.exact:
+            return np.array([Fraction(m, d) for m, d in zip(mass.tolist(), self.w_prev[:, 0].tolist())], dtype=object)
+        return mass
 
     @property
     def mass_i_plus(self) -> np.ndarray:
-        return self._mass(self.was_right & self.is_right)
+        return self._mass_values(self.was_right & self.is_right)
 
     @property
     def mass_i_minus(self) -> np.ndarray:
-        return self._mass(~self.was_right & self.is_right)
+        return self._mass_values(~self.was_right & self.is_right)
 
     @property
     def mass_j_plus(self) -> np.ndarray:
-        return self._mass(self.was_right & ~self.is_right)
+        return self._mass_values(self.was_right & ~self.is_right)
 
     def rows(self, index) -> "TransitionGroups":
         """The groups of the transitions selected by index (a slice or an
@@ -169,8 +186,8 @@ class TransitionGroups:
     def blocks(self) -> Iterator[Tuple[int, "TransitionGroups"]]:
         """(first row, the groups of the next _GROUP_BLOCK rows), in order.
         The checks read the masses and evaluate their expressions block by
-        block, so that an exact trace holds one block's Fractions at a time
-        rather than the whole trace's."""
+        block, so that their temporaries (large integers, in exact mode) are
+        one block's rather than the whole trace's."""
         for lo in range(0, len(self.r_prev), _GROUP_BLOCK):
             yield lo, self.rows(slice(lo, lo + _GROUP_BLOCK))
 
@@ -182,9 +199,14 @@ def transition_groups(trace: BoostTrace) -> TransitionGroups:
     """The groups of every transition, from the trace's columns."""
     if len(trace) < 2:
         raise ValueError("need at least 2 steps")
-    signs, states = trace.signs, trace.states
-    w_prev = np.vstack((trace.initial_weights.as_array(), states[:-2, 1:]))
-    edges = states[:, 0]
+    signs = trace.signs
+    if trace.mode == "exact":
+        ints = trace.int_states
+        w_prev = np.vstack((_lattice_point(trace.initial_weights), ints[:-2, 2:]))
+        edges = ints[:, :2]
+    else:
+        w_prev = np.vstack((trace.initial_weights.as_array(), trace.states[:-2, 1:]))
+        edges = trace.states[:, 0]
     return TransitionGroups(
         j_minus=trace.repeated_mistakes,
         was_right=signs[:-1] > 0,
@@ -211,14 +233,24 @@ class EdgeUpdateReport:
     matches: bool
 
 
-def _edge_update(groups: TransitionGroups, exact: bool, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+def _edge_update(groups: TransitionGroups, tol: float) -> Tuple[object, np.ndarray]:
     """The simplified edges (1 + r_prev - 2*sum_{J+} w_prev) / (1 + r_prev)
     of every transition, and whether each equals (exact) or lies within tol
-    of (float) the true edge."""
+    of (float) the true edge.
+
+    In exact mode, with r_prev = p'/q', w_prev = a/D and J = sum_{J+} a, the
+    simplified edge is ((q'+p')D - 2Jq') / ((q'+p')D), returned as the pair
+    (numerators, denominators) of integer columns; it equals the true edge
+    p/q exactly when ((q'+p')D - 2Jq') q == p (q'+p') D.
+    """
+    j_plus = groups.was_right & ~groups.is_right
+    if groups.exact:
+        (p_prev, q_prev), (p, q) = groups.r_prev.T, groups.r_cur.T
+        den = (q_prev + p_prev) * groups.w_prev[:, 0]
+        num = den - 2 * groups._mass(j_plus) * q_prev
+        return (num, den), num * q == p * den
     r_prev = groups.r_prev
-    simplified = (1 + r_prev - 2 * groups.mass_j_plus) / (1 + r_prev)
-    if exact:
-        return simplified, simplified == groups.r_cur
+    simplified = (1 + r_prev - 2 * groups._mass(j_plus)) / (1 + r_prev)
     return simplified, np.abs(simplified - groups.r_cur) <= tol
 
 
@@ -229,15 +261,19 @@ def check_edge_update(trace: BoostTrace, tol: float = 1e-12) -> List[EdgeUpdateR
     Exact traces compare with equality; float traces within tol.
     """
     groups = transition_groups(trace)
-    simplified, matches = _edge_update(groups, trace.mode == "exact", tol)
+    simplified, matches = _edge_update(groups, tol)
+    if groups.exact:
+        simplified = [Fraction(num, den) for num, den in zip(simplified[0].tolist(), simplified[1].tolist())]
+    else:
+        simplified = simplified.tolist()
     j_minus_empty = ~groups.j_minus.any(axis=1)
     return [
         EdgeUpdateReport(t, empty, value, edge, match)
         for t, empty, value, edge, match in zip(
             range(1, len(trace)),
             j_minus_empty.tolist(),
-            simplified.tolist(),
-            trace.states[1:, 0].tolist(),
+            simplified,
+            trace.edges()[1:],
             matches.tolist(),
         )
     ]
@@ -444,8 +480,8 @@ def detect_cycle(
         # equal states round to equal doubles: screen on those, then
         # confirm with exact equality
         screened = np.flatnonzero((tail[:-1] == tail[-1]).all(axis=1)) + burn_in
-        last = trace.states[-1].tolist()
-        hits = [t for t in screened.tolist() if trace.states[t].tolist() == last]
+        last = trace.int_states[-1].tolist()
+        hits = [t for t in screened.tolist() if trace.int_states[t].tolist() == last]
     candidates = set(range(1, min(k_max, 64) + 1))
     candidates.update(n_steps - 1 - t for t in hits)
 
@@ -488,8 +524,8 @@ def detect_cycle(
             edge_period = e
             break
 
-    edge_values = tuple(trace.states[n_steps - edge_period :, 0].tolist())
-    weight_cycle = tuple(WeightVector(tuple(w)) for w in trace.states[n_steps - period :, 1:].tolist())
+    edge_values = tuple(trace.state(t)[0] for t in range(n_steps - edge_period, n_steps))
+    weight_cycle = tuple(WeightVector(trace.state(t)[1:]) for t in range(n_steps - period, n_steps))
     violation = first_repeated_mistake(trace.repeated_mistakes[phase:])
     if violation is not None:
         violation = (violation[0], violation[1] + phase)
@@ -694,8 +730,7 @@ def _check_edge_update(trace, report, groups, tol) -> CheckResult:
     name = "edge-update"
     if groups is None:
         return _too_short(name, trace)
-    exact = trace.mode == "exact"
-    matches = np.concatenate([_edge_update(block, exact, tol)[1] for _, block in groups.blocks()])
+    matches = np.concatenate([_edge_update(block, tol)[1] for _, block in groups.blocks()])
     j_minus_empty = ~groups.j_minus.any(axis=1)
     broken = (np.flatnonzero(matches != j_minus_empty) + 1).tolist()
     mismatch = (np.flatnonzero(~matches) + 1).tolist()
@@ -708,43 +743,52 @@ def _check_edge_update(trace, report, groups, tol) -> CheckResult:
     return CheckResult(name, True, "holds; update matches at every iteration (J- always empty)", data)
 
 
+def _subsums_inconsistent(groups: TransitionGroups) -> np.ndarray:
+    """Exact subsums: whether b == 1/2 or a + c == 1/2 fails at each
+    transition, as integer cross-products. With r_prev = p'/q', w_prev = a/D,
+    I- = sum_{I-} a and W = sum_{I+ and J+} a (the points right at t-1), b ==
+    1/2 reads 2 I- q' == D (q' - p') and a + c == 1/2 reads 2 W q' ==
+    D (q' + p'). a == r/2 and c == (1 - r)/2 follow from these two, since
+    the edge r is a - c + b."""
+    p_prev, q_prev = groups.r_prev.T
+    d = groups.w_prev[:, 0]
+    i_minus = groups._mass(~groups.was_right & groups.is_right)
+    was_right = groups._mass(groups.was_right)
+    return (2 * i_minus * q_prev != d * (q_prev - p_prev)) | (2 * was_right * q_prev != d * (q_prev + p_prev))
+
+
 def _check_subsums(trace, report, groups, tol) -> CheckResult:
     name = "subsums"
     if groups is None:
         return _too_short(name, trace)
-    exact = trace.mode == "exact"
-    half = Fraction(1, 2) if exact else 0.5
     data = {"steps_verified": 0, "steps_skipped": int(groups.j_minus.any(axis=1).sum()), "failed_iteration": None}
     for lo, block in groups.blocks():
         held = np.flatnonzero(~block.j_minus.any(axis=1))
         block = block.rows(held)
-        shrink, grow = 1 + block.r_prev, 1 - block.r_prev
-        a = block.mass_i_plus / shrink
-        b = block.mass_i_minus / grow
-        c = block.mass_j_plus / shrink
-        edge = a - c + b
-        if exact:
-            inconsistent = (b != half) | (a + c != half)
-            ok = (a == edge / 2) & (b == half) & (c == (1 - edge) / 2)
+        if block.exact:
+            failed = _subsums_inconsistent(block)
         else:
-            inconsistent = np.zeros(len(a), dtype=bool)
-            ok = (
+            shrink, grow = 1 + block.r_prev, 1 - block.r_prev
+            a = block.mass_i_plus / shrink
+            b = block.mass_i_minus / grow
+            c = block.mass_j_plus / shrink
+            edge = a - c + b
+            failed = ~(
                 (np.abs(a - edge / 2) <= tol)
-                & (np.abs(b - half) <= tol)
+                & (np.abs(b - 0.5) <= tol)
                 & (np.abs(c - (1 - edge) / 2) <= tol)
             )
-        failed = inconsistent | ~ok
         if failed.any():
             j = int(failed.argmax())
             t = lo + int(held[j]) + 1
             data.update(steps_verified=data["steps_verified"] + j, failed_iteration=t)
-            if inconsistent[j]:
+            if block.exact:
                 return CheckResult(name, False, f"iteration {t}: {SUBSUMS_INCONSISTENT}", data)
             r = edge.item(j)
             got = (a.item(j), b.item(j), c.item(j))
-            targets = (r / 2, half, (1 - r) / 2)
+            targets = (r / 2, 0.5, (1 - r) / 2)
             return CheckResult(name, False, f"iteration {t}: subsums {got} != {targets}", data)
-        data["steps_verified"] += len(a)
+        data["steps_verified"] += len(held)
     checked = data["steps_verified"]
     if checked == 0:
         return CheckResult(name, True, "no step satisfied the periodic learning condition", data)

@@ -1,40 +1,54 @@
 """The iterative boosting map: selection, weight update, trace recording.
 
 Selection picks the row of largest edge sum_i eta_i * w_i, lowest index on
-ties. In exact mode every edge is summed as a Fraction. In float mode the
-pool is screened with one matrix-vector product, and only the rows within
-the product's rounding error of its maximum are re-scored with the
-reference sum, so the chosen row and edge are bit-identical to scoring
-every row with that sum. The first-above threshold scan is screened the
-same way: only rows whose product comes within that error of the threshold
-are re-scored.
+ties. In float mode the pool is screened with one matrix-vector product, and
+only the rows within the product's rounding error of its maximum are
+re-scored with the reference sum, so the chosen row and edge are
+bit-identical to scoring every row with that sum. The first-above threshold
+scan is screened the same way: only rows whose product comes within that
+error of the threshold are re-scored.
 
 The primary update is the rational form w_i -> w_i / (1 + eta_i * r), which is
 self-normalizing: when r is the true edge of eta on w, the output sums to 1
 with no renormalization. The exponential form w_i * exp(-eta_i * alpha) / Z
 is kept as an independent oracle for it.
 
+Exact mode runs on an integer lattice. Its weights are Python-int numerators
+a_1..a_n over one common denominator D, in canonical form: gcd(a_1..a_n, D) =
+1, so D is the least common denominator and the form is unique (two vectors
+are equal exactly when their forms are). A lattice point is the object array
+[D, a_1, ..., a_n]. Selection compares the integer edge numerators
+s = sum_i eta_i a_i, and the step's edge is s / D reduced to p / q with one
+gcd. The update is
+
+    w_i / (1 + eta_i r) = a_i (q - eta_i p) / ((D / q) (q^2 - p^2)),
+
+brought back to canonical form by one multi-argument gcd; the weights sum to
+exactly 1 when the new numerators sum to the new denominator. No Fraction is
+built per step: a trace keeps its exact states in this integer form and
+builds Fractions only when they are read.
+
 One loop, `boost`, runs both pool selection (`run`) and the tree learner
 (`learners.run_on_dataset`); they differ only in the `choose` function that
 picks each step's dichotomy and edge. The weights are an array: float64 in
-float mode, an object array of Fractions in exact mode. Each step applies
-the update kernel `_update` to the whole array; float weights are then
-divided by their left-to-right sum, bit-equal to Python's `sum`, and exact
-weights must sum to exactly 1. The loop builds no per-step object: it
-appends the step's row, signs, edge and weights, and the trace keeps them
-as three columns (see BoostTrace). `select`, `weight_update` and
-`simplex.edge_dot` are wrappers over the same kernels for single value
-objects. A trace's BoostSteps are built only when `BoostTrace.steps` is
-read.
+float mode, a lattice point in exact mode. Each step applies an update kernel
+to the whole array (`_update` for floats, `_lattice_update` for a lattice
+point); float weights are then divided by their left-to-right sum, bit-equal
+to Python's `sum`. The loop builds no per-step object: it appends the step's
+row, signs, edge and weights, and the trace keeps them as three columns (see
+BoostTrace). `select`, `weight_update` and `simplex.edge_dot` are wrappers
+over the same kernels for single value objects. A trace's BoostSteps are
+built only when `BoostTrace.steps` is read.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -112,32 +126,40 @@ SCREEN_MARGIN = 4 * np.finfo(np.float64).eps
 
 
 def _select(w: np.ndarray, pool: HypothesisPool, rule: SelectionRule, t: int) -> Tuple[int, Scalar]:
-    """The selection kernel: (row index, edge) for a weight array (float64,
-    or an object array of Fractions in exact mode). See `select`."""
+    """The selection kernel: (row index, edge) for float64 weights, or for a
+    lattice point in exact mode, where the edge is returned as its integer
+    numerator s over the point's denominator D. See `select`."""
     exact = w.dtype == object
-    # the pool's signs in the weights' arithmetic: ints against Fractions
-    signs = pool.signs if exact else pool.matrix
+    # the pool's signs in the weights' arithmetic: Python ints against the
+    # numerators of a lattice point
+    signs, weights = (pool.exact_signs, w[1:]) if exact else (pool.matrix, w)
     if isinstance(rule, FixedSequence):
         row = rule.rows[t % len(rule.rows)]
         if not 0 <= row < len(pool):
             raise IndexError(f"scheduled row {row} outside pool of {len(pool)} rows")
-        return row, _signed_sums(signs[row : row + 1], w).tolist()[0]
+        return row, _signed_sums(signs[row : row + 1], weights).tolist()[0]
 
     if exact:
-        # every row's edge, exactly
+        # every row's edge numerator, exactly
         rows = np.arange(len(pool))
-        edges = _signed_sums(signs, w)
+        edges = signs @ weights
     else:
         approx = signs @ w
         margin = SCREEN_MARGIN * len(w)
 
     if isinstance(rule, FirstAbove):
-        if not exact:
+        if exact:
+            # s / D >= theta as a cross product; a float or Fraction theta
+            # converts to its integer ratio exactly
+            num, den = rule.theta.as_integer_ratio()
+            bar = num * w[0]
+            qualifying = [(s, i) for s, i in zip(edges.tolist(), rows.tolist()) if s * den >= bar]
+        else:
             # a row whose product is below theta - margin has a reference
             # edge below theta, by the argument beside SCREEN_MARGIN
             rows = (approx >= rule.theta - margin).nonzero()[0]
             edges = _signed_sums(signs[rows], w)
-        qualifying = [(r, i) for r, i in zip(edges.tolist(), rows.tolist()) if r >= rule.theta]
+            qualifying = [(r, i) for r, i in zip(edges.tolist(), rows.tolist()) if r >= rule.theta]
         if qualifying:
             r, row = min(qualifying)
             return row, r
@@ -164,6 +186,10 @@ def select(
     """
     if len(w) != pool.n_points:
         raise DimensionMismatch(f"weights have {len(w)} components, pool rows {pool.n_points}")
+    if is_exact(w):
+        point = _lattice_point(w)
+        row, s = _select(point, pool, rule, t)
+        return row, pool[row], Fraction(s, point[0])
     row, edge = _select(w.as_array(), pool, rule, t)
     return row, pool[row], edge
 
@@ -179,25 +205,51 @@ def alpha(r: Scalar) -> float:
     return 0.5 * math.log((1 + float(r)) / (1 - float(r)))
 
 
-def _update(w: np.ndarray, eta: np.ndarray, r) -> Tuple[np.ndarray, object]:
-    """The update kernel w_i -> w_i / (1 + eta_i * r) along the last axis.
+def _update(w: np.ndarray, eta: np.ndarray, r) -> Tuple[np.ndarray, np.ndarray]:
+    """The float update kernel w_i -> w_i / (1 + eta_i * r) along the last
+    axis, renormalised.
 
     eta holds the ±1 signs; r is one edge, or a column of edges (one per
-    weight row). Returns the new weights and the total the update produced.
-    Object (Fraction) weights are returned as computed, so the total is 1
-    exactly when r was their edge. Float weights are divided by their
-    left-to-right sum (bit-equal to Python's `sum`), which is returned.
+    weight row). The new weights are divided by their left-to-right sum
+    (bit-equal to Python's `sum`); returns them and that sum.
     """
-    if w.dtype == object:
-        # two Fraction divisors per row, not one product per weight
-        new = w / np.where(eta > 0, 1 + r, 1 - r)
-        return new, new.sum(axis=-1)
     new = eta * r  # exactly +-r
     new += 1.0
     np.divide(w, new, out=new)
     total = np.add.accumulate(new, axis=-1)[..., -1:]
     new /= total
     return new, total
+
+
+def _lattice_point(w: Iterable[Union[int, Fraction]]) -> np.ndarray:
+    """Exact weights as a lattice point: the object array [D, a_1, ..., a_n]
+    of Python ints with w_i = a_i / D, D the least common denominator."""
+    w = tuple(w)
+    d = math.lcm(*(c.denominator for c in w))
+    return np.array([d, *(c.numerator * (d // c.denominator) for c in w)], dtype=object)
+
+
+def _lattice_update(w: np.ndarray, eta: np.ndarray, p, q) -> Tuple[np.ndarray, np.ndarray]:
+    """The exact update kernel w_i -> w_i / (1 + eta_i * p/q) on lattice
+    points [D, a_1..a_n] along the last axis.
+
+    eta holds the ±1 signs as Python ints (an object array); p/q is the edge
+    in lowest terms, as ints or as columns of ints (one per point). With g a
+    common divisor of D and q, the new point is a_i (q/g) (q - eta_i p) over
+    (D/g) (q^2 - p^2), divided by the gcd of all its entries, so it is in
+    canonical form. When p/q is the edge s/D, q divides D and g is q; for
+    any other edge g is 1, which keeps the quotients exact. Returns the new
+    points and whether each one's numerators sum to its denominator: the
+    weights sum to 1, which holds exactly when p/q was the edge of eta on the
+    old weights.
+    """
+    d, a = w[..., :1], w[..., 1:]
+    q = np.asarray(q, dtype=object)
+    # a divisibility test, not a gcd: this costs one big-int division
+    g = np.where(d % q == 0, q, 1)
+    new = np.concatenate((d // g * (q * q - p * p), a * (q // g * (q - eta * p))), axis=-1)
+    new //= np.gcd.reduce(new, axis=-1, keepdims=True)
+    return new, new[..., 1:].sum(axis=-1) == new[..., 0]
 
 
 def weight_update(w: WeightVector, eta: MistakeDichotomy, r: Scalar) -> WeightVector:
@@ -213,12 +265,13 @@ def weight_update(w: WeightVector, eta: MistakeDichotomy, r: Scalar) -> WeightVe
         raise PerfectClassification("edge reached 1; rational update undefined")
     if r <= 0:
         raise ValueError(f"invalid edge {r!r}: must be positive")
-    weights = w.as_array()
-    if not is_exact((r,)):  # a float edge makes a float update
-        weights = weights.astype(np.float64)
-    elif weights.dtype != object:
-        r = float(r)
-    new, _ = _update(weights, np.array(eta.entries, dtype=np.float64), r)
+    if is_exact(w) and is_exact((r,)):
+        point, _ = _lattice_update(_lattice_point(w), np.array(eta.entries, dtype=object), r.numerator, r.denominator)
+        d, *a = point.tolist()
+        return WeightVector(tuple(Fraction(x, d) for x in a))
+    # a float edge or float weights make a float update
+    weights = w.as_array().astype(np.float64)
+    new, _ = _update(weights, np.array(eta.entries, dtype=np.float64), float(r))
     return WeightVector(tuple(new.tolist()))
 
 
@@ -267,7 +320,7 @@ class _Steps(Sequence):
         step = self._built[t]
         if step is None:
             trace = self._trace
-            edge, *weights = trace.states[t].tolist()
+            edge, *weights = trace.state(t)
             step = self._built[t] = BoostStep(
                 t,
                 int(trace.rows[t]),
@@ -279,6 +332,43 @@ class _Steps(Sequence):
         return step
 
 
+def _fractions(ints: np.ndarray) -> np.ndarray:
+    """Exact states in integer form, (k, n+3) rows [p, q, D, a_1..a_n], as
+    (k, n+1) rows of Fractions [p/q, a_1/D, ..., a_n/D]."""
+    states = np.empty((len(ints), ints.shape[1] - 2), dtype=object)
+    for t, (p, q, d, *a) in enumerate(ints.tolist()):
+        states[t] = [Fraction(p, q), *(Fraction(x, d) for x in a)]
+    return states
+
+
+def _int_states(states: np.ndarray) -> np.ndarray:
+    """Exact states, (k, n+1) rows of an edge and weights as Fractions (or
+    ints), in integer form: rows [p, q, D, a_1..a_n]."""
+    ints = np.empty((len(states), states.shape[1] + 2), dtype=object)
+    for t, (r, *w) in enumerate(states.tolist()):
+        ints[t] = [r.numerator, r.denominator, *_lattice_point(w).tolist()]
+    return ints
+
+
+class _StatesField:
+    """The `states` field of BoostTrace, a dataclass field with a descriptor
+    as its default: float states are kept as given, and exact states, kept
+    in integer form as `int_states`, are built as Fractions when first read
+    (or kept as given, when a caller built the trace from Fractions)."""
+
+    def __get__(self, trace: Optional["BoostTrace"], owner=None) -> np.ndarray:
+        if trace is None:
+            raise AttributeError("states")  # no default: the field is required
+        states = trace.__dict__["_states"]
+        if states is None:
+            states = trace.__dict__["_states"] = _fractions(trace.int_states)
+            states.flags.writeable = False
+        return states
+
+    def __set__(self, trace: "BoostTrace", states: Optional[np.ndarray]) -> None:
+        trace.__dict__["_states"] = states
+
+
 @dataclass(frozen=True, eq=False)
 class BoostTrace:
     """Full record of a run, as three read-only columns over its T steps:
@@ -287,6 +377,15 @@ class BoostTrace:
     - signs: (T, n) int8, the chosen dichotomy (±1 per point);
     - states: (T, n+1), the edge followed by the weights after the step,
       float64 in float mode and an object array of Fractions in exact mode.
+
+    An exact trace keeps its states in integer form, `int_states`: a (T, n+3)
+    object array of Python ints whose row t is the edge as p, q in lowest
+    terms, then the weights as a lattice point [D, a_1..a_n] (see the module
+    docstring). Its `states` are built from them when first read. The
+    constructor takes exact states either as Fractions in `states`,
+    converted once here, or in integer form as `int_states` with `states`
+    None (as `from_columns` passes them); `states` wins when both are given,
+    as `dataclasses.replace` passes both.
 
     halt is None, or the reason the loop ended early. The constructor checks
     the columns' shapes and makes them read-only; the values are the
@@ -300,32 +399,64 @@ class BoostTrace:
     initial_weights: WeightVector
     rows: np.ndarray
     signs: np.ndarray
-    states: np.ndarray
+    states: np.ndarray = _StatesField()
     halt: Optional[str] = None
+    int_states: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, int_states: Optional[np.ndarray]) -> None:
         if self.mode not in ("exact", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        exact = self.mode == "exact"
         n = len(self.initial_weights)
+        states = self.__dict__["_states"]
         columns = {
-            "rows": (np.asarray(self.rows, dtype=np.int64), 1),
+            "rows": (np.asarray(self.rows, dtype=np.int64), None),
             "signs": (np.asarray(self.signs, dtype=np.int8), n),
-            "states": (np.asarray(self.states, dtype=object if self.mode == "exact" else np.float64), n + 1),
         }
+        if states is not None or not exact:
+            columns["states"] = (np.asarray(states, dtype=object if exact else np.float64), n + 1)
+        else:
+            columns["int_states"] = (np.asarray(int_states, dtype=object), n + 3)
         steps = len(columns["rows"][0])
         for name, (column, width) in columns.items():
-            shape = (steps,) if name == "rows" else (steps, width)
+            shape = (steps,) if width is None else (steps, width)
             if column.shape != shape:
                 raise DimensionMismatch(f"{name} has shape {column.shape}, expected {shape}")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        if exact and states is not None:
+            int_states = _int_states(self.states)
+            int_states.flags.writeable = False
+            object.__setattr__(self, "int_states", int_states)
+        elif not exact:
+            object.__setattr__(self, "int_states", None)
+
+    @classmethod
+    def from_columns(
+        cls,
+        mode: str,
+        pool: HypothesisPool,
+        rule: SelectionRule,
+        initial_weights: WeightVector,
+        rows: np.ndarray,
+        signs: np.ndarray,
+        states: np.ndarray,
+        halt: Optional[str] = None,
+    ) -> "BoostTrace":
+        """A trace from the columns the loop and the trace reader build:
+        exact states in integer form, float states as they are."""
+        if mode == "exact":
+            return cls(mode, pool, rule, initial_weights, rows, signs, None, halt, int_states=states)
+        return cls(mode, pool, rule, initial_weights, rows, signs, states, halt)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoostTrace):
             return NotImplemented
         header = (self.mode, self.pool, self.rule, self.initial_weights, self.halt)
+        # canonical integer forms are equal exactly when their values are
+        states = "int_states" if self.mode == "exact" else "states"
         return header == (other.mode, other.pool, other.rule, other.initial_weights, other.halt) and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in ("rows", "signs", "states")
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in ("rows", "signs", states)
         )
 
     def __len__(self) -> int:
@@ -336,14 +467,24 @@ class BoostTrace:
         """The steps as BoostSteps, each built when first read (see _Steps)."""
         return _Steps(self)
 
+    def state(self, t: int) -> Tuple[Scalar, ...]:
+        """Step t's state: its edge, then the weights after it. An exact
+        trace builds the Fractions of this row alone, unless `states` was
+        read already."""
+        if self.mode == "float" or self.__dict__["_states"] is not None:
+            return tuple(self.states[t].tolist())
+        return tuple(_fractions(self.int_states[[t]])[0].tolist())
+
     def edges(self) -> Tuple[Scalar, ...]:
-        return tuple(self.states[:, 0].tolist())
+        if self.mode == "float":
+            return tuple(self.states[:, 0].tolist())
+        return tuple(Fraction(p, q) for p, q in self.int_states[:, :2].tolist())
 
     def weights_before(self, t: int) -> WeightVector:
         """The weight vector the selection at iteration t saw."""
         if t == 0:
             return self.initial_weights
-        return WeightVector(tuple(self.states[t - 1, 1:].tolist()))
+        return WeightVector(self.state(t - 1)[1:])
 
     def lattice(self) -> MistakeLattice:
         if not len(self):
@@ -364,10 +505,14 @@ class BoostTrace:
     def state_matrix(self) -> np.ndarray:
         """Each step's state as a float64 row: the edge, then the weights
         after the step. The states column itself in float mode; exact values
-        are rounded to the nearest double."""
+        are rounded to the nearest double, by int true division of p by q and
+        of a_i by D (correctly rounded, as float(Fraction) is)."""
         if self.mode == "float":
             return self.states
-        states = self.states.astype(np.float64)
+        ints = self.int_states
+        states = np.empty((len(ints), ints.shape[1] - 2))
+        states[:, 0] = ints[:, 0] / ints[:, 1]
+        states[:, 1:] = ints[:, 3:] / ints[:, 2:3]
         states.flags.writeable = False
         return states
 
@@ -384,8 +529,9 @@ class BoostTrace:
 HALTS = (None, "weak_learning_failure", "perfect_classification")
 
 # Choose(weights, t) -> (row, signs, edge): one iteration's choice of a
-# dichotomy (its row index and its ±1 signs, in any numeric dtype) and its
-# edge on the weights.
+# dichotomy (its row index and its ±1 signs: float64 against float weights,
+# Python ints against a lattice point) and its edge on the weights (in exact
+# mode the edge's integer numerator over the point's denominator).
 Choose = Callable[[np.ndarray, int], Tuple[int, np.ndarray, Scalar]]
 
 
@@ -393,18 +539,20 @@ def boost(
     choose: Choose, initial: WeightVector, t_max: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[str]]:
     """The boosting loop: up to t_max iterations from the initial weights,
-    returning the trace's rows, signs and states columns and its halt.
+    returning the trace's rows, signs and states columns (exact states in
+    integer form, see BoostTrace) and its halt.
 
     Each iteration asks choose for a dichotomy and its edge, halts when
     choose raises WeakLearningFailure or the edge leaves (0, 1), and applies
-    the update kernel to the weight array. Exact weights must sum to exactly
-    1 after every update (they do when each edge is the true edge); float
-    weights are renormalised. Weights are validated as a WeightVector once,
-    after the last step: a float weight that underflows to 0, or turns NaN,
-    stays so, so the last vector shows it.
+    the update kernel to the weights. Exact weights are a lattice point whose
+    numerators must sum to its denominator after every update (they do when
+    each edge is the true edge); float weights are renormalised. Float
+    weights are validated as a WeightVector once, after the last step: a
+    weight that underflows to 0, or turns NaN, stays so, so the last vector
+    shows it. Exact weights stay positive by the arithmetic.
     """
-    w = initial.as_array()
-    exact = w.dtype == object
+    exact = is_exact(initial)
+    w = _lattice_point(initial) if exact else initial.as_array()
     rows, signs, edges, weights = [], [], [], []
     halt = None
     for t in range(t_max):
@@ -413,22 +561,35 @@ def boost(
         except WeakLearningFailure:
             halt = "weak_learning_failure"
             break
-        if r <= 0:
+        if exact:
+            g = math.gcd(r, w[0])
+            p, q = r // g, w[0] // g  # the edge s / D in lowest terms
+            low, high = p <= 0, p >= q
+        else:
+            low, high = r <= 0, r >= 1
+        if low:
             halt = "weak_learning_failure"
             break
-        if r >= 1:
+        if high:
             halt = "perfect_classification"
             break
-        w, total = _update(w, eta, r)
-        if exact and total != 1:
-            raise ValueError(f"exact weights sum to {total}, not 1")
+        if exact:
+            w, consistent = _lattice_update(w, eta, p, q)
+            if not consistent:
+                raise ValueError(f"exact weights sum to {Fraction(w[1:].sum(), w[0])}, not 1")
+            r = (p, q)
+        else:
+            w, _ = _update(w, eta, r)
         rows.append(row)
         signs.append(eta)
         edges.append(r)
         weights.append(w)
+    n = len(initial)
     if not rows:
-        return np.empty(0, np.int64), np.empty((0, len(w)), np.int8), np.empty((0, len(w) + 1), w.dtype), halt
-    WeightVector(tuple(w.tolist()))
+        width = n + 3 if exact else n + 1
+        return np.empty(0, np.int64), np.empty((0, n), np.int8), np.empty((0, width), w.dtype), halt
+    if not exact:
+        WeightVector(tuple(w.tolist()))
     states = np.column_stack((np.array(edges, dtype=w.dtype), np.stack(weights)))
     return np.array(rows, dtype=np.int64), np.array(signs, dtype=np.int8), states, halt
 
@@ -442,10 +603,11 @@ def run(pool: HypothesisPool, rule: SelectionRule, t_max: int, mode: str = "exac
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     initial = uniform_weights(pool.n_points, mode)
-    signs = list(pool.matrix)  # one view per row, shared by the steps that choose it
+    # one row per dichotomy, shared by the steps that choose it
+    signs = list(pool.exact_signs if mode == "exact" else pool.matrix)
 
     def choose(w: np.ndarray, t: int) -> Tuple[int, np.ndarray, Scalar]:
         row, edge = _select(w, pool, rule, t)
         return row, signs[row], edge
 
-    return BoostTrace(mode, pool, rule, initial, *boost(choose, initial, t_max))
+    return BoostTrace.from_columns(mode, pool, rule, initial, *boost(choose, initial, t_max))

@@ -30,9 +30,15 @@ class FigureSpec:
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> Tuple[float, ...]:
-    if hi <= lo:
-        return (lo,)
+    """About target round values spanning [lo, hi], in increasing order.
+
+    A range narrower than the spacing of doubles at its values (the last
+    edges of a converged float run) has steps too small to move a double:
+    the ticks end where adding the step leaves the value unchanged, and a
+    value that rounds to the previous tick is not repeated."""
     raw = (hi - lo) / target
+    if hi <= lo or raw == 0:
+        return (lo,)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -43,7 +49,11 @@ def _ticks(lo: float, hi: float, target: int = 6) -> Tuple[float, ...]:
     ticks = []
     v = first
     while v <= hi + step * 1e-9:
-        ticks.append(round(v, 12))
+        tick = round(v, 12)
+        if not ticks or tick != ticks[-1]:
+            ticks.append(tick)
+        if v + step == v:
+            break
         v += step
     return tuple(ticks)
 

@@ -40,7 +40,6 @@ from .simplex import (
     MistakeDichotomy,
     Scalar,
     WeightVector,
-    _signed_sums,
     uniform_weights,
 )
 
@@ -372,11 +371,13 @@ def run_on_dataset(
     chosen: Dict[Tuple[int, ...], Tuple[int, MistakeDichotomy]] = {}  # entries -> (row, dichotomy)
 
     def choose(w: np.ndarray, t: int) -> Tuple[int, np.ndarray, Scalar]:
-        eta = dichotomy_of(train_tree(ds, w, max_depth, max_leaves), ds)
+        exact = w.dtype == object
+        # a lattice point's weights a_i / D, each correctly rounded
+        eta = dichotomy_of(train_tree(ds, w[1:] / w[0] if exact else w, max_depth, max_leaves), ds)
         row, _ = chosen.setdefault(eta.entries, (len(chosen), eta))
-        if w.dtype == object:
-            signs = np.array([eta.entries], dtype=np.int8)
-            return row, signs[0], _signed_sums(signs, w).tolist()[0]
+        if exact:
+            signs = np.array(eta.entries, dtype=object)
+            return row, signs, signs @ w[1:]  # the edge's numerator over D
         signs = np.array(eta.entries, dtype=np.float64)
         return row, signs, float(np.dot(w, signs))
 
@@ -385,4 +386,4 @@ def run_on_dataset(
     # halting step is not in the trace, unless no step was taken at all
     used = int(rows.max()) + 1 if len(rows) else 1
     pool = HypothesisPool(tuple(eta for _, eta in list(chosen.values())[:used]), origin="learned")
-    return BoostTrace(mode, pool, Optimal(), initial, rows, signs, states, halt)
+    return BoostTrace.from_columns(mode, pool, Optimal(), initial, rows, signs, states, halt)

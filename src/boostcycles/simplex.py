@@ -1,8 +1,10 @@
 """Core value types for weights over the probability simplex and ±1 dichotomies.
 
-Two numeric modes exist per run: "exact" keeps every weight and edge as a
-`fractions.Fraction`, "float" uses doubles. Modes are never mixed inside one
-trace; all types here are immutable after construction.
+Two numeric modes exist per run: "exact" keeps every weight and edge an exact
+rational (a `fractions.Fraction` in these value types; the engine's loop and a
+trace hold them as integers over a common denominator), "float" uses doubles.
+Modes are never mixed inside one trace; all types here are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -170,6 +172,15 @@ class HypothesisPool:
         return signs
 
     @cached_property
+    def exact_signs(self) -> np.ndarray:
+        """The same matrix as Python ints (an object array), for exact
+        selection and updates on integer weights, where int8 products could
+        overflow."""
+        signs = self.signs.astype(object)
+        signs.flags.writeable = False
+        return signs
+
+    @cached_property
     def matrix(self) -> np.ndarray:
         """The same matrix in float64, for the float screen's matrix-vector
         product."""
@@ -213,8 +224,8 @@ def _signed_sums(signs: np.ndarray, w: np.ndarray) -> np.ndarray:
     matrix: against one weight vector, or row by row against a matrix of
     weight rows (float only).
 
-    Object (Fraction) weights are summed exactly, by an integer @ object
-    matrix product (the signs must be integers there). Float weights are
+    Object weights (Fractions, or the integer numerators of exact mode) are
+    summed exactly, by a matrix product (the signs must be integers there). Float weights are
     summed left to right (`np.add.accumulate`, as `np.cumsum` does), so each
     sum is bit-equal to Python's `sum` over the same terms; the products
     s_i * w_i are exact.

@@ -27,6 +27,14 @@ from the stored values. A `boostcycles-trace-v1` document, which stores the
 weights, `t`, `eta` and `alpha` of every step, is read by the same replay as
 a v2 document with a checkpoint on every step; its extra fields are checked.
 
+Exact values never pass through `Fraction` on the way in or out. The reader
+parses each `p/q` straight to a reduced pair of ints, turns stored weights
+into lattice points (integer numerators over their least common
+denominator), and replays with the engine's integer kernel; the writer
+reduces a lattice point's numerators to `p/q` text only at checkpoints. A
+Fraction is built only for the message of a failing value, so the messages
+are those of the Fraction values the file holds.
+
 The writer reads the trace's columns, and the reader builds them. Reading
 takes two passes over the steps. The first reads the records into columns
 and checks each record on its own: its fields' types (a row is an int, a
@@ -43,6 +51,7 @@ then the edge and the update, then the stored weights.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress, count, repeat
@@ -58,6 +67,8 @@ from .engine import (
     FixedSequence,
     Optimal,
     SelectionRule,
+    _lattice_point,
+    _lattice_update,
     _update,
     alpha,
 )
@@ -103,17 +114,22 @@ class TraceFormatError(ValueError):
     """The document is not a valid trace file."""
 
 
-def _fraction_text(value: Fraction) -> str:
-    """`p/q` in decimal (`p` when q is 1), or in hexadecimal (`0x...`) when
-    a decimal form would pass the interpreter's limit on int-to-string
-    digits: binary bases are exempt from that limit, and the process-wide
-    limit is left as it is."""
+def _ratio_text(p: int, q: int) -> str:
+    """`p/q` in decimal (`p` when q is 1), as str(Fraction(p, q)) writes a
+    reduced p/q, or in hexadecimal (`0x...`) when a decimal form would pass
+    the interpreter's limit on int-to-string digits: binary bases are exempt
+    from that limit, and the process-wide limit is left as it is."""
     try:
-        return str(value)
+        return f"{p}/{q}" if q != 1 else str(p)
     except ValueError:
-        if value.denominator == 1:
-            return f"{value.numerator:#x}"
-        return f"{value.numerator:#x}/{value.denominator:#x}"
+        if q == 1:
+            return f"{p:#x}"
+        return f"{p:#x}/{q:#x}"
+
+
+def _fraction_text(value: Fraction) -> str:
+    """A Fraction as `_ratio_text` writes it."""
+    return _ratio_text(value.numerator, value.denominator)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -122,6 +138,29 @@ def _parse_fraction(text: str) -> Fraction:
         numerator, _, denominator = text.partition("/")
         return Fraction(int(numerator, 16), int(denominator, 16) if denominator else 1)
     return Fraction(text)
+
+
+def _is_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def _parse_ratio(value: Union[str, float, int]) -> Tuple[int, int]:
+    """An exact scalar of a trace file (a `p/q` string, or a JSON number) as
+    the reduced pair (p, q), q > 0: the value Fraction would read. A plain
+    decimal `p/q` or `p` is parsed by int and one gcd; anything else is left
+    to Fraction, which also raises the errors of malformed text."""
+    if type(value) is str:
+        numerator, slash, denominator = value.partition("/")
+        if _is_digits(numerator[1:] if numerator[:1] == "-" else numerator) and (
+            not slash or _is_digits(denominator) and denominator.strip("0")
+        ):
+            p, q = int(numerator), int(denominator) if slash else 1
+            g = math.gcd(p, q)
+            return p // g, q // g
+        value = _parse_fraction(value)
+    else:
+        value = Fraction(value)
+    return value.numerator, value.denominator
 
 
 def _encode_scalar(value: Scalar, mode: str) -> Union[str, float]:
@@ -163,14 +202,28 @@ def _decode_rule(doc: Dict[str, object]) -> SelectionRule:
     raise TraceFormatError(f"unknown rule kind {kind!r}")
 
 
+def _point_texts(point: List[int]) -> List[str]:
+    """A lattice point [D, a_1..a_n] as the `p/q` texts of its weights."""
+    d, *a = point
+    texts = []
+    for x in a:
+        g = math.gcd(x, d)
+        texts.append(_ratio_text(x // g, d // g))
+    return texts
+
+
 def trace_to_dict(trace: BoostTrace, provenance: Optional[Dict[str, object]] = None) -> Dict:
     mode = trace.mode
-    edge_key = "r_exact" if mode == "exact" else "r"
-    edges = [_encode_scalar(r, mode) for r in trace.states[:, 0].tolist()]
-    steps = [{"row": row, edge_key: r} for row, r in zip(trace.rows.tolist(), edges)]
+    exact = mode == "exact"
+    if exact:
+        ints = trace.int_states
+        edges = [_ratio_text(p, q) for p, q in ints[:, :2].tolist()]
+    else:
+        edges = trace.states[:, 0].tolist()
+    steps = [{"row": row, "r_exact" if exact else "r": r} for row, r in zip(trace.rows.tolist(), edges)]
     if steps:
         for t in (*range(CHECKPOINT_EVERY - 1, len(steps) - 1, CHECKPOINT_EVERY), len(steps) - 1):
-            steps[t]["weights"] = [_encode_scalar(c, mode) for c in trace.states[t, 1:].tolist()]
+            steps[t]["weights"] = _point_texts(ints[t, 2:].tolist()) if exact else trace.states[t, 1:].tolist()
     doc = {
         "schema": TRACE_SCHEMA,
         "mode": mode,
@@ -223,6 +276,18 @@ def _is_double(value: object) -> bool:
     return type(value) is float or (type(value) is int and abs(value) < 2**1023)
 
 
+def _stored_point(values) -> np.ndarray:
+    """Stored exact weights as a lattice point [D, a_1..a_n], checked as a
+    WeightVector checks them (nonempty, positive, summing to 1); a failing
+    vector raises WeightVector's error."""
+    ratios = [_parse_ratio(c) for c in values]
+    d = math.lcm(*(q for _, q in ratios))
+    point = np.array([d, *(p * (d // q) for p, q in ratios)], dtype=object)
+    if not ratios or min(p for p, _ in ratios) <= 0 or point[1:].sum() != d:
+        WeightVector(tuple(Fraction(p, q) for p, q in ratios))
+    return point
+
+
 def _read_steps(
     records: List, pool: HypothesisPool, mode: str, found: _FirstFailure
 ) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
@@ -269,26 +334,29 @@ def _read_steps(
         edges = []
         for t, value in enumerate(raw):
             try:
-                edges.append(_decode_scalar(value, mode))
+                edges.append(_parse_ratio(value))
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 found.fail(t, f"step {t}: edge {value!r} is not a number ({exc})")
                 break
-        edge_column = np.empty(len(edges), dtype=object)
-        edge_column[:] = edges
+        t = _first(edges, lambda edge: 0 < edge[0] < edge[1])
+        if t is not None:
+            found.fail(t, f"step {t}: edge {Fraction(*edges[t])} outside (0, 1)")
+        # (steps, 2) rows [p, q]
+        edge_column = np.array(edges, dtype=object).reshape(len(edges), 2)
     else:
         t = None if set(map(type, raw)) <= {float} else _first(raw, _is_double)
         if t is not None:
             found.fail(t, f"step {t}: edge {raw[t]!r} is not a number")
         edge_column = np.array(raw[: found.limit], dtype=np.float64)
-    outside = np.flatnonzero(~((edge_column > 0) & (edge_column < 1)))
-    if outside.size:
-        t = int(outside[0])
-        found.fail(t, f"step {t}: edge {edge_column[t]} outside (0, 1)")
+        outside = np.flatnonzero(~((edge_column > 0) & (edge_column < 1)))
+        if outside.size:
+            t = int(outside[0])
+            found.fail(t, f"step {t}: edge {edge_column[t]} outside (0, 1)")
 
     if "alpha" in keys:
         for t, rec in enumerate(records[: found.limit]):
             if "alpha" in rec:
-                a = alpha(edge_column[t])
+                a = alpha(Fraction(*edge_column[t]) if exact else edge_column[t])
                 if abs(float(rec["alpha"]) - a) > ALPHA_REL_TOL * a:
                     found.fail(t, f"step {t}: alpha {rec['alpha']!r} is not alpha(r) = {a!r}")
                     break
@@ -297,14 +365,18 @@ def _read_steps(
     checkpoints: Dict[int, np.ndarray] = {}
     for t in compress(count(), map(dict.__contains__, records[: found.limit], repeat("weights"))):
         try:
-            stored = WeightVector(tuple(_decode_scalar(c, mode) for c in records[t]["weights"]))
+            if exact:
+                stored = _stored_point(records[t]["weights"])
+            else:
+                stored = WeightVector(tuple(_decode_scalar(c, mode) for c in records[t]["weights"])).as_array()
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             found.fail(t, f"step {t}: stored weights: {exc}", at_checkpoint=True)
             break
-        if len(stored) != n:
-            found.fail(t, f"step {t}: weights have {len(stored)} components, pool rows {n}", at_checkpoint=True)
+        components = len(stored) - 1 if exact else len(stored)  # a lattice point leads with D
+        if components != n:
+            found.fail(t, f"step {t}: weights have {components} components, pool rows {n}", at_checkpoint=True)
             break
-        checkpoints[t] = stored.as_array()
+        checkpoints[t] = stored
 
     stop = found.limit + found.at_checkpoint
     return np.array(rows[:stop], dtype=np.int64), edge_column[:stop], checkpoints
@@ -320,6 +392,10 @@ def _replay(
     """Rebuild the weights after every step by the update kernel, and check
     the steps against them; returns the states column and the first
     failure (None if there is none).
+
+    Float weights are float64 rows and float edges a float64 column. Exact
+    weights are lattice points, exact edges (steps, 2) rows [p, q], and the
+    states column comes back in integer form (see BoostTrace).
 
     The steps are cut into segments, each starting at the initial weights or
     at a checkpoint's stored weights, and all segments advance together,
@@ -346,10 +422,12 @@ def _replay(
     for length, start in segments:
         if start + length - 1 in checkpoints:
             ends.setdefault(length - 1, []).append(start + length - 1)
-    if not exact:
-        signs = signs.astype(np.float64)  # converted once, not at every offset
-    states = np.empty((steps, n + 1), dtype=initial.dtype)
-    states[:, 0] = edges
+    # converted once, not at every offset: Python ints for the integer kernel
+    signs = signs.astype(object if exact else np.float64)
+    # a state row holds the edge (p and q in exact mode), then the weights
+    e = 2 if exact else 1
+    states = np.empty((steps, e + w.shape[-1]), dtype=initial.dtype)
+    states[:, :e] = edges.reshape(steps, e)
     first: Optional[Tuple[int, str]] = None
 
     def fail(failed: np.ndarray, message: Callable[[int], str]) -> None:
@@ -362,7 +440,14 @@ def _replay(
     for j, live in enumerate(running):
         t = starts[:live] + j
         eta, r, w = signs[t], edges[t], w[:live]
-        if not exact:
+        if exact:
+            w, consistent = _lattice_update(w, eta, r[:, :1], r[:, 1:])
+            if not consistent.all():
+                fail(t[~consistent], lambda step: (
+                    f"step {step}: edge {Fraction(*edges[step])} is not the edge of row {rows[step]} on the "
+                    "replayed weights"
+                ))
+        else:
             replayed = _signed_sums(eta, w)
             bad = np.abs(replayed - r) > SCREEN_MARGIN * n + _replay_drift(j, n)
             if bad.any():
@@ -371,19 +456,14 @@ def _replay(
                     f"step {step}: edge {edges[step].item()!r} is not the edge of row {rows[step]} on the "
                     f"replayed weights ({edge_of[step]!r})"
                 ))
-        w, totals = _update(w, eta, r[:, None])
-        if exact:
-            bad = totals != 1
-            if bad.any():
-                fail(t[bad], lambda step: (
-                    f"step {step}: edge {edges[step]} is not the edge of row {rows[step]} on the replayed weights"
-                ))
-        states[t, 1:] = w
+            w, _ = _update(w, eta, r[:, None])
+        states[t, e:] = w
         stored = ends.get(j)
         if stored:
-            replayed = states[stored, 1:]
+            replayed = states[stored, e:]
             expected = np.stack([checkpoints[u] for u in stored])
             if exact:
+                # canonical lattice points are equal exactly when their weights are
                 matches = (replayed == expected).all(axis=1)
             else:
                 matches = (np.abs(replayed - expected) <= _replay_drift(j + 1, n) * expected).all(axis=1)
@@ -392,8 +472,16 @@ def _replay(
                     np.array(stored)[~matches],
                     lambda step: f"step {step}: stored weights do not match the replayed update",
                 )
-            states[stored, 1:] = expected
+            states[stored, e:] = expected
     return states, None if first is None else TraceFormatError(first[1])
+
+
+def _header_field(doc: Dict, key: str, kind: type):
+    """doc[key], which must be a JSON object (kind dict) or array (list)."""
+    value = doc[key]
+    if type(value) is not kind:
+        raise TraceFormatError(f"{key} is not a JSON {'object' if kind is dict else 'array'}")
+    return value
 
 
 def trace_from_dict(doc: Dict) -> BoostTrace:
@@ -404,13 +492,14 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
     mode = doc["mode"]
     if mode not in ("exact", "float"):
         raise TraceFormatError(f"unknown mode {mode!r}")
-    pool = HypothesisPool(
-        tuple(MistakeDichotomy.from_string(r) for r in doc["pool"]["rows"]),
-        origin=doc["pool"].get("origin", "synthetic"),
-    )
-    rule = _decode_rule(doc["rule"])
+    pool_doc = _header_field(doc, "pool", dict)
+    lines = _header_field(pool_doc, "rows", list)
+    if not set(map(type, lines)) <= {str}:
+        raise TraceFormatError(f"pool row {next(r for r in lines if type(r) is not str)!r} is not a string")
+    pool = HypothesisPool(tuple(map(MistakeDichotomy.from_string, lines)), origin=pool_doc.get("origin", "synthetic"))
+    rule = _decode_rule(_header_field(doc, "rule", dict))
     n = pool.n_points
-    initial = WeightVector(tuple(_decode_scalar(c, mode) for c in doc["initial_weights"]))
+    initial = WeightVector(tuple(_decode_scalar(c, mode) for c in _header_field(doc, "initial_weights", list)))
     if len(initial) != n:
         raise TraceFormatError(f"initial_weights has {len(initial)} components, pool rows {n}")
     halt = doc.get("halt")
@@ -424,12 +513,13 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
     found = _FirstFailure(len(records))
     rows, edges, checkpoints = _read_steps(records, pool, mode, found)
     signs = pool.signs[rows]
-    states, failure = _replay(initial.as_array(), rows, signs, edges, checkpoints)
+    start = _lattice_point(initial) if mode == "exact" else initial.as_array()
+    states, failure = _replay(start, rows, signs, edges, checkpoints)
     if failure is not None:
         raise failure
     if found.error is not None:
         raise found.error
-    return BoostTrace(mode, pool, rule, initial, rows, signs, states, halt)
+    return BoostTrace.from_columns(mode, pool, rule, initial, rows, signs, states, halt)
 
 
 # Step records encoded per json call. One call for a 5000-step trace makes

@@ -3,11 +3,17 @@ fuzzed trace corpora used by the identity checks and the acceptance gate."""
 
 from __future__ import annotations
 
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import boostcycles
 from boostcycles import (
     FirstAbove,
     FixedSequence,
@@ -103,3 +109,32 @@ def fuzz_float_cycles(pool3):
             found.append((trace, report))
     assert len(found) >= 10
     return found
+
+
+def _limit_address_space() -> None:
+    """Cap a child process at 2 GB of address space, so that a runaway
+    loop fails in the child instead of exhausting the host's memory."""
+    limit = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Run Python source in a child interpreter that imports this checkout's
+    boostcycles, under a time limit and an address-space cap; returns the
+    CompletedProcess (stdout and stderr as text)."""
+    src = str(Path(boostcycles.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+
+    def run(source: str, cwd: Path, timeout: float = 120) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", source],
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+            cwd=cwd,
+            env=env,
+            preexec_fn=_limit_address_space,
+        )
+
+    return run

@@ -48,3 +48,37 @@ def test_empty_rejected():
 def test_axis_labels_and_title():
     svg = render_line_chart(spec_with([(0, 1.0), (5, 2.0)]))
     assert ">edges<" in svg and ">iteration<" in svg and ">edge<" in svg
+
+
+def test_ticks_below_the_spacing_of_doubles(run_python, tmp_path):
+    # a range one double wide: the step cannot move the value, and the
+    # ticks end instead of repeating one value until memory runs out (in a
+    # child process under time and memory limits, so that a regression
+    # fails here rather than hangs)
+    done = run_python(
+        "import math\n"
+        "from boostcycles.figures import _ticks\n"
+        "x = 0.6180339887498949\n"
+        "print(_ticks(x, math.nextafter(x, 1)), _ticks(x, x + 1e-15), _ticks(0.3, 0.7))\n",
+        tmp_path,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "(0.61803398875,) (0.61803398875,) (0.3, 0.4, 0.5, 0.6, 0.7)\n"
+
+
+def test_plot_of_a_converged_float_run(run_python, tmp_path):
+    # the last 50 edges of a 5000-step float run on the 3-point pool differ
+    # by about 1e-16, and plotting them ends
+    (tmp_path / "p3.pool").write_text("-++\n+-+\n++-\n")
+    done = run_python(
+        "import sys\n"
+        "from boostcycles.cli import main\n"
+        "sys.exit(main(['run', '--pool', 'p3.pool', '--rule', 'optimal', '--iters', '5000', '--mode', 'float',"
+        " '--out', 't.json']) or main(['plot', 't.json', '--out', 'p.svg', '--last', '50']))\n",
+        tmp_path,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    svg = (tmp_path / "p.svg").read_text()
+    assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")

@@ -169,6 +169,31 @@ class TestTraceErrors:
         with pytest.raises(TraceFormatError, match="mode"):
             loads_trace(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("rule", "optimal", "rule is not a JSON object"),
+            ("rule", ["optimal"], "rule is not a JSON object"),
+            ("pool", {"rows": [1, 2]}, "pool row 1 is not a string"),
+            ("pool", {"rows": "++-"}, "rows is not a JSON array"),
+            ("pool", ["++-", "+-+"], "pool is not a JSON object"),
+            ("initial_weights", "1/3", "initial_weights is not a JSON array"),
+            ("initial_weights", {"1/3": 1}, "initial_weights is not a JSON array"),
+            ("initial_weights", 1, "initial_weights is not a JSON array"),
+        ],
+    )
+    def test_header_field_of_the_wrong_type(self, pool3, tmp_path, capsys, field, value, message):
+        # a header field of the wrong JSON type is a malformed trace (exit 4),
+        # never a traceback
+        doc = json.loads(dumps_trace(run(pool3, Optimal(), 5, "exact")))
+        doc[field] = value
+        with pytest.raises(TraceFormatError, match=message):
+            loads_trace(json.dumps(doc))
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 4
+        assert message in capsys.readouterr().err
+
 
 class TestHugeFractions:
     """Past the interpreter's 4300-digit limit on int-to-str conversion,
