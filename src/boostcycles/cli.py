@@ -72,7 +72,8 @@ def _parse_rule(text: str, mode: str):
             theta = Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad threshold {raw!r}")
-        return FirstAbove(theta if mode == "exact" else float(theta))
+        rule = FirstAbove(theta)  # the range check, before a float could overflow
+        return rule if mode == "exact" else FirstAbove(float(theta))
     if text.startswith("fixed:"):
         raw = text.split(":", 1)[1]
         try:
@@ -345,7 +346,7 @@ def cmd_plot(args, parser) -> int:
         else:
             try:
                 refs.append((float(Fraction(ref)), ref))
-            except (ValueError, ZeroDivisionError):
+            except (ValueError, ZeroDivisionError, OverflowError):
                 parser.error(f"bad reference value {ref!r}")
     save_figure(
         FigureSpec(

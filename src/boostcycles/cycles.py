@@ -199,14 +199,13 @@ def transition_groups(trace: BoostTrace) -> TransitionGroups:
     """The groups of every transition, from the trace's columns."""
     if len(trace) < 2:
         raise ValueError("need at least 2 steps")
-    signs = trace.signs
+    signs, states = trace.signs, trace.states
     if trace.mode == "exact":
-        ints = trace.int_states
-        w_prev = np.vstack((_lattice_point(trace.initial_weights), ints[:-2, 2:]))
-        edges = ints[:, :2]
+        w_prev = np.vstack((_lattice_point(trace.initial_weights), states[:-2, 2:]))
+        edges = states[:, :2]
     else:
-        w_prev = np.vstack((trace.initial_weights.as_array(), trace.states[:-2, 1:]))
-        edges = trace.states[:, 0]
+        w_prev = np.vstack((trace.initial_weights.as_array(), states[:-2, 1:]))
+        edges = states[:, 0]
     return TransitionGroups(
         j_minus=trace.repeated_mistakes,
         was_right=signs[:-1] > 0,
@@ -480,8 +479,8 @@ def detect_cycle(
         # equal states round to equal doubles: screen on those, then
         # confirm with exact equality
         screened = np.flatnonzero((tail[:-1] == tail[-1]).all(axis=1)) + burn_in
-        last = trace.int_states[-1].tolist()
-        hits = [t for t in screened.tolist() if trace.int_states[t].tolist() == last]
+        last = trace.states[-1].tolist()
+        hits = [t for t in screened.tolist() if trace.states[t].tolist() == last]
     candidates = set(range(1, min(k_max, 64) + 1))
     candidates.update(n_steps - 1 - t for t in hits)
 

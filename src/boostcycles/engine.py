@@ -25,8 +25,8 @@ gcd. The update is
 
 brought back to canonical form by one multi-argument gcd; the weights sum to
 exactly 1 when the new numerators sum to the new denominator. No Fraction is
-built per step: a trace keeps its exact states in this integer form and
-builds Fractions only when they are read.
+built per step: a trace's exact `states` column holds this integer form, and
+Fractions are built only when values are read from it.
 
 One loop, `boost`, runs both pool selection (`run`) and the tree learner
 (`learners.run_on_dataset`); they differ only in the `choose` function that
@@ -44,11 +44,10 @@ built only when `BoostTrace.steps` is read.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -302,90 +301,19 @@ class BoostStep:
     weights_after: WeightVector
 
 
-class _Steps(Sequence):
-    """The steps of a trace as BoostSteps, each built from the columns when
-    it is first read and kept. A slice gives a tuple."""
-
-    def __init__(self, trace: "BoostTrace") -> None:
-        self._trace = trace
-        self._built: List[Optional[BoostStep]] = [None] * len(trace)
-
-    def __len__(self) -> int:
-        return len(self._built)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[t] for t in range(*index.indices(len(self))))
-        t = range(len(self))[index]  # normalises a negative index, raises IndexError
-        step = self._built[t]
-        if step is None:
-            trace = self._trace
-            edge, *weights = trace.state(t)
-            step = self._built[t] = BoostStep(
-                t,
-                int(trace.rows[t]),
-                MistakeDichotomy(tuple(trace.signs[t].tolist())),
-                edge,
-                alpha(edge),
-                WeightVector(tuple(weights)),
-            )
-        return step
-
-
-def _fractions(ints: np.ndarray) -> np.ndarray:
-    """Exact states in integer form, (k, n+3) rows [p, q, D, a_1..a_n], as
-    (k, n+1) rows of Fractions [p/q, a_1/D, ..., a_n/D]."""
-    states = np.empty((len(ints), ints.shape[1] - 2), dtype=object)
-    for t, (p, q, d, *a) in enumerate(ints.tolist()):
-        states[t] = [Fraction(p, q), *(Fraction(x, d) for x in a)]
-    return states
-
-
-def _int_states(states: np.ndarray) -> np.ndarray:
-    """Exact states, (k, n+1) rows of an edge and weights as Fractions (or
-    ints), in integer form: rows [p, q, D, a_1..a_n]."""
-    ints = np.empty((len(states), states.shape[1] + 2), dtype=object)
-    for t, (r, *w) in enumerate(states.tolist()):
-        ints[t] = [r.numerator, r.denominator, *_lattice_point(w).tolist()]
-    return ints
-
-
-class _StatesField:
-    """The `states` field of BoostTrace, a dataclass field with a descriptor
-    as its default: float states are kept as given, and exact states, kept
-    in integer form as `int_states`, are built as Fractions when first read
-    (or kept as given, when a caller built the trace from Fractions)."""
-
-    def __get__(self, trace: Optional["BoostTrace"], owner=None) -> np.ndarray:
-        if trace is None:
-            raise AttributeError("states")  # no default: the field is required
-        states = trace.__dict__["_states"]
-        if states is None:
-            states = trace.__dict__["_states"] = _fractions(trace.int_states)
-            states.flags.writeable = False
-        return states
-
-    def __set__(self, trace: "BoostTrace", states: Optional[np.ndarray]) -> None:
-        trace.__dict__["_states"] = states
-
-
 @dataclass(frozen=True, eq=False)
 class BoostTrace:
     """Full record of a run, as three read-only columns over its T steps:
 
     - rows: (T,) int64, the chosen row of the pool;
     - signs: (T, n) int8, the chosen dichotomy (±1 per point);
-    - states: (T, n+1), the edge followed by the weights after the step,
-      float64 in float mode and an object array of Fractions in exact mode.
+    - states: the edge, then the weights after the step. In float mode a
+      (T, n+1) float64 array; in exact mode a (T, n+3) object array of
+      Python ints whose row t is the edge as p, q in lowest terms, then the
+      weights as a lattice point [D, a_1..a_n] (see the module docstring).
 
-    An exact trace keeps its states in integer form, `int_states`: a (T, n+3)
-    object array of Python ints whose row t is the edge as p, q in lowest
-    terms, then the weights as a lattice point [D, a_1..a_n] (see the module
-    docstring). Its `states` are built from them when first read. The
-    constructor takes exact states either as Fractions in `states`,
-    converted once here, or in integer form as `int_states` with `states`
-    None (as `from_columns` passes them); `states` wins when both are given,
-    as `dataclasses.replace` passes both.
+    Exact values are read as Fractions through `state`, `edges`, `steps` and
+    `weights_before`, which build them from the integer rows they read.
 
     halt is None, or the reason the loop ended early. The constructor checks
     the columns' shapes and makes them read-only; the values are the
@@ -399,86 +327,61 @@ class BoostTrace:
     initial_weights: WeightVector
     rows: np.ndarray
     signs: np.ndarray
-    states: np.ndarray = _StatesField()
+    states: np.ndarray
     halt: Optional[str] = None
-    int_states: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self, int_states: Optional[np.ndarray]) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in ("exact", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
         exact = self.mode == "exact"
         n = len(self.initial_weights)
-        states = self.__dict__["_states"]
-        columns = {
-            "rows": (np.asarray(self.rows, dtype=np.int64), None),
-            "signs": (np.asarray(self.signs, dtype=np.int8), n),
-        }
-        if states is not None or not exact:
-            columns["states"] = (np.asarray(states, dtype=object if exact else np.float64), n + 1)
-        else:
-            columns["int_states"] = (np.asarray(int_states, dtype=object), n + 3)
-        steps = len(columns["rows"][0])
-        for name, (column, width) in columns.items():
-            shape = (steps,) if width is None else (steps, width)
+        steps = len(self.rows)
+        columns = (
+            ("rows", np.int64, (steps,)),
+            ("signs", np.int8, (steps, n)),
+            ("states", object if exact else np.float64, (steps, n + 3 if exact else n + 1)),
+        )
+        for name, dtype, shape in columns:
+            column = np.asarray(getattr(self, name), dtype=dtype)
             if column.shape != shape:
                 raise DimensionMismatch(f"{name} has shape {column.shape}, expected {shape}")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        if exact and states is not None:
-            int_states = _int_states(self.states)
-            int_states.flags.writeable = False
-            object.__setattr__(self, "int_states", int_states)
-        elif not exact:
-            object.__setattr__(self, "int_states", None)
-
-    @classmethod
-    def from_columns(
-        cls,
-        mode: str,
-        pool: HypothesisPool,
-        rule: SelectionRule,
-        initial_weights: WeightVector,
-        rows: np.ndarray,
-        signs: np.ndarray,
-        states: np.ndarray,
-        halt: Optional[str] = None,
-    ) -> "BoostTrace":
-        """A trace from the columns the loop and the trace reader build:
-        exact states in integer form, float states as they are."""
-        if mode == "exact":
-            return cls(mode, pool, rule, initial_weights, rows, signs, None, halt, int_states=states)
-        return cls(mode, pool, rule, initial_weights, rows, signs, states, halt)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoostTrace):
             return NotImplemented
         header = (self.mode, self.pool, self.rule, self.initial_weights, self.halt)
         # canonical integer forms are equal exactly when their values are
-        states = "int_states" if self.mode == "exact" else "states"
         return header == (other.mode, other.pool, other.rule, other.initial_weights, other.halt) and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in ("rows", "signs", states)
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in ("rows", "signs", "states")
         )
 
     def __len__(self) -> int:
         return len(self.rows)
 
     @cached_property
-    def steps(self) -> Sequence[BoostStep]:
-        """The steps as BoostSteps, each built when first read (see _Steps)."""
-        return _Steps(self)
+    def steps(self) -> Tuple[BoostStep, ...]:
+        """The steps as BoostSteps, built from the columns when first read."""
+        steps = []
+        for t, (row, signs) in enumerate(zip(self.rows.tolist(), self.signs.tolist())):
+            edge, *weights = self.state(t)
+            eta = MistakeDichotomy(tuple(signs))
+            steps.append(BoostStep(t, row, eta, edge, alpha(edge), WeightVector(tuple(weights))))
+        return tuple(steps)
 
     def state(self, t: int) -> Tuple[Scalar, ...]:
-        """Step t's state: its edge, then the weights after it. An exact
-        trace builds the Fractions of this row alone, unless `states` was
-        read already."""
-        if self.mode == "float" or self.__dict__["_states"] is not None:
+        """Step t's state: its edge, then the weights after it (Fractions in
+        exact mode, built from this row alone)."""
+        if self.mode == "float":
             return tuple(self.states[t].tolist())
-        return tuple(_fractions(self.int_states[[t]])[0].tolist())
+        p, q, d, *a = self.states[t].tolist()
+        return (Fraction(p, q), *(Fraction(x, d) for x in a))
 
     def edges(self) -> Tuple[Scalar, ...]:
         if self.mode == "float":
             return tuple(self.states[:, 0].tolist())
-        return tuple(Fraction(p, q) for p, q in self.int_states[:, :2].tolist())
+        return tuple(Fraction(p, q) for p, q in self.states[:, :2].tolist())
 
     def weights_before(self, t: int) -> WeightVector:
         """The weight vector the selection at iteration t saw."""
@@ -495,12 +398,6 @@ class BoostTrace:
     # first use and kept for the trace's lifetime, so every check on one
     # trace reads the same arrays. They are read-only.
 
-    @property
-    def sign_matrix(self) -> np.ndarray:
-        """The chosen dichotomies as a (steps x points) int8 matrix of ±1:
-        the signs column."""
-        return self.signs
-
     @cached_property
     def state_matrix(self) -> np.ndarray:
         """Each step's state as a float64 row: the edge, then the weights
@@ -509,7 +406,7 @@ class BoostTrace:
         of a_i by D (correctly rounded, as float(Fraction) is)."""
         if self.mode == "float":
             return self.states
-        ints = self.int_states
+        ints = self.states
         states = np.empty((len(ints), ints.shape[1] - 2))
         states[:, 0] = ints[:, 0] / ints[:, 1]
         states[:, 1:] = ints[:, 3:] / ints[:, 2:3]
@@ -610,4 +507,4 @@ def run(pool: HypothesisPool, rule: SelectionRule, t_max: int, mode: str = "exac
         row, edge = _select(w, pool, rule, t)
         return row, signs[row], edge
 
-    return BoostTrace.from_columns(mode, pool, rule, initial, *boost(choose, initial, t_max))
+    return BoostTrace(mode, pool, rule, initial, *boost(choose, initial, t_max))

@@ -386,4 +386,4 @@ def run_on_dataset(
     # halting step is not in the trace, unless no step was taken at all
     used = int(rows.max()) + 1 if len(rows) else 1
     pool = HypothesisPool(tuple(eta for _, eta in list(chosen.values())[:used]), origin="learned")
-    return BoostTrace.from_columns(mode, pool, Optimal(), initial, rows, signs, states, halt)
+    return BoostTrace(mode, pool, Optimal(), initial, rows, signs, states, halt)

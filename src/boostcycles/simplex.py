@@ -72,9 +72,6 @@ class WeightVector:
     def __iter__(self) -> Iterator[Scalar]:
         return iter(self.components)
 
-    def as_floats(self) -> Tuple[float, ...]:
-        return tuple(float(c) for c in self.components)
-
     def as_array(self) -> np.ndarray:
         """The components as a float64 array, or in exact mode as an object
         array of the Fractions themselves."""

@@ -215,15 +215,15 @@ def _point_texts(point: List[int]) -> List[str]:
 def trace_to_dict(trace: BoostTrace, provenance: Optional[Dict[str, object]] = None) -> Dict:
     mode = trace.mode
     exact = mode == "exact"
+    states = trace.states
     if exact:
-        ints = trace.int_states
-        edges = [_ratio_text(p, q) for p, q in ints[:, :2].tolist()]
+        edges = [_ratio_text(p, q) for p, q in states[:, :2].tolist()]
     else:
-        edges = trace.states[:, 0].tolist()
+        edges = states[:, 0].tolist()
     steps = [{"row": row, "r_exact" if exact else "r": r} for row, r in zip(trace.rows.tolist(), edges)]
     if steps:
         for t in (*range(CHECKPOINT_EVERY - 1, len(steps) - 1, CHECKPOINT_EVERY), len(steps) - 1):
-            steps[t]["weights"] = _point_texts(ints[t, 2:].tolist()) if exact else trace.states[t, 1:].tolist()
+            steps[t]["weights"] = _point_texts(states[t, 2:].tolist()) if exact else states[t, 1:].tolist()
     doc = {
         "schema": TRACE_SCHEMA,
         "mode": mode,
@@ -519,7 +519,7 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
         raise failure
     if found.error is not None:
         raise found.error
-    return BoostTrace.from_columns(mode, pool, rule, initial, rows, signs, states, halt)
+    return BoostTrace(mode, pool, rule, initial, rows, signs, states, halt)
 
 
 # Step records encoded per json call. One call for a 5000-step trace makes
@@ -548,6 +548,8 @@ def loads_trace(text: str) -> BoostTrace:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise TraceFormatError("JSON nested too deeply to read") from exc
     if not isinstance(doc, dict):
         raise TraceFormatError("trace document must be a JSON object")
     try:
@@ -563,41 +565,35 @@ def save_trace(trace: BoostTrace, path: str, provenance: Optional[Dict] = None) 
         fh.write(dumps_trace(trace, provenance))
 
 
+def _read_text(path: str) -> str:
+    """The text of a file; bytes that do not decode are a TraceFormatError."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from exc
+
+
 def load_trace(path: str) -> BoostTrace:
-    with open(path) as fh:
-        return loads_trace(fh.read())
-
-
-def trace_provenance(path: str) -> Dict[str, object]:
-    """The provenance block of a trace file (not part of the BoostTrace value)."""
-    with open(path) as fh:
-        doc = json.loads(fh.read())
-    return doc.get("provenance", {})
+    return loads_trace(_read_text(path))
 
 
 def load_pool(path: str) -> HypothesisPool:
     """Read a pool file: one '+--+' line per dichotomy, blank lines and
     #-comments ignored."""
     rows: List[MistakeDichotomy] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                rows.append(MistakeDichotomy.from_string(text))
-            except ValueError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
-            if len(rows[-1]) != len(rows[0]):
-                raise TraceFormatError(
-                    f"{path}:{lineno}: row has {len(rows[-1])} points, the first row {len(rows[0])}"
-                )
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            rows.append(MistakeDichotomy.from_string(text))
+        except ValueError as exc:
+            raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
+        if len(rows[-1]) != len(rows[0]):
+            raise TraceFormatError(
+                f"{path}:{lineno}: row has {len(rows[-1])} points, the first row {len(rows[0])}"
+            )
     if not rows:
         raise TraceFormatError(f"{path}: no dichotomies found")
     return HypothesisPool(tuple(rows), origin="synthetic")
-
-
-def save_pool(pool: HypothesisPool, path: str) -> None:
-    with open(path, "w") as fh:
-        for row in pool.rows:
-            fh.write(row.to_string() + "\n")

@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import boostcycles
@@ -22,6 +23,7 @@ from boostcycles import (
     run,
 )
 from boostcycles.cycles import detect_cycle
+from boostcycles.engine import _lattice_point
 
 POOL3_ROWS = [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]
 
@@ -138,3 +140,20 @@ def run_python():
         )
 
     return run
+
+
+@pytest.fixture(scope="session")
+def lattice_states():
+    """Convert exact states written as Fractions, rows [r, w_1..w_n], to the
+    states column of an exact BoostTrace: (T, n+3) rows [p, q, D, a_1..a_n]
+    of Python ints, the edge in lowest terms and the weights as a lattice
+    point (`engine._lattice_point`)."""
+
+    def convert(states) -> np.ndarray:
+        states = np.asarray(states, dtype=object)
+        ints = np.empty((len(states), states.shape[1] + 2), dtype=object)
+        for t, (r, *w) in enumerate(states.tolist()):
+            ints[t] = [r.numerator, r.denominator, *_lattice_point(w).tolist()]
+        return ints
+
+    return convert

@@ -422,13 +422,17 @@ class TestNamedTraces:
                 assert_same_checks(trace, 1e-300, (name, 1e-300))
                 assert_same_checks(trace, 1e-300, (name, 1e-300, 2), min_repeats=2)
 
-    def test_failure_past_the_first_block(self, named_traces):
+    def test_failure_past_the_first_block(self, named_traces, lattice_states):
         # a wrong recorded edge breaks the identities at the next transition,
         # here in a later block of transitions than the first
         for name, t, delta in (("golden exact 300", 280, Fraction(1, 10**6)), ("golden float 2000", 700, 1e-6)):
             trace = named_traces[name]
             states = trace.states.copy()
-            states[t, 0] += delta
+            if trace.mode == "exact":
+                edge, *weights = trace.state(t)
+                states[t] = lattice_states([(edge + delta, *weights)])[0]
+            else:
+                states[t, 0] += delta
             tampered = replace(trace, states=states)
             assert_same_checks(tampered, 1e-9, name)
             assert_same_edge_update(tampered, 1e-12, name)
@@ -469,6 +473,19 @@ class TestNamedTraces:
             report = detect_cycle(repeated)
             assert report.period == 70 and report.residual == 0.0, name
             assert_same_report(report, reference_detect_cycle(repeated), name)
+
+    def test_exact_confirmation_of_float_collisions(self, named_traces):
+        # the last state, moved by less than a double can show, collides with
+        # its earlier copies as doubles but not exactly: no period is proposed
+        repeated = take_steps(named_traces["golden exact 300"], np.tile(np.arange(69, -1, -1), 7))
+        assert detect_cycle(repeated).period == 70
+        states = repeated.states.copy()
+        states[-1, 2:] *= 2**200  # D and the a_i
+        states[-1, 3] += 1
+        states[-1, 4] -= 1
+        moved = replace(repeated, states=states)
+        assert np.array_equal(moved.state_matrix, repeated.state_matrix)
+        assert detect_cycle(moved) is None
 
     def test_float_group_masses(self, named_traces):
         for name, trace in named_traces.items():
@@ -607,8 +624,8 @@ class TestTinyTolerance:
 class TestSharedArrays:
     def test_arrays_built_once_and_read_only(self, golden_float):
         assert golden_float.state_matrix is golden_float.state_matrix
-        assert golden_float.sign_matrix is golden_float.sign_matrix
-        for array in (golden_float.state_matrix, golden_float.sign_matrix, golden_float.repeated_mistakes):
+        assert golden_float.signs is golden_float.signs
+        for array in (golden_float.state_matrix, golden_float.signs, golden_float.repeated_mistakes):
             assert not array.flags.writeable
 
     def test_matrices_match_steps(self, golden_exact):
@@ -616,12 +633,12 @@ class TestSharedArrays:
         for t, step in enumerate(golden_exact.steps):
             assert states[t, 0] == float(step.edge)
             assert states[t, 1:].tolist() == [float(c) for c in step.weights_after]
-            assert golden_exact.sign_matrix[t].tolist() == list(step.eta.entries)
+            assert golden_exact.signs[t].tolist() == list(step.eta.entries)
 
     def test_empty_trace(self, pool3):
         empty = take_steps(run(pool3, Optimal(), 3, "float"), [])
         assert empty.state_matrix.shape == (0, 4)
-        assert empty.sign_matrix.shape == (0, 3)
+        assert empty.signs.shape == (0, 3)
         report, results = analyze_trace(empty)
         assert report is None
         assert {r.name: r.detail for r in results} == {

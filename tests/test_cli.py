@@ -82,6 +82,19 @@ class TestRun:
         assert run_cli("run", "--pool", str(pool), "--iters", "5") == 4
         assert "bad.pool:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_threshold_beyond_a_double_usage_error(self, capsys, mode):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--pool", POOL3, "--rule", "first-above:1e400", "--iters", "5", "--mode", mode)
+        assert exc.value.code == 2
+        assert "threshold must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_non_utf8_pool_io_error(self, tmp_path, capsys):
+        pool = tmp_path / "latin1.pool"
+        pool.write_bytes(b"-++\n+\xe9+\n")
+        assert run_cli("run", "--pool", str(pool), "--iters", "5") == 4
+        assert "latin1.pool" in capsys.readouterr().err
+
     def test_non_numeric_dataset_column_io_error(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
         csv.write_text("x,color,label\n1.0,red,a\n2.0,blue,b\n3.0,red,a\n")
@@ -127,10 +140,10 @@ class TestRun:
         run_cli("run", "--pool", POOL3, "--rule", "optimal", "--iters", "25",
                 "--mode", "exact", "--out", str(path))
         trace = load_trace(str(path))
-        from boostcycles.traceio import save_trace, trace_provenance
+        from boostcycles.traceio import save_trace
 
         path2 = tmp_path / "copy.json"
-        save_trace(trace, str(path2), trace_provenance(str(path)))
+        save_trace(trace, str(path2), json.loads(path.read_text())["provenance"])
         assert path2.read_bytes() == path.read_bytes()
 
 
@@ -251,6 +264,20 @@ class TestAnalyze:
         path = tmp_path / "garbage.json"
         path.write_text("{]")
         assert run_cli("analyze", str(path)) == 4
+
+    @pytest.mark.parametrize("command", ["analyze", "plot"])
+    def test_non_utf8_trace_io_error(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"schema": "\xff"}')
+        options = ["--out", str(tmp_path / "f.svg")] if command == "plot" else []
+        assert run_cli(command, str(path), *options) == 4
+        assert "latin1.json" in capsys.readouterr().err
+
+    def test_deeply_nested_trace_io_error(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200000)
+        assert run_cli("analyze", str(path)) == 4
+        assert "nested too deeply" in capsys.readouterr().err
 
     def test_initial_weights_wider_than_pool_io_error(self, golden_trace_file):
         with open(golden_trace_file) as fh:
@@ -380,6 +407,12 @@ class TestPlot:
             run_cli("plot", golden_trace_file, "--out", str(tmp_path / "f.svg"), "--ref", "gold")
         assert exc.value.code == 2
 
+    def test_ref_value_beyond_a_double(self, golden_trace_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("plot", golden_trace_file, "--out", str(tmp_path / "f.svg"), "--ref", "1e400")
+        assert exc.value.code == 2
+        assert "bad reference value '1e400'" in capsys.readouterr().err
+
 
 class TestTinyTolerance:
     """A tol so small that tol / 10 overflows the collision keys (or is 0)
@@ -419,7 +452,7 @@ class TestHugeExactNumbers:
     POOL7 = "-+--+--\n--+-+--\n+--+-++\n---+-+-\n-++++++\n-----+-\n++-+--+\n-+++++-\n++++-+-\n+-++--+\n++-+---\n"
 
     def test_run_analyze_round_trip(self, tmp_path, capsys):
-        from boostcycles.traceio import dumps_trace, loads_trace, trace_provenance
+        from boostcycles.traceio import dumps_trace, loads_trace
 
         pool = tmp_path / "p7.pool"
         pool.write_text(self.POOL7)
@@ -435,7 +468,7 @@ class TestHugeExactNumbers:
         assert any(w.startswith("0x") for w in doc["steps"][-1]["weights"])
         assert run_cli("analyze", str(path)) == 0
         trace = loads_trace(text)
-        assert dumps_trace(trace, trace_provenance(str(path))) == text
+        assert dumps_trace(trace, doc["provenance"]) == text
         assert len(str(trace.steps[0].edge)) < 10 and trace.steps[-1].edge.denominator.bit_length() > 14300
 
 

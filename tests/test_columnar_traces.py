@@ -39,6 +39,7 @@ from boostcycles import (
 )
 from boostcycles.cli import main
 from boostcycles.engine import BoostStep, PerfectClassification, WeakLearningFailure
+from boostcycles.simplex import DimensionMismatch
 from boostcycles.traceio import (
     ALPHA_REL_TOL,
     CHECKPOINT_EVERY,
@@ -106,17 +107,19 @@ def reference_weight_update(w, eta, r):
     return WeightVector(new)
 
 
-def from_steps(mode, pool, rule, initial, steps, halt):
+def from_steps(mode, pool, rule, initial, steps, halt, lattice_states):
     """A columnar trace holding the reference's BoostSteps."""
     states = np.empty((len(steps), len(initial) + 1), dtype=object if mode == "exact" else np.float64)
     for t, s in enumerate(steps):
         states[t] = (s.edge, *s.weights_after)
+    if mode == "exact":
+        states = lattice_states(states)
     rows = np.array([s.row for s in steps], dtype=np.int64)
     signs = np.array([s.eta.entries for s in steps], dtype=np.int8).reshape(len(steps), len(initial))
     return BoostTrace(mode, pool, rule, initial, rows, signs, states, halt)
 
 
-def reference_run(pool, rule, t_max, mode):
+def reference_run(pool, rule, t_max, mode, lattice_states):
     w = initial = uniform_weights(pool.n_points, mode)
     steps, halt = [], None
     for t in range(t_max):
@@ -133,10 +136,10 @@ def reference_run(pool, rule, t_max, mode):
             break
         w = reference_weight_update(w, eta, r)
         steps.append(BoostStep(t, row, eta, r, alpha(r), w))
-    return steps, from_steps(mode, pool, rule, initial, steps, halt)
+    return steps, from_steps(mode, pool, rule, initial, steps, halt, lattice_states)
 
 
-def reference_run_on_dataset(ds, max_depth, max_leaves, t_max, mode="float"):
+def reference_run_on_dataset(ds, max_depth, max_leaves, t_max, mode, lattice_states):
     w = initial = uniform_weights(ds.n, mode)
     row_of, pool_rows, steps, halt = {}, [], [], None
     for t in range(t_max):
@@ -160,7 +163,7 @@ def reference_run_on_dataset(ds, max_depth, max_leaves, t_max, mode="float"):
     if not pool_rows:
         pool_rows = [eta]
     pool = HypothesisPool(tuple(pool_rows), origin="learned")
-    return steps, from_steps(mode, pool, Optimal(), initial, steps, halt)
+    return steps, from_steps(mode, pool, Optimal(), initial, steps, halt, lattice_states)
 
 
 def reference_decode_scalar(value, mode):
@@ -169,7 +172,7 @@ def reference_decode_scalar(value, mode):
     return float(value)
 
 
-def reference_trace_from_dict(doc):
+def reference_trace_from_dict(doc, lattice_states):
     if doc.get("schema") not in READABLE_SCHEMAS:
         raise TraceFormatError(f"unsupported schema {doc.get('schema')!r}")
     mode = doc["mode"]
@@ -235,13 +238,13 @@ def reference_trace_from_dict(doc):
                 raise TraceFormatError(f"step {t}: stored weights do not match the replayed update")
             w, since = stored, 0
         steps.append(BoostStep(t=t, row=row, eta=eta, edge=edge, alpha=a, weights_after=w))
-    return from_steps(mode, pool, rule, initial, steps, doc.get("halt"))
+    return from_steps(mode, pool, rule, initial, steps, doc.get("halt"), lattice_states)
 
 
-def reference_loads(text):
+def reference_loads(text, lattice_states):
     """reference_trace_from_dict with loads_trace's mapping of exceptions."""
     try:
-        return reference_trace_from_dict(json.loads(text))
+        return reference_trace_from_dict(json.loads(text), lattice_states)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         if isinstance(exc, TraceFormatError):
             raise
@@ -254,12 +257,12 @@ def t_max_of(trace):
     return len(trace) + (trace.halt is not None)
 
 
-def assert_same_run(trace):
-    steps, expected = reference_run(trace.pool, trace.rule, t_max_of(trace), trace.mode)
+def assert_same_run(trace, lattice_states):
+    steps, expected = reference_run(trace.pool, trace.rule, t_max_of(trace), trace.mode, lattice_states)
     assert trace == expected
     text = dumps_trace(trace)
     assert dumps_trace(expected) == text
-    assert loads_trace(text) == reference_loads(text) == expected
+    assert loads_trace(text) == reference_loads(text, lattice_states) == expected
     return steps
 
 
@@ -280,34 +283,34 @@ def synthetic3():
 
 
 class TestLoopMatchesReference:
-    def test_fuzz_exact_traces(self, fuzz_exact_traces):
+    def test_fuzz_exact_traces(self, fuzz_exact_traces, lattice_states):
         for trace in fuzz_exact_traces:
-            assert_same_run(trace)
+            assert_same_run(trace, lattice_states)
 
-    def test_fuzz_float_cycles(self, fuzz_float_cycles):
+    def test_fuzz_float_cycles(self, fuzz_float_cycles, lattice_states):
         fallbacks = 0
         for trace, _ in fuzz_float_cycles:
-            steps = assert_same_run(trace)
+            steps = assert_same_run(trace, lattice_states)
             if isinstance(trace.rule, FirstAbove):
                 fallbacks += sum(s.edge < trace.rule.theta for s in steps)
         assert fallbacks > 0  # the first-above fallback to optimal ran
 
     @pytest.mark.parametrize("mode, t_max", [("exact", 300), ("float", 2000)])
     @pytest.mark.parametrize("rule", [Optimal(), FirstAbove(Fraction(2, 5))], ids=["golden", "sqrt2"])
-    def test_golden_and_sqrt2(self, mode, t_max, rule):
+    def test_golden_and_sqrt2(self, mode, t_max, rule, lattice_states):
         if mode == "float":
             rule = FirstAbove(0.4) if isinstance(rule, FirstAbove) else rule
-        assert_same_run(run(POOL3, rule, t_max, mode))
+        assert_same_run(run(POOL3, rule, t_max, mode), lattice_states)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize("rows", [(0, 1, 2), (2, 2, 0, 1), (1,)])
-    def test_fixed_schedules(self, mode, rows):
+    def test_fixed_schedules(self, mode, rows, lattice_states):
         pool = HypothesisPool.from_signs([(-1, -1, 1, 1, 1), (-1, 1, 1, 1, 1), (1, 1, -1, 1, 1)])
         for p in (POOL3, pool):
-            assert_same_run(run(p, FixedSequence(rows), 60 if mode == "exact" else 400, mode))
+            assert_same_run(run(p, FixedSequence(rows), 60 if mode == "exact" else 400, mode), lattice_states)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_halts(self, mode):
+    def test_halts(self, mode, lattice_states):
         # no positive edge at the start; a schedule whose edge turns
         # non-positive later; an all-correct row's edge of 1
         cases = [
@@ -319,45 +322,46 @@ class TestLoopMatchesReference:
             trace = run(pool, rule, 10, mode)
             if halt is not None:
                 assert (trace.halt, len(trace)) == (halt, steps)
-            assert_same_run(trace)
+            assert_same_run(trace, lattice_states)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_wide_pools(self, seed):
+    def test_wide_pools(self, seed, lattice_states):
         # 64 points: numpy's pairwise sum would differ from the left-to-right
         # reference sum here, where it does not on fewer than 8 terms
         pool = wide_pool(seed)
         for rule in (Optimal(), FirstAbove(0.05), FixedSequence((0, 3, 5))):
-            assert_same_run(run(pool, rule, 300, "float"))
-        assert_same_run(run(pool, Optimal(), 4, "exact"))
+            assert_same_run(run(pool, rule, 300, "float"), lattice_states)
+        assert_same_run(run(pool, Optimal(), 4, "exact"), lattice_states)
 
 
 class TestDatasetLoopMatchesReference:
-    def test_iris(self, iris):
+    def test_iris(self, iris, lattice_states):
         trace = run_on_dataset(iris, 3, 4, 1000, "float")
-        steps, expected = reference_run_on_dataset(iris, 3, 4, 1000, "float")
+        steps, expected = reference_run_on_dataset(iris, 3, 4, 1000, "float", lattice_states)
         assert trace == expected
         text = dumps_trace(trace)
         assert dumps_trace(expected) == text
-        assert loads_trace(text) == reference_loads(text) == trace
+        assert loads_trace(text) == reference_loads(text, lattice_states) == trace
         assert tuple(trace.steps) == tuple(steps)
 
-    def test_synthetic3(self, synthetic3):
+    def test_synthetic3(self, synthetic3, lattice_states):
         for depth, leaves, t_max in ((1, 2, 400), (3, 4, 10)):
             trace = run_on_dataset(synthetic3, depth, leaves, t_max, "float")
-            assert trace == reference_run_on_dataset(synthetic3, depth, leaves, t_max, "float")[1]
+            assert trace == reference_run_on_dataset(synthetic3, depth, leaves, t_max, "float", lattice_states)[1]
 
-    def test_exact_and_halting_runs(self, iris, synthetic3):
-        assert run_on_dataset(synthetic3, 1, 2, 12, "exact") == reference_run_on_dataset(synthetic3, 1, 2, 12, "exact")[1]
+    def test_exact_and_halting_runs(self, iris, synthetic3, lattice_states):
+        expected = reference_run_on_dataset(synthetic3, 1, 2, 12, "exact", lattice_states)[1]
+        assert run_on_dataset(synthetic3, 1, 2, 12, "exact") == expected
         setosa = load_csv(str(DATA / "iris.csv"), "species", "setosa")
         trace = run_on_dataset(setosa, 3, 4, 5, "float")
         assert trace.halt == "perfect_classification" and len(trace) == 0
-        assert trace == reference_run_on_dataset(setosa, 3, 4, 5, "float")[1]
+        assert trace == reference_run_on_dataset(setosa, 3, 4, 5, "float", lattice_states)[1]
 
 
 class TestStepsView:
-    def test_steps_equal_the_reference_steps(self):
+    def test_steps_equal_the_reference_steps(self, lattice_states):
         for mode, theta in (("exact", Fraction(2, 5)), ("float", 0.4)):
-            steps, _ = reference_run(POOL3, FirstAbove(theta), 150, mode)
+            steps, _ = reference_run(POOL3, FirstAbove(theta), 150, mode, lattice_states)
             trace = run(POOL3, FirstAbove(theta), 150, mode)
             assert tuple(trace.steps) == tuple(steps)
             assert trace.steps[-1] == steps[-1] and trace.steps[3:7] == tuple(steps[3:7])
@@ -376,6 +380,16 @@ class TestStepsView:
             BoostTrace("float", POOL3, Optimal(), trace.initial_weights, trace.rows, trace.signs[:4], trace.states)
         with pytest.raises(ValueError, match="states has shape"):
             BoostTrace("float", POOL3, Optimal(), trace.initial_weights, trace.rows, trace.signs, trace.states[:, :3])
+
+    def test_exact_states_take_the_integer_form(self, lattice_states):
+        # an exact trace holds its states as integer rows [p, q, D, a_1..a_n]:
+        # the same states as (T, n+1) Fractions are the wrong shape
+        trace = run(POOL3, Optimal(), 5, "exact")
+        fractions = np.array([trace.state(t) for t in range(len(trace))], dtype=object)
+        columns = ("exact", POOL3, Optimal(), trace.initial_weights, trace.rows, trace.signs)
+        with pytest.raises(DimensionMismatch, match=r"states has shape \(5, 4\), expected \(5, 6\)"):
+            BoostTrace(*columns, fractions)
+        assert BoostTrace(*columns, lattice_states(fractions)) == trace
 
 
 # --- no per-step objects on the CLI paths ---
@@ -430,9 +444,9 @@ def tampered(text, edit):
     return json.dumps(doc)
 
 
-def assert_same_failure(text):
+def assert_same_failure(text, lattice_states):
     with pytest.raises(TraceFormatError) as expected:
-        reference_loads(text)
+        reference_loads(text, lattice_states)
     with pytest.raises(TraceFormatError) as got:
         loads_trace(text)
     assert str(got.value) == str(expected.value)
@@ -468,35 +482,36 @@ def swap_row(doc, t):
 class TestTamperedMatchesReference:
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize("edit", [bump_edge, bump_checkpoint, swap_row])
-    def test_single_tamper(self, long_docs, mode, edit):
+    def test_single_tamper(self, long_docs, mode, edit, lattice_states):
         for t in (0, 5, CHECKPOINT_EVERY - 1, 450, 999):
             if edit is bump_checkpoint and (t + 1) % CHECKPOINT_EVERY:
                 continue
             if edit is swap_row and t == 0:
                 continue  # every row has the edge 1/3 on uniform weights
-            assert assert_same_failure(tampered(long_docs[mode], lambda d: edit(d, t))).startswith(f"step {t}:")
+            message = assert_same_failure(tampered(long_docs[mode], lambda d: edit(d, t)), lattice_states)
+            assert message.startswith(f"step {t}:")
 
     @pytest.mark.parametrize("t", [CHECKPOINT_EVERY, 250])
-    def test_float_edge_just_outside_the_tolerance(self, long_docs, t):
+    def test_float_edge_just_outside_the_tolerance(self, long_docs, t, lattice_states):
         # the tolerance grows with the steps since the stored weights: about
         # 18 eps for 3 points at a segment's first step, 418 eps 50 steps on
         def edit(doc):
             doc["steps"][t]["r"] += 1e-13
 
-        assert assert_same_failure(tampered(long_docs["float"], edit)).startswith(f"step {t}:")
+        assert assert_same_failure(tampered(long_docs["float"], edit), lattice_states).startswith(f"step {t}:")
 
-    def test_float_checkpoint_just_outside_the_tolerance(self, long_docs):
+    def test_float_checkpoint_just_outside_the_tolerance(self, long_docs, lattice_states):
         t = 2 * CHECKPOINT_EVERY - 1  # 100 updates since the stored weights: 806 eps
 
         def edit(doc):
             w = doc["steps"][t]["weights"]
             w[0], w[1] = w[0] * (1 - 1e-11), w[1] + w[0] * 1e-11
 
-        message = assert_same_failure(tampered(long_docs["float"], edit))
+        message = assert_same_failure(tampered(long_docs["float"], edit), lattice_states)
         assert message == f"step {t}: stored weights do not match the replayed update"
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_earliest_of_two_segments(self, long_docs, mode):
+    def test_earliest_of_two_segments(self, long_docs, mode, lattice_states):
         # the late segment fails at offset 3, the early one at offset 50:
         # the batch meets the late failure first, but the early step is
         # the first failure of the file
@@ -504,22 +519,22 @@ class TestTamperedMatchesReference:
             bump_edge(doc, 803)
             swap_row(doc, 250)
 
-        assert assert_same_failure(tampered(long_docs[mode], edit)).startswith("step 250:")
+        assert assert_same_failure(tampered(long_docs[mode], edit), lattice_states).startswith("step 250:")
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_edge_before_checkpoint_of_same_step(self, long_docs, mode):
+    def test_edge_before_checkpoint_of_same_step(self, long_docs, mode, lattice_states):
         def edit(doc):
             bump_edge(doc, 2 * CHECKPOINT_EVERY - 1)
             bump_checkpoint(doc, 2 * CHECKPOINT_EVERY - 1)
             bump_checkpoint(doc, 6 * CHECKPOINT_EVERY - 1)
 
-        assert "is not the edge of row" in assert_same_failure(tampered(long_docs[mode], edit))
+        assert "is not the edge of row" in assert_same_failure(tampered(long_docs[mode], edit), lattice_states)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_v1_bad_step_in_the_middle(self, mode):
+    def test_v1_bad_step_in_the_middle(self, mode, lattice_states):
         text = v1_dumps_trace(run(POOL3, Optimal(), 150, mode))
         for edit in (bump_edge, swap_row, bump_checkpoint):
-            message = assert_same_failure(tampered(text, lambda d: edit(d, 75)))
+            message = assert_same_failure(tampered(text, lambda d: edit(d, 75)), lattice_states)
             assert message.startswith("step 75:")
 
     def test_replay_failure_before_a_malformed_record(self, long_docs):

@@ -113,7 +113,7 @@ def fraction_boost(choose, initial, t_max):
     return np.array(rows, dtype=np.int64), np.array(signs, dtype=np.int8), states, halt
 
 
-def fraction_run(pool, rule, t_max):
+def fraction_run(pool, rule, t_max, lattice_states):
     """(trace built from the Fraction columns, the Fraction states)."""
     initial = uniform_weights(pool.n_points, "exact")
     signs = list(pool.matrix)
@@ -123,10 +123,10 @@ def fraction_run(pool, rule, t_max):
         return row, signs[row], edge
 
     rows, signs_column, states, halt = fraction_boost(choose, initial, t_max)
-    return BoostTrace("exact", pool, rule, initial, rows, signs_column, states, halt), states
+    return BoostTrace("exact", pool, rule, initial, rows, signs_column, lattice_states(states), halt), states
 
 
-def fraction_run_on_dataset(ds, max_depth, max_leaves, t_max):
+def fraction_run_on_dataset(ds, max_depth, max_leaves, t_max, lattice_states):
     initial = uniform_weights(ds.n, "exact")
     chosen = {}
 
@@ -139,7 +139,7 @@ def fraction_run_on_dataset(ds, max_depth, max_leaves, t_max):
     rows, signs, states, halt = fraction_boost(choose, initial, t_max)
     used = int(rows.max()) + 1 if len(rows) else 1
     pool = HypothesisPool(tuple(eta for _, eta in list(chosen.values())[:used]), origin="learned")
-    return BoostTrace("exact", pool, Optimal(), initial, rows, signs, states, halt), states
+    return BoostTrace("exact", pool, Optimal(), initial, rows, signs, lattice_states(states), halt), states
 
 
 def fraction_steps(states, rows):
@@ -275,17 +275,22 @@ def fraction_checks(trace, states):
 # --- the comparison ---
 
 
+def fraction_states(trace):
+    """An exact trace's states as Fractions, rows [r, w_1..w_n]."""
+    return np.array([trace.state(t) for t in range(len(trace))], dtype=object)
+
+
 def assert_canonical(trace):
-    for p, q, d, *a in trace.int_states.tolist():
+    for p, q, d, *a in trace.states.tolist():
         assert q > 0 and math.gcd(p, q) == 1
         assert d > 0 and math.gcd(d, *a) == 1 and sum(a) == d
 
 
-def assert_same_load(text):
+def assert_same_load(text, lattice_states):
     states, failure = fraction_load(text)
     if failure is None:
         loaded = loads_trace(text)
-        assert np.array_equal(loaded.states, states)
+        assert np.array_equal(loaded.states, lattice_states(states))
         assert_canonical(loaded)
         assert json.loads(dumps_trace(loaded))["steps"] == fraction_steps(states, loaded.rows)
         return loaded
@@ -302,7 +307,7 @@ def tampered_texts(trace, text):
     doc = json.loads(text)
     steps = doc["steps"]
     t = len(steps) // 2
-    p, q = trace.int_states[t, :2].tolist()
+    p, q = trace.states[t, :2].tolist()
     variants = []
     for field, value in (
         ("r_exact", f"{p}/{q + 1}"),
@@ -318,26 +323,30 @@ def tampered_texts(trace, text):
     return variants
 
 
-def assert_same_as_fraction_kernels(trace, reference, states, tamper=True):
+def assert_same_as_fraction_kernels(trace, reference, states, lattice_states, tamper=True):
     assert trace == reference
-    assert np.array_equal(trace.states, states)
-    assert [type(v) for v in trace.states.ravel().tolist()] == [type(v) for v in states.ravel().tolist()]
+    ints = lattice_states(states)
+    assert np.array_equal(trace.states, ints)
+    assert [type(v) for v in trace.states.ravel().tolist()] == [type(v) for v in ints.ravel().tolist()]
+    read = [trace.state(t) for t in range(len(trace))]
+    assert read == [tuple(row) for row in states.tolist()]
+    assert [type(v) for row in read for v in row] == [type(v) for v in states.ravel().tolist()]
     assert_canonical(trace)
     text = dumps_trace(trace)
     assert json.loads(text)["steps"] == fraction_steps(states, trace.rows)
-    assert assert_same_load(text) == trace
+    assert assert_same_load(text, lattice_states) == trace
     if tamper and len(trace):
         for variant in tampered_texts(trace, text):
-            assert_same_load(variant)
+            assert_same_load(variant, lattice_states)
     assert analyze_trace(trace, checks=("edge-update", "subsums"))[1] == fraction_checks(trace, states)
 
 
 class TestFuzzCorpus:
-    def test_fuzz_exact_traces(self, fuzz_exact_traces):
+    def test_fuzz_exact_traces(self, fuzz_exact_traces, lattice_states):
         for trace in fuzz_exact_traces:
             t_max = len(trace) + (trace.halt is not None)
-            reference, states = fraction_run(trace.pool, trace.rule, t_max)
-            assert_same_as_fraction_kernels(trace, reference, states)
+            reference, states = fraction_run(trace.pool, trace.rule, t_max, lattice_states)
+            assert_same_as_fraction_kernels(trace, reference, states, lattice_states)
             assert run(trace.pool, trace.rule, t_max, "exact") == trace
 
 
@@ -352,9 +361,9 @@ class TestNamedRuns:
             (FixedSequence((2, 0, 0, 1)), 120),
         ],
     )
-    def test_three_point_pool(self, pool3, rule, t_max):
-        reference, states = fraction_run(pool3, rule, t_max)
-        assert_same_as_fraction_kernels(run(pool3, rule, t_max, "exact"), reference, states)
+    def test_three_point_pool(self, pool3, rule, t_max, lattice_states):
+        reference, states = fraction_run(pool3, rule, t_max, lattice_states)
+        assert_same_as_fraction_kernels(run(pool3, rule, t_max, "exact"), reference, states, lattice_states)
 
     @pytest.mark.parametrize(
         "rows, rule, halt, steps",
@@ -365,50 +374,50 @@ class TestNamedRuns:
             ([(1, -1, -1)], Optimal(), "weak_learning_failure", 0),
         ],
     )
-    def test_halts(self, rows, rule, halt, steps):
+    def test_halts(self, rows, rule, halt, steps, lattice_states):
         pool = HypothesisPool.from_signs(rows)
         trace = run(pool, rule, 10, "exact")
         assert (trace.halt, len(trace)) == (halt, steps)
-        reference, states = fraction_run(pool, rule, 10)
-        assert_same_as_fraction_kernels(trace, reference, states)
+        reference, states = fraction_run(pool, rule, 10, lattice_states)
+        assert_same_as_fraction_kernels(trace, reference, states, lattice_states)
 
-    def test_hexadecimal_numbers(self):
+    def test_hexadecimal_numbers(self, lattice_states):
         pool = HypothesisPool(tuple(map(MistakeDichotomy.from_string, POOL7)))
         rule = FirstAbove(Fraction(1, 5))
         trace = run(pool, rule, 30, "exact")
-        assert trace.int_states[-1, 2].bit_length() > 14300  # past the 4300-digit limit
+        assert trace.states[-1, 2].bit_length() > 14300  # past the 4300-digit limit
         assert any(w.startswith("0x") for w in json.loads(dumps_trace(trace))["steps"][-1]["weights"])
-        reference, states = fraction_run(pool, rule, 30)
-        assert_same_as_fraction_kernels(trace, reference, states, tamper=False)
+        reference, states = fraction_run(pool, rule, 30, lattice_states)
+        assert_same_as_fraction_kernels(trace, reference, states, lattice_states, tamper=False)
 
-    def test_synthetic3(self):
+    def test_synthetic3(self, lattice_states):
         ds = load_csv(str(DATA / "synthetic3.csv"), "label", "a")
         trace = run_on_dataset(ds, 1, 2, 12, "exact")
         assert len(trace) == 12
-        reference, states = fraction_run_on_dataset(ds, 1, 2, 12)
-        assert_same_as_fraction_kernels(trace, reference, states)
+        reference, states = fraction_run_on_dataset(ds, 1, 2, 12, lattice_states)
+        assert_same_as_fraction_kernels(trace, reference, states, lattice_states)
 
 
 class TestFailingChecks:
-    def test_tampered_edges(self, pool3):
+    def test_tampered_edges(self, pool3, lattice_states):
         # a wrong recorded edge breaks both identities at the next transition
         trace = run(pool3, Optimal(), 300, "exact")
         for t, delta in ((3, Fraction(1, 7)), (150, Fraction(1, 10**6)), (280, Fraction(-1, 10**9))):
-            states = trace.states.copy()
+            states = fraction_states(trace)
             states[t, 0] += delta
-            tampered = replace(trace, states=states)
+            tampered = replace(trace, states=lattice_states(states))
             assert_canonical(tampered)
             got = analyze_trace(tampered, checks=("edge-update", "subsums"))[1]
             assert got == fraction_checks(tampered, states)
             assert not got[1].ok and got[1].data["failed_iteration"] == t + 1
 
-    def test_tampered_weights(self, pool3):
+    def test_tampered_weights(self, pool3, lattice_states):
         # permuted weights, and weights that no longer sum to 1, at one step
         trace = run(pool3, FirstAbove(Fraction(2, 5)), 200, "exact")
         for t, tamper in ((100, lambda w: w[[1, 2, 0]]), (60, lambda w: w * np.array([2, 1, 1])), (7, lambda w: w / 2)):
-            states = trace.states.copy()
+            states = fraction_states(trace)
             states[t, 1:] = tamper(states[t, 1:])
-            tampered = replace(trace, states=states)
+            tampered = replace(trace, states=lattice_states(states))
             got = analyze_trace(tampered, checks=("edge-update", "subsums"))[1]
             assert got == fraction_checks(tampered, states)
             assert not got[1].ok

@@ -91,7 +91,7 @@ def reference_train_tree(ds, w, max_depth, max_leaves):
     ties to the lowest leaf id, sign flip on a negative edge."""
     if max_depth < 1 or max_leaves < 1:
         raise ValueError("tree bounds must be at least 1")
-    weights = np.asarray(w.as_floats() if isinstance(w, WeightVector) else w, dtype=np.float64)
+    weights = np.asarray(w.components if isinstance(w, WeightVector) else w, dtype=np.float64)
     wy = weights * np.asarray(ds.y, dtype=np.float64)
     splits = {}
     next_id = 1
@@ -276,8 +276,9 @@ class TestTrainTree:
             weights = WeightVector(tuple(w))
             tree = train_tree(ds, weights, max_depth=2, max_leaves=4)
             assert int(tree.predict(ds.x)[heavy]) == y[heavy]
-            acc = tree_accuracy(tree, ds, weights.as_floats())
-            assert acc >= brute_force_best_stump_accuracy(ds, weights.as_floats()) - 1e-12
+            floats = np.asarray(weights.components, dtype=np.float64)
+            acc = tree_accuracy(tree, ds, floats)
+            assert acc >= brute_force_best_stump_accuracy(ds, floats) - 1e-12
 
     def test_deterministic(self):
         ds = load_csv(IRIS, "species", "versicolor")
