@@ -39,6 +39,17 @@ row, signs, edge and weights, and the trace keeps them as three columns (see
 BoostTrace). `select`, `weight_update` and `simplex.edge_dot` are wrappers
 over the same kernels for single value objects. A trace's BoostSteps are
 built only when `BoostTrace.steps` is read.
+
+A float run fast-forwards through a cycle it has closed. The loop relies on
+one contract with `choose`: a step's choice is a function of the weights'
+bits and of t mod L, where L is the `fixed:` schedule's length and 1 for
+every other rule. (The tree learner qualifies: its rows are numbered in
+order of first use, and every row of a closed cycle is numbered already.)
+So once the pair (weight bits, t mod L) repeats, every later step repeats
+the steps since its previous occurrence, bit for bit. `boost` looks for the
+first such repeat with Brent's method, which keeps one saved key, and fills
+the rest of the trace by tiling the repeating block of its columns. Exact
+weights never repeat and are not checked.
 """
 
 from __future__ import annotations
@@ -363,10 +374,13 @@ class BoostTrace:
     @cached_property
     def steps(self) -> Tuple[BoostStep, ...]:
         """The steps as BoostSteps, built from the columns when first read."""
-        steps = []
-        for t, (row, signs) in enumerate(zip(self.rows.tolist(), self.signs.tolist())):
+        steps, dichotomies = [], {}
+        for t, (row, signs) in enumerate(zip(self.rows.tolist(), map(tuple, self.signs.tolist()))):
             edge, *weights = self.state(t)
-            eta = MistakeDichotomy(tuple(signs))
+            # one dichotomy per distinct sign row, however many steps share it
+            if signs not in dichotomies:
+                dichotomies[signs] = MistakeDichotomy(signs)
+            eta = dichotomies[signs]
             steps.append(BoostStep(t, row, eta, edge, alpha(edge), WeightVector(tuple(weights))))
         return tuple(steps)
 
@@ -433,11 +447,20 @@ Choose = Callable[[np.ndarray, int], Tuple[int, np.ndarray, Scalar]]
 
 
 def boost(
-    choose: Choose, initial: WeightVector, t_max: int
+    choose: Choose, initial: WeightVector, t_max: int, schedule: int = 1
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[str]]:
     """The boosting loop: up to t_max iterations from the initial weights,
     returning the trace's rows, signs and states columns (exact states in
     integer form, see BoostTrace) and its halt.
+
+    choose(w, t) must be a function of w's bits and of t mod schedule. In
+    float mode the loop then finds the first repeat of the key (the bits of
+    the weights before step t, t mod schedule) with Brent's method: the key
+    is compared with one saved key, re-saved whenever the distance between
+    them reaches a power of two. When the key at step t equals the saved key
+    at step t - k, steps t, t + 1, ... repeat steps t - k, t - k + 1, ..., so
+    the loop stops and the remaining rows, signs and states are the last k
+    steps' rows, tiled. Such a run cannot halt.
 
     Each iteration asks choose for a dichotomy and its edge, halts when
     choose raises WeakLearningFailure or the edge leaves (0, 1), and applies
@@ -452,7 +475,20 @@ def boost(
     w = _lattice_point(initial) if exact else initial.as_array()
     rows, signs, edges, weights = [], [], [], []
     halt = None
+    # Brent's method on float keys: the weight bits saved at step `saved_t`,
+    # replaced when the distance to it reaches `lap`; `period` is the
+    # distance of the first repeat, 0 while none is found. Keys compare as
+    # bytes: a comparison of values would take -0.0 for 0.0 and tile steps
+    # whose bits differ from the loop's.
+    saved, saved_t, lap, period = None if exact else w.tobytes(), 0, 1, 0
     for t in range(t_max):
+        if not exact and t:
+            distance = t - saved_t
+            if distance % schedule == 0 and w.tobytes() == saved:
+                period = distance
+                break
+            if distance == lap:
+                saved, saved_t, lap = w.tobytes(), t, 2 * lap
         try:
             row, eta, r = choose(w, t)
         except WeakLearningFailure:
@@ -485,10 +521,17 @@ def boost(
     if not rows:
         width = n + 3 if exact else n + 1
         return np.empty(0, np.int64), np.empty((0, n), np.int8), np.empty((0, width), w.dtype), halt
-    if not exact:
-        WeightVector(tuple(w.tolist()))
     states = np.column_stack((np.array(edges, dtype=w.dtype), np.stack(weights)))
-    return np.array(rows, dtype=np.int64), np.array(signs, dtype=np.int8), states, halt
+    rows, signs = np.array(rows, dtype=np.int64), np.array(signs, dtype=np.int8)
+    if period:
+        # step u >= start is step start + (u - start) % period
+        start = len(rows) - period
+        index = np.arange(t_max)
+        index[start:] = start + np.arange(t_max - start) % period
+        rows, signs, states = rows[index], signs[index], states[index]
+    if not exact:
+        WeightVector(tuple(states[-1, 1:].tolist()))
+    return rows, signs, states, halt
 
 
 def run(pool: HypothesisPool, rule: SelectionRule, t_max: int, mode: str = "exact") -> BoostTrace:
@@ -507,4 +550,5 @@ def run(pool: HypothesisPool, rule: SelectionRule, t_max: int, mode: str = "exac
         row, edge = _select(w, pool, rule, t)
         return row, signs[row], edge
 
-    return BoostTrace(mode, pool, rule, initial, *boost(choose, initial, t_max))
+    schedule = len(rule.rows) if isinstance(rule, FixedSequence) else 1
+    return BoostTrace(mode, pool, rule, initial, *boost(choose, initial, t_max, schedule))

@@ -190,7 +190,8 @@ def _encode_rule(rule: SelectionRule) -> Dict[str, object]:
     raise TraceFormatError(f"unknown rule {rule!r}")
 
 
-def _decode_rule(doc: Dict[str, object]) -> SelectionRule:
+def _decode_rule(doc: Dict[str, object], pool: HypothesisPool) -> SelectionRule:
+    """The header's rule; a fixed schedule's rows must be rows of the pool."""
     kind = doc.get("kind")
     if kind == "optimal":
         return Optimal()
@@ -198,7 +199,17 @@ def _decode_rule(doc: Dict[str, object]) -> SelectionRule:
         theta = doc["theta"]
         return FirstAbove(_parse_fraction(theta) if isinstance(theta, str) else float(theta))
     if kind == "fixed_sequence":
-        return FixedSequence(tuple(int(r) for r in doc["rows"]))
+        rows = doc["rows"]
+        if type(rows) is not list:
+            raise TraceFormatError(f"rule rows {rows!r} is not a JSON array")
+        if not rows:
+            raise TraceFormatError("rule rows is empty")
+        for row in rows:
+            if type(row) is not int:
+                raise TraceFormatError(f"rule row {row!r} is not an integer")
+            if not 0 <= row < len(pool):
+                raise TraceFormatError(f"rule row {row} outside pool of {len(pool)} rows")
+        return FixedSequence(tuple(rows))
     raise TraceFormatError(f"unknown rule kind {kind!r}")
 
 
@@ -497,7 +508,7 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
     if not set(map(type, lines)) <= {str}:
         raise TraceFormatError(f"pool row {next(r for r in lines if type(r) is not str)!r} is not a string")
     pool = HypothesisPool(tuple(map(MistakeDichotomy.from_string, lines)), origin=pool_doc.get("origin", "synthetic"))
-    rule = _decode_rule(_header_field(doc, "rule", dict))
+    rule = _decode_rule(_header_field(doc, "rule", dict), pool)
     n = pool.n_points
     initial = WeightVector(tuple(_decode_scalar(c, mode) for c in _header_field(doc, "initial_weights", list)))
     if len(initial) != n:

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import boostcycles.engine as engine
+import boostcycles.learners as learners
 import boostcycles.simplex as simplex
 from boostcycles import (
     BoostTrace,
@@ -183,7 +184,7 @@ def reference_trace_from_dict(doc, lattice_states):
         tuple(MistakeDichotomy.from_string(r) for r in doc["pool"]["rows"]),
         origin=doc["pool"].get("origin", "synthetic"),
     )
-    rule = _decode_rule(doc["rule"])
+    rule = _decode_rule(doc["rule"], pool)
     n = pool.n_points
     initial = WeightVector(tuple(reference_decode_scalar(c, mode) for c in doc["initial_weights"]))
     if len(initial) != n:
@@ -282,6 +283,25 @@ def synthetic3():
     return load_csv(str(DATA / "synthetic3.csv"), "label", "a")
 
 
+@pytest.fixture()
+def selections(monkeypatch):
+    """Counts of the loop's pool selections and tree fits."""
+    counts = {"select": 0, "train_tree": 0}
+    select, fit = engine._select, learners.train_tree
+
+    def counted_select(*args):
+        counts["select"] += 1
+        return select(*args)
+
+    def counted_fit(*args):
+        counts["train_tree"] += 1
+        return fit(*args)
+
+    monkeypatch.setattr(engine, "_select", counted_select)
+    monkeypatch.setattr(learners, "train_tree", counted_fit)
+    return counts
+
+
 class TestLoopMatchesReference:
     def test_fuzz_exact_traces(self, fuzz_exact_traces, lattice_states):
         for trace in fuzz_exact_traces:
@@ -297,10 +317,13 @@ class TestLoopMatchesReference:
 
     @pytest.mark.parametrize("mode, t_max", [("exact", 300), ("float", 2000)])
     @pytest.mark.parametrize("rule", [Optimal(), FirstAbove(Fraction(2, 5))], ids=["golden", "sqrt2"])
-    def test_golden_and_sqrt2(self, mode, t_max, rule, lattice_states):
+    def test_golden_and_sqrt2(self, mode, t_max, rule, selections, lattice_states):
         if mode == "float":
             rule = FirstAbove(0.4) if isinstance(rule, FirstAbove) else rule
-        assert_same_run(run(POOL3, rule, t_max, mode), lattice_states)
+        trace = run(POOL3, rule, t_max, mode)
+        # a float run tiles its cycle; exact states never repeat
+        assert (selections["select"] < 100) == (mode == "float")
+        assert_same_run(trace, lattice_states)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize("rows", [(0, 1, 2), (2, 2, 0, 1), (1,)])
@@ -356,6 +379,106 @@ class TestDatasetLoopMatchesReference:
         trace = run_on_dataset(setosa, 3, 4, 5, "float")
         assert trace.halt == "perfect_classification" and len(trace) == 0
         assert trace == reference_run_on_dataset(setosa, 3, 4, 5, "float", lattice_states)[1]
+
+
+# --- the cycle fast-forward: tiled traces equal the per-step reference ---
+
+
+def first_bit_repeat(trace):
+    """(mu, lambda): row mu + lambda is the first state row equal in every
+    bit to an earlier one, row mu. None when no row repeats."""
+    seen = {}
+    for t, state in enumerate(trace.states):
+        s = seen.setdefault(state.tobytes(), t)
+        if s != t:
+            return s, t - s
+    return None
+
+
+class TestFastForward:
+    def test_iris_past_the_onset(self, iris, selections, lattice_states):
+        # the weights first repeat bit for bit at step 1811, with period 3
+        trace = run_on_dataset(iris, 3, 4, 2500, "float")
+        assert selections["train_tree"] < 2500
+        _, expected = reference_run_on_dataset(iris, 3, 4, 2500, "float", lattice_states)
+        assert trace == expected
+        text = dumps_trace(trace)
+        assert dumps_trace(expected) == text
+        assert loads_trace(text) == trace
+
+    @pytest.mark.parametrize("rows", [(0, 1, 2), (1,)])
+    def test_fixed_schedules_tile(self, rows, selections, lattice_states):
+        trace = run(POOL3, FixedSequence(rows), 2000, "float")
+        assert selections["select"] < 100
+        assert_same_run(trace, lattice_states)
+
+    def test_fuzz_float_cycles_tile(self, fuzz_float_cycles, selections):
+        # TestLoopMatchesReference.test_fuzz_float_cycles compares these
+        # traces with the reference loop
+        tiled = 0
+        for trace, _ in fuzz_float_cycles:
+            selections["select"] = 0
+            assert run(trace.pool, trace.rule, t_max_of(trace), "float") == trace
+            tiled += selections["select"] < len(trace)
+        assert tiled >= 5
+
+    def test_key_holds_t_mod_the_schedule(self, lattice_states):
+        # rows follow t mod 6 while the dichotomies, and so the weights,
+        # follow t mod 3: the key must hold t mod 6, and the weights alone
+        # would tile rows 3, 4, 5 where rows 0, 1, 2 are due
+        schedule = FixedSequence((0, 1, 2))
+        calls = []
+
+        def choose(w, t):
+            calls.append(t)
+            row, edge = engine._select(w, POOL3, schedule, t)
+            return t % 6, POOL3.matrix[row], edge
+
+        _, expected = reference_run(POOL3, schedule, 400, "float", lattice_states)
+        rows, signs, states, halt = engine.boost(choose, uniform_weights(3, "float"), 400, 6)
+        assert len(calls) < 400 and halt is None
+        assert rows.tolist() == [t % 6 for t in range(400)]
+        assert np.array_equal(signs, expected.signs) and states.tobytes() == expected.states.tobytes()
+        mu, period = first_bit_repeat(expected)
+        assert period == 3 and mu + period < len(calls)
+
+        calls.clear()
+        rows, *_ = engine.boost(choose, uniform_weights(3, "float"), 400)
+        assert rows.tolist() != [t % 6 for t in range(400)]
+
+    def test_subnormal_weight(self, selections, lattice_states):
+        # a point that every row classifies right: its weight shrinks to the
+        # least subnormal double and stays there, and only from then on can
+        # the weights repeat
+        pool = HypothesisPool.from_signs([(-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1)])
+        trace = run(pool, Optimal(), 5000, "float")
+        assert selections["select"] < 5000
+        assert trace.states[-1, -1] == np.nextafter(0.0, 1.0)
+        assert_same_run(trace, lattice_states)
+
+    @pytest.mark.parametrize("edge", [1 - 2**-52, float("nan")], ids=["underflow", "nan"])
+    def test_last_weights_validated_after_a_tile(self, edge):
+        # an edge next to 1 drives the first weight to 0.0 in a few steps,
+        # and a NaN edge turns every weight NaN; either state repeats at
+        # once, and the tiled trace's last weights still fail validation
+        calls = []
+        signs = np.array([1.0, -1.0])
+
+        def choose(w, t):
+            calls.append(t)
+            return 0, signs, edge
+
+        with pytest.raises(ValueError, match="weights must be strictly positive"):
+            engine.boost(choose, uniform_weights(2, "float"), 1000)
+        assert len(calls) < 1000
+
+    def test_selections_bound(self, selections):
+        # Brent's method finds the first repeat after at most
+        # 2 (mu + lambda) + L selections
+        trace = run(POOL3, Optimal(), 100_000, "float")
+        mu, period = first_bit_repeat(trace)
+        assert (mu, period) == (39, 3)
+        assert selections["select"] <= 2 * (mu + period) + 1
 
 
 class TestStepsView:

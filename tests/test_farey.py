@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -428,6 +429,19 @@ class TestNecklaceEnumeration:
             if word.degenerate:
                 continue
             assert orbit_values(word) == reference_orbit(word)
+
+    def test_orbit_values_rejects_the_degenerate_word(self):
+        with pytest.raises(DegenerateWord):
+            orbit_values(W("LLL"))
+
+    def test_enumerate_solves_no_periodic_point(self, monkeypatch, capsys):
+        # each orbit is read off its conjugated word matrices alone
+        calls = []
+        module = importlib.import_module("boostcycles.farey")  # `boostcycles.farey` is the map
+        solve = module.periodic_point
+        monkeypatch.setattr(module, "periodic_point", lambda word: calls.append(word) or solve(word))
+        assert main(["farey", "enumerate", "--k", "12", "--exact"]) == 0
+        assert capsys.readouterr().out and calls == []
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_cli_enumerate_matches_reference(self, capsys, exact):

@@ -193,6 +193,34 @@ class TestTraceErrors:
         assert message in capsys.readouterr().err
 
 
+class TestFixedScheduleRows:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([1.5], "rule row 1.5 is not an integer"),
+            ([True], "rule row True is not an integer"),
+            ([10**30], f"rule row {10**30} outside pool of 3 rows"),
+            ([-1], "rule row -1 outside pool of 3 rows"),
+            ([0, 3], "rule row 3 outside pool of 3 rows"),
+            ([], "rule rows is empty"),
+            ("012", "rule rows '012' is not a JSON array"),
+            (2, "rule rows 2 is not a JSON array"),
+        ],
+        ids=["fraction", "boolean", "huge", "negative", "past-the-pool", "empty", "string", "number"],
+    )
+    def test_bad_rows_exit_4(self, pool3, tmp_path, capsys, rows, message):
+        # each was read as some other schedule, or as a traceback
+        doc = json.loads(dumps_trace(run(pool3, FixedSequence((0, 1, 2)), 50, "float")))
+        doc["rule"]["rows"] = rows
+        with pytest.raises(TraceFormatError) as exc:
+            loads_trace(json.dumps(doc))
+        assert str(exc.value) == message
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 4
+        assert message in capsys.readouterr().err
+
+
 class TestHugeFractions:
     """Past the interpreter's 4300-digit limit on int-to-str conversion,
     exact numbers are written in hexadecimal; below it, in decimal."""
