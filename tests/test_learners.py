@@ -1,4 +1,5 @@
 import random
+import weakref
 from fractions import Fraction
 from importlib import resources
 
@@ -6,7 +7,10 @@ import numpy as np
 import pytest
 
 from boostcycles import (
+    BoostTrace,
     Dataset,
+    HypothesisPool,
+    Optimal,
     WeightVector,
     detect_cycle,
     dichotomy_of,
@@ -15,9 +19,11 @@ from boostcycles import (
     run_on_dataset,
     sample,
     train_tree,
+    uniform_weights,
 )
-from boostcycles import learners
+from boostcycles import engine, learners
 from boostcycles.learners import TreeHypothesis, TreeNode
+from boostcycles.traceio import dumps_trace
 
 DATA = resources.files("boostcycles") / "data"
 IRIS = str(DATA / "iris.csv")
@@ -136,6 +142,56 @@ def reference_train_tree(ds, w, max_depth, max_leaves):
     if float(np.dot(wy, tree.predict(ds.x))) < 0:
         tree = TreeHypothesis(build(0, -1), tree.depth, tree.n_leaves)
     return tree
+
+
+def reference_run_on_dataset(ds, max_depth, max_leaves, t_max, mode):
+    """The dataset run before its node lists were memoized: every step fits
+    `reference_train_tree` to the weights and reads its dichotomy with
+    `dichotomy_of`, in the same `engine.boost` loop."""
+    initial = uniform_weights(ds.n, mode)
+    chosen = {}  # entries -> (row, dichotomy)
+
+    def choose(w, t):
+        exact = w.dtype == object
+        eta = dichotomy_of(reference_train_tree(ds, w[1:] / w[0] if exact else w, max_depth, max_leaves), ds)
+        row, _ = chosen.setdefault(eta.entries, (len(chosen), eta))
+        signs = np.array(eta.entries, dtype=object if exact else np.float64)
+        return row, signs, signs @ w[1:] if exact else float(np.dot(w, signs))
+
+    rows, signs, states, halt = engine.boost(choose, initial, t_max)
+    used = int(rows.max()) + 1 if len(rows) else 1
+    pool = HypothesisPool(tuple(eta for _, eta in list(chosen.values())[:used]), origin="learned")
+    return BoostTrace(mode, pool, Optimal(), initial, rows, signs, states, halt)
+
+
+@pytest.fixture()
+def memos(monkeypatch):
+    """Watches every node memo: weak references to the memos made, and the
+    counts of lookups and evictions. A memo's size is checked against its
+    bound after every lookup."""
+    watch = {"made": [], "lookups": 0, "evictions": 0}
+    init, child = learners._NodeMemo.__init__, learners._NodeMemo.child
+
+    def tracked_init(self, ds):
+        init(self, ds)
+        watch["made"].append(weakref.ref(self))
+
+    def checked_child(self, *args):
+        oldest = next(iter(self.lists), None)
+        found = child(self, *args)
+        assert len(self.lists) <= self.bound
+        watch["lookups"] += 1
+        watch["evictions"] += oldest is not None and oldest not in self.lists
+        return found
+
+    monkeypatch.setattr(learners._NodeMemo, "__init__", tracked_init)
+    monkeypatch.setattr(learners._NodeMemo, "child", checked_child)
+    return watch
+
+
+def released(watch):
+    """True when no memo the watch saw is still referenced."""
+    return all(ref() is None for ref in watch["made"])
 
 
 def random_weights(rng, n):
@@ -466,8 +522,56 @@ class TestPresortedLearnerMatchesReference:
         [(IRIS, "species", "versicolor", (3, 4), 1000), (SYNTH3, "label", "a", (1, 2), 400)],
         ids=["iris", "synthetic3"],
     )
-    def test_boosting_trace_identical(self, monkeypatch, path, label, positive, bounds, iters):
+    def test_boosting_trace_identical(self, path, label, positive, bounds, iters):
         ds = load_csv(path, label, positive)
-        trace = run_on_dataset(ds, *bounds, iters, "float")
-        monkeypatch.setattr(learners, "train_tree", reference_train_tree)
-        assert trace == run_on_dataset(ds, *bounds, iters, "float")
+        expected = dumps_trace(reference_run_on_dataset(ds, *bounds, iters, "float"))
+        assert dumps_trace(run_on_dataset(ds, *bounds, iters, "float")) == expected
+
+
+class TestMemoizedLoopMatchesReference:
+    """`run_on_dataset` grows each step's tree from node lists memoized over
+    the run and reads the dichotomy off its leaves. Its traces must dump to
+    the bytes of the reference loop's, which fits `reference_train_tree` and
+    calls `dichotomy_of` at every step."""
+
+    @pytest.mark.parametrize("bounds", [(1, 2), (2, 3), (3, 4), (4, 8)])
+    def test_random_datasets(self, bounds, memos):
+        rng = random.Random(41)
+        full_runs = 0
+        for case in range(8):
+            n, m = rng.randint(6, 40), rng.randint(1, 4)
+            if case % 2:  # integer features: tied values, and points no tree separates
+                x = [[rng.randint(0, 3) for _ in range(m)] for _ in range(n)]
+            else:
+                x = [[rng.uniform(-3, 3) for _ in range(m)] for _ in range(n)]
+            ds = make_dataset(x, [rng.choice((1, -1)) for _ in range(n)])
+            trace = run_on_dataset(ds, *bounds, 300, "float")
+            assert dumps_trace(trace) == dumps_trace(reference_run_on_dataset(ds, *bounds, 300, "float")), case
+            full_runs += len(trace) == 300
+        assert full_runs > 0
+        assert len(memos["made"]) == 8 and memos["lookups"] > 0 and released(memos)
+
+    def test_iris_virginica_evicts(self, memos):
+        # virginica's trees split on more distinct paths than the memo holds
+        ds = load_csv(IRIS, "species", "virginica")
+        trace = run_on_dataset(ds, 3, 4, 3000, "float")
+        assert trace.halt is None and len(trace) == 3000
+        assert len(memos["made"]) == 1 and memos["evictions"] > 0 and released(memos)
+        assert dumps_trace(trace) == dumps_trace(reference_run_on_dataset(ds, 3, 4, 3000, "float"))
+
+    def test_iris_exact(self, memos):
+        ds = load_csv(IRIS, "species", "versicolor")
+        text = dumps_trace(run_on_dataset(ds, 3, 4, 12, "exact"))
+        assert text == dumps_trace(reference_run_on_dataset(ds, 3, 4, 12, "exact"))
+        assert len(memos["made"]) == 1 and released(memos)
+
+    def test_bound_caps_the_bytes(self):
+        # each node's lists are at most the root's, so bound * root bytes caps
+        # the memo; a large dataset holds fewer than _MEMO_NODES nodes
+        small = learners._NodeMemo(load_csv(IRIS, "species", "versicolor"))
+        assert small.bound == learners._MEMO_NODES
+        rng = np.random.default_rng(0)
+        large = learners._NodeMemo(make_dataset(rng.random((20000, 8)), [1, -1] * 10000))
+        root_bytes = sum(a.nbytes for a in large.root)
+        assert 1 <= large.bound < learners._MEMO_NODES
+        assert large.bound * root_bytes <= learners._MEMO_BYTES
