@@ -410,19 +410,12 @@ def apply_word(word: FareyWord, x: Value) -> Value:
 
 
 def periodic_point(word: FareyWord) -> QuadraticIrrational:
-    """The unique fixed point in (0, 1] of the word's composite map.
-
-    Solves c x^2 + (d - a) x - b = 0 for the word's matrix and returns the
-    root in (0, 1] exactly. Power words collapse to their primitive root's
-    point; the all-L word is rejected as degenerate.
+    """The unique fixed point in (0, 1] of the word's composite map: point 0
+    of its periodic orbit (see orbit_values). Power words collapse to their
+    primitive root's point; the all-L word is rejected as degenerate
+    (DegenerateWord).
     """
-    if word.degenerate:
-        raise DegenerateWord("all-L word fixes only 0")
-    m = word_matrix(word)
-    x = _upper_root(m, *square_free_decompose(_discriminant(m)))
-    if not (x > 0 and x <= 1):
-        raise AssertionError(f"no root of {word} in (0, 1]")
-    return x
+    return orbit_values(word)[0]
 
 
 def _discriminant(m: MoebiusMatrix) -> int:
@@ -439,8 +432,10 @@ def _upper_root(m: MoebiusMatrix, s: int, d0: int) -> QuadraticIrrational:
 
 def orbit_values(word: FareyWord) -> Tuple[QuadraticIrrational, ...]:
     """The k points of a non-degenerate word's periodic orbit: point 0 is
-    periodic_point(word) and point j + 1 is the inverse branch of letter j
-    applied to point j. Power words repeat their primitive root's orbit.
+    the fixed point in (0, 1] of the word's composite map, the root of
+    c x^2 + (d - a) x - b = 0 for the word's matrix, and point j + 1 is the
+    inverse branch of letter j applied to point j. Power words repeat their
+    primitive root's orbit.
 
     Point j is the fixed point of the word rotated left by j letters, whose
     matrix is the previous rotation's conjugated by its first letter. The

@@ -283,7 +283,3 @@ def check_periodic_learning(lattice: MistakeLattice) -> Optional[Tuple[int, int]
         raise ValueError("periodic learning condition needs at least 2 columns")
     signs = np.array([column.entries for column in lattice.columns], dtype=np.int8)
     return first_repeated_mistake(repeated_mistakes(signs))
-
-
-def periodic_learning_holds(lattice: MistakeLattice) -> bool:
-    return check_periodic_learning(lattice) is None

@@ -36,16 +36,17 @@ Fraction is built only for the message of a failing value, so the messages
 are those of the Fraction values the file holds.
 
 The writer reads the trace's columns, and the reader builds them. Reading
-takes two passes over the steps. The first reads the records into columns
-and checks each record on its own: its fields' types (a row is an int, a
-float edge a JSON number), its row, its edge's range and the v1 fields.
-The second is the replay. Since a replay restarts at every checkpoint, the
-steps fall into segments, each starting at the initial or at stored
+makes one pass over the step records, then the replay. The pass reads the
+records in step order into columns and checks each on its own: its fields'
+types (a row is an int, a float edge a JSON number), its row, its edge's
+range and the v1 fields. It stops at the first record that fails. The
+replay covers the steps read. Since a replay restarts at every checkpoint,
+the steps fall into segments, each starting at the initial or at stored
 weights, and `_replay` advances all segments together, one step offset at a
 time, with the engine's update kernel on a (segments x points) array. A bad
-file fails with the message of its earliest failing step, in the order in
-which the per-step reader it replaces checked a step: the record's fields,
-then the edge and the update, then the stored weights.
+file fails with the message of its earliest failing step, and within a step
+its record's fields fail first, then its edge and update, then its stored
+weights.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ import json
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import compress, count, repeat
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -251,36 +251,6 @@ def trace_to_dict(trace: BoostTrace, provenance: Optional[Dict[str, object]] = N
     return doc
 
 
-class _FirstFailure:
-    """The first failure found in the step records, read on their own.
-
-    `limit` is the number of leading steps whose records passed every check
-    made on the record alone; `error` is the failure at step `limit` (None
-    if there is none), and `at_checkpoint` says that it lies in the step's
-    stored weights, which are read after its edge and update are checked.
-    """
-
-    def __init__(self, steps: int) -> None:
-        self.limit = steps
-        self.error: Optional[TraceFormatError] = None
-        self.at_checkpoint = False
-
-    def fail(self, t: int, message: str, at_checkpoint: bool = False) -> None:
-        """Note a failure at step t < limit: each check reads only the steps
-        before the first failure so far."""
-        self.limit, self.error, self.at_checkpoint = t, TraceFormatError(message), at_checkpoint
-
-
-def _first(values, ok) -> Optional[int]:
-    """The index of the first value failing ok, or None."""
-    return next((t for t, v in enumerate(values) if not ok(v)), None)
-
-
-def _field(records: List[dict], key: str) -> List:
-    """Each record's value at key, None where it has none."""
-    return list(map(dict.get, records, repeat(key)))
-
-
 def _is_double(value: object) -> bool:
     """A JSON number that converts to a double: a float, or an int below
     2**1023 in magnitude (never a bool, a string or null)."""
@@ -300,97 +270,90 @@ def _stored_point(values) -> np.ndarray:
 
 
 def _read_steps(
-    records: List, pool: HypothesisPool, mode: str, found: _FirstFailure
-) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
+    records: List, pool: HypothesisPool, mode: str
+) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray], Optional[TraceFormatError]]:
     """The rows, the edges and the stored weights (by step) of the step
-    records, each record checked on its own (everything but the replay), in
-    the order a step is read: its `t` and `row`, its `eta`, its edge and the
-    edge's range, its `alpha`, then its stored weights. Each check reads
-    only the steps before the first failure so far, so the values it reads
-    passed the checks before it. The columns cover the first found.limit
-    steps, and one more when the failure lies in stored weights."""
+    records, and the first failure of a record read on its own (None if
+    there is none). The records are read in step order, and each is checked
+    in the order: it is an object, its `t`, its `row`, its `eta`, its edge
+    and the edge's range, its `alpha`, then its stored weights. Reading
+    stops at the first failure. The columns cover the steps before it, and
+    the failing step too when the failure lies in its stored weights, since
+    those are checked after the step's edge and update."""
     exact = mode == "exact"
-    n = pool.n_points
-    if not set(map(type, records)) <= {dict}:
-        t = _first(records, lambda rec: type(rec) is dict)
-        found.fail(t, f"step {t}: not a JSON object")
-    records = records[: found.limit]
-    keys = set().union(*records)
-
-    if "t" in keys:
-        t = _first(enumerate(records), lambda item: item[1].get("t", item[0]) == item[0])
-        if t is not None:
-            found.fail(t, f"step {t}: recorded t is {records[t]['t']!r}")
-
-    rows = _field(records[: found.limit], "row")
-    if not (set(map(type, rows)) <= {int} and (not rows or 0 <= min(rows) and max(rows) < len(pool))):
-        t = _first(rows, lambda row: type(row) is int and 0 <= row < len(pool))
-        row = rows[t]
-        if type(row) is int:
-            found.fail(t, f"step {t}: row {row} outside pool of {len(pool)} rows")
-        else:
-            found.fail(t, f"step {t}: row {row!r} is not an integer")
-
-    if "eta" in keys:
-        strings = [r.to_string() for r in pool.rows]
-        t = _first(
-            zip(records[: found.limit], rows), lambda item: item[0].get("eta", strings[item[1]]) == strings[item[1]]
-        )
-        if t is not None:
-            found.fail(t, f"step {t}: eta {records[t]['eta']!r} is not pool row {rows[t]}")
-
+    n, size = pool.n_points, len(pool)
     key = "r_exact" if exact else "r"
-    raw = _field(records[: found.limit], key)
-    if exact:
-        edges = []
-        for t, value in enumerate(raw):
-            try:
-                edges.append(_parse_ratio(value))
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                found.fail(t, f"step {t}: edge {value!r} is not a number ({exc})")
+    # only a v1 record, or one that is not an object, needs the checks of
+    # the fields that v2 does not write
+    v1 = not (set(map(type, records)) <= {dict} and set().union(*records) <= {"row", key, "weights"})
+    strings = [row.to_string() for row in pool.rows] if v1 else []
+    rows: List[int] = []
+    edges: List = []
+    checkpoints: Dict[int, np.ndarray] = {}
+    error = None
+    for t, rec in enumerate(records):
+        if v1:
+            if type(rec) is not dict:
+                error = f"step {t}: not a JSON object"
                 break
-        t = _first(edges, lambda edge: 0 < edge[0] < edge[1])
-        if t is not None:
-            found.fail(t, f"step {t}: edge {Fraction(*edges[t])} outside (0, 1)")
+            if rec.get("t", t) != t:
+                error = f"step {t}: recorded t is {rec['t']!r}"
+                break
+        row = rec.get("row")
+        if type(row) is not int:
+            error = f"step {t}: row {row!r} is not an integer"
+            break
+        if not 0 <= row < size:
+            error = f"step {t}: row {row} outside pool of {size} rows"
+            break
+        if v1 and rec.get("eta", strings[row]) != strings[row]:
+            error = f"step {t}: eta {rec['eta']!r} is not pool row {row}"
+            break
+        value = rec.get(key)
+        if exact:
+            try:
+                edge = _parse_ratio(value)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                error = f"step {t}: edge {value!r} is not a number ({exc})"
+                break
+            if not 0 < edge[0] < edge[1]:
+                error = f"step {t}: edge {Fraction(*edge)} outside (0, 1)"
+                break
+        else:
+            if type(value) is not float and not _is_double(value):
+                error = f"step {t}: edge {value!r} is not a number"
+                break
+            if not 0 < value < 1:
+                error = f"step {t}: edge {float(value)} outside (0, 1)"
+                break
+            edge = value  # a float: no int lies in (0, 1)
+        if v1 and "alpha" in rec:
+            a = alpha(Fraction(*edge) if exact else edge)
+            if abs(float(rec["alpha"]) - a) > ALPHA_REL_TOL * a:
+                error = f"step {t}: alpha {rec['alpha']!r} is not alpha(r) = {a!r}"
+                break
+        rows.append(row)
+        edges.append(edge)
+        if "weights" in rec:
+            try:
+                if exact:
+                    stored = _stored_point(rec["weights"])
+                else:
+                    stored = WeightVector(tuple(_decode_scalar(c, mode) for c in rec["weights"])).as_array()
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                error = f"step {t}: stored weights: {exc}"
+                break
+            components = len(stored) - 1 if exact else len(stored)  # a lattice point leads with D
+            if components != n:
+                error = f"step {t}: weights have {components} components, pool rows {n}"
+                break
+            checkpoints[t] = stored
+    if exact:
         # (steps, 2) rows [p, q]
         edge_column = np.array(edges, dtype=object).reshape(len(edges), 2)
     else:
-        t = None if set(map(type, raw)) <= {float} else _first(raw, _is_double)
-        if t is not None:
-            found.fail(t, f"step {t}: edge {raw[t]!r} is not a number")
-        edge_column = np.array(raw[: found.limit], dtype=np.float64)
-        outside = np.flatnonzero(~((edge_column > 0) & (edge_column < 1)))
-        if outside.size:
-            t = int(outside[0])
-            found.fail(t, f"step {t}: edge {edge_column[t]} outside (0, 1)")
-
-    if "alpha" in keys:
-        for t, rec in enumerate(records[: found.limit]):
-            if "alpha" in rec:
-                a = alpha(Fraction(*edge_column[t]) if exact else edge_column[t])
-                if abs(float(rec["alpha"]) - a) > ALPHA_REL_TOL * a:
-                    found.fail(t, f"step {t}: alpha {rec['alpha']!r} is not alpha(r) = {a!r}")
-                    break
-
-    # stored weights: their errors come after the step's edge and update
-    checkpoints: Dict[int, np.ndarray] = {}
-    for t in compress(count(), map(dict.__contains__, records[: found.limit], repeat("weights"))):
-        try:
-            if exact:
-                stored = _stored_point(records[t]["weights"])
-            else:
-                stored = WeightVector(tuple(_decode_scalar(c, mode) for c in records[t]["weights"])).as_array()
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            found.fail(t, f"step {t}: stored weights: {exc}", at_checkpoint=True)
-            break
-        components = len(stored) - 1 if exact else len(stored)  # a lattice point leads with D
-        if components != n:
-            found.fail(t, f"step {t}: weights have {components} components, pool rows {n}", at_checkpoint=True)
-            break
-        checkpoints[t] = stored
-
-    stop = found.limit + found.at_checkpoint
-    return np.array(rows[:stop], dtype=np.int64), edge_column[:stop], checkpoints
+        edge_column = np.array(edges, dtype=np.float64)
+    return np.array(rows, dtype=np.int64), edge_column, checkpoints, None if error is None else TraceFormatError(error)
 
 
 def _replay(
@@ -521,15 +484,15 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
         raise TraceFormatError("steps is not a list")
     if records and "weights" not in records[-1]:
         raise TraceFormatError(f"step {len(records) - 1}: the last step has no weights checkpoint")
-    found = _FirstFailure(len(records))
-    rows, edges, checkpoints = _read_steps(records, pool, mode, found)
+    rows, edges, checkpoints, record_failure = _read_steps(records, pool, mode)
     signs = pool.signs[rows]
     start = _lattice_point(initial) if mode == "exact" else initial.as_array()
-    states, failure = _replay(start, rows, signs, edges, checkpoints)
-    if failure is not None:
-        raise failure
-    if found.error is not None:
-        raise found.error
+    # the replay ends where the records failed, so its failure comes first
+    states, replay_failure = _replay(start, rows, signs, edges, checkpoints)
+    if replay_failure is not None:
+        raise replay_failure
+    if record_failure is not None:
+        raise record_failure
     return BoostTrace(mode, pool, rule, initial, rows, signs, states, halt)
 
 

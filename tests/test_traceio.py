@@ -299,6 +299,23 @@ class TestTraceConsistency:
         with pytest.raises(TraceFormatError, match="recorded t"):
             loads_trace(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "mode, message",
+        [
+            ("float", "step 1: stored weights: float weights sum to 0.5, off by more than 1e-12"),
+            ("exact", "step 1: stored weights: exact weights sum to 5/6, not 1"),
+        ],
+        ids=["float", "exact"],
+    )
+    def test_stored_weights_before_a_later_non_numeric_alpha(self, pool3, mode, message):
+        # the earliest failing step wins, whatever fails at a later one
+        doc = v1_trace_to_dict(run(pool3, Optimal(), 4, mode))
+        del doc["steps"][1]["weights"][2:]
+        doc["steps"][2]["alpha"] = "x"
+        with pytest.raises(TraceFormatError) as info:
+            loads_trace(json.dumps(doc))
+        assert str(info.value) == message
+
 
 class TestV2Layout:
     def test_checkpoints_and_fields(self, pool3):
