@@ -18,21 +18,23 @@ a_1..a_n over one common denominator D, in canonical form: gcd(a_1..a_n, D) =
 1, so D is the least common denominator and the form is unique (two vectors
 are equal exactly when their forms are). A lattice point is the object array
 [D, a_1, ..., a_n]. Selection compares the integer edge numerators
-s = sum_i eta_i a_i, and the step's edge is s / D reduced to p / q with one
-gcd. The update is
-
-    w_i / (1 + eta_i r) = a_i (q - eta_i p) / ((D / q) (q^2 - p^2)),
-
-brought back to canonical form by one multi-argument gcd; the weights sum to
-exactly 1 when the new numerators sum to the new denominator. No Fraction is
-built per step: a trace's exact `states` column holds this integer form, and
-Fractions are built only when values are read from it.
+s = sum_i eta_i a_i. The update needs only the two class masses: it leaves
+the correct points and the mistakes with half the mass each, so the new
+weights are a_i / (2 A+) and a_i / (2 A-), where A+ is the mass of the
+correct points and A- = D - A+. `_lattice_step` derives from them both the
+edge s / D in lowest terms and the new point in canonical form, in plain
+Python ints. Its gcds of full-size numbers are the masses' gcd and each
+class's gcd of its numerators (none for a one-point class); its last gcd
+divides the first, which is usually small, and is then cheap (see its
+docstring). No Fraction is built per step: a trace's exact `states` column
+holds this integer form, and Fractions are built only when values are read
+from it.
 
 One loop, `boost`, runs both pool selection (`run`) and the tree learner
 (`learners.run_on_dataset`); they differ only in the `choose` function that
 picks each step's dichotomy and edge. The weights are an array: float64 in
 float mode, a lattice point in exact mode. Each step applies an update kernel
-to the whole array (`_update` for floats, `_lattice_update` for a lattice
+to the whole array (`_update` for floats, `_lattice_step` for a lattice
 point); float weights are then divided by their left-to-right sum, bit-equal
 to Python's `sum`. The loop builds no per-step object: it appends the step's
 row, signs, edge and weights, and the trace keeps them as three columns (see
@@ -58,7 +60,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -239,27 +241,42 @@ def _lattice_point(w: Iterable[Union[int, Fraction]]) -> np.ndarray:
     return np.array([d, *(c.numerator * (d // c.denominator) for c in w)], dtype=object)
 
 
-def _lattice_update(w: np.ndarray, eta: np.ndarray, p, q) -> Tuple[np.ndarray, np.ndarray]:
-    """The exact update kernel w_i -> w_i / (1 + eta_i * p/q) on lattice
-    points [D, a_1..a_n] along the last axis.
+def _lattice_step(point: Sequence[int], eta: Sequence[int]) -> Tuple[int, int, List[int]]:
+    """The exact update kernel: one step of the rational update on the
+    lattice point [D, a_1..a_n] with the ±1 signs eta, in plain Python ints.
 
-    eta holds the ±1 signs as Python ints (an object array); p/q is the edge
-    in lowest terms, as ints or as columns of ints (one per point). With g a
-    common divisor of D and q, the new point is a_i (q/g) (q - eta_i p) over
-    (D/g) (q^2 - p^2), divided by the gcd of all its entries, so it is in
-    canonical form. When p/q is the edge s/D, q divides D and g is q; for
-    any other edge g is 1, which keeps the quotients exact. Returns the new
-    points and whether each one's numerators sum to its denominator: the
-    weights sum to 1, which holds exactly when p/q was the edge of eta on the
-    old weights.
+    It takes no edge. The update leaves each class of eta with half the
+    mass, so the step follows from the class masses: A+, the sum of the a_i
+    with eta_i = +1, and A- = D - A+. With h = gcd(A+, A-), x = A+/h and
+    y = A-/h, the edge s/D = (A+ - A-)/D is p/q = (x - y)/(x + y), halved
+    when x and y are both odd; it is then in lowest terms. The new weights
+    are a_i/(2 A+) on the correct points and a_i/(2 A-) on the mistakes.
+    Let g+ and g- be the gcds of the two classes' a_i, u = A+/g+, v = A-/g-
+    and k = gcd(u, v), which divides h. The new point is D' = 2uv/k over the numerators
+    (a_i/g+)(v/k) and (a_i/g-)(u/k). It is canonical by construction: the
+    two classes' numerators have the coprime gcds v/k and u/k.
+
+    Returns p, q and the new point as a list. Raises ValueError when eta
+    puts every point in one class: the edge is then ±1, where the update is
+    undefined.
     """
-    d, a = w[..., :1], w[..., 1:]
-    q = np.asarray(q, dtype=object)
-    # a divisibility test, not a gcd: this costs one big-int division
-    g = np.where(d % q == 0, q, 1)
-    new = np.concatenate((d // g * (q * q - p * p), a * (q // g * (q - eta * p))), axis=-1)
-    new //= np.gcd.reduce(new, axis=-1, keepdims=True)
-    return new, new[..., 1:].sum(axis=-1) == new[..., 0]
+    d, *a = point
+    right = [x for x, e in zip(a, eta) if e > 0]
+    wrong = [x for x, e in zip(a, eta) if e < 0]
+    if not (right and wrong):
+        raise ValueError("eta puts every point in one class: the edge is ±1")
+    mass = sum(right)
+    rest = d - mass
+    h = math.gcd(mass, rest)
+    x, y = mass // h, rest // h
+    p, q = x - y, x + y
+    if x & y & 1:
+        p, q = p // 2, q // 2
+    g_right, g_wrong = math.gcd(*right), math.gcd(*wrong)
+    u, v = mass // g_right, rest // g_wrong
+    k = math.gcd(h, u, v)  # k divides A+ and A-, so h, which is usually small: then this is cheap
+    u, v = u // k, v // k
+    return p, q, [2 * u * v * k, *(c // g_right * v if e > 0 else c // g_wrong * u for c, e in zip(a, eta))]
 
 
 def weight_update(w: WeightVector, eta: MistakeDichotomy, r: Scalar) -> WeightVector:
@@ -267,7 +284,8 @@ def weight_update(w: WeightVector, eta: MistakeDichotomy, r: Scalar) -> WeightVe
 
     Correct points shrink by 1/(1+r), misclassified ones grow by 1/(1-r).
     Requires 0 < r < 1 and r equal to the edge of eta on w; under that
-    consistency the output sums to 1 identically.
+    consistency the output sums to 1 identically. An exact update derives
+    the edge from w and eta, and raises ValueError when r is not it.
     """
     if len(w) != len(eta):
         raise DimensionMismatch("weight/dichotomy length mismatch")
@@ -276,8 +294,9 @@ def weight_update(w: WeightVector, eta: MistakeDichotomy, r: Scalar) -> WeightVe
     if r <= 0:
         raise ValueError(f"invalid edge {r!r}: must be positive")
     if is_exact(w) and is_exact((r,)):
-        point, _ = _lattice_update(_lattice_point(w), np.array(eta.entries, dtype=object), r.numerator, r.denominator)
-        d, *a = point.tolist()
+        p, q, (d, *a) = _lattice_step(_lattice_point(w).tolist(), eta.entries)
+        if p * r.denominator != r.numerator * q:
+            raise ValueError(f"edge {r} is not the edge {Fraction(p, q)} of eta on the weights")
         return WeightVector(tuple(Fraction(x, d) for x in a))
     # a float edge or float weights make a float update
     weights = w.as_array().astype(np.float64)
@@ -474,10 +493,12 @@ def boost(
 
     Each iteration asks choose for a dichotomy and its edge, halts when
     choose raises WeakLearningFailure or the edge leaves (0, 1), and applies
-    the update kernel to the weights. Exact weights are a lattice point whose
-    numerators must sum to its denominator after every update (they do when
-    each edge is the true edge); float weights are renormalised. Float
-    weights are validated as a WeightVector once, after the last step: a
+    the update kernel to the weights. In exact mode choose gives the edge's
+    numerator s over the lattice point's denominator D, so the halts are
+    s <= 0 and s >= D; `_lattice_step` derives the edge from the weights,
+    and a choose whose s is not that edge's numerator raises ValueError.
+    The new point sums to 1 by construction. Float weights are renormalised,
+    and validated as a WeightVector once, after the last step: a
     weight that underflows to 0, or turns NaN, stays so, so the last vector
     shows it. Exact weights stay positive by the arithmetic.
     """
@@ -504,22 +525,18 @@ def boost(
         except WeakLearningFailure:
             halt = "weak_learning_failure"
             break
-        if exact:
-            g = math.gcd(r, w[0])
-            p, q = r // g, w[0] // g  # the edge s / D in lowest terms
-            low, high = p <= 0, p >= q
-        else:
-            low, high = r <= 0, r >= 1
-        if low:
+        if r <= 0:
             halt = "weak_learning_failure"
             break
-        if high:
+        if r >= (w[0] if exact else 1):  # s >= D for an edge s / D
             halt = "perfect_classification"
             break
         if exact:
-            w, consistent = _lattice_update(w, eta, p, q)
-            if not consistent:
-                raise ValueError(f"exact weights sum to {Fraction(w[1:].sum(), w[0])}, not 1")
+            d = w[0]
+            p, q, point = _lattice_step(w.tolist(), eta)
+            if r * q != p * d:
+                raise ValueError(f"choose gave the edge {Fraction(r, d)}, not the edge {Fraction(p, q)} of its signs")
+            w = np.array(point, dtype=object)
             r = (p, q)
         else:
             w, _ = _update(w, eta, r)

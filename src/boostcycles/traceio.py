@@ -19,29 +19,33 @@ the initial weights.
 
 The replay is also the check. In float mode every recorded edge must be the
 edge of its row on the replayed weights, and every checkpoint must match the
-replay, within the rounding bounds argued in `_replay_drift`. In exact mode a
-wrong edge shows as replayed weights that do not sum to 1 (the update
-preserves the sum exactly when, and only when, r is the edge), and a
-checkpoint must equal the replay. After a checkpoint the replay continues
-from the stored values. A `boostcycles-trace-v1` document, which stores the
+replay, within the rounding bounds argued in `_replay_drift`. In exact mode
+the engine's kernel derives each step's edge from the replayed weights, the
+recorded edge must equal it (a cross product of integers), and a checkpoint
+must equal the replay. After a checkpoint the replay continues from the
+stored values. A `boostcycles-trace-v1` document, which stores the
 weights, `t`, `eta` and `alpha` of every step, is read by the same replay as
 a v2 document with a checkpoint on every step; its extra fields are checked.
 
 Exact values never pass through `Fraction` on the way in or out. The reader
-parses each `p/q` straight to a reduced pair of ints, turns stored weights
-into lattice points (integer numerators over their least common
-denominator), and replays with the engine's integer kernel; the writer
-reduces a lattice point's numerators to `p/q` text only at checkpoints. A
-Fraction is built only for the message of a failing value, so the messages
-are those of the Fraction values the file holds.
+parses each decimal `p/q` edge to a pair of ints with no gcd: the pair need
+not be in lowest terms, since it is only compared with the kernel's edge by
+a cross product, and the states column keeps the kernel's reduced edge. It
+turns stored weights into canonical lattice points (integer numerators over
+their least common denominator, one gcd per checkpoint), and replays with
+the engine's integer kernel; the writer reduces a lattice point's
+numerators to `p/q` text only at checkpoints. A Fraction is built only for
+the message of a failing value, so the messages are those of the Fraction
+values the file holds.
 
 The writer reads the trace's columns, and the reader builds them. Reading
 makes one pass over the step records, then the replay. The pass reads the
 records in step order into columns and checks each on its own: its fields'
 types (a row is an int, a float edge a JSON number), its row, its edge's
 range and the v1 fields. It stops at the first record that fails. The
-replay covers the steps read. Since a replay restarts at every checkpoint,
-the steps fall into segments, each starting at the initial or at stored
+replay covers the steps read. An exact replay runs in step order and stops
+at its first failure. A float replay restarts at every checkpoint, so the
+steps fall into segments, each starting at the initial or at stored
 weights, and `_replay` advances all segments together, one step offset at a
 time, with the engine's update kernel on a (segments x points) array. A bad
 file fails with the message of its earliest failing step, and within a step
@@ -68,7 +72,7 @@ from .engine import (
     Optimal,
     SelectionRule,
     _lattice_point,
-    _lattice_update,
+    _lattice_step,
     _update,
     alpha,
 )
@@ -146,17 +150,16 @@ def _is_digits(text: str) -> bool:
 
 def _parse_ratio(value: Union[str, float, int]) -> Tuple[int, int]:
     """An exact scalar of a trace file (a `p/q` string, or a JSON number) as
-    the reduced pair (p, q), q > 0: the value Fraction would read. A plain
-    decimal `p/q` or `p` is parsed by int and one gcd; anything else is left
-    to Fraction, which also raises the errors of malformed text."""
+    a pair (p, q), q > 0, with p/q the value Fraction would read. A plain
+    decimal `p/q` or `p` is parsed by int alone, so its pair is as written
+    and need not be in lowest terms; anything else is left to Fraction,
+    which also raises the errors of malformed text."""
     if type(value) is str:
         numerator, slash, denominator = value.partition("/")
         if _is_digits(numerator[1:] if numerator[:1] == "-" else numerator) and (
             not slash or _is_digits(denominator) and denominator.strip("0")
         ):
-            p, q = int(numerator), int(denominator) if slash else 1
-            g = math.gcd(p, q)
-            return p // g, q // g
+            return int(numerator), int(denominator) if slash else 1
         value = _parse_fraction(value)
     else:
         value = Fraction(value)
@@ -257,21 +260,28 @@ def _is_double(value: object) -> bool:
     return type(value) is float or (type(value) is int and abs(value) < 2**1023)
 
 
-def _stored_point(values) -> np.ndarray:
-    """Stored exact weights as a lattice point [D, a_1..a_n], checked as a
-    WeightVector checks them (nonempty, positive, summing to 1); a failing
-    vector raises WeightVector's error."""
+# Stored weights, by step: a float64 array, or an exact lattice point as a list
+Stored = Union[np.ndarray, List[int]]
+
+
+def _stored_point(values) -> List[int]:
+    """Stored exact weights as a lattice point [D, a_1..a_n] in canonical
+    form, checked as a WeightVector checks them (nonempty, positive, summing
+    to 1); a failing vector raises WeightVector's error."""
     ratios = [_parse_ratio(c) for c in values]
     d = math.lcm(*(q for _, q in ratios))
-    point = np.array([d, *(p * (d // q) for p, q in ratios)], dtype=object)
-    if not ratios or min(p for p, _ in ratios) <= 0 or point[1:].sum() != d:
+    point = [d, *(p * (d // q) for p, q in ratios)]
+    if not ratios or min(p for p, _ in ratios) <= 0 or sum(point[1:]) != d:
         WeightVector(tuple(Fraction(p, q) for p, q in ratios))
-    return point
+    # one gcd brings the point to canonical form, whether or not its p/q
+    # were written in lowest terms
+    g = math.gcd(*point)
+    return [x // g for x in point]
 
 
 def _read_steps(
     records: List, pool: HypothesisPool, mode: str
-) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray], Optional[TraceFormatError]]:
+) -> Tuple[np.ndarray, np.ndarray, Dict[int, Stored], Optional[TraceFormatError]]:
     """The rows, the edges and the stored weights (by step) of the step
     records, and the first failure of a record read on its own (None if
     there is none). The records are read in step order, and each is checked
@@ -289,7 +299,7 @@ def _read_steps(
     strings = [row.to_string() for row in pool.rows] if v1 else []
     rows: List[int] = []
     edges: List = []
-    checkpoints: Dict[int, np.ndarray] = {}
+    checkpoints: Dict[int, Stored] = {}
     error = None
     for t, rec in enumerate(records):
         if v1:
@@ -313,7 +323,7 @@ def _read_steps(
         if exact:
             try:
                 edge = _parse_ratio(value)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:  # a JSON Infinity
                 error = f"step {t}: edge {value!r} is not a number ({exc})"
                 break
             if not 0 < edge[0] < edge[1]:
@@ -340,7 +350,7 @@ def _read_steps(
                     stored = _stored_point(rec["weights"])
                 else:
                     stored = WeightVector(tuple(_decode_scalar(c, mode) for c in rec["weights"])).as_array()
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                 error = f"step {t}: stored weights: {exc}"
                 break
             components = len(stored) - 1 if exact else len(stored)  # a lattice point leads with D
@@ -361,28 +371,53 @@ def _replay(
     rows: np.ndarray,
     signs: np.ndarray,
     edges: np.ndarray,
-    checkpoints: Dict[int, np.ndarray],
-) -> Tuple[np.ndarray, Optional[TraceFormatError]]:
+    checkpoints: Dict[int, Stored],
+) -> Tuple[Optional[np.ndarray], Optional[TraceFormatError]]:
     """Rebuild the weights after every step by the update kernel, and check
     the steps against them; returns the states column and the first
     failure (None if there is none).
 
-    Float weights are float64 rows and float edges a float64 column. Exact
-    weights are lattice points, exact edges (steps, 2) rows [p, q], and the
-    states column comes back in integer form (see BoostTrace).
+    Exact weights are lattice points and exact edges (steps, 2) rows
+    [p, q], not necessarily in lowest terms. The replay runs in step order
+    with `_lattice_step`, which derives each step's edge from the weights;
+    the file's edge must equal it (a cross product), and a checkpoint must
+    equal the replayed point. The pass stops at its first failure, the
+    earliest, and the states column is then None. It holds the kernel's
+    reduced edges, in integer form (see BoostTrace).
 
-    The steps are cut into segments, each starting at the initial weights or
-    at a checkpoint's stored weights, and all segments advance together,
-    one step offset j at a time, as one (segments x points) array. A float
-    edge must lie within SCREEN_MARGIN * n + _replay_drift(j, n) of its row's
-    edge on the replayed weights; exact weights must sum to exactly 1 after
-    each update; each checkpoint must match the replay that ends on it
-    (exactly, or within _replay_drift in float mode). A step whose weights
-    are stored keeps the stored values. Segments are independent, so the
-    first failure is the failure at the earliest step.
+    Float weights are float64 rows and float edges a float64 column. The
+    steps are cut into segments, each starting at the initial weights or at
+    a checkpoint's stored weights, and all segments advance together, one
+    step offset j at a time, as one (segments x points) array. An edge must
+    lie within SCREEN_MARGIN * n + _replay_drift(j, n) of its row's edge on
+    the replayed weights, and a checkpoint within _replay_drift of the
+    replay that ends on it. A step whose weights are stored keeps the stored
+    values. Segments are independent, so the first failure is the failure
+    at the earliest step.
     """
     steps, n = signs.shape
-    exact = initial.dtype == object
+    if initial.dtype == object:
+        point, states = initial.tolist(), []
+        for t, (eta, s, d) in enumerate(zip(signs.tolist(), edges[:, 0].tolist(), edges[:, 1].tolist())):
+            try:
+                p, q, point = _lattice_step(point, eta)
+            except ValueError:  # eta puts every point in one class: the edge is ±1
+                consistent = False
+            else:
+                consistent = p * d == s * q
+            if not consistent:
+                return None, TraceFormatError(
+                    f"step {t}: edge {Fraction(s, d)} is not the edge of row {rows[t]} on the replayed weights"
+                )
+            # canonical lattice points are equal exactly when their weights are
+            if t in checkpoints and checkpoints[t] != point:
+                return None, TraceFormatError(f"step {t}: stored weights do not match the replayed update")
+            # the file's ints when they are the reduced edge already (as the
+            # writer writes it), so the states and edge columns share them
+            states += (s, d) if (s, d) == (p, q) else (p, q)
+            states += point
+        return np.array(states, dtype=object).reshape(steps, n + 3), None
+
     cuts = sorted({0, steps, *(t + 1 for t in checkpoints if t + 1 < steps)})
     # (length, start) of each segment, longest first, so that the segments
     # still running at offset j are the first live(j) of them
@@ -396,12 +431,10 @@ def _replay(
     for length, start in segments:
         if start + length - 1 in checkpoints:
             ends.setdefault(length - 1, []).append(start + length - 1)
-    # converted once, not at every offset: Python ints for the integer kernel
-    signs = signs.astype(object if exact else np.float64)
-    # a state row holds the edge (p and q in exact mode), then the weights
-    e = 2 if exact else 1
-    states = np.empty((steps, e + w.shape[-1]), dtype=initial.dtype)
-    states[:, :e] = edges.reshape(steps, e)
+    signs = signs.astype(np.float64)  # converted once, not at every offset
+    # a state row holds the edge, then the weights
+    states = np.empty((steps, 1 + n))
+    states[:, 0] = edges
     first: Optional[Tuple[int, str]] = None
 
     def fail(failed: np.ndarray, message: Callable[[int], str]) -> None:
@@ -414,39 +447,27 @@ def _replay(
     for j, live in enumerate(running):
         t = starts[:live] + j
         eta, r, w = signs[t], edges[t], w[:live]
-        if exact:
-            w, consistent = _lattice_update(w, eta, r[:, :1], r[:, 1:])
-            if not consistent.all():
-                fail(t[~consistent], lambda step: (
-                    f"step {step}: edge {Fraction(*edges[step])} is not the edge of row {rows[step]} on the "
-                    "replayed weights"
-                ))
-        else:
-            replayed = _signed_sums(eta, w)
-            bad = np.abs(replayed - r) > SCREEN_MARGIN * n + _replay_drift(j, n)
-            if bad.any():
-                edge_of = dict(zip(t.tolist(), replayed.tolist()))
-                fail(t[bad], lambda step: (
-                    f"step {step}: edge {edges[step].item()!r} is not the edge of row {rows[step]} on the "
-                    f"replayed weights ({edge_of[step]!r})"
-                ))
-            w, _ = _update(w, eta, r[:, None])
-        states[t, e:] = w
+        replayed = _signed_sums(eta, w)
+        bad = np.abs(replayed - r) > SCREEN_MARGIN * n + _replay_drift(j, n)
+        if bad.any():
+            edge_of = dict(zip(t.tolist(), replayed.tolist()))
+            fail(t[bad], lambda step: (
+                f"step {step}: edge {edges[step].item()!r} is not the edge of row {rows[step]} on the "
+                f"replayed weights ({edge_of[step]!r})"
+            ))
+        w, _ = _update(w, eta, r[:, None])
+        states[t, 1:] = w
         stored = ends.get(j)
         if stored:
-            replayed = states[stored, e:]
+            replayed = states[stored, 1:]
             expected = np.stack([checkpoints[u] for u in stored])
-            if exact:
-                # canonical lattice points are equal exactly when their weights are
-                matches = (replayed == expected).all(axis=1)
-            else:
-                matches = (np.abs(replayed - expected) <= _replay_drift(j + 1, n) * expected).all(axis=1)
+            matches = (np.abs(replayed - expected) <= _replay_drift(j + 1, n) * expected).all(axis=1)
             if not matches.all():
                 fail(
                     np.array(stored)[~matches],
                     lambda step: f"step {step}: stored weights do not match the replayed update",
                 )
-            states[stored, e:] = expected
+            states[stored, 1:] = expected
     return states, None if first is None else TraceFormatError(first[1])
 
 
@@ -528,7 +549,9 @@ def loads_trace(text: str) -> BoostTrace:
         raise TraceFormatError("trace document must be a JSON object")
     try:
         return trace_from_dict(doc)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:  # a p/0 number
+    # a p/0 number is a ZeroDivisionError; a JSON Infinity read exactly, or an
+    # int beyond a double read as a float, is an OverflowError
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         if isinstance(exc, TraceFormatError):
             raise
         raise TraceFormatError(f"malformed trace: {exc}") from exc

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from boostcycles import (
@@ -21,6 +22,7 @@ from boostcycles import (
     uniform_weights,
     weight_update,
 )
+from boostcycles.engine import _lattice_point, _lattice_step, _select, boost
 
 
 def wv(*values):
@@ -235,6 +237,71 @@ class TestWeightUpdate:
                 continue
             updated = [c / (1 + e * r) for c, e in zip(w, d)]
             assert sum(updated) == 1
+
+    def test_exact_edge_must_be_the_edge_of_eta(self):
+        w = wv("1/3", "1/3", "1/3")
+        with pytest.raises(ValueError, match="not the edge 1/3 of eta"):
+            weight_update(w, eta(-1, 1, 1), Fraction(1, 2))
+        with pytest.raises(ValueError, match="not the edge 1/3 of eta"):
+            weight_update(w, eta(-1, 1, 1), Fraction(1, 3) + Fraction(1, 10**30))
+        # every point in one class: the edge is 1, and no r in (0, 1) is it
+        with pytest.raises(ValueError, match="one class"):
+            weight_update(w, eta(1, 1, 1), Fraction(1, 2))
+        # a float edge makes a float update, checked by nothing
+        assert len(weight_update(w, eta(-1, 1, 1), 0.5)) == 3
+
+
+class TestLatticeStep:
+    def test_fuzz_matches_fractions(self):
+        # the edge in lowest terms and the canonical point of the rational
+        # update, from random points, signs with both classes, and halving
+        # both taken and not
+        rng = random.Random(15)
+        halved = 0
+        for _ in range(500):
+            n = rng.randint(2, 7)
+            raw = [Fraction(rng.randint(1, 90), rng.choice((1, 2, 4, 6, 9))) for _ in range(n)]
+            w = WeightVector(tuple(c / sum(raw) for c in raw))
+            signs = [rng.choice((1, -1)) for _ in range(n)]
+            signs[0], signs[-1] = 1, -1
+            r = edge_dot(w, eta(*signs))
+            p, q, point = _lattice_step(_lattice_point(w).tolist(), signs)
+            assert (p, q) == (r.numerator, r.denominator)
+            d, *a = point
+            assert math.gcd(*point) == 1
+            assert [Fraction(x, d) for x in a] == [c / (1 + e * r) for c, e in zip(w, signs)]
+            mass = sum(c for c, e in zip(w, signs) if e > 0)
+            halved += (mass.numerator * (1 - mass).numerator) % 2 == 1
+        assert halved > 50
+
+    def test_one_class_is_refused(self):
+        for signs in ((1, 1, 1), (-1, -1, -1)):
+            with pytest.raises(ValueError, match="one class"):
+                _lattice_step([3, 1, 1, 1], signs)
+
+
+class TestBoostChecksChoose:
+    """The loop's exact step derives the edge from the weights, so a choose
+    whose edge numerator is not that edge's is an error, not a trace."""
+
+    @pytest.mark.parametrize("wrong_at", [0, 5])
+    def test_wrong_edge_numerator_raises(self, pool3, wrong_at):
+        signs = list(pool3.exact_signs)
+
+        def choose(w, t):
+            row, s = _select(w, pool3, Optimal(), t)
+            return row, signs[row], s + (t == wrong_at)
+
+        with pytest.raises(ValueError, match="choose gave the edge"):
+            boost(choose, uniform_weights(3, "exact"), 10)
+
+    def test_one_class_signs_raise(self, pool3):
+        # an edge in (0, 1) for signs whose true edge is 1
+        def choose(w, t):
+            return 0, np.array([1, 1, 1], dtype=object), 1
+
+        with pytest.raises(ValueError, match="one class"):
+            boost(choose, uniform_weights(3, "exact"), 3)
 
 
 class TestExponentialUpdate:

@@ -17,6 +17,7 @@ and numerators a_1..a_n over a denominator D with gcd(a_1..a_n, D) = 1 that
 sum to D.
 """
 
+import hashlib
 import json
 import math
 from bisect import bisect_left
@@ -485,3 +486,21 @@ def test_fraction_constructions_per_run_and_analyze(tmp_path, monkeypatch, capsy
     assert "check subsums: pass" in capsys.readouterr().out
     checkpoint_weights = 3 * (steps // CHECKPOINT_EVERY)
     assert built <= steps + checkpoint_weights
+
+
+def test_exact_run_and_analyze_keep_their_bytes(pool3, tmp_path, capsys):
+    """The 2000-step exact run on the 3-point pool, written out, and its
+    analyze output have the sha256 they had with the update kernel that
+    reduced each new point by a multi-argument gcd over [D', a']: the exact
+    arithmetic is canonical, so a change of kernel changes no byte."""
+    text = dumps_trace(run(pool3, Optimal(), 2000, "exact"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "972177afb68407c597fba5dcf1501a2aee2b1c28d219b6e5e8e32957d544fc30"
+    )
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["analyze", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "13e45fa45e2d53ddf379dbbf69875e85884dc7f27aac81b59b0bdd5062ed32ba"
+    )

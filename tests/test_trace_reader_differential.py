@@ -8,6 +8,7 @@ non-numeric field before an earlier step's stored weights."""
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 from importlib import resources
@@ -24,14 +25,34 @@ from boostcycles.traceio import (
     ALPHA_REL_TOL,
     TraceFormatError,
     _decode_scalar,
+    _is_digits,
     _is_double,
-    _parse_ratio,
+    _parse_fraction,
     _stored_point,
     dumps_trace,
     loads_trace,
 )
 from test_engine import wide_pool
 from test_traceio import v1_trace_to_dict
+
+
+def _parse_ratio(value) -> Tuple[int, int]:
+    """The replaced reader's exact parse, as it was: the reduced pair (p, q),
+    q > 0, of the value Fraction would read. A plain decimal `p/q` or `p` is
+    parsed by int and one gcd; anything else is left to Fraction, which also
+    raises the errors of malformed text."""
+    if type(value) is str:
+        numerator, slash, denominator = value.partition("/")
+        if _is_digits(numerator[1:] if numerator[:1] == "-" else numerator) and (
+            not slash or _is_digits(denominator) and denominator.strip("0")
+        ):
+            p, q = int(numerator), int(denominator) if slash else 1
+            g = math.gcd(p, q)
+            return p // g, q // g
+        value = _parse_fraction(value)
+    else:
+        value = Fraction(value)
+    return value.numerator, value.denominator
 
 
 class _FirstFailure:

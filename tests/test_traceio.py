@@ -242,6 +242,78 @@ class TestHugeFractions:
             loads_trace(json.dumps(doc))
 
 
+def infinite_edge(doc):
+    doc["steps"][2]["r_exact"] = math.inf
+
+
+def infinite_stored_weight(doc):
+    doc["steps"][3]["weights"][0] = math.inf
+
+
+def infinite_initial_weight(doc):
+    doc["initial_weights"][0] = math.inf
+
+
+def huge_v1_alpha(doc):
+    doc["steps"][1]["alpha"] = 10**400
+
+
+class TestOverflowingValues:
+    """A JSON Infinity read as an exact value, or an int beyond a double read
+    as a float, is a malformed trace (exit 4), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "schema, tamper, message",
+        [
+            ("v2", infinite_edge, "step 2: edge inf is not a number (cannot convert Infinity to integer ratio)"),
+            ("v2", infinite_stored_weight, "step 3: stored weights: cannot convert Infinity to integer ratio"),
+            ("v2", infinite_initial_weight, "malformed trace: cannot convert Infinity to integer ratio"),
+            ("v1", huge_v1_alpha, "malformed trace: int too large to convert to float"),
+        ],
+        ids=["edge", "stored-weight", "initial-weight", "v1-alpha"],
+    )
+    def test_exit_4(self, pool3, tmp_path, capsys, schema, tamper, message):
+        trace = run(pool3, Optimal(), 4, "exact")
+        doc = v1_trace_to_dict(trace) if schema == "v1" else json.loads(dumps_trace(trace))
+        tamper(doc)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 4
+        assert capsys.readouterr().err.strip().endswith(message)
+
+
+def unreduced_text(text):
+    """An exact value's `p/q` text with p and q doubled: `2p/2q`."""
+    p, _, q = text.partition("/")
+    return f"{2 * int(p)}/{2 * int(q or 1)}"
+
+
+def hex_text(text):
+    """An exact value's `p/q` text in hexadecimal."""
+    p, _, q = text.partition("/")
+    return f"{int(p):#x}/{int(q or 1):#x}"
+
+
+class TestUnreducedValues:
+    """The reader parses decimal edges without reducing them: a file whose
+    edges (and stored weights) are not in lowest terms, or are hexadecimal,
+    loads to the same trace, with reduced edges in its states column."""
+
+    @pytest.mark.parametrize("rewrite", [unreduced_text, hex_text], ids=["doubled", "hex"])
+    def test_loads_equal(self, pool3, rewrite):
+        trace = run(pool3, Optimal(), 2 * CHECKPOINT_EVERY + 30, "exact")
+        doc = json.loads(dumps_trace(trace))
+        for rec in doc["steps"]:
+            rec["r_exact"] = rewrite(rec["r_exact"])
+            if "weights" in rec:
+                rec["weights"] = [rewrite(c) for c in rec["weights"]]
+        assert doc["steps"][0]["r_exact"] == {unreduced_text: "2/6", hex_text: "0x1/0x3"}[rewrite]
+        again = loads_trace(json.dumps(doc))
+        assert again == trace
+        assert all(math.gcd(p, q) == 1 for p, q in again.states[:, :2].tolist())
+        assert dumps_trace(again) == dumps_trace(trace)
+
+
 def split_last_weight(w):
     """Widen an exact weight list by one and keep its sum at 1."""
     w[-1] = str(Fraction(w[-1]) / 2)
