@@ -51,7 +51,9 @@ So once the pair (weight bits, t mod L) repeats, every later step repeats
 the steps since its previous occurrence, bit for bit. `boost` looks for the
 first such repeat with Brent's method, which keeps one saved key, and fills
 the rest of the trace by tiling the repeating block of its columns. Exact
-weights never repeat and are not checked.
+weights never repeat and are not checked. Brent's method may stop some
+steps after the first repeat; `_first_repeat` finds the first one itself
+from a trace's columns, for the trace writer (see `traceio`).
 """
 
 from __future__ import annotations
@@ -475,6 +477,55 @@ HALTS = (None, "weak_learning_failure", "perfect_classification")
 Choose = Callable[[np.ndarray, int], Tuple[int, np.ndarray, Scalar]]
 
 
+def _schedule(rule: SelectionRule) -> int:
+    """L, the period of the rule's dependence on t: the `fixed:` schedule's
+    length, and 1 for every other rule."""
+    return len(rule.rows) if isinstance(rule, FixedSequence) else 1
+
+
+def _tiling(start: int, period: int, length: int) -> np.ndarray:
+    """The step index that tiles a trace's columns: step u >= start is step
+    start + (u - start) % period, for u < length."""
+    index = np.arange(length)
+    index[start:] = start + np.arange(length - start) % period
+    return index
+
+
+def _first_repeat(initial: np.ndarray, states: np.ndarray, schedule: int) -> Optional[Tuple[int, int]]:
+    """The first repeat of the key (bits of the weights before step t,
+    t mod schedule) among the steps of a float run's states column, as
+    (onset, period): the key before step onset + period is the first key
+    equal to an earlier one, the key before step onset. None when no key
+    repeats. Then onset + period < steps, and the period is a multiple of
+    schedule.
+
+    In a run each key determines the next, so once a key repeats, every
+    later key repeats at the same distance, the last key among them. Two
+    vectorised compares of the weights-before matrix find the repeat: the
+    latest earlier step whose key equals the last step's gives the period,
+    and the onset is where the keys start to equal the keys a period later.
+    Columns that no run produced get the repeat in which their keys end.
+    """
+    steps = len(states)
+    if steps < 2:
+        return None
+    last = steps - 1
+    start = initial.view(np.uint64)
+    before = states[:-1, 1:].view(np.uint64)  # row u: the weights before step u + 1
+    same = (before[:-1] == before[-1]).all(axis=1) & (np.arange(1, last) % schedule == last % schedule)
+    earlier = same.nonzero()[0]
+    if len(earlier):
+        period = last - 1 - int(earlier[-1])
+    elif last % schedule == 0 and (start == before[-1]).all():
+        period = last
+    else:
+        return None
+    differ = (before[: last - period] != before[period:]).any(axis=1).nonzero()[0]
+    if len(differ):
+        return int(differ[-1]) + 2, period
+    return (0 if (start == before[period - 1]).all() else 1), period
+
+
 def boost(
     choose: Choose, initial: WeightVector, t_max: int, schedule: int = 1
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[str]]:
@@ -493,10 +544,14 @@ def boost(
 
     Each iteration asks choose for a dichotomy and its edge, halts when
     choose raises WeakLearningFailure or the edge leaves (0, 1), and applies
-    the update kernel to the weights. In exact mode choose gives the edge's
-    numerator s over the lattice point's denominator D, so the halts are
-    s <= 0 and s >= D; `_lattice_step` derives the edge from the weights,
-    and a choose whose s is not that edge's numerator raises ValueError.
+    the update kernel to the weights. A float edge at most SCREEN_MARGIN * n
+    is a weak-learning failure too: it lies within the screen's rounding
+    bound of 0, where exact AdaBoost finds an edge of exactly 0 (the chosen
+    row's edge right after an update of that row). In exact mode choose
+    gives the edge's numerator s over the lattice point's denominator D, so
+    the halts are s <= 0 and s >= D; `_lattice_step` derives the edge from
+    the weights, and a choose whose s is not that edge's numerator raises
+    ValueError.
     The new point sums to 1 by construction. Float weights are renormalised,
     and validated as a WeightVector once, after the last step: a
     weight that underflows to 0, or turns NaN, stays so, so the last vector
@@ -512,6 +567,9 @@ def boost(
     # bytes: a comparison of values would take -0.0 for 0.0 and tile steps
     # whose bits differ from the loop's.
     saved, saved_t, lap, period = None if exact else w.tobytes(), 0, 1, 0
+    # the smallest edge a step may take: a float edge within the screen's
+    # rounding bound of 0 may be the residue of an exact 0
+    floor = 0 if exact else SCREEN_MARGIN * len(w)
     for t in range(t_max):
         if not exact and t:
             distance = t - saved_t
@@ -525,7 +583,7 @@ def boost(
         except WeakLearningFailure:
             halt = "weak_learning_failure"
             break
-        if r <= 0:
+        if r <= floor:
             halt = "weak_learning_failure"
             break
         if r >= (w[0] if exact else 1):  # s >= D for an edge s / D
@@ -551,10 +609,7 @@ def boost(
     states = np.column_stack((np.array(edges, dtype=w.dtype), np.stack(weights)))
     rows, signs = np.array(rows, dtype=np.int64), np.array(signs, dtype=np.int8)
     if period:
-        # step u >= start is step start + (u - start) % period
-        start = len(rows) - period
-        index = np.arange(t_max)
-        index[start:] = start + np.arange(t_max - start) % period
+        index = _tiling(len(rows) - period, period, t_max)
         rows, signs, states = rows[index], signs[index], states[index]
     if not exact:
         WeightVector(tuple(states[-1, 1:].tolist()))
@@ -577,5 +632,4 @@ def run(pool: HypothesisPool, rule: SelectionRule, t_max: int, mode: str = "exac
         row, edge = _select(w, pool, rule, t)
         return row, signs[row], edge
 
-    schedule = len(rule.rows) if isinstance(rule, FixedSequence) else 1
-    return BoostTrace(mode, pool, rule, initial, *boost(choose, initial, t_max, schedule))
+    return BoostTrace(mode, pool, rule, initial, *boost(choose, initial, t_max, _schedule(rule)))

@@ -27,6 +27,28 @@ stored values. A `boostcycles-trace-v1` document, which stores the
 weights, `t`, `eta` and `alpha` of every step, is read by the same replay as
 a v2 document with a checkpoint on every step; its extra fields are checked.
 
+A float run that falls into a cycle repeats bit for bit: once the key (the
+bits of the weights before step t, t mod L) repeats, with L the `fixed:`
+schedule's length and 1 for every other rule, every later step repeats the
+steps since the key's first occurrence (see `engine.boost`). Such a trace
+is written as a `boostcycles-trace-v3` document, which stores only the
+transient and one period. `engine._first_repeat` finds the first repeat
+from the trace's columns alone: the key before step `onset + period`
+equals the key before step `onset`. The writer stores the v3 layout when
+the rows, signs and state bits from the onset on are that period tiled,
+the trace did not halt and its length T exceeds onset + period; every
+other trace, and every exact one, is written as v2. The v3 header adds
+`onset`, `period` and `length` (T), and `steps` holds the records of steps
+0 .. onset + period - 1, in the v2 form, with two more checkpoints: the
+weights before the onset (on step onset - 1; the initial weights when the
+onset is 0) and the weights after the last stored step (which v2 stores
+anyway). The reader checks the header first: `halt` is null, the period is
+a multiple of L, onset + period is the number of stored records, and it is
+less than T. It then replays the stored records as it replays v2, checks
+that the two checkpoints are bit-equal, and tiles the rows, signs and
+states of steps onset .. onset + period - 1 out to T, as `boost` tiles
+them. A failing check is a TraceFormatError at the step it concerns.
+
 Exact values never pass through `Fraction` on the way in or out. The reader
 parses each decimal `p/q` edge to a pair of ints with no gcd: the pair need
 not be in lowest terms, since it is only compared with the kernel's edge by
@@ -71,15 +93,19 @@ from .engine import (
     FixedSequence,
     Optimal,
     SelectionRule,
+    _first_repeat,
     _lattice_point,
     _lattice_step,
+    _schedule,
+    _tiling,
     _update,
     alpha,
 )
 from .simplex import HypothesisPool, MistakeDichotomy, Scalar, WeightVector, _signed_sums
 
 TRACE_SCHEMA = "boostcycles-trace-v2"
-READABLE_SCHEMAS = ("boostcycles-trace-v1", TRACE_SCHEMA)
+REPEAT_SCHEMA = "boostcycles-trace-v3"
+READABLE_SCHEMAS = ("boostcycles-trace-v1", TRACE_SCHEMA, REPEAT_SCHEMA)
 
 # Steps between stored weight vectors. Each checkpoint bounds again the
 # drift a float replay may open (_replay_drift grows with the steps since).
@@ -226,20 +252,39 @@ def _point_texts(point: List[int]) -> List[str]:
     return texts
 
 
+def _repeat(trace: BoostTrace) -> Optional[Tuple[int, int]]:
+    """The (onset, period) of a float trace that a v3 document can store: the
+    first repeat of its key (see `engine._first_repeat`), when the rows,
+    signs and state bits from the onset on are that period's, tiled, and the
+    trace did not halt. None otherwise, and for every exact trace."""
+    if trace.mode == "exact" or trace.halt is not None:
+        return None
+    found = _first_repeat(trace.initial_weights.as_array(), trace.states, _schedule(trace.rule))
+    if found is None:
+        return None
+    onset, period = found
+    columns = (trace.rows, trace.signs, trace.states.view(np.uint64))
+    return found if all(np.array_equal(c[onset + period :], c[onset:-period]) for c in columns) else None
+
+
 def trace_to_dict(trace: BoostTrace, provenance: Optional[Dict[str, object]] = None) -> Dict:
     mode = trace.mode
     exact = mode == "exact"
-    states = trace.states
+    repeat = _repeat(trace)
+    stored = len(trace) if repeat is None else sum(repeat)
+    states = trace.states[:stored]
     if exact:
         edges = [_ratio_text(p, q) for p, q in states[:, :2].tolist()]
     else:
         edges = states[:, 0].tolist()
-    steps = [{"row": row, "r_exact" if exact else "r": r} for row, r in zip(trace.rows.tolist(), edges)]
-    if steps:
-        for t in (*range(CHECKPOINT_EVERY - 1, len(steps) - 1, CHECKPOINT_EVERY), len(steps) - 1):
-            steps[t]["weights"] = _point_texts(states[t, 2:].tolist()) if exact else states[t, 1:].tolist()
+    steps = [{"row": row, "r_exact" if exact else "r": r} for row, r in zip(trace.rows[:stored].tolist(), edges)]
+    checkpoints = {*range(CHECKPOINT_EVERY - 1, stored - 1, CHECKPOINT_EVERY), stored - 1} if steps else set()
+    if repeat and repeat[0]:
+        checkpoints.add(repeat[0] - 1)  # the weights before the onset
+    for t in checkpoints:
+        steps[t]["weights"] = _point_texts(states[t, 2:].tolist()) if exact else states[t, 1:].tolist()
     doc = {
-        "schema": TRACE_SCHEMA,
+        "schema": TRACE_SCHEMA if repeat is None else REPEAT_SCHEMA,
         "mode": mode,
         "rule": _encode_rule(trace.rule),
         "pool": {
@@ -249,8 +294,10 @@ def trace_to_dict(trace: BoostTrace, provenance: Optional[Dict[str, object]] = N
         "provenance": provenance or {},
         "initial_weights": [_encode_scalar(c, mode) for c in trace.initial_weights],
         "halt": trace.halt,
-        "steps": steps,
     }
+    if repeat is not None:
+        doc.update(onset=repeat[0], period=repeat[1], length=len(trace))
+    doc["steps"] = steps
     return doc
 
 
@@ -479,11 +526,39 @@ def _header_field(doc: Dict, key: str, kind: type):
     return value
 
 
+def _read_repeat(doc: Dict, mode: str, schedule: int, halt: Optional[str], stored: int) -> Tuple[int, int, int]:
+    """A v3 header's onset, period and length, checked against the schedule
+    length, the halt and the number of stored step records."""
+    fields = []
+    for key, least in (("onset", 0), ("period", 1), ("length", 1)):
+        value = doc.get(key)
+        if type(value) is not int or value < least:
+            raise TraceFormatError(f"{key} {value!r} is not an integer >= {least}")
+        fields.append(value)
+    onset, period, length = fields
+    end = onset + period  # the first tiled step
+    if mode != "float":
+        raise TraceFormatError(f"a {REPEAT_SCHEMA} trace must be in float mode, not {mode}")
+    if halt is not None:
+        raise TraceFormatError(f"step {end}: halt {halt!r} in a trace that repeats from step {onset}")
+    if period % schedule:
+        raise TraceFormatError(f"step {end}: period {period} is not a multiple of the schedule length {schedule}")
+    if stored != end:
+        raise TraceFormatError(
+            f"step {min(stored, end)}: onset {onset} plus period {period} is {end} step records, not {stored}"
+        )
+    if length <= end:
+        raise TraceFormatError(f"step {end}: length {length} does not exceed onset {onset} plus period {period}")
+    return onset, period, length
+
+
 def trace_from_dict(doc: Dict) -> BoostTrace:
     """Rebuild a trace, replaying the update to recover and verify every
-    step's weights (see the module docstring)."""
-    if doc.get("schema") not in READABLE_SCHEMAS:
-        raise TraceFormatError(f"unsupported schema {doc.get('schema')!r}")
+    step's weights, and tiling a v3 document's period (see the module
+    docstring)."""
+    schema = doc.get("schema")
+    if schema not in READABLE_SCHEMAS:
+        raise TraceFormatError(f"unsupported schema {schema!r}")
     mode = doc["mode"]
     if mode not in ("exact", "float"):
         raise TraceFormatError(f"unknown mode {mode!r}")
@@ -503,6 +578,7 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
     records = doc["steps"]
     if type(records) is not list:
         raise TraceFormatError("steps is not a list")
+    repeat = _read_repeat(doc, mode, _schedule(rule), halt, len(records)) if schema == REPEAT_SCHEMA else None
     if records and "weights" not in records[-1]:
         raise TraceFormatError(f"step {len(records) - 1}: the last step has no weights checkpoint")
     rows, edges, checkpoints, record_failure = _read_steps(records, pool, mode)
@@ -514,6 +590,19 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
         raise replay_failure
     if record_failure is not None:
         raise record_failure
+    if repeat is not None:
+        onset, period, length = repeat
+        last = onset + period - 1
+        before = start if onset == 0 else checkpoints.get(onset - 1)
+        if before is None:
+            raise TraceFormatError(f"step {onset - 1}: no weights stored before the onset")
+        if before.tobytes() != checkpoints[last].tobytes():
+            raise TraceFormatError(f"step {last}: stored weights are not bit-equal to the weights before step {onset}")
+        try:
+            index = _tiling(onset, period, length)
+            rows, signs, states = rows[index], signs[index], states[index]
+        except MemoryError:  # a small file may claim any length
+            raise TraceFormatError(f"step {last + 1}: length {length} does not fit in memory") from None
     return BoostTrace(mode, pool, rule, initial, rows, signs, states, halt)
 
 

@@ -6,6 +6,8 @@ import pytest
 from boostcycles.cli import main
 from boostcycles.traceio import load_trace
 
+from test_traceio import v2_dumps_trace
+
 DATA = resources.files("boostcycles") / "data"
 POOL3 = str(DATA / "three_dichotomies.pool")
 IRIS = str(DATA / "iris.csv")
@@ -27,6 +29,18 @@ def golden_trace_file(tmp_path):
         == 0
     )
     return str(path)
+
+
+@pytest.fixture()
+def golden_v2_trace_file(golden_trace_file):
+    """The golden run's file rewritten in the v2 layout, which has a record
+    for every step (its own layout stores 42 of the 200)."""
+    with open(golden_trace_file) as fh:
+        provenance = json.load(fh)["provenance"]
+    text = v2_dumps_trace(load_trace(golden_trace_file), provenance)
+    with open(golden_trace_file, "w") as fh:
+        fh.write(text)
+    return golden_trace_file
 
 
 class TestRun:
@@ -279,31 +293,31 @@ class TestAnalyze:
         assert run_cli("analyze", str(path)) == 4
         assert "nested too deeply" in capsys.readouterr().err
 
-    def test_initial_weights_wider_than_pool_io_error(self, golden_trace_file):
-        with open(golden_trace_file) as fh:
+    def test_initial_weights_wider_than_pool_io_error(self, golden_v2_trace_file):
+        with open(golden_v2_trace_file) as fh:
             doc = json.load(fh)
         w = doc["initial_weights"]
         w[-1] /= 2  # split the last weight in two, so the weights still sum to 1
         w.append(w[-1])
-        with open(golden_trace_file, "w") as fh:
+        with open(golden_v2_trace_file, "w") as fh:
             json.dump(doc, fh)
-        assert run_cli("analyze", golden_trace_file) == 4
+        assert run_cli("analyze", golden_v2_trace_file) == 4
 
-    def test_step_eta_not_its_pool_row_io_error(self, golden_trace_file):
-        with open(golden_trace_file) as fh:
+    def test_step_eta_not_its_pool_row_io_error(self, golden_v2_trace_file):
+        with open(golden_v2_trace_file) as fh:
             doc = json.load(fh)
         doc["steps"][5]["eta"] = doc["pool"]["rows"][(doc["steps"][5]["row"] + 1) % 3]
-        with open(golden_trace_file, "w") as fh:
+        with open(golden_v2_trace_file, "w") as fh:
             json.dump(doc, fh)
-        assert run_cli("analyze", golden_trace_file) == 4
+        assert run_cli("analyze", golden_v2_trace_file) == 4
 
-    def test_nan_step_weights_io_error(self, golden_trace_file):
-        with open(golden_trace_file) as fh:
+    def test_nan_step_weights_io_error(self, golden_v2_trace_file):
+        with open(golden_v2_trace_file) as fh:
             doc = json.load(fh)
         doc["steps"][-1]["weights"][0] = float("nan")  # the last step always has weights
-        with open(golden_trace_file, "w") as fh:
+        with open(golden_v2_trace_file, "w") as fh:
             json.dump(doc, fh)  # writes the bare token NaN, which json.load accepts
-        assert run_cli("analyze", golden_trace_file) == 4
+        assert run_cli("analyze", golden_v2_trace_file) == 4
 
 
 class TestFarey:

@@ -44,24 +44,34 @@ from boostcycles.simplex import DimensionMismatch
 from boostcycles.traceio import (
     ALPHA_REL_TOL,
     CHECKPOINT_EVERY,
-    READABLE_SCHEMAS,
     SCREEN_MARGIN,
     TraceFormatError,
     _decode_rule,
     _parse_fraction,
     _replay_drift,
     dumps_trace,
+    load_trace,
     loads_trace,
 )
 
 from test_engine import wide_pool
 from test_learners import reference_train_tree
-from test_traceio import v1_dumps_trace
+from test_traceio import v1_dumps_trace, v2_dumps_trace
 
 DATA = resources.files("boostcycles") / "data"
 
 
 # --- reference: the object-per-step loops, as they were before the columns ---
+
+
+# the schemas the reference reader reads
+REFERENCE_SCHEMAS = ("boostcycles-trace-v1", "boostcycles-trace-v2")
+
+
+def least_edge(mode, n):
+    """The smallest edge a step may take: a float edge within the screen's
+    rounding bound of 0 is a weak-learning failure, as `engine.boost` has it."""
+    return SCREEN_MARGIN * n if mode == "float" else 0
 
 
 def reference_edge_dot(w, eta):
@@ -130,7 +140,7 @@ def reference_run(pool, rule, t_max, mode, lattice_states):
         except WeakLearningFailure:
             halt = "weak_learning_failure"
             break
-        if r <= 0:
+        if r <= least_edge(mode, pool.n_points):
             halt = "weak_learning_failure"
             break
         if r >= 1:
@@ -151,7 +161,7 @@ def reference_run_on_dataset(ds, max_depth, max_leaves, t_max, mode, lattice_sta
             r = sum(e * c for e, c in zip(eta, w))
         else:
             r = float(np.dot(np.asarray(w.components), np.asarray(eta.entries, dtype=np.float64)))
-        if r <= 0:
+        if r <= least_edge(mode, ds.n):
             halt = "weak_learning_failure"
             break
         if r >= 1:
@@ -175,7 +185,7 @@ def reference_decode_scalar(value, mode):
 
 
 def reference_trace_from_dict(doc, lattice_states):
-    if doc.get("schema") not in READABLE_SCHEMAS:
+    if doc.get("schema") not in REFERENCE_SCHEMAS:
         raise TraceFormatError(f"unsupported schema {doc.get('schema')!r}")
     mode = doc["mode"]
     if mode not in ("exact", "float"):
@@ -264,7 +274,7 @@ def assert_same_run(trace, lattice_states):
     assert trace == expected
     text = dumps_trace(trace)
     assert dumps_trace(expected) == text
-    assert loads_trace(text) == reference_loads(text, lattice_states) == expected
+    assert loads_trace(text) == reference_loads(v2_dumps_trace(trace), lattice_states) == expected
     return steps
 
 
@@ -580,7 +590,7 @@ def assert_same_failure(text, lattice_states):
 
 @pytest.fixture(scope="module")
 def long_docs():
-    return {mode: dumps_trace(run(POOL3, Optimal(), 1000, mode)) for mode in ("exact", "float")}
+    return {mode: v2_dumps_trace(run(POOL3, Optimal(), 1000, mode)) for mode in ("exact", "float")}
 
 
 def bump_edge(doc, t):
@@ -708,6 +718,8 @@ def float_trace_file(tmp_path):
     path = tmp_path / "t.json"
     assert main(["run", "--pool", str(DATA / "three_dichotomies.pool"), "--iters", "250",
                  "--mode", "float", "--out", str(path)]) == 0
+    # the v2 layout, which has a record for every step
+    path.write_text(v2_dumps_trace(load_trace(str(path)), json.loads(path.read_text())["provenance"]))
     return path
 
 

@@ -385,6 +385,27 @@ class TestRun:
         assert trace.halt == "weak_learning_failure"
         assert len(trace) == 1
 
+    def test_float_edge_of_rounding_residue_halts(self, pool3):
+        # row 0 twice: the exact edge of the second visit is 0, the float
+        # edge a residue of about 5.6e-17, within the screen's bound
+        trace = run(pool3, FixedSequence((0, 0)), 5, "float")
+        assert (trace.halt, len(trace)) == ("weak_learning_failure", 1)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_float_run_takes_the_exact_halt(self, mode, tmp_path, capsys):
+        # after step 0 no row has a positive exact edge; a float run must not
+        # keep choosing row 0 on its rounding residue
+        from boostcycles.cli import main
+        from boostcycles.traceio import load_trace
+
+        pool, out = tmp_path / "p.pool", tmp_path / "t.json"
+        pool.write_text("++-\n-+-\n--+\n")
+        argv = ["run", "--pool", str(pool), "--rule", "optimal", "--iters", "200", "--mode", mode]
+        assert main([*argv, "--out", str(out)]) == 0
+        trace = load_trace(str(out))
+        assert (trace.halt, len(trace)) == ("weak_learning_failure", 1)
+        assert trace.rows.tolist() == [0]
+
     def test_t_max_validated(self, pool3):
         with pytest.raises(ValueError):
             run(pool3, Optimal(), 0, "exact")

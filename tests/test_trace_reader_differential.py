@@ -33,7 +33,7 @@ from boostcycles.traceio import (
     loads_trace,
 )
 from test_engine import wide_pool
-from test_traceio import v1_trace_to_dict
+from test_traceio import v1_trace_to_dict, v2_trace_to_dict
 
 
 def _parse_ratio(value) -> Tuple[int, int]:
@@ -379,10 +379,13 @@ def base_documents() -> Dict[str, dict]:
     }
     docs = {}
     for name, trace in traces.items():
-        docs[f"{name}-v2"] = json.loads(dumps_trace(trace))
+        docs[f"{name}-v2"] = v2_trace_to_dict(trace)
         # every v1 step stores its weights: a prefix is a v1 document too
         docs[f"{name}-v1"] = v1_trace_to_dict(trace)
         del docs[f"{name}-v1"]["steps"][60:]
+    # the 3-point float run repeats bit for bit: its own layout stores 42 steps
+    docs["pool3-float-v3"] = json.loads(dumps_trace(traces["pool3-float"]))
+    assert docs["pool3-float-v3"]["schema"] == "boostcycles-trace-v3"
     return docs
 
 

@@ -71,6 +71,48 @@ def v1_dumps_trace(trace, provenance=None):
     return json.dumps(v1_trace_to_dict(trace, provenance), indent=1) + "\n"
 
 
+def v2_trace_to_dict(trace, provenance=None):
+    """The boostcycles-trace-v2 writer, kept as the reference for the v2
+    reader: every step's row and edge, with the weights every
+    CHECKPOINT_EVERY steps and on the last step. It writes a float trace
+    that repeats bit for bit as v2 too, where dumps_trace writes v3."""
+    mode = trace.mode
+    exact = mode == "exact"
+    states = trace.states
+    if exact:
+        edges = [_fraction_text(Fraction(p, q)) for p, q in states[:, :2].tolist()]
+    else:
+        edges = states[:, 0].tolist()
+    steps = [{"row": row, "r_exact" if exact else "r": r} for row, r in zip(trace.rows.tolist(), edges)]
+    if steps:
+        for t in (*range(CHECKPOINT_EVERY - 1, len(steps) - 1, CHECKPOINT_EVERY), len(steps) - 1):
+            if exact:
+                steps[t]["weights"] = [_fraction_text(Fraction(c)) for c in trace.state(t)[1:]]
+            else:
+                steps[t]["weights"] = states[t, 1:].tolist()
+    return {
+        "schema": "boostcycles-trace-v2",
+        "mode": mode,
+        "rule": _encode_rule(trace.rule),
+        "pool": {
+            "origin": trace.pool.origin,
+            "rows": [row.to_string() for row in trace.pool.rows],
+        },
+        "provenance": provenance or {},
+        "initial_weights": [_encode_scalar(c, mode) for c in trace.initial_weights],
+        "halt": trace.halt,
+        "steps": steps,
+    }
+
+
+def v2_dumps_trace(trace, provenance=None):
+    """v2_trace_to_dict's document in dumps_trace's layout: one step record
+    per line."""
+    doc = v2_trace_to_dict(trace, provenance)
+    steps = ",\n".join(json.dumps(record) for record in doc.pop("steps"))
+    return f'{json.dumps(doc)[:-1]}, "steps": [\n{steps}\n]}}\n'
+
+
 @pytest.fixture(scope="module")
 def iris_trace():
     ds = load_csv(str(DATA / "iris.csv"), "species", "versicolor")
@@ -391,7 +433,8 @@ class TestTraceConsistency:
 
 class TestV2Layout:
     def test_checkpoints_and_fields(self, pool3):
-        trace = run(pool3, Optimal(), 2 * CHECKPOINT_EVERY + 7, "float")
+        # a float run whose weights never repeat bit for bit: it is written as v2
+        trace = run(pool3, FixedSequence((0, 1)), 2 * CHECKPOINT_EVERY + 7, "float")
         text = dumps_trace(trace)
         doc = json.loads(text)
         assert doc["schema"] == "boostcycles-trace-v2"
@@ -503,7 +546,7 @@ class TestReplayVerification:
     @pytest.fixture(scope="class")
     def docs(self, pool3):
         return {
-            mode: dumps_trace(run(pool3, Optimal(), CHECKPOINT_EVERY + 20, mode))
+            mode: v2_dumps_trace(run(pool3, Optimal(), CHECKPOINT_EVERY + 20, mode))
             for mode in ("exact", "float")
         }
 
@@ -539,7 +582,7 @@ class TestReplayVerification:
         # a checkpoint written by a Python that sums in another order may
         # differ from this replay in its last bits; it loads as stored
         trace = run(pool3, Optimal(), CHECKPOINT_EVERY + 20, "float")
-        doc = json.loads(dumps_trace(trace))
+        doc = v2_trace_to_dict(trace)
         w = doc["steps"][CHECKPOINT_EVERY - 1]["weights"]
         w[0] = math.nextafter(w[0], 1.0)
         w[1] = math.nextafter(w[1], 0.0)
