@@ -32,15 +32,16 @@ from it.
 
 One loop, `boost`, runs both pool selection (`run`) and the tree learner
 (`learners.run_on_dataset`); they differ only in the `choose` function that
-picks each step's dichotomy and edge. The weights are an array: float64 in
-float mode, a lattice point in exact mode. Each step applies an update kernel
-to the whole array (`_update` for floats, `_lattice_step` for a lattice
-point); float weights are then divided by their left-to-right sum, bit-equal
-to Python's `sum`. The loop builds no per-step object: it appends the step's
-row, signs, edge and weights, and the trace keeps them as three columns (see
-BoostTrace). `select`, `weight_update` and `simplex.edge_dot` are wrappers
-over the same kernels for single value objects. A trace's BoostSteps are
-built only when `BoostTrace.steps` is read.
+picks each step's dichotomy and edge. The weights before each step are a
+row of one array: float64 in float mode, a lattice point in exact mode. Each
+step applies an update kernel to its row and writes the next (`_update` for
+floats, `_lattice_step` for a lattice point); float weights are divided by
+their left-to-right sum, bit-equal to Python's `sum`. The loop builds no
+per-step object: it appends the step's row, signs and edge, and the trace
+keeps them and the weight rows as three columns (see BoostTrace). `select`,
+`weight_update` and `simplex.edge_dot` are wrappers over the same kernels
+for single value objects. A trace's BoostSteps are built only when
+`BoostTrace.steps` is read.
 
 A float run fast-forwards through a cycle it has closed. The loop relies on
 one contract with `choose`: a step's choice is a function of the weights'
@@ -48,12 +49,11 @@ bits and of t mod L, where L is the `fixed:` schedule's length and 1 for
 every other rule. (The tree learner qualifies: its rows are numbered in
 order of first use, and every row of a closed cycle is numbered already.)
 So once the pair (weight bits, t mod L) repeats, every later step repeats
-the steps since its previous occurrence, bit for bit. `boost` looks for the
-first such repeat with Brent's method, which keeps one saved key, and fills
-the rest of the trace by tiling the repeating block of its columns. Exact
-weights never repeat and are not checked. Brent's method may stop some
-steps after the first repeat; `_first_repeat` finds the first one itself
-from a trace's columns, for the trace writer (see `traceio`).
+the steps since its previous occurrence, bit for bit. Each time its weights
+array fills, `boost` looks for the first such repeat with `_first_repeat`,
+the finder the trace writer uses too (see `traceio`), and fills the rest of
+the trace by tiling the repeating block of its columns. Exact weights never
+repeat and are not checked.
 """
 
 from __future__ import annotations
@@ -491,12 +491,14 @@ def _tiling(start: int, period: int, length: int) -> np.ndarray:
     return index
 
 
-def _first_repeat(initial: np.ndarray, states: np.ndarray, schedule: int) -> Optional[Tuple[int, int]]:
+def _first_repeat(initial: np.ndarray, before: np.ndarray, schedule: int) -> Optional[Tuple[int, int]]:
     """The first repeat of the key (bits of the weights before step t,
-    t mod schedule) among the steps of a float run's states column, as
-    (onset, period): the key before step onset + period is the first key
-    equal to an earlier one, the key before step onset. None when no key
-    repeats. Then onset + period < steps, and the period is a multiple of
+    t mod schedule) among a float run's keys, as (onset, period): the key
+    before step onset + period is the first key equal to an earlier one, the
+    key before step onset. initial is the weights before step 0, and row u
+    of before the weights before step u + 1: a view, such as a trace's
+    `states[:-1, 1:]` or the loop's key rows. None when no key repeats.
+    Then onset + period <= len(before), and the period is a multiple of
     schedule.
 
     In a run each key determines the next, so once a key repeats, every
@@ -506,12 +508,11 @@ def _first_repeat(initial: np.ndarray, states: np.ndarray, schedule: int) -> Opt
     and the onset is where the keys start to equal the keys a period later.
     Columns that no run produced get the repeat in which their keys end.
     """
-    steps = len(states)
-    if steps < 2:
+    last = len(before)
+    if last < 1:
         return None
-    last = steps - 1
     start = initial.view(np.uint64)
-    before = states[:-1, 1:].view(np.uint64)  # row u: the weights before step u + 1
+    before = before.view(np.uint64)
     same = (before[:-1] == before[-1]).all(axis=1) & (np.arange(1, last) % schedule == last % schedule)
     earlier = same.nonzero()[0]
     if len(earlier):
@@ -534,13 +535,14 @@ def boost(
     integer form, see BoostTrace) and its halt.
 
     choose(w, t) must be a function of w's bits and of t mod schedule. In
-    float mode the loop then finds the first repeat of the key (the bits of
-    the weights before step t, t mod schedule) with Brent's method: the key
-    is compared with one saved key, re-saved whenever the distance between
-    them reaches a power of two. When the key at step t equals the saved key
-    at step t - k, steps t, t + 1, ... repeat steps t - k, t - k + 1, ..., so
-    the loop stops and the remaining rows, signs and states are the last k
-    steps' rows, tiled. Such a run cannot halt.
+    float mode the loop then stops at the first repeat of the key (the bits
+    of the weights before step t, t mod schedule). The weights before each
+    step are the rows of one array, which doubles whenever it fills; each
+    time it does, `_first_repeat` looks for a repeat among its rows. When
+    the key before step onset + period equals the key before step onset,
+    every later step repeats the one a period before it, so the loop stops
+    and the remaining rows, signs and states are those of steps onset ..
+    onset + period - 1, tiled. Such a run cannot halt.
 
     Each iteration asks choose for a dichotomy and its edge, halts when
     choose raises WeakLearningFailure or the edge leaves (0, 1), and applies
@@ -557,27 +559,22 @@ def boost(
     weight that underflows to 0, or turns NaN, stays so, so the last vector
     shows it. Exact weights stay positive by the arithmetic.
     """
-    exact = is_exact(initial)
-    w = _lattice_point(initial) if exact else initial.as_array()
-    rows, signs, edges, weights = [], [], [], []
-    halt = None
-    # Brent's method on float keys: the weight bits saved at step `saved_t`,
-    # replaced when the distance to it reaches `lap`; `period` is the
-    # distance of the first repeat, 0 while none is found. Keys compare as
-    # bytes: a comparison of values would take -0.0 for 0.0 and tile steps
-    # whose bits differ from the loop's.
-    saved, saved_t, lap, period = None if exact else w.tobytes(), 0, 1, 0
+    exact, n = is_exact(initial), len(initial)
+    keys = (_lattice_point(initial) if exact else initial.as_array())[None]
+    rows, signs, edges = [], [], []
+    halt = repeat = None
     # the smallest edge a step may take: a float edge within the screen's
     # rounding bound of 0 may be the residue of an exact 0
-    floor = 0 if exact else SCREEN_MARGIN * len(w)
+    floor = 0 if exact else SCREEN_MARGIN * n
     for t in range(t_max):
-        if not exact and t:
-            distance = t - saved_t
-            if distance % schedule == 0 and w.tobytes() == saved:
-                period = distance
+        if t + 1 == len(keys):  # full: t + 1 is a power of two
+            # keys compare as bits: a comparison of values would take -0.0
+            # for 0.0 and tile steps whose bits differ from the loop's
+            repeat = None if exact else _first_repeat(keys[0], keys[1:], schedule)
+            if repeat:
                 break
-            if distance == lap:
-                saved, saved_t, lap = w.tobytes(), t, 2 * lap
+            keys = np.concatenate((keys, np.empty((min(t + 1, t_max - t), keys.shape[1]), keys.dtype)))
+        w = keys[t]
         try:
             row, eta, r = choose(w, t)
         except WeakLearningFailure:
@@ -590,26 +587,22 @@ def boost(
             halt = "perfect_classification"
             break
         if exact:
-            d = w[0]
-            p, q, point = _lattice_step(w.tolist(), eta)
-            if r * q != p * d:
-                raise ValueError(f"choose gave the edge {Fraction(r, d)}, not the edge {Fraction(p, q)} of its signs")
-            w = np.array(point, dtype=object)
+            p, q, keys[t + 1] = _lattice_step(w.tolist(), eta)
+            if r * q != p * w[0]:
+                raise ValueError(f"choose gave the edge {Fraction(r, w[0])}, not the edge {Fraction(p, q)} of its signs")
             r = (p, q)
         else:
-            w, _ = _update(w, eta, r)
+            keys[t + 1] = _update(w, eta, r)[0]
         rows.append(row)
         signs.append(eta)
         edges.append(r)
-        weights.append(w)
-    n = len(initial)
     if not rows:
         width = n + 3 if exact else n + 1
-        return np.empty(0, np.int64), np.empty((0, n), np.int8), np.empty((0, width), w.dtype), halt
-    states = np.column_stack((np.array(edges, dtype=w.dtype), np.stack(weights)))
+        return np.empty(0, np.int64), np.empty((0, n), np.int8), np.empty((0, width), keys.dtype), halt
+    states = np.column_stack((np.array(edges, dtype=keys.dtype), keys[1 : len(rows) + 1]))
     rows, signs = np.array(rows, dtype=np.int64), np.array(signs, dtype=np.int8)
-    if period:
-        index = _tiling(len(rows) - period, period, t_max)
+    if repeat:
+        index = _tiling(*repeat, t_max)
         rows, signs, states = rows[index], signs[index], states[index]
     if not exact:
         WeightVector(tuple(states[-1, 1:].tolist()))

@@ -259,7 +259,7 @@ def _repeat(trace: BoostTrace) -> Optional[Tuple[int, int]]:
     trace did not halt. None otherwise, and for every exact trace."""
     if trace.mode == "exact" or trace.halt is not None:
         return None
-    found = _first_repeat(trace.initial_weights.as_array(), trace.states, _schedule(trace.rule))
+    found = _first_repeat(trace.initial_weights.as_array(), trace.states[:-1, 1:], _schedule(trace.rule))
     if found is None:
         return None
     onset, period = found

@@ -246,6 +246,26 @@ class TestAnalyze:
         assert "no cycle detected" in out
         assert "check edge-update: pass" in out
 
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    @pytest.mark.parametrize("rows, steps", [("++-\n-+-\n--+\n", 1), ("+--\n", 0)], ids=["1-step", "0-step"])
+    def test_trace_shorter_than_two_steps(self, tmp_path, capsys, mode, rows, steps):
+        # too short to break an identity: the default checks exit 0 and
+        # print the same lines, and a requested identity check still fails
+        pool_path = tmp_path / "p.pool"
+        pool_path.write_text(rows)
+        path = tmp_path / "short.json"
+        run_cli("run", "--pool", str(pool_path), "--iters", "10", "--mode", mode, "--out", str(path))
+        assert len(load_trace(str(path))) == steps
+        capsys.readouterr()
+        assert run_cli("analyze", str(path), "--json", str(tmp_path / "r.json")) == 0
+        out = capsys.readouterr().out
+        assert "check edge-update: FAIL - trace too short" in out
+        assert "check subsums: FAIL - trace too short" in out
+        checks = json.loads((tmp_path / "r.json").read_text())["checks"]
+        assert not checks["edge-update"]["pass"] and not checks["subsums"]["pass"]
+        assert run_cli("analyze", str(path), "--check", "edge-update") == 3
+        assert run_cli("analyze", str(path), "--check", "subsums") == 3
+
     def test_requested_check_failure_exits_3(self, tmp_path, capsys):
         path = tmp_path / "short.json"
         run_cli("run", "--pool", POOL3, "--rule", "optimal", "--iters", "10",

@@ -56,6 +56,7 @@ from boostcycles.traceio import (
 
 from test_engine import wide_pool
 from test_learners import reference_train_tree
+from test_repeat_traces import brute_first_repeat
 from test_traceio import v1_dumps_trace, v2_dumps_trace
 
 DATA = resources.files("boostcycles") / "data"
@@ -314,6 +315,11 @@ def selections(monkeypatch):
     return counts
 
 
+# run lengths at the loop's key array boundaries: the array doubles, and a
+# float run looks for a repeat in it, when t + 1 is a power of two
+GROWTH_LENGTHS = (1, 2, 3, 4, 5, 63, 64, 65, 66)
+
+
 class TestLoopMatchesReference:
     def test_fuzz_exact_traces(self, fuzz_exact_traces, lattice_states):
         for trace in fuzz_exact_traces:
@@ -336,13 +342,17 @@ class TestLoopMatchesReference:
         # a float run tiles its cycle; exact states never repeat
         assert (selections["select"] < 100) == (mode == "float")
         assert_same_run(trace, lattice_states)
+        for steps in GROWTH_LENGTHS:
+            assert_same_run(run(POOL3, rule, steps, mode), lattice_states)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    @pytest.mark.parametrize("rows", [(0, 1, 2), (2, 2, 0, 1), (1,)])
+    @pytest.mark.parametrize("rows", [(0, 1, 2), (2, 2, 0, 1), (1,), (0, 1, 2, 0, 1, 2)])
     def test_fixed_schedules(self, mode, rows, lattice_states):
         pool = HypothesisPool.from_signs([(-1, -1, 1, 1, 1), (-1, 1, 1, 1, 1), (1, 1, -1, 1, 1)])
         for p in (POOL3, pool):
             assert_same_run(run(p, FixedSequence(rows), 60 if mode == "exact" else 400, mode), lattice_states)
+        for steps in GROWTH_LENGTHS:
+            assert_same_run(run(POOL3, FixedSequence(rows), steps, mode), lattice_states)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_halts(self, mode, lattice_states):
@@ -409,9 +419,10 @@ def first_bit_repeat(trace):
 
 class TestFastForward:
     def test_iris_past_the_onset(self, iris, selections, lattice_states):
-        # the weights first repeat bit for bit at step 1811, with period 3
+        # the key before step 1815 is the first to repeat, that of step
+        # 1812: onset 1812, period 3
         trace = run_on_dataset(iris, 3, 4, 2500, "float")
-        assert 0 < selections["fits"] < 2500
+        assert 0 < selections["fits"] < 2 * (1812 + 3)
         _, expected = reference_run_on_dataset(iris, 3, 4, 2500, "float", lattice_states)
         assert trace == expected
         text = dumps_trace(trace)
@@ -484,13 +495,35 @@ class TestFastForward:
             engine.boost(choose, uniform_weights(2, "float"), 1000)
         assert len(calls) < 1000
 
-    def test_selections_bound(self, selections):
-        # Brent's method finds the first repeat after at most
-        # 2 (mu + lambda) + L selections
+    def test_selections_bound(self, iris, fuzz_float_cycles, selections):
+        # the loop finds a repeat with onset mu and period lambda when its
+        # key array first fills past step mu + lambda, so after fewer than
+        # 2 (mu + lambda) selections
         trace = run(POOL3, Optimal(), 100_000, "float")
-        mu, period = first_bit_repeat(trace)
+        mu, period = brute_first_repeat(trace)
         assert (mu, period) == (39, 3)
-        assert selections["select"] <= 2 * (mu + period) + 1
+        assert selections["select"] < 2 * (mu + period)
+        repeating = [(trace, brute_first_repeat(trace)) for trace, _ in fuzz_float_cycles if trace.halt is None]
+        repeating = [(trace, repeat) for trace, repeat in repeating if repeat is not None]
+        assert len(repeating) >= 15
+        for trace, repeat in repeating:
+            selections["select"] = 0
+            assert run(trace.pool, trace.rule, len(trace), "float") == trace
+            assert selections["select"] < 2 * sum(repeat)
+        # a repeat that ends on the last row of a full key array: the golden
+        # run from its weights after step 10 repeats with onset 28, period 3
+        initial = WeightVector(tuple(run(POOL3, Optimal(), 11, "float").states[-1, 1:].tolist()))
+
+        def choose(w, t):
+            row, edge = engine._select(w, POOL3, Optimal(), t)
+            return row, POOL3.matrix[row], edge
+
+        selections["select"] = 0
+        trace = BoostTrace("float", POOL3, Optimal(), initial, *engine.boost(choose, initial, 1000))
+        assert brute_first_repeat(trace) == (28, 3) and selections["select"] == 31
+        trace = run_on_dataset(iris, 3, 4, 2000, "float")
+        assert brute_first_repeat(trace) == (1812, 3)
+        assert selections["fits"] < 2 * (1812 + 3)
 
 
 class TestStepsView:

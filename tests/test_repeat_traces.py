@@ -50,8 +50,9 @@ def brute_first_repeat(trace):
     return None
 
 
-def finder(trace):
-    return _first_repeat(trace.initial_weights.as_array(), trace.states, schedule_length(trace.rule))
+def finder(trace, schedule=None):
+    schedule = schedule_length(trace.rule) if schedule is None else schedule
+    return _first_repeat(trace.initial_weights.as_array(), trace.states[:-1, 1:], schedule)
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +89,7 @@ class TestRepeatFinder:
             "iris": (1812, 3),
         }
         # the weights alone repeat at a distance that is not a multiple of L
-        weights_only = _first_repeat(
-            named_runs["fixed:0,1,2,0,1,2"].initial_weights.as_array(), named_runs["fixed:0,1,2,0,1,2"].states, 1
-        )
-        assert weights_only == (39, 3)
+        assert finder(named_runs["fixed:0,1,2,0,1,2"], 1) == (39, 3)
 
     def test_matches_brute_force(self, named_runs, fuzz_float_cycles):
         repeats = 0
