@@ -25,7 +25,7 @@ from .cycles import (
     detect_cycle,
 )
 from .engine import FirstAbove, FixedSequence, Optimal
-from .farey import GOLDEN, MAX_ENUMERATION_LENGTH, FareyWord, enumerate_orbits, orbit_values
+from .farey import GOLDEN, MAX_ENUMERATION_LENGTH, FareyWord, decimals, enumerate_orbits, orbit_values
 from .figures import FigureSpec, save_figure
 from .traceio import (
     TraceFormatError,
@@ -223,11 +223,8 @@ def cmd_farey(args, parser) -> int:
             else:
                 status = "primitive"
             print(f"{word}: {status}")
-            for v in rec.values:
-                if args.exact:
-                    print(f"  {v} = {v.decimal(50)}")
-                else:
-                    print(f"  {v.decimal(50)}")
+            for v, text in zip(rec.values, decimals(rec.values)):
+                print(f"  {v} = {text}" if args.exact else f"  {text}")
         return EXIT_OK
 
     # orbit
@@ -241,11 +238,8 @@ def cmd_farey(args, parser) -> int:
     values = orbit_values(word)
     if not word.primitive:
         print(f"note: {word} is a power word; primitive period {len(word.primitive_root())}")
-    for v in values:
-        if args.exact:
-            print(f"{v} = {v.decimal(50)}")
-        else:
-            print(v.decimal(50))
+    for v, text in zip(values, decimals(values)):
+        print(f"{v} = {text}" if args.exact else text)
     return EXIT_OK
 
 

@@ -2,9 +2,10 @@
 branches L and R, exact periodic-orbit solving in quadratic fields, and
 orbit enumeration by word length.
 
-Values live in Q(sqrt(d)) for a fixed square-free d; all comparisons are
-resolved by exact sign analysis, never through floats. Words over {L, R}
-are written in application order: the word "RL" means apply R first, then L.
+Values live in Q(sqrt(d)) for a fixed square-free d, held as plain ints
+(a + b*sqrt(d))/c; comparisons and floors are exact integer arithmetic,
+never floats. Words over {L, R} are written in application order: the word
+"RL" means apply R first, then L.
 
 Enumeration lists each rotation class once, as its least rotation: the
 binary necklaces of length k (L < R) come from the FKM algorithm (Ruskey,
@@ -13,17 +14,17 @@ orbit of a word is read off word matrices. Rotating the word left by one
 letter conjugates its matrix by that letter's generator, M -> G M G^-1, so
 tr^2 - 4 det, the discriminant of every rotation's fixed-point equation, is
 the same for the whole orbit and is factored once. Point j of the orbit is
-the root in (0, 1] of the j-th rotation's equation; it is the same field
-element as the inverse-branch image of point j - 1.
+the root in (0, 1] of the j-th rotation's equation, built from the matrix
+entries with one gcd; it is the same field element as the inverse-branch
+image of point j - 1.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 Number = Union[int, Fraction, float]
 
@@ -32,7 +33,6 @@ class DegenerateWord(ValueError):
     """The all-L word: its only periodic point is the fixed point 0."""
 
 
-@functools.lru_cache(maxsize=4096)
 def square_free_decompose(n: int) -> Tuple[int, int]:
     """Write n = s*s*d with d square-free; returns (s, d). Requires n >= 0."""
     if n < 0:
@@ -56,159 +56,145 @@ def square_free_decompose(n: int) -> Tuple[int, int]:
     return s, d
 
 
-def _sign(a: Fraction, b: Fraction, d: int) -> int:
-    """Exact sign of a + b*sqrt(d), d square-free."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return 1 if b > 0 else -1
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # opposite signs: compare a*a against b*b*d
-    lhs, rhs = a * a, b * b * d
-    if a > 0:  # b < 0
-        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-    return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+def _sign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for ints, d >= 1: the parts' common sign,
+    or, when they differ, the sign of a times that of a*a - b*b*d."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    norm = a * a - b * b * d
+    return sa * ((norm > 0) - (norm < 0))
 
 
-@functools.lru_cache(maxsize=256)
-def _decimal_sqrt(d: int, precision: int):
-    """sqrt(d) as a Decimal to the given precision; the values of an orbit
-    share d, so each is computed once."""
-    import decimal
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = precision
-        return decimal.Decimal(d).sqrt()
+def _floor(a: int, b: int, d: int) -> int:
+    """floor(a + b*sqrt(d)) for ints, exact by math.isqrt."""
+    n = b * b * d
+    r = math.isqrt(n)
+    return a + (r if b >= 0 else -r - (r * r != n))
 
 
-@dataclass(frozen=True)
+def _ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, without building the Fraction."""
+    g = math.gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
+
+
 class QuadraticIrrational:
-    """Exact element a + b*sqrt(d) of Q(sqrt(d)), d square-free and positive.
-
-    Rational values are canonicalized to b = 0, d = 1, so equality and
-    hashing work across fields. Mixed arithmetic between two genuinely
-    irrational values of different d is rejected.
+    """Exact element (a + b*sqrt(d))/c of Q(sqrt(d)) in plain ints: c > 0,
+    gcd(a, b, c) = 1, d square-free and positive. Built from Fraction-like
+    parts as QuadraticIrrational(a, b, d) = a + b*sqrt(d), any d >= 1;
+    `.a` and `.b` read back as Fractions. Rationals are canonicalized to
+    b = 0, d = 1 (and hash like their Fraction), so equality and hashing
+    work across fields. Mixed arithmetic between two genuinely irrational
+    values of different d is rejected. Signs and order compare a*a against
+    b*b*d; the floor is (a + floor(b*sqrt(d))) // c, exact by math.isqrt.
     """
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ("_a", "_b", "_c", "_d")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.d < 1:
+    def __new__(cls, a: Number, b: Number, d: int) -> "QuadraticIrrational":
+        a, b = Fraction(a), Fraction(b)
+        if d < 1:
             raise ValueError("radicand must be a positive integer")
-        s, d0 = square_free_decompose(self.d)
-        if s * s * d0 != self.d:
-            raise AssertionError("square-free decomposition failed")
-        if d0 != self.d:
-            object.__setattr__(self, "b", self.b * s)
-            object.__setattr__(self, "d", d0)
-        if self.d == 1:
-            object.__setattr__(self, "a", self.a + self.b)
-            object.__setattr__(self, "b", Fraction(0))
-        if self.b == 0:
-            object.__setattr__(self, "d", 1)
+        s, d = square_free_decompose(d)
+        c = math.lcm(a.denominator, b.denominator)
+        return _reduced(a.numerator * (c // a.denominator), s * b.numerator * (c // b.denominator), c, d)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._c)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._c)
+
+    @property
+    def d(self) -> int:
+        return self._d
 
     @classmethod
     def from_rational(cls, q: Number) -> "QuadraticIrrational":
-        return cls(Fraction(q), Fraction(0), 1)
+        return cls(q, 0, 1)
 
     @classmethod
     def sqrt(cls, n: int) -> "QuadraticIrrational":
-        return cls(Fraction(0), Fraction(1), n)
+        return cls(0, 1, n)
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._b == 0
 
     def conjugate(self) -> "QuadraticIrrational":
-        return QuadraticIrrational(self.a, -self.b, self.d)
+        return _reduced(self._a, -self._b, self._c, self._d)
 
     def _coerce(self, other: Union["QuadraticIrrational", Number]) -> "QuadraticIrrational":
         if isinstance(other, QuadraticIrrational):
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadraticIrrational.from_rational(other)
+            return _reduced(other.numerator, 0, other.denominator, 1)
         return NotImplemented  # type: ignore[return-value]
 
     def _common_d(self, other: "QuadraticIrrational") -> int:
-        if self.is_rational:
-            return other.d
-        if other.is_rational:
-            return self.d
-        if self.d != other.d:
-            raise ValueError(f"mixed radicands {self.d} and {other.d}")
-        return self.d
+        if self._b and other._b and self._d != other._d:
+            raise ValueError(f"mixed radicands {self._d} and {other._d}")
+        return self._d if self._b else other._d
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = self._common_d(o)
-        return QuadraticIrrational(self.a + o.a, self.b + o.b, d)
+        a, b, c = self._a * o._c + o._a * self._c, self._b * o._c + o._b * self._c, self._c * o._c
+        return _reduced(a, b, c, self._common_d(o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticIrrational(-self.a, -self.b, self.d)
+        return _reduced(-self._a, -self._b, self._c, self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is NotImplemented else self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o + (-self)
+        return NotImplemented if o is NotImplemented else o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         d = self._common_d(o)
-        return QuadraticIrrational(
-            self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d
-        )
+        a, b = self._a * o._a + self._b * o._b * d, self._a * o._b + self._b * o._a
+        return _reduced(a, b, self._c * o._c, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadraticIrrational":
-        norm = self.a * self.a - self.b * self.b * self.d
+        """c (a - b*sqrt(d)) / (a*a - b*b*d)."""
+        norm = self._a * self._a - self._b * self._b * self._d
         if norm == 0:
             raise ZeroDivisionError("zero element of the quadratic field")
-        return QuadraticIrrational(self.a / norm, -self.b / norm, self.d)
+        return _reduced(self._c * self._a, -self._c * self._b, norm, self._d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is NotImplemented else self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
+        return NotImplemented if o is NotImplemented else o * self.inverse()
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d) via sign analysis, no floats."""
-        return _sign(self.a, self.b, self.d)
+        return _sign(self._a, self._b, self._d)
 
     def _cmp(self, other) -> int:
-        """Sign of self - other, taken from the parts of the difference
-        without building it."""
+        """Sign of self - other, computed from its parts without building it."""
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented  # type: ignore[return-value]
-        return _sign(self.a - o.a, self.b - o.b, self._common_d(o))
+        d = self._common_d(o)
+        return _sign(self._a * o._c - o._a * self._c, self._b * o._c - o._b * self._c, d)
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -228,47 +214,69 @@ class QuadraticIrrational:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = QuadraticIrrational.from_rational(other)
+            return self._b == 0 and (self._a, self._c) == (other.numerator, other.denominator)
         if not isinstance(other, QuadraticIrrational):
             return NotImplemented
-        return (self.a, self.b, self.d) == (other.a, other.b, other.d)
+        return (self._a, self._b, self._c, self._d) == (other._a, other._b, other._c, other._d)
 
     def __hash__(self):
-        if self.is_rational:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self._a, self._b, self._c, self._d)) if self._b else hash(self.a)
+
+    def __repr__(self) -> str:
+        return f"QuadraticIrrational(a={self.a!r}, b={self.b!r}, d={self._d!r})"
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        """Correctly rounded even where a and b*sqrt(d) cancel: n = floor(|x| 2^k)
+        by isqrt, with 55 bits or more; x is irrational, so n | 1 rounds alike."""
+        a, b, c, d = self._a, self._b, self._c, self._d
+        if b == 0:
+            return a / c
+        s, n = self.sign(), 0
+        k = c.bit_length() - max(abs(a), abs(b) * d).bit_length()
+        while n.bit_length() < 55:
+            k += 64 - n.bit_length()
+            n = _floor(s * a << max(k, 0), s * b << max(k, 0), d) // (c << max(-k, 0))
+        return s * math.ldexp(n | 1, -k)
 
     def __floor__(self) -> int:
-        """Exact floor: float estimate corrected by exact comparisons."""
-        est = math.floor(float(self))
-        while self < est:
-            est -= 1
-        while self >= est + 1:
-            est += 1
-        return est
+        return _floor(self._a, self._b, self._d) // self._c
 
     def __str__(self) -> str:
-        if self.is_rational:
-            return str(self.a)
-        return f"({self.a}+{self.b}*sqrt({self.d}))"
+        a = _ratio(self._a, self._c)
+        return f"({a}+{_ratio(self._b, self._c)}*sqrt({self._d}))" if self._b else a
 
     def decimal(self, digits: int = 50) -> str:
         """Decimal expansion to the given number of significant digits."""
-        import decimal
+        return decimals((self,), digits)[0]
 
-        with decimal.localcontext() as ctx:
-            ctx.prec = digits + 10
-            val = (
-                decimal.Decimal(self.a.numerator) / decimal.Decimal(self.a.denominator)
-                + decimal.Decimal(self.b.numerator)
-                / decimal.Decimal(self.b.denominator)
-                * _decimal_sqrt(self.d, ctx.prec)
-            )
-            ctx.prec = digits
-            return str(+val)
+
+def _reduced(a: int, b: int, c: int, d: int) -> QuadraticIrrational:
+    """(a + b*sqrt(d))/c from ints, c != 0 and d square-free, in canonical form."""
+    if b == 0 or d == 1:
+        a, b, d = a + b, 0, 1
+    g = math.gcd(a, b, c) if c > 0 else -math.gcd(a, b, c)
+    x = object.__new__(QuadraticIrrational)
+    x._a, x._b, x._c, x._d = a // g, b // g, c // g, d
+    return x
+
+
+def decimals(values: Sequence[QuadraticIrrational], digits: int = 50) -> List[str]:
+    """Decimal expansions to `digits` significant digits, in one decimal
+    context: each a/c + b/c*sqrt(d) at digits + 10, then all rounded. Decimal
+    division is correctly rounded, so a/c gives the digits of the reduced
+    Fraction. sqrt(d) is computed once per radicand."""
+    import decimal
+
+    dec, roots, wide = decimal.Decimal, {}, []
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 10
+        for v in values:
+            if v._d not in roots:
+                roots[v._d] = dec(v._d).sqrt()
+            c = dec(v._c)
+            wide.append(dec(v._a) / c + dec(v._b) / c * roots[v._d])
+        ctx.prec = digits
+        return [str(+x) for x in wide]
 
 
 GOLDEN = QuadraticIrrational(Fraction(-1, 2), Fraction(1, 2), 5)
@@ -338,11 +346,6 @@ class MoebiusMatrix:
 
 L_MATRIX = MoebiusMatrix(1, 0, 1, 1)
 R_MATRIX = MoebiusMatrix(0, 1, 1, 1)
-# letter -> (generator, its inverse), for conjugating a word matrix
-_CONJUGATORS = {
-    "L": (L_MATRIX, MoebiusMatrix(1, 0, -1, 1)),
-    "R": (R_MATRIX, MoebiusMatrix(-1, 1, 1, 0)),
-}
 
 
 @dataclass(frozen=True)
@@ -392,14 +395,18 @@ class FareyWord:
         return len(self.primitive_root()) == len(self)
 
 
+def _word_entries(letters: Tuple[str, ...]) -> Tuple[int, int, int, int]:
+    """word_matrix's entries (a, b, c, d) as plain ints."""
+    a, b, c, d = 1, 0, 0, 1
+    for letter in letters:
+        a, b, c, d = (a, b, a + c, b + d) if letter == "L" else (c, d, a + c, b + d)
+    return a, b, c, d
+
+
 def word_matrix(word: FareyWord) -> MoebiusMatrix:
     """Matrix of the composite map: letters apply left to right, so the
     matrix product runs last letter to first."""
-    m = MoebiusMatrix(1, 0, 0, 1)
-    for letter in word.letters:
-        gen = L_MATRIX if letter == "L" else R_MATRIX
-        m = gen * m
-    return m
+    return MoebiusMatrix(*_word_entries(word.letters))
 
 
 def apply_word(word: FareyWord, x: Value) -> Value:
@@ -418,39 +425,32 @@ def periodic_point(word: FareyWord) -> QuadraticIrrational:
     return orbit_values(word)[0]
 
 
-def _discriminant(m: MoebiusMatrix) -> int:
-    """(d - a)^2 + 4bc = tr^2 - 4 det: invariant under conjugation."""
-    return (m.d - m.a) ** 2 + 4 * m.b * m.c
-
-
-def _upper_root(m: MoebiusMatrix, s: int, d0: int) -> QuadraticIrrational:
-    """The larger root of c x^2 + (d - a) x - b = 0, given its discriminant
-    as s*s*d0. c >= 1 for any word over {L, R}: both generators have bottom
-    row (1, 1)."""
-    return QuadraticIrrational(Fraction(m.a - m.d, 2 * m.c), Fraction(s, 2 * m.c), d0)
-
-
 def orbit_values(word: FareyWord) -> Tuple[QuadraticIrrational, ...]:
     """The k points of a non-degenerate word's periodic orbit: point 0 is
-    the fixed point in (0, 1] of the word's composite map, the root of
-    c x^2 + (d - a) x - b = 0 for the word's matrix, and point j + 1 is the
-    inverse branch of letter j applied to point j. Power words repeat their
-    primitive root's orbit.
+    the fixed point in (0, 1] of the word's composite map, and point j + 1
+    is the inverse branch of letter j applied to point j. Power words repeat
+    their primitive root's orbit.
 
-    Point j is the fixed point of the word rotated left by j letters, whose
-    matrix is the previous rotation's conjugated by its first letter. The
-    discriminant is the same for every rotation, so it is factored once.
+    Point j is the larger root ((a - d) + s*sqrt(d0)) / 2c of
+    c x^2 + (d - a) x - b = 0 for the word rotated left by j letters, whose
+    matrix (a b; c d), a plain int 4-tuple, is the previous rotation's
+    conjugated by its first letter. (d - a)^2 + 4bc = tr^2 - 4 det = s*s*d0
+    is the same for every rotation, so it is factored once. c >= 1: both
+    generators have bottom row (1, 1).
     """
     if word.degenerate:
         raise DegenerateWord("all-L word fixes only 0")
-    m = word_matrix(word)
-    s, d0 = square_free_decompose(_discriminant(m))
+    a, b, c, d = _word_entries(word.letters)
+    s, d0 = square_free_decompose((d - a) ** 2 + 4 * b * c)
     values = []
     for letter in word.letters:
-        values.append(_upper_root(m, s, d0))
-        gen, gen_inv = _CONJUGATORS[letter]
-        m = gen * m * gen_inv
-    if not (values[0] > 0 and values[0] <= 1):
+        values.append(_reduced(a - d, s, 2 * c, d0))
+        if letter == "L":  # conjugate by L = (1 0; 1 1)
+            a, b, c, d = a - b, b, a + c - b - d, b + d
+        else:  # conjugate by R = (0 1; 1 1)
+            a, b, c, d = d - c, c, b + d - a - c, a + c
+    x = values[0]
+    if not (x.sign() > 0 and _sign(x._a - x._c, x._b, x._d) <= 0):
         raise AssertionError(f"no root of {word} in (0, 1]")
     return tuple(values)
 
