@@ -14,9 +14,8 @@ orbit of a word is read off word matrices. Rotating the word left by one
 letter conjugates its matrix by that letter's generator, M -> G M G^-1, so
 tr^2 - 4 det, the discriminant of every rotation's fixed-point equation, is
 the same for the whole orbit and is factored once. Point j of the orbit is
-the root in (0, 1] of the j-th rotation's equation, built from the matrix
-entries with one gcd; it is the same field element as the inverse-branch
-image of point j - 1.
+the root in (0, 1] of the j-th rotation's equation; it is the same field
+element as the inverse-branch image of point j - 1.
 """
 
 from __future__ import annotations
@@ -96,9 +95,11 @@ class QuadraticIrrational:
         a, b = Fraction(a), Fraction(b)
         if d < 1:
             raise ValueError("radicand must be a positive integer")
-        s, d = square_free_decompose(d)
+        s, d0 = square_free_decompose(d)
+        if s * s * d0 != d:
+            raise AssertionError("square-free decomposition failed")
         c = math.lcm(a.denominator, b.denominator)
-        return _reduced(a.numerator * (c // a.denominator), s * b.numerator * (c // b.denominator), c, d)
+        return _reduced(a.numerator * (c // a.denominator), s * b.numerator * (c // b.denominator), c, d0)
 
     @property
     def a(self) -> Fraction:
@@ -170,7 +171,6 @@ class QuadraticIrrational:
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadraticIrrational":
-        """c (a - b*sqrt(d)) / (a*a - b*b*d)."""
         norm = self._a * self._a - self._b * self._b * self._d
         if norm == 0:
             raise ZeroDivisionError("zero element of the quadratic field")
@@ -213,14 +213,16 @@ class QuadraticIrrational:
         return NotImplemented if c is NotImplemented else c >= 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._b == 0 and (self._a, self._c) == (other.numerator, other.denominator)
-        if not isinstance(other, QuadraticIrrational):
+        o = self._coerce(other)
+        if o is NotImplemented:
             return NotImplemented
-        return (self._a, self._b, self._c, self._d) == (other._a, other._b, other._c, other._d)
+        return (self._a, self._b, self._c, self._d) == (o._a, o._b, o._c, o._d)
 
     def __hash__(self):
         return hash((self._a, self._b, self._c, self._d)) if self._b else hash(self.a)
+
+    def __reduce__(self):
+        return _reduced, (self._a, self._b, self._c, self._d)
 
     def __repr__(self) -> str:
         return f"QuadraticIrrational(a={self.a!r}, b={self.b!r}, d={self._d!r})"
@@ -261,10 +263,9 @@ def _reduced(a: int, b: int, c: int, d: int) -> QuadraticIrrational:
 
 
 def decimals(values: Sequence[QuadraticIrrational], digits: int = 50) -> List[str]:
-    """Decimal expansions to `digits` significant digits, in one decimal
-    context: each a/c + b/c*sqrt(d) at digits + 10, then all rounded. Decimal
-    division is correctly rounded, so a/c gives the digits of the reduced
-    Fraction. sqrt(d) is computed once per radicand."""
+    """Decimal expansions to `digits` significant digits in one decimal context:
+    each a/c + b/c*sqrt(d) at digits + 10 (Decimal division is correctly rounded,
+    so a/c gives the reduced Fraction's digits), sqrt(d) once per d, then rounded."""
     import decimal
 
     dec, roots, wide = decimal.Decimal, {}, []
@@ -436,12 +437,14 @@ def orbit_values(word: FareyWord) -> Tuple[QuadraticIrrational, ...]:
     matrix (a b; c d), a plain int 4-tuple, is the previous rotation's
     conjugated by its first letter. (d - a)^2 + 4bc = tr^2 - 4 det = s*s*d0
     is the same for every rotation, so it is factored once. c >= 1: both
-    generators have bottom row (1, 1).
+    generators have bottom row (1, 1). Point 0 is checked to lie in (0, 1].
     """
     if word.degenerate:
         raise DegenerateWord("all-L word fixes only 0")
     a, b, c, d = _word_entries(word.letters)
     s, d0 = square_free_decompose((d - a) ** 2 + 4 * b * c)
+    if not (_sign(a - d, s, d0) > 0 and _sign(a - d - 2 * c, s, d0) <= 0):
+        raise AssertionError(f"no root of {word} in (0, 1]")
     values = []
     for letter in word.letters:
         values.append(_reduced(a - d, s, 2 * c, d0))
@@ -449,9 +452,6 @@ def orbit_values(word: FareyWord) -> Tuple[QuadraticIrrational, ...]:
             a, b, c, d = a - b, b, a + c - b - d, b + d
         else:  # conjugate by R = (0 1; 1 1)
             a, b, c, d = d - c, c, b + d - a - c, a + c
-    x = values[0]
-    if not (x.sign() > 0 and _sign(x._a - x._c, x._b, x._d) <= 0):
-        raise AssertionError(f"no root of {word} in (0, 1]")
     return tuple(values)
 
 

@@ -2,8 +2,10 @@
 plus the costs the integer form removes: Fraction and matrix objects on the
 enumeration path, and the floor's float search."""
 
+import copy
 import importlib
 import math
+import pickle
 import random
 import signal
 from decimal import Decimal, localcontext
@@ -11,7 +13,15 @@ from fractions import Fraction
 
 import pytest
 
-from boostcycles import FareyWord, MoebiusMatrix, QuadraticIrrational, cf_expansion, orbit_values, word_matrix
+from boostcycles import (
+    FareyWord,
+    MoebiusMatrix,
+    QuadraticIrrational,
+    cf_expansion,
+    enumerate_orbits,
+    orbit_values,
+    word_matrix,
+)
 from boostcycles.cli import main
 from reference_quadratic import QuadraticIrrational as RefQI
 
@@ -132,6 +142,12 @@ class TestAgainstFractionReference:
             assert str(x) == str(rx)
             assert x.decimal(50) == rx.decimal(50)
             assert float(x) == reference_float(rx)
+
+    def test_copy_and_pickle(self):
+        for (x, _), _ in self.pairs(7, 200):
+            assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
+        records = enumerate_orbits(5)
+        assert pickle.loads(pickle.dumps(records)) == records
 
     def test_cf_expansion(self):
         for (x, rx), _ in self.pairs(6, 300):
