@@ -162,7 +162,8 @@ def cmd_analyze(args, parser) -> int:
     trace = load_trace(args.trace)
     requested = None
     if args.check is not None:
-        requested = [c.strip() for c in args.check.split(",") if c.strip()]
+        # each named check once, in the order first named
+        requested = list(dict.fromkeys(c.strip() for c in args.check.split(",") if c.strip()))
         if not requested:
             parser.error(f"--check names no check; available: {', '.join(ALL_CHECKS)}")
         unknown = [c for c in requested if c not in ALL_CHECKS]

@@ -27,6 +27,13 @@ float64 `BoostTrace.state_matrix` (the states themselves in float mode):
 - The periodic learning condition, the cycle window's violation and the
   agreement windows all read the trace's J- masks
   (`BoostTrace.repeated_mistakes`).
+- A float trace that repeats bit for bit (`BoostTrace.repeat`: from step
+  onset on, step t is step t - period) is evaluated on its stored block:
+  the per-transition checks run their kernels on transitions 1 .. onset +
+  period + 1 and read every transition's result through
+  `transition_index`, and `detect_cycle`'s walk-back to the phase skips
+  the tiled steps where they cannot move it. Every other trace takes the
+  same path with the identity index.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import BoostTrace, _lattice_point
+from .engine import BoostTrace, _lattice_point, _tiling
 from .farey import FareyWord, inv_L, inv_R
 from .simplex import (
     MistakeDichotomy,
@@ -195,11 +202,14 @@ class TransitionGroups:
 _GROUP_BLOCK = 256
 
 
-def transition_groups(trace: BoostTrace) -> TransitionGroups:
-    """The groups of every transition, from the trace's columns."""
+def transition_groups(trace: BoostTrace, stop: Optional[int] = None) -> TransitionGroups:
+    """The groups of transitions 1 .. stop (every transition by default),
+    from the trace's columns."""
     if len(trace) < 2:
         raise ValueError("need at least 2 steps")
-    signs, states = trace.signs, trace.states
+    if stop is None:
+        stop = len(trace) - 1
+    signs, states = trace.signs[: stop + 1], trace.states[: stop + 1]
     if trace.mode == "exact":
         w_prev = np.vstack((_lattice_point(trace.initial_weights), states[:-2, 2:]))
         edges = states[:, :2]
@@ -207,7 +217,7 @@ def transition_groups(trace: BoostTrace) -> TransitionGroups:
         w_prev = np.vstack((trace.initial_weights.as_array(), states[:-2, 1:]))
         edges = states[:, 0]
     return TransitionGroups(
-        j_minus=trace.repeated_mistakes,
+        j_minus=trace.repeated_mistakes[:stop],
         was_right=signs[:-1] > 0,
         is_right=signs[1:] > 0,
         w_prev=w_prev,
@@ -505,9 +515,15 @@ def detect_cycle(
                 reduced = True
                 break
 
-    # walk back from the verified window while states one period apart agree
+    # walk back from the verified window while states one period apart
+    # agree. When the period is a multiple of the trace's bit period, states
+    # a period apart are bit-equal from the bit onset on, so the walk-back
+    # starts there: it would pass every step after it.
     window_start = n_steps - min_repeats * period
     phase = window_start
+    repeat = trace.repeat
+    if repeat is not None and period % repeat[1] == 0:
+        phase = min(phase, repeat[0])
     while phase > 0:
         lo = max(0, phase - _WALK_BACK_BLOCK)
         apart = np.flatnonzero(deviation(period, lo, phase) > tol)
@@ -713,11 +729,13 @@ def _too_short(name: str, trace: BoostTrace) -> CheckResult:
     return CheckResult(name, False, "trace too short", {"steps": len(trace)})
 
 
-def _check_periodic_learning(trace, report, groups, tol) -> CheckResult:
+def _check_periodic_learning(trace, report, groups, index, tol) -> CheckResult:
     name = "periodic-learning"
-    if len(trace) < 2:
+    if groups is None:
         return _too_short(name, trace)
-    violation = first_repeated_mistake(trace.repeated_mistakes)
+    # the index maps every transition to one at or before it, so the first
+    # violation is among the evaluated transitions
+    violation = first_repeated_mistake(groups.j_minus)
     if violation is None:
         return CheckResult(name, True, "holds on the whole trace", {"violation": None})
     i, t = violation
@@ -725,15 +743,15 @@ def _check_periodic_learning(trace, report, groups, tol) -> CheckResult:
     return CheckResult(name, False, f"violated at point {i}, iteration {t}", data)
 
 
-def _check_edge_update(trace, report, groups, tol) -> CheckResult:
+def _check_edge_update(trace, report, groups, index, tol) -> CheckResult:
     name = "edge-update"
     if groups is None:
         return _too_short(name, trace)
     matches = np.concatenate([_edge_update(block, tol)[1] for _, block in groups.blocks()])
     j_minus_empty = ~groups.j_minus.any(axis=1)
-    broken = (np.flatnonzero(matches != j_minus_empty) + 1).tolist()
-    mismatch = (np.flatnonzero(~matches) + 1).tolist()
-    data = {"steps_checked": len(matches), "mismatch_iterations": mismatch, "broken_iterations": broken}
+    broken = (np.flatnonzero((matches != j_minus_empty)[index]) + 1).tolist()
+    mismatch = (np.flatnonzero(~matches[index]) + 1).tolist()
+    data = {"steps_checked": len(index), "mismatch_iterations": mismatch, "broken_iterations": broken}
     if broken:
         return CheckResult(name, False, f"biconditional broken at iterations {broken}", data)
     if mismatch:
@@ -756,11 +774,14 @@ def _subsums_inconsistent(groups: TransitionGroups) -> np.ndarray:
     return (2 * i_minus * q_prev != d * (q_prev - p_prev)) | (2 * was_right * q_prev != d * (q_prev + p_prev))
 
 
-def _check_subsums(trace, report, groups, tol) -> CheckResult:
+def _check_subsums(trace, report, groups, index, tol) -> CheckResult:
     name = "subsums"
     if groups is None:
         return _too_short(name, trace)
-    data = {"steps_verified": 0, "steps_skipped": int(groups.j_minus.any(axis=1).sum()), "failed_iteration": None}
+    skipped = int(groups.j_minus.any(axis=1)[index].sum())
+    data = {"steps_verified": 0, "steps_skipped": skipped, "failed_iteration": None}
+    # a failure is found among the evaluated transitions, where the index is
+    # the identity, so the steps verified before it are counted there
     for lo, block in groups.blocks():
         held = np.flatnonzero(~block.j_minus.any(axis=1))
         block = block.rows(held)
@@ -788,13 +809,14 @@ def _check_subsums(trace, report, groups, tol) -> CheckResult:
             targets = (r / 2, 0.5, (1 - r) / 2)
             return CheckResult(name, False, f"iteration {t}: subsums {got} != {targets}", data)
         data["steps_verified"] += len(held)
-    checked = data["steps_verified"]
+    # no failure: every transition where J- is empty verifies
+    checked = data["steps_verified"] = len(index) - skipped
     if checked == 0:
         return CheckResult(name, True, "no step satisfied the periodic learning condition", data)
     return CheckResult(name, True, f"subsum values (r/2, 1/2, (1-r)/2) verified on {checked} steps", data)
 
 
-def _check_farey(trace, report, groups, tol) -> CheckResult:
+def _check_farey(trace, report, groups, index, tol) -> CheckResult:
     name = "farey"
     if report is None:
         return CheckResult(name, False, "no cycle to match", {"word": None})
@@ -804,7 +826,7 @@ def _check_farey(trace, report, groups, tol) -> CheckResult:
     return CheckResult(name, True, f"word {report.farey_word}", data)
 
 
-def _check_agreement(trace, report, groups, tol) -> CheckResult:
+def _check_agreement(trace, report, groups, index, tol) -> CheckResult:
     """Two copies of the cycling window, one period apart, must agree
     everywhere (lattice_agreement on the analysis' own cycle report)."""
     name = "agreement"
@@ -831,7 +853,8 @@ def _check_agreement(trace, report, groups, tol) -> CheckResult:
     return CheckResult(name, False, f"{result.status}: {result.reason} (offset {result.offset})", data)
 
 
-# name -> check(trace, report, groups, tol); analyze runs them in this order
+# name -> check(trace, report, groups, index, tol); analyze runs them in this
+# order
 CHECKS: Dict[str, Callable[..., CheckResult]] = {
     "periodic-learning": _check_periodic_learning,
     "edge-update": _check_edge_update,
@@ -845,6 +868,20 @@ ALL_CHECKS = tuple(CHECKS)
 IDENTITY_CHECKS = ("edge-update", "subsums", "agreement")
 
 
+def transition_index(trace: BoostTrace) -> np.ndarray:
+    """For each transition t = 1 .. T-1 (at row t-1), the row of the
+    transition it repeats: transition t reads the signs of steps t-1 and t,
+    the weights before step t-1 and the two edges, so once step t-2 lies
+    past the trace's bit onset (see `BoostTrace.repeat`), transition t reads
+    exactly the inputs of transition t - period. Transitions 1 .. onset +
+    period + 1 map to themselves and every later one to one of them; with
+    no bit repeat (every exact trace) the index is the identity."""
+    if trace.repeat is None:
+        return np.arange(len(trace) - 1)
+    onset, period = trace.repeat
+    return _tiling(onset + 1, period, len(trace) - 1)
+
+
 def analyze_trace(
     trace: BoostTrace,
     tol: float = 1e-9,
@@ -852,7 +889,11 @@ def analyze_trace(
     checks: Sequence[str] = ALL_CHECKS,
 ) -> Tuple[Optional[CycleReport], List[CheckResult]]:
     """Detect the trace's cycle once (with its Farey word attached) and run
-    the named checks against it, in the order given."""
+    the named checks against it, each once, in the order first named.
+
+    The per-transition checks evaluate their kernels on the transitions
+    that `transition_index` maps to, at most onset + period + 1 of them,
+    and read every transition's result through the index."""
     unknown = [name for name in checks if name not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; available: {', '.join(ALL_CHECKS)}")
@@ -861,7 +902,8 @@ def analyze_trace(
         report = detect_cycle(trace, tol=tol, min_repeats=min_repeats)
         if report is not None:
             report = attach_farey(report)
-    groups = None
-    if len(trace) >= 2 and not {"edge-update", "subsums"}.isdisjoint(checks):
-        groups = transition_groups(trace)
-    return report, [CHECKS[name](trace, report, groups, tol) for name in checks]
+    groups = index = None
+    if len(trace) >= 2 and not {"periodic-learning", "edge-update", "subsums"}.isdisjoint(checks):
+        index = transition_index(trace)
+        groups = transition_groups(trace, int(index.max()) + 1)
+    return report, [CHECKS[name](trace, report, groups, index, tol) for name in dict.fromkeys(checks)]

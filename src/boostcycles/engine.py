@@ -459,6 +459,12 @@ class BoostTrace:
         return states
 
     @cached_property
+    def repeat(self) -> Optional[Tuple[int, int]]:
+        """The (onset, period) of the bit repeat the columns hold, or None
+        (see `_repeat`)."""
+        return _repeat(self)
+
+    @cached_property
     def repeated_mistakes(self) -> np.ndarray:
         """The J- masks: entry (t, i) is true when point i is misclassified
         at both iteration t and t+1 (the periodic learning condition fails)."""
@@ -491,6 +497,14 @@ def _tiling(start: int, period: int, length: int) -> np.ndarray:
     return index
 
 
+# Rows of fewer points than this are compared in a column-major copy: numpy
+# then loops along the steps rather than along each row's few points, which
+# made the compares of a 5000-step 3-point trace about 10 times faster. For
+# wider rows the row-major compares are as fast, and the copy (8 bytes a
+# weight, against the compares' 1-byte masks) would only add memory.
+_COLUMN_MAJOR_BELOW = 32
+
+
 def _first_repeat(initial: np.ndarray, before: np.ndarray, schedule: int) -> Optional[Tuple[int, int]]:
     """The first repeat of the key (bits of the weights before step t,
     t mod schedule) among a float run's keys, as (onset, period): the key
@@ -513,6 +527,8 @@ def _first_repeat(initial: np.ndarray, before: np.ndarray, schedule: int) -> Opt
         return None
     start = initial.view(np.uint64)
     before = before.view(np.uint64)
+    if before.shape[1] < _COLUMN_MAJOR_BELOW:
+        before = np.asfortranarray(before)
     same = (before[:-1] == before[-1]).all(axis=1) & (np.arange(1, last) % schedule == last % schedule)
     earlier = same.nonzero()[0]
     if len(earlier):
@@ -525,6 +541,24 @@ def _first_repeat(initial: np.ndarray, before: np.ndarray, schedule: int) -> Opt
     if len(differ):
         return int(differ[-1]) + 2, period
     return (0 if (start == before[period - 1]).all() else 1), period
+
+
+def _repeat(trace: BoostTrace) -> Optional[Tuple[int, int]]:
+    """The (onset, period) of a float trace's bit repeat, read from its
+    columns: the first repeat of its key (`_first_repeat`), when the rows,
+    signs and state bits from the onset on are that period's, tiled, and the
+    trace did not halt. None otherwise, and for every exact trace. Step t >=
+    onset of such a trace is step onset + (t - onset) % period
+    (`_tiling`); the v3 trace file stores steps 0 .. onset + period - 1, and
+    the analysis evaluates the steps that tiling reads."""
+    if trace.mode == "exact" or trace.halt is not None:
+        return None
+    found = _first_repeat(trace.initial_weights.as_array(), trace.states[:-1, 1:], _schedule(trace.rule))
+    if found is None:
+        return None
+    onset, period = found
+    columns = (trace.rows, trace.signs, trace.states.view(np.uint64))
+    return found if all(np.array_equal(c[onset + period :], c[onset:-period]) for c in columns) else None
 
 
 def boost(

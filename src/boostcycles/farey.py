@@ -265,7 +265,10 @@ def _reduced(a: int, b: int, c: int, d: int) -> QuadraticIrrational:
 def decimals(values: Sequence[QuadraticIrrational], digits: int = 50) -> List[str]:
     """Decimal expansions to `digits` significant digits in one decimal context:
     each a/c + b/c*sqrt(d) at digits + 10 (Decimal division is correctly rounded,
-    so a/c gives the reduced Fraction's digits), sqrt(d) once per d, then rounded."""
+    so a/c gives the reduced Fraction's digits), sqrt(d) once per d, then rounded.
+    Where a and b*sqrt(d) have opposite signs the sum loses leading digits;
+    one that keeps fewer than digits + 5 of them is taken again by
+    `_cancelling_sum`."""
     import decimal
 
     dec, roots, wide = decimal.Decimal, {}, []
@@ -275,9 +278,33 @@ def decimals(values: Sequence[QuadraticIrrational], digits: int = 50) -> List[st
             if v._d not in roots:
                 roots[v._d] = dec(v._d).sqrt()
             c = dec(v._c)
-            wide.append(dec(v._a) / c + dec(v._b) / c * roots[v._d])
+            first, second = dec(v._a) / c, dec(v._b) / c * roots[v._d]
+            x = first + second
+            if v._a * v._b < 0 and (not x or max(first.adjusted(), second.adjusted()) - x.adjusted() > 5):
+                x = _cancelling_sum(v, digits)
+            wide.append(x)
         ctx.prec = digits
         return [str(+x) for x in wide]
+
+
+def _cancelling_sum(v: QuadraticIrrational, digits: int):
+    """a/c + b/c*sqrt(d), for a and b of opposite signs, as a Decimal with
+    digits + 10 correct significant digits: the sum is taken at a precision
+    raised by the leading digits it loses (all of them when the rounded terms
+    cancel), until digits + 10 remain. It ends, as an irrational x is not 0."""
+    import decimal
+
+    dec, prec = decimal.Decimal, digits + 10
+    with decimal.localcontext() as ctx:
+        while True:
+            ctx.prec = prec
+            c = dec(v._c)
+            first, second = dec(v._a) / c, dec(v._b) / c * dec(v._d).sqrt()
+            x = first + second
+            lost = max(first.adjusted(), second.adjusted()) - x.adjusted() if x else prec
+            if prec - lost >= digits + 10:
+                return x
+            prec = digits + 10 + lost
 
 
 GOLDEN = QuadraticIrrational(Fraction(-1, 2), Fraction(1, 2), 5)

@@ -9,10 +9,11 @@ construction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,7 +79,66 @@ class WeightVector:
         return np.array(self.components, dtype=object if is_exact(self.components) else np.float64)
 
 
-_SIGN_OF = {"+": 1, "-": -1}
+_PLUS, _MINUS = ord("+"), ord("-")
+_NOT_A_SIGN = re.compile(r"[^+-]")
+
+
+class SignTextError(ValueError):
+    """Rows of '+'/'-' text that do not make a sign matrix.
+
+    row is (index, message) for the first row that fails on its own (it is
+    empty, holds a character other than '+' and '-', or has no '+'), and
+    uneven is the index of the first row whose length differs from the first
+    row's; either is None when no row fails that way. The error's text is the
+    row's message, or else that the rows have unequal lengths.
+    """
+
+    def __init__(self, row: Optional[Tuple[int, str]], uneven: Optional[int]) -> None:
+        super().__init__(row[1] if row else "pool rows have unequal lengths")
+        self.row, self.uneven = row, uneven
+
+
+def _row_failure(text: str) -> Optional[str]:
+    """Why one row of text is not a dichotomy, or None if it is one."""
+    if not text:
+        return "empty dichotomy"
+    bad = _NOT_A_SIGN.search(text)
+    if bad:
+        return f"bad dichotomy character {bad.group()!r}"
+    if "+" not in text:
+        return "dichotomy must classify at least one point correctly"
+    return None
+
+
+def _parse_signs(texts: Sequence[str]) -> np.ndarray:
+    """The pool codec's reader: rows of '+'/'-' text as one int8 (rows x
+    points) matrix of ±1, decoded in one pass over their bytes. The rows must
+    have equal lengths and a '+' each; no rows give a (0, 0) matrix. Raises
+    SignTextError otherwise, naming the first failing row of each kind."""
+    if not texts:
+        return np.empty((0, 0), dtype=np.int8)
+    joined = "".join(texts)
+    if len(set(map(len, texts))) == 1 and joined.isascii():
+        codes = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(len(texts), -1)
+        right = codes == _PLUS
+        if codes.size and (right | (codes == _MINUS)).all() and right.any(axis=1).all():
+            signs = right.astype(np.int8)
+            signs *= 2
+            signs -= 1
+            return signs
+    # some row fails: find the first of each kind
+    failures = ((i, _row_failure(text)) for i, text in enumerate(texts))
+    row = next(((i, message) for i, message in failures if message), None)
+    uneven = next((i for i, text in enumerate(texts) if len(text) != len(texts[0])), None)
+    raise SignTextError(row, uneven)
+
+
+def _sign_texts(signs: np.ndarray) -> List[str]:
+    """The pool codec's writer: the rows of a ±1 sign matrix as '+'/'-' text,
+    encoded in one pass."""
+    text = np.where(signs > 0, _PLUS, _MINUS).astype(np.uint8).tobytes().decode("ascii")
+    n = signs.shape[1]
+    return [text[lo : lo + n] for lo in range(0, len(text), n)]
 
 
 @dataclass(frozen=True)
@@ -118,55 +178,79 @@ class MistakeDichotomy:
 
     @classmethod
     def from_string(cls, text: str) -> "MistakeDichotomy":
-        text = text.strip()
-        try:
-            return cls(tuple(map(_SIGN_OF.__getitem__, text)))
-        except KeyError:
-            bad = next(ch for ch in text if ch not in _SIGN_OF)
-            raise ValueError(f"bad dichotomy character {bad!r}") from None
+        return _checked_dichotomy(_parse_signs([text.strip()])[0].tolist())
 
 
-@dataclass(frozen=True)
+def _checked_dichotomy(entries: Sequence[int]) -> MistakeDichotomy:
+    """A MistakeDichotomy of signs that were checked already (by
+    _parse_signs or as the rows of a pool), built without checking again."""
+    dichotomy = object.__new__(MistakeDichotomy)
+    object.__setattr__(dichotomy, "entries", tuple(entries))
+    return dichotomy
+
+
 class HypothesisPool:
-    """The finite set of dichotomies available to the selection step.
+    """The finite set of dichotomies available to the selection step, held
+    as one read-only int8 (rows x points) matrix of ±1, `signs`.
 
     Duplicate rows are dropped at construction (first occurrence kept);
     duplicates are dynamically indistinguishable and would only break
-    argmax tie-break determinism.
+    argmax tie-break determinism. The constructor takes MistakeDichotomy
+    rows; `from_matrix` takes a sign matrix checked where it was read
+    (`_parse_signs`) and checks no row again. `rows`, the dichotomies, are
+    built from the matrix when first read. Pools are equal when their
+    matrices and origins are.
     """
 
-    rows: Tuple[MistakeDichotomy, ...]
-    origin: str = "synthetic"
-
-    def __post_init__(self) -> None:
-        if not self.rows:
+    def __init__(self, rows: Sequence[MistakeDichotomy], origin: str = "synthetic") -> None:
+        if not rows:
             raise ValueError("empty hypothesis pool")
-        n = len(self.rows[0])
-        if any(len(r) != n for r in self.rows):
+        if len(set(map(len, rows))) > 1:
             raise DimensionMismatch("pool rows have unequal lengths")
-        seen = set()
-        deduped = []
-        for row in self.rows:
-            if row.entries not in seen:
-                seen.add(row.entries)
-                deduped.append(row)
-        object.__setattr__(self, "rows", tuple(deduped))
+        self._keep_first(np.array([row.entries for row in rows], dtype=np.int8), origin)
+
+    @classmethod
+    def from_matrix(cls, signs: np.ndarray, origin: str = "synthetic") -> "HypothesisPool":
+        """The pool of a checked int8 ±1 sign matrix, each row with a +1."""
+        if not len(signs):
+            raise ValueError("empty hypothesis pool")
+        pool = cls.__new__(cls)
+        pool._keep_first(signs, origin)
+        return pool
 
     @classmethod
     def from_signs(cls, rows: Sequence[Sequence[int]], origin: str = "synthetic") -> "HypothesisPool":
         return cls(tuple(MistakeDichotomy(tuple(r)) for r in rows), origin)
 
-    @property
-    def n_points(self) -> int:
-        return len(self.rows[0])
+    def _keep_first(self, signs: np.ndarray, origin: str) -> None:
+        """Keep the first occurrence of each row of signs, found by one dict
+        over the rows' bytes."""
+        raw, n = signs.tobytes(), signs.shape[1]
+        rows = [raw[lo : lo + n] for lo in range(0, len(raw), n)]
+        # built from the last row back, so that each row keeps its first index
+        first = dict(zip(rows[::-1], range(len(rows) - 1, -1, -1)))
+        self.signs = signs[sorted(first.values())]
+        self.signs.flags.writeable = False
+        self.origin = origin
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HypothesisPool):
+            return NotImplemented
+        return self.origin == other.origin and np.array_equal(self.signs, other.signs)
+
+    def __hash__(self) -> int:
+        return hash((self.origin, self.signs.shape, self.signs.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"HypothesisPool(rows={self.rows!r}, origin={self.origin!r})"
 
     @cached_property
-    def signs(self) -> np.ndarray:
-        """The rows as a read-only int8 (rows x points) matrix of ±1, built
-        on first use and kept for the pool's lifetime."""
-        signs = np.array([row.entries for row in self.rows], dtype=np.int8)
-        signs.flags.writeable = False
-        return signs
+    def rows(self) -> Tuple[MistakeDichotomy, ...]:
+        return tuple(map(_checked_dichotomy, self.signs.tolist()))
+
+    @property
+    def n_points(self) -> int:
+        return self.signs.shape[1]
 
     @cached_property
     def exact_signs(self) -> np.ndarray:
@@ -186,7 +270,7 @@ class HypothesisPool:
         return m
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.signs)
 
     def __getitem__(self, i: int) -> MistakeDichotomy:
         return self.rows[i]

@@ -5,7 +5,9 @@ exact scalars are stored as `p/q` strings, floats as JSON numbers (whose
 shortest-repr encoding is exact). A `p/q` whose decimal form would pass the
 interpreter's int-to-string digit limit (4300 digits by default) is written
 in hexadecimal, `0x.../0x...`. Pools are plain text, one dichotomy per
-line over the alphabet {+, -}.
+line over the alphabet {+, -}. Pool text, in a pool file or a trace
+header, is decoded and encoded as one int8 sign matrix
+(`simplex._parse_signs` and `_sign_texts`), checked once where it is read.
 
 A `boostcycles-trace-v2` document stores the run, not its every state. The
 header holds the schema, mode, rule, pool, provenance, initial weights and
@@ -32,9 +34,10 @@ bits of the weights before step t, t mod L) repeats, with L the `fixed:`
 schedule's length and 1 for every other rule, every later step repeats the
 steps since the key's first occurrence (see `engine.boost`). Such a trace
 is written as a `boostcycles-trace-v3` document, which stores only the
-transient and one period. `engine._first_repeat` finds the first repeat
-from the trace's columns alone: the key before step `onset + period`
-equals the key before step `onset`. The writer stores the v3 layout when
+transient and one period. `engine._repeat` (read as `BoostTrace.repeat`,
+which the analysis reads too) finds the first repeat from the trace's
+columns alone: the key before step `onset + period` equals the key before
+step `onset`. The writer stores the v3 layout when
 the rows, signs and state bits from the onset on are that period tiled,
 the trace did not halt and its length T exceeds onset + period; every
 other trace, and every exact one, is written as v2. The v3 header adds
@@ -69,10 +72,11 @@ replay covers the steps read. An exact replay runs in step order and stops
 at its first failure. A float replay restarts at every checkpoint, so the
 steps fall into segments, each starting at the initial or at stored
 weights, and `_replay` advances all segments together, one step offset at a
-time, with the engine's update kernel on a (segments x points) array. A bad
-file fails with the message of its earliest failing step, and within a step
-its record's fields fail first, then its edge and update, then its stored
-weights.
+time, with the engine's update kernel on a (segments x points) array; it
+then checks every recorded edge against the replayed weights in one pass.
+A bad file fails with the message of its earliest failing step, and within
+a step its record's fields fail first, then its edge and update, then its
+stored weights.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ import json
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -93,7 +97,6 @@ from .engine import (
     FixedSequence,
     Optimal,
     SelectionRule,
-    _first_repeat,
     _lattice_point,
     _lattice_step,
     _schedule,
@@ -101,7 +104,7 @@ from .engine import (
     _update,
     alpha,
 )
-from .simplex import HypothesisPool, MistakeDichotomy, Scalar, WeightVector, _signed_sums
+from .simplex import HypothesisPool, Scalar, SignTextError, WeightVector, _parse_signs, _sign_texts, _signed_sums
 
 TRACE_SCHEMA = "boostcycles-trace-v2"
 REPEAT_SCHEMA = "boostcycles-trace-v3"
@@ -252,25 +255,10 @@ def _point_texts(point: List[int]) -> List[str]:
     return texts
 
 
-def _repeat(trace: BoostTrace) -> Optional[Tuple[int, int]]:
-    """The (onset, period) of a float trace that a v3 document can store: the
-    first repeat of its key (see `engine._first_repeat`), when the rows,
-    signs and state bits from the onset on are that period's, tiled, and the
-    trace did not halt. None otherwise, and for every exact trace."""
-    if trace.mode == "exact" or trace.halt is not None:
-        return None
-    found = _first_repeat(trace.initial_weights.as_array(), trace.states[:-1, 1:], _schedule(trace.rule))
-    if found is None:
-        return None
-    onset, period = found
-    columns = (trace.rows, trace.signs, trace.states.view(np.uint64))
-    return found if all(np.array_equal(c[onset + period :], c[onset:-period]) for c in columns) else None
-
-
 def trace_to_dict(trace: BoostTrace, provenance: Optional[Dict[str, object]] = None) -> Dict:
     mode = trace.mode
     exact = mode == "exact"
-    repeat = _repeat(trace)
+    repeat = trace.repeat
     stored = len(trace) if repeat is None else sum(repeat)
     states = trace.states[:stored]
     if exact:
@@ -289,7 +277,7 @@ def trace_to_dict(trace: BoostTrace, provenance: Optional[Dict[str, object]] = N
         "rule": _encode_rule(trace.rule),
         "pool": {
             "origin": trace.pool.origin,
-            "rows": [row.to_string() for row in trace.pool.rows],
+            "rows": _sign_texts(trace.pool.signs),
         },
         "provenance": provenance or {},
         "initial_weights": [_encode_scalar(c, mode) for c in trace.initial_weights],
@@ -343,7 +331,7 @@ def _read_steps(
     # only a v1 record, or one that is not an object, needs the checks of
     # the fields that v2 does not write
     v1 = not (set(map(type, records)) <= {dict} and set().union(*records) <= {"row", key, "weights"})
-    strings = [row.to_string() for row in pool.rows] if v1 else []
+    strings = _sign_texts(pool.signs) if v1 else []
     rows: List[int] = []
     edges: List = []
     checkpoints: Dict[int, Stored] = {}
@@ -435,12 +423,15 @@ def _replay(
     Float weights are float64 rows and float edges a float64 column. The
     steps are cut into segments, each starting at the initial weights or at
     a checkpoint's stored weights, and all segments advance together, one
-    step offset j at a time, as one (segments x points) array. An edge must
-    lie within SCREEN_MARGIN * n + _replay_drift(j, n) of its row's edge on
-    the replayed weights, and a checkpoint within _replay_drift of the
-    replay that ends on it. A step whose weights are stored keeps the stored
-    values. Segments are independent, so the first failure is the failure
-    at the earliest step.
+    step offset j at a time, as one (segments x points) array. A checkpoint
+    must lie within _replay_drift of the replay that ends on it, and a step
+    whose weights are stored keeps the stored values. The weights before
+    every step are then the initial weights and the states' weights, so
+    every recorded edge is checked after the loop, in one `_signed_sums`
+    pass: it must lie within SCREEN_MARGIN * n + _replay_drift(j, n) of its
+    row's edge on the weights before it, j being the step's offset in its
+    segment. Segments are independent, so the first failure is the failure
+    at the earliest step; at one step an edge fails before stored weights.
     """
     steps, n = signs.shape
     if initial.dtype == object:
@@ -482,27 +473,10 @@ def _replay(
     # a state row holds the edge, then the weights
     states = np.empty((steps, 1 + n))
     states[:, 0] = edges
-    first: Optional[Tuple[int, str]] = None
-
-    def fail(failed: np.ndarray, message: Callable[[int], str]) -> None:
-        """Note the earliest of the failed steps, with its message."""
-        nonlocal first
-        step = int(failed.min())
-        if first is None or step < first[0]:
-            first = step, message(step)
-
+    stored_failure: Optional[int] = None  # the earliest checkpoint that fails
     for j, live in enumerate(running):
         t = starts[:live] + j
-        eta, r, w = signs[t], edges[t], w[:live]
-        replayed = _signed_sums(eta, w)
-        bad = np.abs(replayed - r) > SCREEN_MARGIN * n + _replay_drift(j, n)
-        if bad.any():
-            edge_of = dict(zip(t.tolist(), replayed.tolist()))
-            fail(t[bad], lambda step: (
-                f"step {step}: edge {edges[step].item()!r} is not the edge of row {rows[step]} on the "
-                f"replayed weights ({edge_of[step]!r})"
-            ))
-        w, _ = _update(w, eta, r[:, None])
+        w, _ = _update(w[:live], signs[t], edges[t][:, None])
         states[t, 1:] = w
         stored = ends.get(j)
         if stored:
@@ -510,12 +484,22 @@ def _replay(
             expected = np.stack([checkpoints[u] for u in stored])
             matches = (np.abs(replayed - expected) <= _replay_drift(j + 1, n) * expected).all(axis=1)
             if not matches.all():
-                fail(
-                    np.array(stored)[~matches],
-                    lambda step: f"step {step}: stored weights do not match the replayed update",
-                )
+                step = min(np.array(stored)[~matches].tolist())
+                stored_failure = step if stored_failure is None else min(stored_failure, step)
             states[stored, 1:] = expected
-    return states, None if first is None else TraceFormatError(first[1])
+    # every step's edge on the weights before it, and its offset in its segment
+    replayed = _signed_sums(signs, np.vstack((initial, states[:-1, 1:])))
+    offsets = np.arange(steps) - np.repeat(cuts[:-1], np.diff(cuts))
+    bad = (np.abs(replayed - edges) > SCREEN_MARGIN * n + _replay_drift(offsets, n)).nonzero()[0]
+    if len(bad) and (stored_failure is None or bad[0] <= stored_failure):
+        step = int(bad[0])
+        return states, TraceFormatError(
+            f"step {step}: edge {edges[step].item()!r} is not the edge of row {rows[step]} on the "
+            f"replayed weights ({replayed[step].item()!r})"
+        )
+    if stored_failure is not None:
+        return states, TraceFormatError(f"step {stored_failure}: stored weights do not match the replayed update")
+    return states, None
 
 
 def _header_field(doc: Dict, key: str, kind: type):
@@ -566,7 +550,9 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
     lines = _header_field(pool_doc, "rows", list)
     if not set(map(type, lines)) <= {str}:
         raise TraceFormatError(f"pool row {next(r for r in lines if type(r) is not str)!r} is not a string")
-    pool = HypothesisPool(tuple(map(MistakeDichotomy.from_string, lines)), origin=pool_doc.get("origin", "synthetic"))
+    # a row's surrounding whitespace is ignored, as MistakeDichotomy.from_string ignores it
+    signs = _parse_signs([line.strip() for line in lines])
+    pool = HypothesisPool.from_matrix(signs, origin=pool_doc.get("origin", "synthetic"))
     rule = _decode_rule(_header_field(doc, "rule", dict), pool)
     n = pool.n_points
     initial = WeightVector(tuple(_decode_scalar(c, mode) for c in _header_field(doc, "initial_weights", list)))
@@ -666,20 +652,24 @@ def load_trace(path: str) -> BoostTrace:
 
 def load_pool(path: str) -> HypothesisPool:
     """Read a pool file: one '+--+' line per dichotomy, blank lines and
-    #-comments ignored."""
-    rows: List[MistakeDichotomy] = []
+    #-comments ignored. The lines are decoded as one sign matrix; a bad file
+    fails at its first line that fails on its own or differs in length from
+    the first line, with that line's number."""
+    texts, numbers = [], []
     for lineno, line in enumerate(_read_text(path).split("\n"), 1):
         text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        try:
-            rows.append(MistakeDichotomy.from_string(text))
-        except ValueError as exc:
-            raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
-        if len(rows[-1]) != len(rows[0]):
-            raise TraceFormatError(
-                f"{path}:{lineno}: row has {len(rows[-1])} points, the first row {len(rows[0])}"
-            )
-    if not rows:
+        if text and not text.startswith("#"):
+            texts.append(text)
+            numbers.append(lineno)
+    if not texts:
         raise TraceFormatError(f"{path}: no dichotomies found")
-    return HypothesisPool(tuple(rows), origin="synthetic")
+    try:
+        signs = _parse_signs(texts)
+    except SignTextError as exc:
+        if exc.row is not None and (exc.uneven is None or exc.row[0] <= exc.uneven):
+            i, message = exc.row
+        else:
+            i = exc.uneven
+            message = f"row has {len(texts[i])} points, the first row {len(texts[0])}"
+        raise TraceFormatError(f"{path}:{numbers[i]}: {message}") from None
+    return HypothesisPool.from_matrix(signs, origin="synthetic")

@@ -1,6 +1,9 @@
 """The Fraction-based `QuadraticIrrational`: a + b*sqrt(d) with two Fraction
 parts, as `boostcycles.farey` implemented it before its values moved to plain
-ints. Kept unchanged as a differential reference for the integer class.
+ints. Kept as a differential reference for the integer class, unchanged but
+for `decimal`: an irrational value's digits come from `exact_decimal`, an
+integer computation, since the Decimal sum lost every digit where a and
+b*sqrt(d) nearly cancel.
 """
 
 from __future__ import annotations
@@ -31,6 +34,34 @@ def _sign(a: Fraction, b: Fraction, d: int) -> int:
     if a > 0:  # b < 0
         return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
     return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+
+
+def exact_decimal(a: int, b: int, c: int, d: int, digits: int) -> str:
+    """(a + b*sqrt(d))/c, for ints with b != 0, c > 0 and d > 1 square-free,
+    rounded to `digits` significant digits and written as Decimal writes it.
+    Every digit comes from exact integer floors: floor(q*sqrt(d)) is
+    isqrt(q*q*d), less one for q < 0 (sqrt(d) is irrational, so no value
+    is a tie to round)."""
+    import decimal
+
+    def floor_root(q: int) -> int:
+        root = math.isqrt(q * q * d)
+        return root if q >= 0 else -root - 1
+
+    sign = 1 if a + floor_root(b) >= 0 else -1
+
+    def scaled(k: int, m: int = 1) -> int:
+        """floor(m * |x| * 10**k)."""
+        up, down = (m * 10**k, 1) if k >= 0 else (m, 10**-k)
+        return (sign * a * up + floor_root(sign * b * up)) // (c * down)
+
+    k = digits  # |x| * 10**k is to have `digits` digits before the point
+    while len(str(scaled(k))) != digits:
+        k += digits - len(str(scaled(k))) if scaled(k) else 2 * digits
+    rounded = (scaled(k, 2) + 1) // 2
+    if rounded == 10**digits:
+        rounded, k = rounded // 10, k - 1
+    return str(decimal.Decimal((sign < 0, tuple(map(int, str(rounded))), -k)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -218,6 +249,11 @@ class QuadraticIrrational:
     def decimal(self, digits: int = 50) -> str:
         """Decimal expansion to the given number of significant digits."""
         import decimal
+
+        if self.b:
+            c = math.lcm(self.a.denominator, self.b.denominator)
+            return exact_decimal(self.a.numerator * (c // self.a.denominator),
+                                 self.b.numerator * (c // self.b.denominator), c, self.d, digits)
 
         with decimal.localcontext() as ctx:
             ctx.prec = digits + 10

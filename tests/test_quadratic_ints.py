@@ -24,6 +24,7 @@ from boostcycles import (
 )
 from boostcycles.cli import main
 from reference_quadratic import QuadraticIrrational as RefQI
+from reference_quadratic import exact_decimal
 
 farey_module = importlib.import_module("boostcycles.farey")  # `boostcycles.farey` is the map
 
@@ -164,6 +165,18 @@ class TestIntegerFloor:
         value = within_one_second(lambda: float(x))
         assert value == reference_float(x) == -4.473868290049871e-24
         assert math.floor(-x) == 0 and math.floor(x.conjugate()) == 2 * PELL_A
+
+    def test_decimal_where_the_parts_cancel(self):
+        # every digit used to cancel: the Pell element printed 0.000000
+        x = QuadraticIrrational(PELL_A, PELL_B, 2)
+        assert within_one_second(lambda: x.decimal(20)) == "-4.4738682900498708302E-24"
+        assert exact_decimal(PELL_A, PELL_B, 1, 2, 20) == "-4.4738682900498708302E-24"
+        for d in (2, 3, 5, 7, 13, 61):
+            for p, q in sqrt_convergents(d, 30):
+                for a, b, c in ((p, -q, 1), (-p, q, 3), (p, -q, 7 * q)):
+                    for digits in (5, 20, 50):
+                        value = QuadraticIrrational(Fraction(a, c), Fraction(b, c), d)
+                        assert value.decimal(digits) == exact_decimal(a, b, c, d, digits), (a, b, c, d, digits)
 
     def test_floor_of_rationals_and_exact_roots(self):
         for num in range(-20, 21):
