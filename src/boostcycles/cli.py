@@ -1,9 +1,12 @@
 """Command-line frontend.
 
 Commands: run simulations, analyze traces for cycles and structural
-identities, enumerate Farey orbits, replicate the dataset experiments, and
-plot edge series. Exit codes are a stable contract: 0 success, 2 usage,
-3 a requested check failed, 4 I/O or malformed input.
+identities, enumerate Farey orbits (words of 1..20 letters), replicate the
+dataset experiments, and plot edge series. `replicate` writes trace.json,
+summary.json and, when the run took a step, edges.svg; it reports the cycle
+that `analyze` reports on that trace. Exit codes are a stable contract:
+0 success, 2 usage, 3 a requested check failed, 4 I/O, malformed input or a
+run that does not fit in memory.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from .cycles import (
     IDENTITY_CHECKS,
     CycleReport,
     analyze_trace,
-    attach_farey,
-    detect_cycle,
 )
 from .engine import FirstAbove, FixedSequence, Optimal
 from .farey import GOLDEN, MAX_ENUMERATION_LENGTH, FareyWord, decimals, enumerate_orbits, orbit_values
@@ -37,11 +38,14 @@ from .traceio import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
 EXIT_IO = 4
 
-GOLDEN_FLOAT = float(GOLDEN)
+GOLDEN_REF = (float(GOLDEN), "(sqrt(5)-1)/2")
+
+
+class InputError(Exception):
+    """A malformed input file; main reports it with exit 4."""
 
 
 def _fmt(value, mode: str) -> str:
@@ -85,10 +89,28 @@ def _parse_rule(text: str, mode: str):
 
 
 def _load_dataset(args) -> learners.Dataset:
-    ds = learners.load_csv(args.dataset, args.label, args.positive)
-    if args.sample is not None:
-        ds = learners.sample(ds, args.sample, args.seed)
+    try:
+        ds = learners.load_csv(args.dataset, args.label, args.positive)
+        if args.sample is not None:
+            ds = learners.sample(ds, args.sample, args.seed)
+    except ValueError as exc:
+        raise InputError(exc) from None
     return ds
+
+
+def _save_edge_figure(edges, path: str, title: str, refs, last: Optional[int] = None) -> None:
+    """Edge against iteration as an SVG: every step, or only the last ones."""
+    points = tuple((float(t), edge) for t, edge in enumerate(edges))
+    save_figure(
+        FigureSpec(
+            title=title,
+            x_label="iteration",
+            y_label="edge",
+            series=(("edge", points[-last:] if last else points),),
+            ref_lines=tuple(refs),
+        ),
+        path,
+    )
 
 
 def cmd_run(args, parser) -> int:
@@ -113,11 +135,7 @@ def cmd_run(args, parser) -> int:
             parser.error("--dataset requires --label and --positive")
         if not isinstance(rule, Optimal):
             parser.error("dataset runs train trees greedily; only --rule optimal applies")
-        try:
-            ds = _load_dataset(args)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        ds = _load_dataset(args)
         provenance.update(ds.provenance)
         provenance.update({"max_depth": args.depth, "max_leaves": args.leaves})
         trace = learners.run_on_dataset(ds, args.depth, args.leaves, args.iters, args.mode)
@@ -233,6 +251,8 @@ def cmd_farey(args, parser) -> int:
         word = FareyWord.from_string(args.word)
     except ValueError as exc:
         parser.error(str(exc))
+    if len(word) > MAX_ENUMERATION_LENGTH:
+        parser.error(f"--word must have 1..{MAX_ENUMERATION_LENGTH} letters")
     if word.degenerate:
         print(f"{word}: degenerate all-L word; only periodic point is 0")
         return EXIT_OK
@@ -245,41 +265,24 @@ def cmd_farey(args, parser) -> int:
 
 
 def cmd_replicate(args, parser) -> int:
-    try:
-        ds = _load_dataset(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    ds = _load_dataset(args)
     os.makedirs(args.out_dir, exist_ok=True)
     trace = learners.run_on_dataset(ds, args.depth, args.leaves, args.iters, "float")
     provenance = dict(ds.provenance)
     provenance.update({"max_depth": args.depth, "max_leaves": args.leaves, "iters": args.iters})
     trace_path = os.path.join(args.out_dir, "trace.json")
     save_trace(trace, trace_path, provenance)
+    written = [trace_path]
 
-    report = None
-    if len(trace) >= 3 * args.min_repeats:
-        report = detect_cycle(trace, tol=args.tol, min_repeats=args.min_repeats)
-        if report is not None:
-            report = attach_farey(report)
+    report, _ = analyze_trace(trace, args.tol, args.min_repeats, checks=())
 
     figure_path = os.path.join(args.out_dir, "edges.svg")
     edges = trace.states[:, 0].tolist()
     if edges:
-        points = tuple((float(t), edge) for t, edge in enumerate(edges))
-        refs = ((GOLDEN_FLOAT, "(sqrt(5)-1)/2"),)
-        name = os.path.basename(args.dataset)
-        save_figure(
-            FigureSpec(
-                title=f"edge values: {name}",
-                x_label="iteration",
-                y_label="edge",
-                series=(("edge", points),),
-                ref_lines=refs,
-            ),
-            figure_path,
-        )
+        _save_edge_figure(edges, figure_path, f"edge values: {os.path.basename(args.dataset)}", (GOLDEN_REF,))
+        written.append(figure_path)
+    elif os.path.exists(figure_path):
+        os.remove(figure_path)  # a figure of an earlier run, not of this trace
 
     mean_edge = None
     if report is not None:
@@ -300,9 +303,11 @@ def cmd_replicate(args, parser) -> int:
         "farey_word": None if report is None or report.farey_word is None else str(report.farey_word),
         "seed": args.seed if args.sample is not None else None,
     }
-    with open(os.path.join(args.out_dir, "summary.json"), "w") as fh:
+    summary_path = os.path.join(args.out_dir, "summary.json")
+    with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=1)
         fh.write("\n")
+    written.append(summary_path)
 
     cyc = "yes" if summary["cycle_found"] else "no"
     k = summary["period"] if summary["cycle_found"] else "-"
@@ -312,7 +317,7 @@ def cmd_replicate(args, parser) -> int:
         f"{summary['dataset']} | n={ds.n} | tree=({args.depth},{args.leaves}) | "
         f"cycle={cyc} | k={k} | periodic-learning={nab} | mean edge={mean_text}"
     )
-    print(f"wrote {trace_path}, {figure_path}, {os.path.join(args.out_dir, 'summary.json')}")
+    print(f"wrote {', '.join(written)}")
     return EXIT_OK
 
 
@@ -321,29 +326,18 @@ def cmd_plot(args, parser) -> int:
     if not len(trace):
         print("error: trace has no steps to plot", file=sys.stderr)
         return EXIT_IO
-    # float(Fraction) and the state matrix round exact edges alike
-    points = tuple((float(t), edge) for t, edge in enumerate(trace.state_matrix[:, 0].tolist()))
-    if args.last is not None:
-        points = points[-args.last :]
     refs = []
     for ref in args.ref or ():
         if ref == "golden":
-            refs.append((GOLDEN_FLOAT, "(sqrt(5)-1)/2"))
+            refs.append(GOLDEN_REF)
         else:
             try:
                 refs.append((float(Fraction(ref)), ref))
             except (ValueError, ZeroDivisionError, OverflowError):
                 parser.error(f"bad reference value {ref!r}")
-    save_figure(
-        FigureSpec(
-            title=args.title or "edge values",
-            x_label="iteration",
-            y_label="edge",
-            series=(("edge", points),),
-            ref_lines=tuple(refs),
-        ),
-        args.out,
-    )
+    # float(Fraction) and the state matrix round exact edges alike
+    edges = trace.state_matrix[:, 0].tolist()
+    _save_edge_figure(edges, args.out, args.title or "edge values", refs, args.last)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -358,15 +352,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def dataset_options(p: argparse.ArgumentParser, required: bool) -> None:
+        p.add_argument("--dataset", required=required, help="CSV dataset with a header row")
+        p.add_argument("--label", required=required, help="label column name (dataset runs)")
+        p.add_argument("--positive", required=required, help="label value mapped to +1 (dataset runs)")
+        p.add_argument("--sample", type=at_least_1, help="sample this many rows without replacement")
+        p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+        p.add_argument("--depth", type=at_least_1, default=3, help="max tree depth (dataset runs)")
+        p.add_argument("--leaves", type=at_least_1, default=4, help="max tree leaves (dataset runs)")
+
     p_run = sub.add_parser("run", help="run the boosting loop, write a trace")
+    p_run.set_defaults(handler=cmd_run)
     p_run.add_argument("--pool", help="pool file: one +/- dichotomy per line")
-    p_run.add_argument("--dataset", help="CSV dataset with a header row")
-    p_run.add_argument("--label", help="label column name (dataset runs)")
-    p_run.add_argument("--positive", help="label value mapped to +1 (dataset runs)")
-    p_run.add_argument("--sample", type=at_least_1, help="sample this many rows without replacement")
-    p_run.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p_run.add_argument("--depth", type=at_least_1, default=3, help="max tree depth (dataset runs)")
-    p_run.add_argument("--leaves", type=at_least_1, default=4, help="max tree leaves (dataset runs)")
+    dataset_options(p_run, required=False)
     p_run.add_argument(
         "--rule",
         default="optimal",
@@ -377,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="trace file to write (stdout when omitted)")
 
     p_an = sub.add_parser("analyze", help="detect cycles and verify structural identities")
+    p_an.set_defaults(handler=cmd_analyze)
     p_an.add_argument("trace")
     p_an.add_argument("--tol", type=tolerance, default=1e-9)
     p_an.add_argument("--min-repeats", type=repeats, default=3)
@@ -388,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--json", help="write a structured report here")
 
     p_f = sub.add_parser("farey", help="enumerate or print inverse-branch orbits")
+    p_f.set_defaults(handler=cmd_farey)
     f_sub = p_f.add_subparsers(dest="what", required=True)
     f_enum = f_sub.add_parser("enumerate", help="all rotation classes of a given length")
     f_enum.add_argument("--k", type=int, required=True)
@@ -397,19 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     f_orb.add_argument("--exact", action="store_true")
 
     p_rep = sub.add_parser("replicate", help="dataset experiment: trace, figure, summary")
-    p_rep.add_argument("--dataset", required=True)
-    p_rep.add_argument("--label", required=True)
-    p_rep.add_argument("--positive", required=True)
-    p_rep.add_argument("--sample", type=at_least_1)
-    p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--depth", type=at_least_1, default=3)
-    p_rep.add_argument("--leaves", type=at_least_1, default=4)
+    p_rep.set_defaults(handler=cmd_replicate)
+    dataset_options(p_rep, required=True)
     p_rep.add_argument("--iters", type=at_least_1, default=20000)
     p_rep.add_argument("--tol", type=tolerance, default=1e-9)
     p_rep.add_argument("--min-repeats", type=repeats, default=3)
     p_rep.add_argument("--out-dir", required=True)
 
     p_plot = sub.add_parser("plot", help="edge-vs-iteration SVG from a trace")
+    p_plot.set_defaults(handler=cmd_plot)
     p_plot.add_argument("trace")
     p_plot.add_argument("--out", required=True)
     p_plot.add_argument("--ref", action="append", help="'golden' or a numeric value; repeatable")
@@ -423,21 +419,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args, parser)
-        if args.command == "analyze":
-            return cmd_analyze(args, parser)
-        if args.command == "farey":
-            return cmd_farey(args, parser)
-        if args.command == "replicate":
-            return cmd_replicate(args, parser)
-        if args.command == "plot":
-            return cmd_plot(args, parser)
-    except (OSError, TraceFormatError) as exc:
+        return args.handler(args, parser)
+    except (OSError, TraceFormatError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    parser.error("no command")
-    return EXIT_USAGE
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -561,3 +561,190 @@ class TestAnalyzeSharing:
             "--depth", "1", "--leaves", "2", "--iters", "200", "--out-dir", str(tmp_path / "rep"),
         ) == 0
         assert counted == {"detect_cycle": 1, "partition": 0}
+
+
+ZERO_STEP_CSV = "x,label\n0,a\n1,a\n2,b\n3,b\n"  # one stump splits it: halts before step 0
+
+
+@pytest.fixture()
+def zero_step_csv(tmp_path):
+    path = tmp_path / "zero.csv"
+    path.write_text(ZERO_STEP_CSV)
+    return str(path)
+
+
+class TestDatasetOptions:
+    """The dataset options that `run` and `replicate` share."""
+
+    SAMPLED = ["--dataset", IRIS, "--label", "species", "--positive", "versicolor",
+               "--sample", "40", "--seed", "7", "--iters", "30"]
+
+    def test_run_sample_seed(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            assert run_cli("run", *self.SAMPLED, "--out", str(path)) == 0
+        provenance = json.loads(paths[0].read_text())["provenance"]
+        assert provenance["sample_size"] == 40 and provenance["seed"] == 7
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_replicate_sample_seed(self, tmp_path):
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for out_dir in dirs:
+            assert run_cli("replicate", *self.SAMPLED, "--out-dir", str(out_dir)) == 0
+        provenance = json.loads((dirs[0] / "trace.json").read_text())["provenance"]
+        assert provenance["sample_size"] == 40 and provenance["seed"] == 7
+        summary = json.loads((dirs[0] / "summary.json").read_text())
+        assert summary["sample_size"] == 40 and summary["seed"] == 7
+        for name in ("trace.json", "summary.json"):
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("drop", ["--label", "--positive"])
+    def test_run_dataset_needs_label_and_positive(self, capsys, drop):
+        argv = ["run", "--dataset", SYNTH3, "--label", "label", "--positive", "a", "--iters", "5"]
+        i = argv.index(drop)
+        del argv[i : i + 2]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "--dataset requires --label and --positive" in capsys.readouterr().err
+
+    def test_run_dataset_rule_must_be_optimal(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--dataset", SYNTH3, "--label", "label", "--positive", "a",
+                    "--rule", "fixed:0", "--iters", "5")
+        assert exc.value.code == 2
+        assert "only --rule optimal applies" in capsys.readouterr().err
+
+    def test_short_csv_row_dropped(self, tmp_path):
+        csv = tmp_path / "short.csv"
+        csv.write_text("x,y,label\n1,2,a\n3,b\n4,5,b\n6,7,a\n8,9,b\n")
+        out = tmp_path / "t.json"
+        with pytest.warns(UserWarning, match="dropped 1 rows"):
+            code = run_cli("run", "--dataset", str(csv), "--label", "label", "--positive", "a",
+                           "--depth", "1", "--leaves", "2", "--iters", "3", "--out", str(out))
+        assert code == 0
+        provenance = json.loads(out.read_text())["provenance"]
+        assert provenance["dropped_rows"] == 1 and provenance["n_rows"] == 4
+
+
+class TestCliErrors:
+    @pytest.mark.parametrize("rule, message", [
+        ("first-above:abc", "bad threshold 'abc'"),
+        ("fixed:a", "bad row schedule 'a'"),
+    ])
+    def test_bad_rule_argument(self, capsys, rule, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--pool", POOL3, "--rule", rule, "--iters", "5")
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_orbit_power_word_note(self, capsys):
+        assert run_cli("farey", "orbit", "--word", "RR") == 0
+        assert "note: RR is a power word; primitive period 1\n" in capsys.readouterr().out
+
+    def test_plot_zero_step_trace(self, zero_step_csv, tmp_path, capsys):
+        trace_path = tmp_path / "zero.json"
+        assert run_cli("run", "--dataset", zero_step_csv, "--label", "label", "--positive", "a",
+                       "--iters", "50", "--out", str(trace_path)) == 0
+        assert len(load_trace(str(trace_path))) == 0
+        assert run_cli("plot", str(trace_path), "--out", str(tmp_path / "f.svg")) == 4
+        assert capsys.readouterr().err == "error: trace has no steps to plot\n"
+        assert not (tmp_path / "f.svg").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "plot"])
+    def test_steps_not_a_list(self, golden_trace_file, tmp_path, capsys, command):
+        with open(golden_trace_file) as fh:
+            doc = json.load(fh)
+        doc["steps"] = {"0": doc["steps"][0]}
+        with open(golden_trace_file, "w") as fh:
+            json.dump(doc, fh)
+        options = ["--out", str(tmp_path / "f.svg")] if command == "plot" else []
+        assert run_cli(command, golden_trace_file, *options) == 4
+        assert capsys.readouterr().err.startswith("error:")
+
+
+class TestReplicateOutputs:
+    def test_reports_the_cycle_analyze_reports(self, tmp_path):
+        out_dir = tmp_path / "rep"
+        assert run_cli("replicate", "--dataset", SYNTH3, "--label", "label", "--positive", "a",
+                       "--depth", "1", "--leaves", "2", "--iters", "400", "--out-dir", str(out_dir)) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert run_cli("analyze", str(out_dir / "trace.json"), "--json", str(tmp_path / "r.json")) == 0
+        cycle = json.loads((tmp_path / "r.json").read_text())["cycle"]
+        assert summary["cycle_found"]
+        for key in ("period", "edge_period", "periodic_learning_holds", "farey_word"):
+            assert summary[key] == cycle[key]
+
+    def test_zero_step_run_writes_no_figure(self, zero_step_csv, tmp_path, capsys):
+        # a figure left by an earlier run in the same directory must not
+        # stand beside a trace it does not plot
+        out_dir = tmp_path / "rep"
+        assert run_cli("replicate", "--dataset", SYNTH3, "--label", "label", "--positive", "a",
+                       "--depth", "1", "--leaves", "2", "--iters", "100", "--out-dir", str(out_dir)) == 0
+        assert (out_dir / "edges.svg").exists()
+        capsys.readouterr()
+        assert run_cli("replicate", "--dataset", zero_step_csv, "--label", "label", "--positive", "a",
+                       "--iters", "50", "--out-dir", str(out_dir)) == 0
+        assert json.loads((out_dir / "summary.json").read_text())["iters_run"] == 0
+        assert not (out_dir / "edges.svg").exists()
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"wrote {out_dir / 'trace.json'}, {out_dir / 'summary.json'}"
+
+
+class TestWordLength:
+    def test_longest_word(self, capsys):
+        assert run_cli("farey", "orbit", "--word", "RLLRLRLRRLRRLRRRRRRL") == 0
+        assert len(capsys.readouterr().out.splitlines()) == 20
+
+    def test_word_too_long_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("farey", "orbit", "--word", "RLLRLRLRRLRRLRRRRRRLR")
+        assert exc.value.code == 2
+        assert "--word must have 1..20 letters" in capsys.readouterr().err
+
+
+class TestOutOfMemory:
+    """A run whose arrays do not fit in the address space ends with one
+    error line and exit 4, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--pool", POOL3, "--iters", "1000000000", "--mode", "float", "--out", "big.json"],
+        ["replicate", "--dataset", SYNTH3, "--label", "label", "--positive", "a",
+         "--depth", "1", "--leaves", "2", "--iters", "1000000000", "--out-dir", "rep"],
+    ], ids=["run", "replicate"])
+    def test_memory_error_exit_4(self, run_python, tmp_path, argv):
+        proc = run_python(f"import sys\nfrom boostcycles.cli import main\nsys.exit(main({argv!r}))", tmp_path)
+        assert proc.returncode == 4, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "memory" in lines[0]
+
+
+class TestDispatch:
+    """main reaches each command through its module binding `cmd_<name>`,
+    the names a tracer wraps."""
+
+    def test_main_calls_module_bindings(self, tmp_path, monkeypatch):
+        from boostcycles import cli
+
+        trace = str(tmp_path / "t.json")
+        argvs = {
+            "run": ["run", "--pool", POOL3, "--iters", "20", "--out", trace],
+            "analyze": ["analyze", trace],
+            "farey": ["farey", "orbit", "--word", "RL"],
+            "replicate": ["replicate", "--dataset", SYNTH3, "--label", "label", "--positive", "a",
+                          "--depth", "1", "--leaves", "2", "--iters", "20",
+                          "--out-dir", str(tmp_path / "rep")],
+            "plot": ["plot", trace, "--out", str(tmp_path / "f.svg")],
+        }
+        calls = dict.fromkeys(argvs, 0)
+        for name in argvs:
+            real = getattr(cli, f"cmd_{name}")
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, f"cmd_{name}", counting)
+        for name, argv in argvs.items():
+            assert run_cli(*argv) == 0
+        assert calls == dict.fromkeys(argvs, 1)
