@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
@@ -89,12 +90,19 @@ def _parse_rule(text: str, mode: str):
 
 
 def _load_dataset(args) -> learners.Dataset:
-    try:
-        ds = learners.load_csv(args.dataset, args.label, args.positive)
-        if args.sample is not None:
-            ds = learners.sample(ds, args.sample, args.seed)
-    except ValueError as exc:
-        raise InputError(exc) from None
+    """The dataset of --dataset; each warning of the loader (dropped rows)
+    goes to stderr as one `warning:` line, also when the load then fails."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)  # not once per process
+        try:
+            ds = learners.load_csv(args.dataset, args.label, args.positive)
+            if args.sample is not None:
+                ds = learners.sample(ds, args.sample, args.seed)
+        except ValueError as exc:
+            raise InputError(exc) from None
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
     return ds
 
 

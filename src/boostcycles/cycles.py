@@ -1,7 +1,7 @@
 """Limit-cycle detection on boosting traces and the structural identities that
-hold on them: the four-term edge decomposition, the simplified edge update
-under the periodic learning condition, subsum values, per-weight contribution
-shares, Farey-word matching, and the window-agreement property.
+hold on them: the simplified edge update under the periodic learning
+condition, subsum values, Farey-word matching, and the window-agreement
+property.
 
 Iteration indexing follows the engine: the transition "into" step t uses the
 weights and dichotomy of step t-1.
@@ -59,10 +59,6 @@ class PeriodicLearningRequired(ValueError):
     """The step misclassifies some point twice in a row (J- is nonempty)."""
 
 
-class DegenerateGroup(ValueError):
-    """A contribution group is empty or carries zero mass."""
-
-
 @dataclass(frozen=True)
 class IndexPartition:
     """Indices split by correctness at the current and previous iteration.
@@ -96,38 +92,6 @@ def partition(eta_prev: MistakeDichotomy, eta_cur: MistakeDichotomy) -> IndexPar
         i_minus=frozenset(groups[(-1, 1)]),
         j_plus=frozenset(groups[(1, -1)]),
         j_minus=frozenset(groups[(-1, -1)]),
-    )
-
-
-def _check_partition_covers(part: IndexPartition, eta_cur: MistakeDichotomy) -> None:
-    correct = part.i_plus | part.i_minus
-    wrong = part.j_plus | part.j_minus
-    for i, e in enumerate(eta_cur):
-        if (e == 1) != (i in correct) or (e == -1) != (i in wrong):
-            raise ValueError(f"partition inconsistent with current dichotomy at index {i}")
-
-
-def four_term_edge(
-    w_prev: WeightVector,
-    r_prev: Scalar,
-    part: IndexPartition,
-    eta_cur: MistakeDichotomy,
-) -> Scalar:
-    """The current edge written over the previous weights and edge:
-
-        sum_{I+} w/(1+r) - sum_{J+} w/(1+r) + sum_{I-} w/(1-r) - sum_{J-} w/(1-r)
-
-    Equals the plain dot-product edge of the updated weights against eta_cur,
-    exactly so in rational mode.
-    """
-    _check_partition_covers(part, eta_cur)
-    shrink = 1 + r_prev
-    grow = 1 - r_prev
-    return (
-        sum(w_prev[i] for i in part.i_plus) / shrink
-        - sum(w_prev[j] for j in part.j_plus) / shrink
-        + sum(w_prev[i] for i in part.i_minus) / grow
-        - sum(w_prev[j] for j in part.j_minus) / grow
     )
 
 
@@ -326,69 +290,6 @@ def subsums(w_prev: WeightVector, r_prev: Scalar, part: IndexPartition) -> Subsu
         if b != half or a + c != half:
             raise ValueError(SUBSUMS_INCONSISTENT)
     return SubsumReport(a, b, c, edge)
-
-
-@dataclass(frozen=True)
-class ContributionVector:
-    """Per-index rational shares of the three subsum groups; each group's
-    shares sum to 1. In float mode shares are reconstructed as rationals
-    (denominator-capped); indices that resist reconstruction are listed in
-    failures with their raw float share."""
-
-    i_plus: Dict[int, Fraction]
-    i_minus: Dict[int, Fraction]
-    j_plus: Dict[int, Fraction]
-    failures: Tuple[Tuple[int, float], ...] = ()
-
-
-def contributions(
-    w_prev: WeightVector,
-    r_prev: Scalar,
-    part: IndexPartition,
-    rationalize_cap: int = 10**6,
-    rationalize_tol: float = 1e-9,
-) -> ContributionVector:
-    """Each weight's share of its subsum group, after the update into the
-    current iteration: share_i = w_i,t / (group total).
-
-    Group totals are r_t/2, 1/2 and (1-r_t)/2 for I+, I-, J+, so the updated
-    weight factors as share * group total.
-    """
-    if part.j_minus:
-        raise PeriodicLearningRequired("J- must be empty for contribution shares")
-    shrink = 1 + r_prev
-    grow = 1 - r_prev
-    exact = is_exact(w_prev.components) and isinstance(r_prev, (int, Fraction))
-
-    groups = {}
-    failures = []
-    for name, members, factor in (
-        ("i_plus", part.i_plus, shrink),
-        ("i_minus", part.i_minus, grow),
-        ("j_plus", part.j_plus, shrink),
-    ):
-        updated = {i: w_prev[i] / factor for i in sorted(members)}
-        total = sum(updated.values())
-        if not updated or total == 0:
-            raise DegenerateGroup(f"group {name} is empty or carries no mass")
-        shares = {}
-        for i, v in updated.items():
-            share = v / total
-            if exact:
-                shares[i] = share
-            else:
-                frac = Fraction(share).limit_denominator(rationalize_cap)
-                if abs(float(frac) - share) <= rationalize_tol:
-                    shares[i] = frac
-                else:
-                    failures.append((i, share))
-        groups[name] = shares
-    if exact:
-        for shares in groups.values():
-            assert sum(shares.values()) == 1
-    return ContributionVector(
-        groups["i_plus"], groups["i_minus"], groups["j_plus"], tuple(failures)
-    )
 
 
 @dataclass(frozen=True)

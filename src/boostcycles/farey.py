@@ -326,14 +326,6 @@ def farey(x: Value) -> Value:
     return (1 - x) / x
 
 
-def gauss(x: Value) -> Value:
-    """The continued-fraction shift 1/x mod 1; equals farey on [1/2, 1)."""
-    if x <= 0 or x >= 1:
-        raise ValueError(f"{x!r} outside (0, 1)")
-    y = 1 / x
-    return y - math.floor(y)
-
-
 def inv_L(x: Value) -> Value:
     """Left inverse branch x -> x/(x+1), landing in [0, 1/2]."""
     return x / (x + 1)

@@ -323,20 +323,6 @@ def edge_dot(w: WeightVector, eta: MistakeDichotomy) -> Scalar:
     return _signed_sums(np.array([eta.entries], dtype=np.int8), w.as_array()).tolist()[0]
 
 
-def edge_from_misclassified(w: WeightVector, misclassified: Iterable[int]) -> Scalar:
-    """The edge written as 1 - 2 * (misclassified weight mass).
-
-    Agrees with edge_dot for the dichotomy that is -1 exactly on the given
-    index set, because the weights sum to 1.
-    """
-    miss = set(misclassified)
-    for j in miss:
-        if not 0 <= j < len(w):
-            raise IndexError(f"misclassified index {j} out of range")
-    one: Scalar = 1 if is_exact(w.components) else 1.0
-    return one - 2 * sum(w[j] for j in miss)
-
-
 def repeated_mistakes(signs: np.ndarray) -> np.ndarray:
     """The J- masks of a (iterations x points) ±1 sign matrix: entry (t, i)
     is true when point i is misclassified at both t and t+1."""

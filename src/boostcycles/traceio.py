@@ -50,7 +50,9 @@ a multiple of L, onset + period is the number of stored records, and it is
 less than T. It then replays the stored records as it replays v2, checks
 that the two checkpoints are bit-equal, and tiles the rows, signs and
 states of steps onset .. onset + period - 1 out to T, as `boost` tiles
-them. A failing check is a TraceFormatError at the step it concerns.
+them. A failing check is a TraceFormatError at the step it concerns. When
+the stored steps' first repeat is the header's, the loaded trace keeps it
+as its `repeat`, which is then not searched for over the tiled columns.
 
 Exact values never pass through `Fraction` on the way in or out. The reader
 parses each decimal `p/q` edge to a pair of ints with no gcd: the pair need
@@ -97,6 +99,7 @@ from .engine import (
     FixedSequence,
     Optimal,
     SelectionRule,
+    _first_repeat,
     _lattice_point,
     _lattice_step,
     _schedule,
@@ -113,6 +116,11 @@ READABLE_SCHEMAS = ("boostcycles-trace-v1", TRACE_SCHEMA, REPEAT_SCHEMA)
 # Steps between stored weight vectors. Each checkpoint bounds again the
 # drift a float replay may open (_replay_drift grows with the steps since).
 CHECKPOINT_EVERY = 100
+
+# Steps per pass of the float replay's edge check: its temporaries (the
+# weights before each step, their signed terms and running sums) are one
+# block's, not three (steps x points) arrays.
+_REPLAY_BLOCK = 256
 
 _EPS = 2.0 ** -52
 
@@ -427,10 +435,10 @@ def _replay(
     must lie within _replay_drift of the replay that ends on it, and a step
     whose weights are stored keeps the stored values. The weights before
     every step are then the initial weights and the states' weights, so
-    every recorded edge is checked after the loop, in one `_signed_sums`
-    pass: it must lie within SCREEN_MARGIN * n + _replay_drift(j, n) of its
-    row's edge on the weights before it, j being the step's offset in its
-    segment. Segments are independent, so the first failure is the failure
+    every recorded edge is checked after the loop, by `_signed_sums` over
+    blocks of _REPLAY_BLOCK steps: it must lie within SCREEN_MARGIN * n +
+    _replay_drift(j, n) of its row's edge on the weights before it, j being
+    the step's offset in its segment. Segments are independent, so the first failure is the failure
     at the earliest step; at one step an edge fails before stored weights.
     """
     steps, n = signs.shape
@@ -488,7 +496,11 @@ def _replay(
                 stored_failure = step if stored_failure is None else min(stored_failure, step)
             states[stored, 1:] = expected
     # every step's edge on the weights before it, and its offset in its segment
-    replayed = _signed_sums(signs, np.vstack((initial, states[:-1, 1:])))
+    replayed = np.empty(steps)
+    for lo in range(0, steps, _REPLAY_BLOCK):
+        hi = min(lo + _REPLAY_BLOCK, steps)
+        before = states[lo - 1 : hi - 1, 1:] if lo else np.vstack((initial, states[: hi - 1, 1:]))
+        replayed[lo:hi] = _signed_sums(signs[lo:hi], before)
     offsets = np.arange(steps) - np.repeat(cuts[:-1], np.diff(cuts))
     bad = (np.abs(replayed - edges) > SCREEN_MARGIN * n + _replay_drift(offsets, n)).nonzero()[0]
     if len(bad) and (stored_failure is None or bad[0] <= stored_failure):
@@ -564,7 +576,8 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
     records = doc["steps"]
     if type(records) is not list:
         raise TraceFormatError("steps is not a list")
-    repeat = _read_repeat(doc, mode, _schedule(rule), halt, len(records)) if schema == REPEAT_SCHEMA else None
+    schedule = _schedule(rule)
+    repeat = _read_repeat(doc, mode, schedule, halt, len(records)) if schema == REPEAT_SCHEMA else None
     if records and "weights" not in records[-1]:
         raise TraceFormatError(f"step {len(records) - 1}: the last step has no weights checkpoint")
     rows, edges, checkpoints, record_failure = _read_steps(records, pool, mode)
@@ -589,7 +602,12 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
             rows, signs, states = rows[index], signs[index], states[index]
         except MemoryError:  # a small file may claim any length
             raise TraceFormatError(f"step {last + 1}: length {length} does not fit in memory") from None
-    return BoostTrace(mode, pool, rule, initial, rows, signs, states, halt)
+    trace = BoostTrace(mode, pool, rule, initial, rows, signs, states, halt)
+    # when the stored block's first repeat is the header's, it is the tiled
+    # columns' repeat too (`engine._repeat`), so it is not searched for again
+    if repeat is not None and _first_repeat(start, states[: onset + period, 1:], schedule) == (onset, period):
+        trace.__dict__["repeat"] = (onset, period)
+    return trace
 
 
 # Step records encoded per json call. One call for a 5000-step trace makes

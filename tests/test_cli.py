@@ -18,6 +18,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def assert_dropped_row_warning(err, csv):
+    # one line of the CLI's own beside any error line, naming neither the
+    # program's files nor its source
+    lines = [line for line in err.splitlines() if not line.startswith("error:")]
+    assert lines == [f"warning: {csv}: dropped 1 rows with unusable cells"]
+    assert "cli.py" not in err
+
+
 @pytest.fixture()
 def golden_trace_file(tmp_path):
     path = tmp_path / "golden.json"
@@ -130,21 +138,22 @@ class TestRun:
         ]
         if command == "replicate":
             argv += ["--out-dir", str(tmp_path / "rep")]
-        with pytest.warns(UserWarning, match="dropped 1 rows"):
-            code = run_cli(*argv)
+        code = run_cli(*argv)
         assert code == 4
-        assert "single-class" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert_dropped_row_warning(err, csv)
+        assert err.index("warning:") < err.index("single-class")
 
-    def test_infinite_feature_with_finite_negative(self, tmp_path):
+    def test_infinite_feature_with_finite_negative(self, tmp_path, capsys):
         csv = tmp_path / "inf.csv"
         csv.write_text("x,label\n1,p\n1,p\ninf,n\n2,n\n")
         out = tmp_path / "t.json"
-        with pytest.warns(UserWarning, match="dropped 1 rows"):
-            code = run_cli(
-                "run", "--dataset", str(csv), "--label", "label", "--positive", "p",
-                "--depth", "1", "--leaves", "2", "--iters", "5", "--out", str(out),
-            )
+        code = run_cli(
+            "run", "--dataset", str(csv), "--label", "label", "--positive", "p",
+            "--depth", "1", "--leaves", "2", "--iters", "5", "--out", str(out),
+        )
         assert code == 0
+        assert_dropped_row_warning(capsys.readouterr().err, csv)
         trace = load_trace(str(out))
         assert trace.halt == "perfect_classification"
         assert [row.entries for row in trace.pool.rows] == [(1, 1, 1)]
@@ -615,16 +624,27 @@ class TestDatasetOptions:
         assert exc.value.code == 2
         assert "only --rule optimal applies" in capsys.readouterr().err
 
-    def test_short_csv_row_dropped(self, tmp_path):
+    def test_short_csv_row_dropped(self, tmp_path, capsys):
         csv = tmp_path / "short.csv"
         csv.write_text("x,y,label\n1,2,a\n3,b\n4,5,b\n6,7,a\n8,9,b\n")
         out = tmp_path / "t.json"
-        with pytest.warns(UserWarning, match="dropped 1 rows"):
-            code = run_cli("run", "--dataset", str(csv), "--label", "label", "--positive", "a",
-                           "--depth", "1", "--leaves", "2", "--iters", "3", "--out", str(out))
+        code = run_cli("run", "--dataset", str(csv), "--label", "label", "--positive", "a",
+                       "--depth", "1", "--leaves", "2", "--iters", "3", "--out", str(out))
         assert code == 0
+        assert_dropped_row_warning(capsys.readouterr().err, csv)
         provenance = json.loads(out.read_text())["provenance"]
         assert provenance["dropped_rows"] == 1 and provenance["n_rows"] == 4
+
+    def test_dropped_row_warning_in_a_fresh_process(self, run_python, tmp_path):
+        # outside pytest's warning capture, as a user's shell sees it
+        csv = tmp_path / "short.csv"
+        csv.write_text("x,y,label\n1,2,a\n3,b\n4,5,b\n6,7,a\n8,9,b\n")
+        argv = ["run", "--dataset", str(csv), "--label", "label", "--positive", "a",
+                "--depth", "1", "--leaves", "2", "--iters", "3"]
+        proc = run_python(f"import sys\nfrom boostcycles.cli import main\nsys.exit(main({argv!r}))", tmp_path)
+        assert proc.returncode == 0
+        assert proc.stderr == f"warning: {csv}: dropped 1 rows with unusable cells\n"
+        assert json.loads(proc.stdout)["provenance"]["dropped_rows"] == 1
 
 
 class TestCliErrors:

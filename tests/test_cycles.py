@@ -10,10 +10,8 @@ from boostcycles import (
     Optimal,
     WeightVector,
     check_edge_update,
-    contributions,
     detect_cycle,
     edge_dot,
-    four_term_edge,
     lattice_agreement,
     match_farey,
     partition,
@@ -22,7 +20,6 @@ from boostcycles import (
     weight_update,
 )
 from boostcycles.cycles import (
-    DegenerateGroup,
     IndexPartition,
     PeriodicLearningRequired,
     attach_farey,
@@ -62,39 +59,6 @@ class TestPartition:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             partition(eta(1, -1), eta(1, -1, 1))
-
-
-class TestFourTerm:
-    def test_hand_trace_value(self):
-        part = partition(eta(-1, 1, 1), eta(1, -1, 1))
-        value = four_term_edge(wv("1/5", "3/10", "1/2"), Fraction(3, 5), part, eta(1, -1, 1))
-        assert value == Fraction(5, 8)
-
-    def test_uniform_value(self):
-        part = partition(eta(-1, 1, 1), eta(1, -1, 1))
-        value = four_term_edge(wv("1/3", "1/3", "1/3"), Fraction(1, 3), part, eta(1, -1, 1))
-        assert value == Fraction(1, 2)
-
-    def test_all_correct_gives_one(self):
-        part = partition(eta(-1, 1, 1), eta(1, 1, 1))
-        value = four_term_edge(wv("1/3", "1/3", "1/3"), Fraction(1, 3), part, eta(1, 1, 1))
-        assert value == 1
-
-    def test_partition_consistency_enforced(self):
-        part = partition(eta(-1, 1, 1), eta(1, -1, 1))
-        with pytest.raises(ValueError, match="inconsistent"):
-            four_term_edge(wv("1/3", "1/3", "1/3"), Fraction(1, 3), part, eta(1, 1, -1))
-
-    def test_equals_direct_edge_fuzz(self, fuzz_exact_traces):
-        # the four-term sum reproduces the plain edge of the updated weights
-        for trace in fuzz_exact_traces[:300]:
-            for t in range(1, len(trace)):
-                prev, cur = trace.steps[t - 1], trace.steps[t]
-                part = partition(prev.eta, cur.eta)
-                value = four_term_edge(
-                    trace.weights_before(t - 1), prev.edge, part, cur.eta
-                )
-                assert value == cur.edge
 
 
 class TestEdgeUpdate:
@@ -207,65 +171,6 @@ class TestSubsums:
                 assert sum(w_prev[i] for i in part.i_minus) == (1 - prev.edge) / 2
                 checked += 1
         assert checked > 200
-
-
-class TestContributions:
-    def test_singleton_groups_all_one(self, golden_exact):
-        t = 5
-        prev = golden_exact.steps[t - 1]
-        part = partition(prev.eta, golden_exact.steps[t].eta)
-        vec = contributions(golden_exact.weights_before(t - 1), prev.edge, part)
-        for group in (vec.i_plus, vec.i_minus, vec.j_plus):
-            assert list(group.values()) == [Fraction(1)]
-        assert vec.failures == ()
-
-    def test_duplicated_points_share_half(self):
-        # every point split in two: each contribution is 1/2 of its group
-        rows = [
-            (-1, -1, 1, 1, 1, 1),
-            (1, 1, -1, -1, 1, 1),
-            (1, 1, 1, 1, -1, -1),
-        ]
-        pool = HypothesisPool.from_signs(rows)
-        trace = run(pool, Optimal(), 6, "exact")
-        t = 5
-        prev = trace.steps[t - 1]
-        part = partition(prev.eta, trace.steps[t].eta)
-        vec = contributions(trace.weights_before(t - 1), prev.edge, part)
-        for group in (vec.i_plus, vec.i_minus, vec.j_plus):
-            assert sorted(group.values()) == [Fraction(1, 2), Fraction(1, 2)]
-
-    def test_group_sums_are_one_fuzz(self, fuzz_exact_traces):
-        seen = 0
-        for trace in fuzz_exact_traces[:200]:
-            for t in range(1, len(trace)):
-                prev = trace.steps[t - 1]
-                part = partition(prev.eta, trace.steps[t].eta)
-                if not part.periodic_learning_holds:
-                    continue
-                try:
-                    vec = contributions(trace.weights_before(t - 1), prev.edge, part)
-                except DegenerateGroup:
-                    continue
-                for group in (vec.i_plus, vec.i_minus, vec.j_plus):
-                    assert sum(group.values()) == 1
-                    assert all(0 <= b <= 1 for b in group.values())
-                seen += 1
-        assert seen > 100
-
-    def test_float_rationalization(self, golden_float):
-        t = len(golden_float) - 1
-        prev = golden_float.steps[t - 1]
-        part = partition(prev.eta, golden_float.steps[t].eta)
-        vec = contributions(golden_float.weights_before(t - 1), prev.edge, part)
-        assert vec.failures == ()
-        for group in (vec.i_plus, vec.i_minus, vec.j_plus):
-            assert list(group.values()) == [Fraction(1)]
-
-    def test_degenerate_group(self):
-        part = partition(eta(-1, 1, 1), eta(1, 1, 1))  # J+ empty
-        with pytest.raises(DegenerateGroup):
-            contributions(wv("1/3", "1/3", "1/3"), Fraction(1, 3), part)
 
 
 class TestDetectCycle:

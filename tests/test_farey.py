@@ -13,7 +13,6 @@ from boostcycles import (
     cf_expansion,
     enumerate_orbits,
     farey,
-    gauss,
     inv_L,
     inv_R,
     necklaces,
@@ -153,24 +152,6 @@ class TestMaps:
 
     def test_farey_fixes_golden_exactly(self):
         assert farey(GOLDEN) == GOLDEN
-
-    def test_gauss_fixes_golden_exactly(self):
-        assert gauss(GOLDEN) == GOLDEN
-
-    def test_gauss_at_half_and_domain(self):
-        assert gauss(Fraction(1, 2)) == 0
-        with pytest.raises(ValueError):
-            gauss(Fraction(0))
-        with pytest.raises(ValueError):
-            gauss(Fraction(1))
-
-    def test_gauss_equals_farey_on_right_branch(self):
-        rng = random.Random(5)
-        for _ in range(300):
-            x = Fraction(rng.randint(1, 999), 1000)
-            if not Fraction(1, 2) < x < 1:
-                continue
-            assert gauss(x) == farey(x)
 
     def test_inverse_identities_fuzz(self):
         rng = random.Random(6)

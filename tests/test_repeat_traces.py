@@ -22,6 +22,7 @@ from boostcycles import (
     run,
     run_on_dataset,
 )
+from boostcycles import engine
 from boostcycles.cli import main
 from boostcycles.engine import _first_repeat, _select, _update
 from boostcycles.traceio import TraceFormatError, dumps_trace, loads_trace
@@ -67,6 +68,15 @@ def named_runs():
         "fixed:0,1,2,0,1,2": run(POOL3, FixedSequence((0, 1, 2, 0, 1, 2)), 500, "float"),
         "iris": run_on_dataset(iris, 3, 4, 2000, "float"),
     }
+
+
+@pytest.fixture()
+def repeat_calls(monkeypatch):
+    """The traces that `engine._repeat` is called on, while the test runs."""
+    calls = []
+    search = engine._repeat
+    monkeypatch.setattr(engine, "_repeat", lambda trace: calls.append(trace) or search(trace))
+    return calls
 
 
 def cut(trace, steps):
@@ -129,6 +139,33 @@ class TestV3Layout:
             with_weights = {t for t, rec in enumerate(doc["steps"]) if "weights" in rec}
             assert onset + period - 1 in with_weights and (onset == 0 or onset - 1 in with_weights)
         assert written >= 15
+
+    def test_load_keeps_the_header_repeat(self, named_runs, fuzz_float_cycles, repeat_calls):
+        loaded = 0
+        for name, trace in all_traces(named_runs, fuzz_float_cycles):
+            text = dumps_trace(trace)
+            doc = json.loads(text)
+            if doc["schema"] != V3:
+                continue
+            repeat_calls.clear()
+            again = loads_trace(text)
+            assert again.repeat == (doc["onset"], doc["period"]), name
+            assert repeat_calls == [], name  # read from the header, not searched for
+            assert again.repeat == engine._repeat(again), name
+            loaded += 1
+        assert loaded >= 15
+
+    def test_a_header_that_is_not_the_first_repeat(self, golden_doc, repeat_calls):
+        # two periods stored as one: the file passes the reader's checks and
+        # tiles the same columns, whose repeat is then searched for
+        doc = json.loads(json.dumps(golden_doc))
+        doc["steps"] += [dict(record) for record in doc["steps"][39:42]]
+        doc["period"] = 6
+        trace = loads_trace(json.dumps(doc))
+        assert trace == run(POOL3, Optimal(), 200, "float")
+        repeat_calls.clear()
+        assert trace.repeat == (39, 3)
+        assert len(repeat_calls) == 1
 
     def test_golden_size(self, named_runs):
         text = dumps_trace(named_runs["golden"])

@@ -10,7 +10,6 @@ from boostcycles import (
     WeightVector,
     check_periodic_learning,
     edge_dot,
-    edge_from_misclassified,
     uniform_weights,
 )
 from boostcycles.simplex import DimensionMismatch
@@ -109,15 +108,6 @@ class TestEdge:
         with pytest.raises(DimensionMismatch):
             edge_dot(wv("1/2", "1/2"), eta(1, 1, -1))
 
-    def test_from_misclassified_examples(self):
-        assert edge_from_misclassified(wv("1/3", "1/3", "1/3"), {2}) == F(1, 3)
-        assert edge_from_misclassified(wv("1/2", "1/4", "1/4"), set()) == 1
-        assert edge_from_misclassified(wv("1/5", "3/10", "1/2"), {0}) == F(3, 5)
-
-    def test_from_misclassified_bounds(self):
-        with pytest.raises(IndexError):
-            edge_from_misclassified(wv("1/2", "1/2"), {2})
-
 
 def random_weights(rng, n):
     raw = [rng.randint(1, 50) for _ in range(n)]
@@ -132,7 +122,7 @@ def test_edge_formulas_agree_exactly_fuzz():
         w = random_weights(rng, n)
         signs = tuple(rng.choice((1, -1)) for _ in range(n - 1)) + (1,)
         d = MistakeDichotomy(signs)
-        assert edge_dot(w, d) == edge_from_misclassified(w, d.misclassified())
+        assert edge_dot(w, d) == 1 - 2 * sum(w[j] for j in d.misclassified())
 
 
 def test_edge_dot_antisymmetric_fuzz():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
@@ -29,7 +30,10 @@ from boostcycles.traceio import (
     load_trace,
     loads_trace,
     save_trace,
+    trace_from_dict,
 )
+
+from test_engine import wide_pool
 
 DATA = resources.files("boostcycles") / "data"
 
@@ -589,6 +593,31 @@ class TestReplayVerification:
         again = loads_trace(json.dumps(doc))
         assert list(again.steps[CHECKPOINT_EVERY - 1].weights_after) == w
         assert again.steps[CHECKPOINT_EVERY - 2] == trace.steps[CHECKPOINT_EVERY - 2]
+
+    @pytest.mark.parametrize("steps", [(255,), (256,), (300, 500), (599,)])
+    def test_edge_failure_past_the_first_block(self, pool3, steps):
+        # the edges are checked block by block; the earliest failure is named
+        doc = v2_trace_to_dict(run(pool3, Optimal(), 600, "float"))
+        for t in steps:
+            doc["steps"][t]["r"] += 1e-9
+        with pytest.raises(TraceFormatError, match=f"^step {steps[0]}: edge .* is not the edge of row"):
+            loads_trace(json.dumps(doc))
+
+    def test_float_replay_memory(self):
+        # a long v2 float trace of 64 points: the edge check's temporaries
+        # stay a block's, not three (steps x points) arrays
+        trace = run(wide_pool(0), Optimal(), 5000, "float")
+        doc = json.loads(dumps_trace(trace))
+        assert doc["schema"] == "boostcycles-trace-v2" and trace.halt is None and len(trace) == 5000
+        tracemalloc.start()
+        try:
+            loaded = trace_from_dict(doc)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded == trace
+        assert kept > 2.5e6  # the states column alone is 2.6 MB
+        assert peak - kept < 4e6
 
     def test_edge_outside_unit_interval(self, pool3):
         doc = json.loads(dumps_trace(run(pool3, Optimal(), 3, "exact")))
