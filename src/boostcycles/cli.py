@@ -43,6 +43,7 @@ EXIT_CHECK_FAILED = 3
 EXIT_IO = 4
 
 GOLDEN_REF = (float(GOLDEN), "(sqrt(5)-1)/2")
+_parser: Optional[argparse.ArgumentParser] = None  # main's, built by its first call
 
 
 class InputError(Exception):
@@ -155,7 +156,11 @@ def cmd_run(args, parser) -> int:
         sys.stdout.write(dumps_trace(trace, provenance))
         return EXIT_OK
     if len(trace):
-        print(f", final edge {_fmt(trace.state(-1)[0], trace.mode)}", end="")
+        edge = trace.state(-1)[0]
+        text = _fmt(edge, trace.mode)
+        if len(text) > 80:  # a long exact value is read from the trace, not the line
+            text = f"{_fmt(edge, 'float')} (exact value in the trace, {len(text)} characters)"
+        print(f", final edge {text}", end="")
     if trace.halt:
         print(f", halted: {trace.halt}", end="")
     print()
@@ -350,7 +355,7 @@ def cmd_plot(args, parser) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     at_least_1 = _checked(int, lambda v: v >= 1, "at least 1")
     repeats = _checked(int, lambda v: v >= 2, "at least 2")
     tolerance = _checked(float, lambda v: 0 < v < float("inf"), "a finite number above 0")
@@ -370,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--leaves", type=at_least_1, default=4, help="max tree leaves (dataset runs)")
 
     p_run = sub.add_parser("run", help="run the boosting loop, write a trace")
-    p_run.set_defaults(handler=cmd_run)
     p_run.add_argument("--pool", help="pool file: one +/- dichotomy per line")
     dataset_options(p_run, required=False)
     p_run.add_argument(
@@ -383,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="trace file to write (stdout when omitted)")
 
     p_an = sub.add_parser("analyze", help="detect cycles and verify structural identities")
-    p_an.set_defaults(handler=cmd_analyze)
     p_an.add_argument("trace")
     p_an.add_argument("--tol", type=tolerance, default=1e-9)
     p_an.add_argument("--min-repeats", type=repeats, default=3)
@@ -395,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--json", help="write a structured report here")
 
     p_f = sub.add_parser("farey", help="enumerate or print inverse-branch orbits")
-    p_f.set_defaults(handler=cmd_farey)
     f_sub = p_f.add_subparsers(dest="what", required=True)
     f_enum = f_sub.add_parser("enumerate", help="all rotation classes of a given length")
     f_enum.add_argument("--k", type=int, required=True)
@@ -405,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     f_orb.add_argument("--exact", action="store_true")
 
     p_rep = sub.add_parser("replicate", help="dataset experiment: trace, figure, summary")
-    p_rep.set_defaults(handler=cmd_replicate)
     dataset_options(p_rep, required=True)
     p_rep.add_argument("--iters", type=at_least_1, default=20000)
     p_rep.add_argument("--tol", type=tolerance, default=1e-9)
@@ -413,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out-dir", required=True)
 
     p_plot = sub.add_parser("plot", help="edge-vs-iteration SVG from a trace")
-    p_plot.set_defaults(handler=cmd_plot)
     p_plot.add_argument("trace")
     p_plot.add_argument("--out", required=True)
     p_plot.add_argument("--ref", action="append", help="'golden' or a numeric value; repeatable")
@@ -424,10 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.handler(args, parser)
+        # the module's binding at call time, so that a rebound cmd_* is the one run
+        return globals()[f"cmd_{args.command}"](args, _parser)
     except (OSError, TraceFormatError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -442,7 +442,10 @@ def detect_cycle(
 
     edge_values = tuple(trace.state(t)[0] for t in range(n_steps - edge_period, n_steps))
     weight_cycle = tuple(WeightVector(trace.state(t)[1:]) for t in range(n_steps - period, n_steps))
-    violation = first_repeated_mistake(trace.repeated_mistakes[phase:])
+    # mask rows repeat with the bit period from the bit onset on, so one
+    # period past max(phase, onset) holds the first violation if any does
+    stop = None if repeat is None else max(phase, repeat[0]) + repeat[1]
+    violation = first_repeated_mistake(trace.repeated_mistakes[phase:stop])
     if violation is not None:
         violation = (violation[0], violation[1] + phase)
     distinct = all(

@@ -477,7 +477,6 @@ def _replay(
     for length, start in segments:
         if start + length - 1 in checkpoints:
             ends.setdefault(length - 1, []).append(start + length - 1)
-    signs = signs.astype(np.float64)  # converted once, not at every offset
     # a state row holds the edge, then the weights
     states = np.empty((steps, 1 + n))
     states[:, 0] = edges

@@ -1,10 +1,11 @@
+import argparse
 import json
 from importlib import resources
 
 import pytest
 
 from boostcycles.cli import main
-from boostcycles.traceio import load_trace
+from boostcycles.traceio import _parse_fraction, load_trace
 
 from test_traceio import v2_dumps_trace
 
@@ -504,15 +505,26 @@ class TestHugeExactNumbers:
             "run", "--pool", str(pool), "--rule", "first-above:1/5", "--iters", "30",
             "--mode", "exact", "--out", str(path),
         ) == 0
-        assert "final edge 0x" in capsys.readouterr().out
+        out = capsys.readouterr().out
         text = path.read_text()
         doc = json.loads(text)
+        # the line gives a long exact edge as a float and the length of its text
+        last = doc["steps"][-1]["r_exact"]
+        assert last.startswith("0x") and len(last) > 80
+        assert out == f"wrote {path}: 30 steps, final edge {float(_parse_fraction(last)):.12g} (exact value in the trace, {len(last)} characters)\n"
         assert doc["steps"][0]["r_exact"] == "3/7"  # small values keep the decimal form
         assert any(w.startswith("0x") for w in doc["steps"][-1]["weights"])
         assert run_cli("analyze", str(path)) == 0
         trace = loads_trace(text)
         assert dumps_trace(trace, doc["provenance"]) == text
         assert len(str(trace.steps[0].edge)) < 10 and trace.steps[-1].edge.denominator.bit_length() > 14300
+
+    def test_short_exact_edge_printed_in_full(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        assert run_cli("run", "--pool", POOL3, "--iters", "6", "--mode", "exact", "--out", str(path)) == 0
+        last = json.loads(path.read_text())["steps"][-1]["r_exact"]
+        assert len(last) <= 80
+        assert capsys.readouterr().out == f"wrote {path}: 6 steps, final edge {last}\n"
 
 
 class TestAnalyzeSharing:
@@ -768,3 +780,90 @@ class TestDispatch:
         for name, argv in argvs.items():
             assert run_cli(*argv) == 0
         assert calls == dict.fromkeys(argvs, 1)
+
+
+class TestParserReuse:
+    """main builds its parser on its first call in a process and reuses it;
+    a reused parser reads and prints as a freshly built one."""
+
+    HELP = [[], ["run"], ["analyze"], ["farey"], ["farey", "enumerate"], ["farey", "orbit"],
+            ["replicate"], ["plot"]]
+    USAGE_ERRORS = [
+        ["run", "--pool", POOL3],  # --iters missing
+        ["run", "--pool", POOL3, "--iters", "0"],
+        ["analyze"],
+        ["analyze", "t.json", "--tol", "nan"],
+        ["farey"],
+        ["farey", "enumerate"],
+        ["farey", "orbit"],
+        ["replicate", "--dataset", SYNTH3],
+        ["plot", "t.json"],
+        ["nosuch"],
+    ]
+
+    @pytest.fixture()
+    def fresh(self, monkeypatch):
+        """The cli module with no parser built yet."""
+        from boostcycles import cli
+
+        monkeypatch.setattr(cli, "_parser", None)
+        return cli
+
+    @staticmethod
+    def usage_error(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr()
+
+    def test_built_on_the_first_call_only(self, fresh, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run_cli("farey", "orbit", "--word", "RL") == 0
+        first = len(built)
+        assert first > 1 and built[0] == "boostcycles"  # the parser and its subparsers
+        for _ in range(3):
+            assert run_cli("farey", "enumerate", "--k", "2") == 0
+        with pytest.raises(SystemExit):
+            run_cli("run")
+        assert len(built) == first
+
+    @pytest.mark.parametrize("bad", [
+        ["run", "--pool", POOL3, "--iters", "x"],  # argparse's own error
+        ["run", "--iters", "5"],  # an error of the command: neither --pool nor --dataset
+        ["farey", "orbit", "--word", "RX"],
+    ], ids=["argparse", "run", "farey"])
+    def test_usage_error_then_valid_call(self, fresh, golden_trace_file, capsys, bad):
+        fresh._parser = None
+        assert run_cli("analyze", golden_trace_file) == 0
+        alone = capsys.readouterr()
+        fresh._parser = None
+        self.usage_error(fresh.main, bad, capsys)
+        assert run_cli("analyze", golden_trace_file) == 0
+        after = capsys.readouterr()
+        assert after.out == alone.out and after.err == alone.err == ""
+
+    def test_help_and_usage_errors_equal_a_fresh_parser(self, fresh, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("farey", "orbit", "--word", "RL") == 0
+        capsys.readouterr()
+        for _ in range(2):  # the reused parser, after a call and after errors
+            for argv in self.HELP:
+                with pytest.raises(SystemExit) as exc:
+                    fresh.main([*argv, "--help"])
+                assert exc.value.code == 0
+                reused = capsys.readouterr()
+                with pytest.raises(SystemExit):
+                    fresh._build_parser().parse_args([*argv, "--help"])
+                assert reused == capsys.readouterr() and reused.out.startswith("usage: "), argv
+            for argv in self.USAGE_ERRORS:
+                reused = self.usage_error(fresh.main, argv, capsys)
+                built = self.usage_error(fresh._build_parser().parse_args, argv, capsys)
+                assert reused == built and reused.out == "", argv
+                assert reused.err.startswith("usage: ") and ": error: " in reused.err.splitlines()[-1]

@@ -24,7 +24,9 @@ from boostcycles import (
 )
 from boostcycles import engine
 from boostcycles.cli import main
+from boostcycles.cycles import detect_cycle
 from boostcycles.engine import _first_repeat, _select, _update
+from boostcycles.simplex import first_repeated_mistake
 from boostcycles.traceio import TraceFormatError, dumps_trace, loads_trace
 
 from test_engine import wide_pool
@@ -113,6 +115,26 @@ class TestRepeatFinder:
         for steps in (0, 1, 2, 42, 43):
             trace = BoostTrace("float", POOL3, Optimal(), golden.initial_weights, *cut(golden, steps))
             assert finder(trace) == brute_first_repeat(trace) == ((39, 3) if steps == 43 else None), steps
+
+
+class TestViolationScan:
+    def test_bounded_scan_finds_the_full_scans_violation(self, named_runs, fuzz_float_cycles):
+        # on a repeating trace detect_cycle scans the J- masks only up to one
+        # bit period past max(phase, onset); the first violation is the one
+        # a scan of every mask row from the phase on finds
+        kinds = set()
+        for name, trace in all_traces(named_runs, fuzz_float_cycles):
+            report = detect_cycle(trace, tol=1e-9, min_repeats=3)
+            if report is None:
+                continue
+            full = first_repeated_mistake(trace.repeated_mistakes[report.phase :])
+            expected = None if full is None else (full[0], full[1] + report.phase)
+            assert report.periodic_violation == expected, name
+            repeat = trace.repeat
+            if repeat is not None and max(report.phase, repeat[0]) + repeat[1] < len(trace) - 1:
+                kinds.add(expected is not None)
+        assert named_runs["golden"].repeat is not None and len(named_runs["golden"]) == 5000
+        assert kinds == {True, False}  # bounded scans with and without a violation
 
 
 class TestV3Layout:

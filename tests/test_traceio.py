@@ -617,7 +617,7 @@ class TestReplayVerification:
             tracemalloc.stop()
         assert loaded == trace
         assert kept > 2.5e6  # the states column alone is 2.6 MB
-        assert peak - kept < 4e6
+        assert peak - kept < 1.5e6
 
     def test_edge_outside_unit_interval(self, pool3):
         doc = json.loads(dumps_trace(run(pool3, Optimal(), 3, "exact")))
