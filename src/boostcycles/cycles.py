@@ -108,8 +108,7 @@ class TransitionGroups:
     [D, a_1..a_n] of the weights, r_prev and r_cur rows [p, q] of the edges,
     so that every identity computed from them is an integer cross-product.
     A mass is summed when read: `_mass` gives float64 masses, or in exact
-    mode the integer numerator sums over each row's D; the `mass_*`
-    properties give float64 masses or Fractions. A float mass is summed in
+    mode the integer numerator sums over each row's D. A float mass is summed in
     another order than a left-to-right sum over the group, so it may differ
     from one by the rounding of n terms: less than n * eps, as the weights
     sum to 1.
@@ -130,24 +129,6 @@ class TransitionGroups:
         if self.exact:
             return np.where(mask, self.w_prev[:, 1:], 0).sum(axis=1)
         return np.where(mask, self.w_prev, 0.0).sum(axis=1)
-
-    def _mass_values(self, mask: np.ndarray) -> np.ndarray:
-        mass = self._mass(mask)
-        if self.exact:
-            return np.array([Fraction(m, d) for m, d in zip(mass.tolist(), self.w_prev[:, 0].tolist())], dtype=object)
-        return mass
-
-    @property
-    def mass_i_plus(self) -> np.ndarray:
-        return self._mass_values(self.was_right & self.is_right)
-
-    @property
-    def mass_i_minus(self) -> np.ndarray:
-        return self._mass_values(~self.was_right & self.is_right)
-
-    @property
-    def mass_j_plus(self) -> np.ndarray:
-        return self._mass_values(self.was_right & ~self.is_right)
 
     def rows(self, index) -> "TransitionGroups":
         """The groups of the transitions selected by index (a slice or an
@@ -311,7 +292,6 @@ class CycleReport:
     periodic_violation: Optional[Tuple[int, int]]
     residual: float
     tol: float
-    edges_distinct: bool
     farey_word: Optional[FareyWord] = None
 
     @property
@@ -348,21 +328,21 @@ def detect_cycle(
     trace: BoostTrace,
     tol: float = 1e-9,
     min_repeats: int = 3,
-    burn_in: Optional[int] = None,
 ) -> Optional[CycleReport]:
     """Find the smallest period k such that edges and weight vectors repeat
     within tol over min_repeats consecutive trailing periods.
 
-    Candidate periods come from quantized-state collisions with the final
-    state (plus a direct scan of small periods), then each candidate is
-    verified by a tolerance sweep and reduced to its primitive period.
-    Returns None when nothing qualifies.
+    The first half of the trace is burn-in: candidate periods come from
+    quantized-state collisions of steps in the second half with the final
+    state (plus a direct scan of small periods), so that min_repeats
+    periods fit in that half; each candidate is verified by a tolerance
+    sweep and reduced to its primitive period. Returns None when nothing
+    qualifies.
     """
     n_steps = len(trace)
     if min_repeats < 2:
         raise ValueError("min_repeats must be at least 2")
-    if burn_in is None:
-        burn_in = n_steps // 2
+    burn_in = n_steps // 2
     k_max = (n_steps - burn_in) // min_repeats
     if k_max < 1:
         return None
@@ -448,11 +428,6 @@ def detect_cycle(
     violation = first_repeated_mistake(trace.repeated_mistakes[phase:stop])
     if violation is not None:
         violation = (violation[0], violation[1] + phase)
-    distinct = all(
-        abs(float(edge_values[i]) - float(edge_values[j])) > tol
-        for i in range(edge_period)
-        for j in range(i + 1, edge_period)
-    )
     return CycleReport(
         period=period,
         edge_period=edge_period,
@@ -462,20 +437,18 @@ def detect_cycle(
         periodic_violation=violation,
         residual=residual,
         tol=tol,
-        edges_distinct=distinct,
     )
 
 
-def match_farey(report: CycleReport, tol: Optional[float] = None) -> Optional[FareyWord]:
+def match_farey(report: CycleReport) -> Optional[FareyWord]:
     """Classify each consecutive edge pair of the cycle as an application of
     the left or right inverse branch; returns the word when every step
-    classifies, None otherwise.
+    classifies (within the report's tol), None otherwise.
 
     The word maps value i to value i+1 (cyclically), so replaying it from
     the first edge value reproduces the cycle.
     """
-    if tol is None:
-        tol = report.tol
+    tol = report.tol
     values = [float(v) for v in report.edge_values]
     letters = []
     k = len(values)
@@ -490,9 +463,9 @@ def match_farey(report: CycleReport, tol: Optional[float] = None) -> Optional[Fa
     return FareyWord(tuple(letters))
 
 
-def attach_farey(report: CycleReport, tol: Optional[float] = None) -> CycleReport:
+def attach_farey(report: CycleReport) -> CycleReport:
     """Return the report with its matched Farey word filled in (if any)."""
-    return replace(report, farey_word=match_farey(report, tol))
+    return replace(report, farey_word=match_farey(report))
 
 
 @dataclass(frozen=True)
@@ -693,9 +666,9 @@ def _check_subsums(trace, report, groups, index, tol) -> CheckResult:
             failed = _subsums_inconsistent(block)
         else:
             shrink, grow = 1 + block.r_prev, 1 - block.r_prev
-            a = block.mass_i_plus / shrink
-            b = block.mass_i_minus / grow
-            c = block.mass_j_plus / shrink
+            a = block._mass(block.was_right & block.is_right) / shrink
+            b = block._mass(~block.was_right & block.is_right) / grow
+            c = block._mass(block.was_right & ~block.is_right) / shrink
             edge = a - c + b
             failed = ~(
                 (np.abs(a - edge / 2) <= tol)

@@ -70,7 +70,6 @@ from .simplex import (
     DimensionMismatch,
     HypothesisPool,
     MistakeDichotomy,
-    MistakeLattice,
     Scalar,
     WeightVector,
     _signed_sums,
@@ -433,11 +432,6 @@ class BoostTrace:
         if t == 0:
             return self.initial_weights
         return WeightVector(self.state(t - 1)[1:])
-
-    def lattice(self) -> MistakeLattice:
-        if not len(self):
-            raise ValueError("empty trace has no lattice")
-        return MistakeLattice(tuple(MistakeDichotomy(tuple(eta)) for eta in self.signs.tolist()))
 
     # Array views for the analysis kernels in `cycles`. Each is built on
     # first use and kept for the trace's lifetime, so every check on one

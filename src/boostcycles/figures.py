@@ -15,18 +15,19 @@ Point = Tuple[float, float]
 
 SERIES_COLORS = ("#1f6fb2", "#b23a1f", "#3a8f3a", "#7a4fa3")
 
+WIDTH, HEIGHT = 900, 540
+
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """Axes, series, and reference lines for one chart."""
+    """Axes, series, and reference lines for one chart (drawn WIDTH x
+    HEIGHT pixels)."""
 
     title: str
     x_label: str
     y_label: str
     series: Tuple[Tuple[str, Tuple[Point, ...]], ...]
     ref_lines: Tuple[Tuple[float, str], ...] = ()
-    width: int = 900
-    height: int = 540
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> Tuple[float, ...]:
@@ -67,8 +68,8 @@ def render_line_chart(spec: FigureSpec) -> str:
     if not spec.series or all(not pts for _, pts in spec.series):
         raise ValueError("nothing to plot")
     margin_l, margin_r, margin_t, margin_b = 70, 30, 45, 55
-    plot_w = spec.width - margin_l - margin_r
-    plot_h = spec.height - margin_t - margin_b
+    plot_w = WIDTH - margin_l - margin_r
+    plot_h = HEIGHT - margin_t - margin_b
 
     xs = [p[0] for _, pts in spec.series for p in pts]
     ys = [p[1] for _, pts in spec.series for p in pts]
@@ -90,8 +91,8 @@ def render_line_chart(spec: FigureSpec) -> str:
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
     out.append("<!-- data")
     for label, pts in spec.series:
@@ -101,9 +102,9 @@ def render_line_chart(spec: FigureSpec) -> str:
     for value, label in spec.ref_lines:
         out.append(f"ref: {label} = {value!r}")
     out.append("-->")
-    out.append(f'<rect width="{spec.width}" height="{spec.height}" fill="white"/>')
+    out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     out.append(
-        f'<text x="{spec.width // 2}" y="24" text-anchor="middle" '
+        f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">{spec.title}</text>'
     )
 
@@ -131,7 +132,7 @@ def render_line_chart(spec: FigureSpec) -> str:
             f'dominant-baseline="middle" font-family="sans-serif" font-size="11">{_fmt(ty)}</text>'
         )
     out.append(
-        f'<text x="{margin_l + plot_w // 2}" y="{spec.height - 12}" text-anchor="middle" '
+        f'<text x="{margin_l + plot_w // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">{spec.x_label}</text>'
     )
     out.append(

@@ -276,30 +276,6 @@ class HypothesisPool:
         return self.rows[i]
 
 
-@dataclass(frozen=True)
-class MistakeLattice:
-    """Iteration-ordered record of chosen dichotomies (column t = iteration t)."""
-
-    columns: Tuple[MistakeDichotomy, ...]
-
-    def __post_init__(self) -> None:
-        if not self.columns:
-            raise ValueError("empty lattice")
-        n = len(self.columns[0])
-        if any(len(c) != n for c in self.columns):
-            raise DimensionMismatch("lattice columns have unequal lengths")
-
-    @property
-    def n_points(self) -> int:
-        return len(self.columns[0])
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    def __getitem__(self, t: int) -> MistakeDichotomy:
-        return self.columns[t]
-
-
 def _signed_sums(signs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_i s_i * w_i along the last axis, for a (rows x points) ±1 sign
     matrix: against one weight vector, or row by row against a matrix of
@@ -342,14 +318,18 @@ def first_repeated_mistake(repeats: np.ndarray) -> Optional[Tuple[int, int]]:
     return int(repeats[t].argmax()), t
 
 
-def check_periodic_learning(lattice: MistakeLattice) -> Optional[Tuple[int, int]]:
-    """Check the periodic learning condition: -1 at (i, t) forces +1 at (i, t+1).
+def check_periodic_learning(columns: Sequence[MistakeDichotomy]) -> Optional[Tuple[int, int]]:
+    """Check the periodic learning condition on the dichotomies of
+    iterations 0, 1, ...: -1 at (i, t) forces +1 at (i, t+1).
 
     Returns None when the condition holds, else the earliest violation as
     (row i, iteration t) meaning point i was misclassified at both t and t+1.
-    Earliest is by iteration first, then row.
+    Earliest is by iteration first, then row. Raises ValueError for fewer
+    than 2 columns and DimensionMismatch for columns of unequal lengths.
     """
-    if len(lattice) < 2:
+    if len(columns) < 2:
         raise ValueError("periodic learning condition needs at least 2 columns")
-    signs = np.array([column.entries for column in lattice.columns], dtype=np.int8)
+    if len(set(map(len, columns))) > 1:
+        raise DimensionMismatch("columns have unequal lengths")
+    signs = np.array([column.entries for column in columns], dtype=np.int8)
     return first_repeated_mistake(repeated_mistakes(signs))

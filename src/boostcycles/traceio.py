@@ -415,25 +415,26 @@ def _replay(
     signs: np.ndarray,
     edges: np.ndarray,
     checkpoints: Dict[int, Stored],
-) -> Tuple[Optional[np.ndarray], Optional[TraceFormatError]]:
+) -> np.ndarray:
     """Rebuild the weights after every step by the update kernel, and check
-    the steps against them; returns the states column and the first
-    failure (None if there is none).
+    the steps against them; returns the states column, or raises
+    TraceFormatError with the first failure.
 
     Exact weights are lattice points and exact edges (steps, 2) rows
     [p, q], not necessarily in lowest terms. The replay runs in step order
     with `_lattice_step`, which derives each step's edge from the weights;
     the file's edge must equal it (a cross product), and a checkpoint must
     equal the replayed point. The pass stops at its first failure, the
-    earliest, and the states column is then None. It holds the kernel's
-    reduced edges, in integer form (see BoostTrace).
+    earliest. The states column holds the kernel's reduced edges, in
+    integer form (see BoostTrace).
 
     Float weights are float64 rows and float edges a float64 column. The
     steps are cut into segments, each starting at the initial weights or at
     a checkpoint's stored weights, and all segments advance together, one
-    step offset j at a time, as one (segments x points) array. A checkpoint
-    must lie within _replay_drift of the replay that ends on it, and a step
-    whose weights are stored keeps the stored values. The weights before
+    step offset j at a time, as one (segments x points) array. Every
+    checkpoint ends a segment; after the loop, all of them are compared at
+    once, each within _replay_drift of the replay that ends on it, and a
+    step whose weights are stored keeps the stored values. The weights before
     every step are then the initial weights and the states' weights, so
     every recorded edge is checked after the loop, by `_signed_sums` over
     blocks of _REPLAY_BLOCK steps: it must lie within SCREEN_MARGIN * n +
@@ -452,17 +453,17 @@ def _replay(
             else:
                 consistent = p * d == s * q
             if not consistent:
-                return None, TraceFormatError(
+                raise TraceFormatError(
                     f"step {t}: edge {Fraction(s, d)} is not the edge of row {rows[t]} on the replayed weights"
                 )
             # canonical lattice points are equal exactly when their weights are
             if t in checkpoints and checkpoints[t] != point:
-                return None, TraceFormatError(f"step {t}: stored weights do not match the replayed update")
+                raise TraceFormatError(f"step {t}: stored weights do not match the replayed update")
             # the file's ints when they are the reduced edge already (as the
             # writer writes it), so the states and edge columns share them
             states += (s, d) if (s, d) == (p, q) else (p, q)
             states += point
-        return np.array(states, dtype=object).reshape(steps, n + 3), None
+        return np.array(states, dtype=object).reshape(steps, n + 3)
 
     cuts = sorted({0, steps, *(t + 1 for t in checkpoints if t + 1 < steps)})
     # (length, start) of each segment, longest first, so that the segments
@@ -472,45 +473,36 @@ def _replay(
     negated_lengths = [-length for length, _ in segments]  # ascending
     running = [bisect_left(negated_lengths, -j) for j in range(segments[0][0])] if steps else []
     w = np.stack([initial if start == 0 else checkpoints[start - 1] for _, start in segments]) if steps else initial
-    # the steps whose stored weights end a segment, by the segment's last offset
-    ends: Dict[int, List[int]] = {}
-    for length, start in segments:
-        if start + length - 1 in checkpoints:
-            ends.setdefault(length - 1, []).append(start + length - 1)
     # a state row holds the edge, then the weights
     states = np.empty((steps, 1 + n))
     states[:, 0] = edges
-    stored_failure: Optional[int] = None  # the earliest checkpoint that fails
     for j, live in enumerate(running):
         t = starts[:live] + j
         w, _ = _update(w[:live], signs[t], edges[t][:, None])
         states[t, 1:] = w
-        stored = ends.get(j)
-        if stored:
-            replayed = states[stored, 1:]
-            expected = np.stack([checkpoints[u] for u in stored])
-            matches = (np.abs(replayed - expected) <= _replay_drift(j + 1, n) * expected).all(axis=1)
-            if not matches.all():
-                step = min(np.array(stored)[~matches].tolist())
-                stored_failure = step if stored_failure is None else min(stored_failure, step)
-            states[stored, 1:] = expected
-    # every step's edge on the weights before it, and its offset in its segment
+    # each step's offset in its segment; a checkpoint's is its segment's last
+    offsets = np.arange(steps) - np.repeat(cuts[:-1], np.diff(cuts))
+    stored = np.array(list(checkpoints), dtype=np.int64)
+    expected = np.array([checkpoints[t] for t in checkpoints], dtype=np.float64).reshape(-1, n)
+    drift = _replay_drift(offsets[stored] + 1, n)[:, None] * expected
+    failed = stored[~(np.abs(states[stored, 1:] - expected) <= drift).all(axis=1)]
+    states[stored, 1:] = expected
+    # every step's edge on the weights before it
     replayed = np.empty(steps)
     for lo in range(0, steps, _REPLAY_BLOCK):
         hi = min(lo + _REPLAY_BLOCK, steps)
         before = states[lo - 1 : hi - 1, 1:] if lo else np.vstack((initial, states[: hi - 1, 1:]))
         replayed[lo:hi] = _signed_sums(signs[lo:hi], before)
-    offsets = np.arange(steps) - np.repeat(cuts[:-1], np.diff(cuts))
     bad = (np.abs(replayed - edges) > SCREEN_MARGIN * n + _replay_drift(offsets, n)).nonzero()[0]
-    if len(bad) and (stored_failure is None or bad[0] <= stored_failure):
+    if len(bad) and (not len(failed) or bad[0] <= failed[0]):
         step = int(bad[0])
-        return states, TraceFormatError(
+        raise TraceFormatError(
             f"step {step}: edge {edges[step].item()!r} is not the edge of row {rows[step]} on the "
             f"replayed weights ({replayed[step].item()!r})"
         )
-    if stored_failure is not None:
-        return states, TraceFormatError(f"step {stored_failure}: stored weights do not match the replayed update")
-    return states, None
+    if len(failed):
+        raise TraceFormatError(f"step {failed[0]}: stored weights do not match the replayed update")
+    return states
 
 
 def _header_field(doc: Dict, key: str, kind: type):
@@ -583,9 +575,7 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
     signs = pool.signs[rows]
     start = _lattice_point(initial) if mode == "exact" else initial.as_array()
     # the replay ends where the records failed, so its failure comes first
-    states, replay_failure = _replay(start, rows, signs, edges, checkpoints)
-    if replay_failure is not None:
-        raise replay_failure
+    states = _replay(start, rows, signs, edges, checkpoints)
     if record_failure is not None:
         raise record_failure
     if repeat is not None:

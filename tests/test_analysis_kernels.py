@@ -27,7 +27,6 @@ from boostcycles import (
     FirstAbove,
     HypothesisPool,
     MistakeDichotomy,
-    MistakeLattice,
     Optimal,
     WeightVector,
     check_edge_update,
@@ -117,10 +116,9 @@ def _prime_factors(n):
     return out
 
 
-def reference_detect_cycle(trace, tol=1e-9, min_repeats=3, burn_in=None):
+def reference_detect_cycle(trace, tol=1e-9, min_repeats=3):
     n_steps = len(trace)
-    if burn_in is None:
-        burn_in = n_steps // 2
+    burn_in = n_steps // 2
     k_max = (n_steps - burn_in) // min_repeats
     if k_max < 1:
         return None
@@ -180,13 +178,7 @@ def reference_detect_cycle(trace, tol=1e-9, min_repeats=3, burn_in=None):
     violation = reference_check_periodic_learning(window) if len(window) >= 2 else None
     if violation is not None:
         violation = (violation[0], violation[1] + phase)
-    distinct = all(
-        abs(float(edge_values[i]) - float(edge_values[j])) > tol
-        for i in range(edge_period)
-        for j in range(i + 1, edge_period)
-    )
-    return CycleReport(period, edge_period, phase, edge_values, weight_cycle, violation,
-                       residual, tol, distinct)
+    return CycleReport(period, edge_period, phase, edge_values, weight_cycle, violation, residual, tol)
 
 
 def _weights_close(a, b, tol):
@@ -330,6 +322,18 @@ def reference_analyze(trace, tol, min_repeats=3):
     return report, results
 
 
+def group_masses(groups):
+    """The mass of the weights before each transition on its I+, I- and J+:
+    float64 columns, or in exact mode Fractions, the `_mass` numerators over
+    each row's D."""
+    was, now = groups.was_right, groups.is_right
+    masses = [groups._mass(mask) for mask in (was & now, ~was & now, was & ~now)]
+    if groups.exact:
+        d = groups.w_prev[:, 0].tolist()
+        masses = [[Fraction(m, q) for m, q in zip(mass.tolist(), d)] for mass in masses]
+    return masses
+
+
 # --- corpora ---
 
 
@@ -442,13 +446,11 @@ class TestNamedTraces:
     def test_detect_cycle_options(self, named_traces):
         for name, trace in named_traces.items():
             for min_repeats in (2, 3, 5):
-                for burn_in in (None, 0, len(trace) // 3):
-                    case = (name, min_repeats, burn_in)
-                    assert_same_report(
-                        detect_cycle(trace, 1e-9, min_repeats, burn_in),
-                        reference_detect_cycle(trace, 1e-9, min_repeats, burn_in),
-                        case,
-                    )
+                assert_same_report(
+                    detect_cycle(trace, 1e-9, min_repeats),
+                    reference_detect_cycle(trace, 1e-9, min_repeats),
+                    (name, min_repeats),
+                )
 
     def test_edge_update(self, named_traces):
         for name, trace in named_traces.items():
@@ -492,7 +494,7 @@ class TestNamedTraces:
             if trace.mode != "float":
                 continue
             groups = transition_groups(trace)
-            masses = (groups.mass_i_plus, groups.mass_i_minus, groups.mass_j_plus)
+            masses = group_masses(groups)
             bound = len(trace.initial_weights) * EPS
             for t in range(1, len(trace)):
                 prev = trace.steps[t - 1]
@@ -565,13 +567,12 @@ class TestFuzzCorpora:
             assert_same_checks(trace, 1e-9, i, min_repeats=2)
         for i, trace in enumerate(fuzz_exact_traces[:300]):
             assert_same_checks(trace, 1e-9, i)
-            columns = MistakeLattice(tuple(s.eta for s in trace.steps))
-            assert check_periodic_learning(columns) == reference_check_periodic_learning(columns.columns)
+            columns = tuple(s.eta for s in trace.steps)
+            assert check_periodic_learning(columns) == reference_check_periodic_learning(columns)
 
     def test_exact_masses_are_fractions(self, fuzz_exact_traces):
         for trace in fuzz_exact_traces[:200]:
-            groups = transition_groups(trace)
-            masses = (groups.mass_i_plus, groups.mass_i_minus, groups.mass_j_plus)
+            masses = group_masses(transition_groups(trace))
             for t in range(1, len(trace)):
                 prev = trace.steps[t - 1]
                 part = partition(prev.eta, trace.steps[t].eta)

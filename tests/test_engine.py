@@ -410,9 +410,7 @@ class TestRun:
         with pytest.raises(ValueError):
             run(pool3, Optimal(), 0, "exact")
 
-    def test_weights_before_and_lattice(self, pool3):
+    def test_weights_before(self, pool3):
         trace = run(pool3, Optimal(), 4, "exact")
         assert trace.weights_before(0) == trace.initial_weights
         assert trace.weights_before(2) == trace.steps[1].weights_after
-        assert len(trace.lattice()) == 4
-        assert trace.lattice()[0] == trace.steps[0].eta

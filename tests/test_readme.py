@@ -25,6 +25,11 @@ def test_python_example_runs(capsys):
     assert len(edges) == 31 and all(type(r) is Fraction for r in edges)
 
 
+def test_every_exported_name_resolves():
+    assert [name for name in bc.__all__ if not hasattr(bc, name)] == []
+    assert len(set(bc.__all__)) == len(bc.__all__)
+
+
 def test_import_prints_nothing(run_python, tmp_path):
     done = run_python(
         "import boostcycles, boostcycles.cli, boostcycles.cycles, boostcycles.engine, boostcycles.farey, "

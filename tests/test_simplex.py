@@ -6,7 +6,6 @@ import pytest
 from boostcycles import (
     HypothesisPool,
     MistakeDichotomy,
-    MistakeLattice,
     WeightVector,
     check_periodic_learning,
     edge_dot,
@@ -143,26 +142,24 @@ class TestNabla:
         # the 3-point lattice whose columns rotate through the three
         # one-mistake dichotomies
         cols = [(1, 1, -1), (1, -1, 1), (-1, 1, 1)] * 2
-        lattice = MistakeLattice(tuple(MistakeDichotomy(c) for c in cols))
-        assert check_periodic_learning(lattice) is None
+        assert check_periodic_learning(tuple(MistakeDichotomy(c) for c in cols)) is None
 
     def test_double_mistake_reported(self):
         cols = [(1, 1, -1), (1, -1, 1), (1, -1, 1), (-1, 1, 1)]
-        lattice = MistakeLattice(tuple(MistakeDichotomy(c) for c in cols))
-        assert check_periodic_learning(lattice) == (1, 1)
+        assert check_periodic_learning(tuple(MistakeDichotomy(c) for c in cols)) == (1, 1)
 
     def test_repeated_column(self):
-        lattice = MistakeLattice(
-            (MistakeDichotomy((-1, 1, 1)), MistakeDichotomy((-1, 1, 1)))
-        )
-        assert check_periodic_learning(lattice) == (0, 0)
+        assert check_periodic_learning((MistakeDichotomy((-1, 1, 1)), MistakeDichotomy((-1, 1, 1)))) == (0, 0)
 
     def test_needs_two_columns(self):
         with pytest.raises(ValueError):
-            check_periodic_learning(MistakeLattice((MistakeDichotomy((1, -1)),)))
+            check_periodic_learning((MistakeDichotomy((1, -1)),))
 
     def test_earliest_violation_order(self):
         # two violations: row 2 at t=0 and row 0 at t=1; earliest iteration wins
         cols = [(1, 1, -1), (-1, 1, -1), (-1, 1, 1)]
-        lattice = MistakeLattice(tuple(MistakeDichotomy(c) for c in cols))
-        assert check_periodic_learning(lattice) == (2, 0)
+        assert check_periodic_learning(tuple(MistakeDichotomy(c) for c in cols)) == (2, 0)
+
+    def test_unequal_columns(self):
+        with pytest.raises(DimensionMismatch):
+            check_periodic_learning((MistakeDichotomy((1, -1, 1)), MistakeDichotomy((-1, 1))))

@@ -603,6 +603,26 @@ class TestReplayVerification:
         with pytest.raises(TraceFormatError, match=f"^step {steps[0]}: edge .* is not the edge of row"):
             loads_trace(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "moved, edge, first",
+        [
+            ((99, 299), 150, "step 99: stored weights do not match"),
+            ((299, 499), 350, "step 299: stored weights do not match"),
+            ((299, 499), 250, "step 250: edge .* is not the edge of row"),
+        ],
+    )
+    def test_earliest_of_checkpoints_and_edges(self, pool3, moved, edge, first):
+        # two checkpoints in different segments fail, and an edge in a
+        # segment between or before them: the earliest failing step is named
+        doc = v2_trace_to_dict(run(pool3, Optimal(), 600, "float"))
+        for t in moved:
+            w = doc["steps"][t]["weights"]
+            delta = w[0] / 1000
+            w[0], w[1] = w[0] - delta, w[1] + delta
+        doc["steps"][edge]["r"] += 1e-9
+        with pytest.raises(TraceFormatError, match=f"^{first}"):
+            loads_trace(json.dumps(doc))
+
     def test_float_replay_memory(self):
         # a long v2 float trace of 64 points: the edge check's temporaries
         # stay a block's, not three (steps x points) arrays
