@@ -10,30 +10,39 @@ The sort order of each feature never depends on the weights, so it is
 computed once per dataset (`Dataset.presort`, SLIQ-style attribute lists:
 Mehta, Agrawal & Rissanen, EDBT 1996). Every open leaf carries its members
 in ascending index order plus, per feature, its member ids in stable sorted
-order and the matching values. A split partitions those lists with one
-boolean test per point; a stable sort restricted to an ascending subset is
-the stable sort of that subset, so each child's lists are exactly what a
-stable argsort of its members would give. A node is scored for all
-features at once from the cumulative sums of the weighted labels along its
-lists. Cumulative sums add the same terms in the same order as a
-per-feature sort-then-cumsum, and the unsplit sum and leaf labels still sum
-the members in index order, so scores, gains and thresholds are
+order. A split partitions those lists with one boolean test per point; a
+stable sort restricted to an ascending subset is the stable sort of that
+subset, so each child's lists are exactly what a stable argsort of its
+members would give.
+
+Both children of a split are scored in one pass. Their lists are padded on
+the right to the larger child with an id whose weighted label is a
+trailing 0.0, and stacked into one (2m x K) array; one cumulative sum
+along it, one |L| + |T - L| and one row maximum score every cut of both
+children, and the root is scored the same way as a batch of one. A (3, 4)
+tree so takes 3 scoring passes, where scoring each leaf on its own took 5.
+Cumulative sums add the same terms in the same order as a per-feature
+sort-then-cumsum, padding only adds 0.0 after the last real term, and the
+unsplit sum of each child still sums its members in index order (one sum
+per child, also kept for its label), so scores, gains and thresholds are
 bit-identical to that reference. Ties break to the lowest feature, then the
 lowest threshold, then the lowest leaf id. A leaf's best split depends only
 on its members and the weights, so it is computed once per leaf.
 
-A node's lists, and the mask of its valid cuts, depend only on the dataset
-and on the node's split path (parent path, feature, threshold, side), never
-on the weights. So `run_on_dataset` memoizes them for the run, keyed by that
-path, in an LRU map (`_NodeMemo`) of at most _MEMO_NODES = 256 nodes, fewer
-when that many root-sized nodes would pass _MEMO_BYTES = 64 MiB. A node's
-lists are at most the root's, about (8 + 17m) * n bytes, so the memo's worst
-case is min(256 roots, 64 MiB), or one root when a single root is larger
-(2.9 MB on Iris). A cycling run re-grows the same trees: 86.6% of the
-children of 1000 Iris versicolor steps come from the memo. Each step's
+The children's lists, and the mask of their valid cuts, depend only on the
+dataset and on the split (the path to the node split, feature, threshold),
+never on the weights. So `run_on_dataset` memoizes them for the run, keyed
+by the split, in an LRU map (`_SplitMemo`) that counts the bytes of the
+arrays it holds: at most _MEMO_ROOTS = 128 times the root's bytes, or
+_MEMO_BYTES = 64 MiB when that is less, and one split when a single split
+is larger. A split takes about 9 bytes per padded slot (8 for the id, 1
+for the mask) plus 8 per member, so the root takes about (8 + 9m) * n
+bytes and the bound is 0.84 MB on Iris, about what a memo of 256 single
+nodes held there. A cycling run re-grows the same trees: 87.9% of the
+splits of 1000 Iris versicolor steps come from the memo. Each step's
 dichotomy is read off the final leaves (leaf labels, the sign flip, then
-y * pred) without building a tree; `train_tree` grows its tree with the same
-code (`_grow`) and a memo of its own.
+y * pred) without building a tree; `train_tree` grows its tree with the
+same code (`_grow`) and a memo of its own.
 """
 
 from __future__ import annotations
@@ -108,9 +117,10 @@ def load_csv(path: str, label_column: str, positive: str) -> Dataset:
     Rows whose feature cells fail numeric parsing or are not finite (nan,
     inf) are dropped (the count is recorded in provenance); a column with no
     finite cell is rejected outright.
-    Labels become +1 when the label cell equals `positive`, else -1.
+    Labels become +1 when the label cell equals `positive`, else -1. The
+    file is read as UTF-8; a leading byte-order mark is dropped.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -178,12 +188,15 @@ def load_csv(path: str, label_column: str, positive: str) -> Dataset:
 def sample(ds: Dataset, size: int, seed: int) -> Dataset:
     """Uniform sample without replacement, deterministic per seed (PCG64).
 
-    Row order of the original dataset is preserved.
+    Row order of the original dataset is preserved. A sample that holds
+    one class only is rejected, as `load_csv` rejects such a file.
     """
     if size > ds.n:
         raise ValueError(f"sample size {size} exceeds dataset size {ds.n}")
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(ds.n, size=size, replace=False))
+    if len({ds.y[i] for i in idx}) < 2:
+        raise ValueError(f"sample of {size} rows with seed {seed} is single-class; nothing to learn")
     provenance = dict(ds.provenance)
     provenance.update({"sample_size": size, "seed": seed})
     return Dataset(
@@ -232,127 +245,170 @@ class TreeHypothesis:
         return out
 
 
-# One node's lists: its members in ascending order, per feature its member
-# ids in stable sorted order and the matching values, and the mask of the
-# cuts between consecutive distinct values (None when there is no cut).
-NodeLists = Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
-
-# A run's memo holds at most _MEMO_NODES nodes, and fewer when that many
-# nodes the size of the root would take more than _MEMO_BYTES.
-_MEMO_NODES = 256
+# A run's memo holds at most _MEMO_BYTES, and at most the bytes of
+# _MEMO_ROOTS entries the size of the root.
+_MEMO_ROOTS = 128
 _MEMO_BYTES = 64 << 20
 
-
-def _node_lists(members: np.ndarray, order: np.ndarray, vals: np.ndarray) -> NodeLists:
-    cut = vals[:, :-1] < vals[:, 1:]
-    return members, order, vals, cut if cut.any() else None
+# the weighted label of the padding id n
+_PAD = np.zeros(1)
 
 
-class _NodeMemo:
-    """Node lists memoized by split path, least recently used out first.
+class _Children:
+    """The lists of a split's two children (or of the root alone), laid out
+    to be scored in one pass.
 
-    A node's path is () for the root, else (parent path, feature,
-    threshold, side), side 0 holding the parent's points at or below the
-    threshold. The lists are a function of the dataset and the path alone,
-    never of the weights, so one memo serves every tree of a run.
+    `members` holds each child's points in ascending order. Row c * m + f of
+    `ids` holds child c's ids in stable sorted order of feature f, padded
+    on the right to the larger child with the id n, whose weighted label is
+    the trailing 0.0 of the padded `wy`. `cut` masks the cuts between
+    consecutive distinct values of a row. It is built from `vals`, the
+    values of `ids` with -inf at the padding, which is not kept, so it is
+    False at the last column and at every padded position; it is None when
+    no row has a cut."""
+
+    __slots__ = ("members", "ids", "cut", "nbytes")
+
+    def __init__(self, members: Tuple[np.ndarray, ...], ids: np.ndarray, vals: np.ndarray) -> None:
+        cut = np.zeros(ids.shape, dtype=bool)
+        np.less(vals[:, :-1], vals[:, 1:], out=cut[:, :-1])
+        self.members, self.ids = members, ids
+        self.cut = cut if cut.any() else None
+        self.nbytes = sum(a.nbytes for a in members) + ids.nbytes + (cut.nbytes if self.cut is not None else 0)
+
+    def lists(self, c: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Child c's members and sorted ids, without the padding."""
+        members = self.members[c]
+        m = len(self.ids) // len(self.members)
+        return members, self.ids[c * m : (c + 1) * m, : len(members)]
+
+
+class _SplitMemo:
+    """Split children memoized by split, least recently used out first.
+
+    A split is keyed by (path, feature, threshold), the path of the node it
+    splits being () for the root, else (the key of its parent's split,
+    side), side 0 holding the parent's points at or below the threshold.
+    The children's lists are a function of the dataset and the key alone,
+    never of the weights, so one memo serves every tree of a run. The memo
+    counts the bytes of the arrays it holds, and evicts down to `budget`.
     """
 
     def __init__(self, ds: Dataset) -> None:
         self.ds = ds
-        self.root = _node_lists(np.arange(ds.n), *ds.presort)
-        # no node's lists are larger than the root's
-        root_bytes = sum(a.nbytes for a in self.root if a is not None)
-        self.bound = max(1, min(_MEMO_NODES, _MEMO_BYTES // root_bytes))
-        self.lists: "OrderedDict[tuple, NodeLists]" = OrderedDict()
+        self.root = _Children((np.arange(ds.n),), *ds.presort)
+        self.budget = min(_MEMO_ROOTS * self.root.nbytes, _MEMO_BYTES)
+        self.nbytes = 0
+        self.splits: "OrderedDict[tuple, _Children]" = OrderedDict()
+        # value of point i in feature f at [f, i]; the padding id n reads -inf
+        self.values = np.concatenate((ds.x.T, np.full((ds.m, 1), -np.inf)), axis=1)
+        self.features = np.tile(np.arange(ds.m), 2)[:, None]  # the feature of each row of two children
 
-    def child(
-        self, path: tuple, parent: NodeLists, feature: int, threshold: float, side: int
-    ) -> Tuple[tuple, NodeLists]:
-        """The path and lists of one child of the node at `path`, whose
-        lists are `parent`."""
-        key = (path, feature, threshold, side)
-        found = self.lists.get(key)
+    def split(self, path: tuple, node: _Children, c: int, feature: int, threshold: float) -> Tuple[tuple, _Children]:
+        """The key and children of the split of the node at `path`, which
+        is child c of `node`."""
+        key = (path, feature, threshold)
+        found = self.splits.get(key)
         if found is not None:
-            self.lists.move_to_end(key)
+            self.splits.move_to_end(key)
             return key, found
-        members, order, vals, _ = parent
-        go = self.ds.x[:, feature] <= threshold
-        if side:
-            go = ~go
-        in_lists = go[order]
+        members, order = node.lists(c)
         m = self.ds.m
-        found = _node_lists(members[go[members]], order[in_lists].reshape(m, -1), vals[in_lists].reshape(m, -1))
-        self.lists[key] = found
-        if len(self.lists) > self.bound:
-            self.lists.popitem(last=False)
+        go = self.ds.x[:, feature] <= threshold
+        inside, below = go[members], go[order]
+        size = int(np.count_nonzero(inside))
+        ids = np.full((2 * m, max(size, len(members) - size)), self.ds.n)
+        ids[:m, :size] = order[below].reshape(m, size)
+        ids[m:, : len(members) - size] = order[~below].reshape(m, -1)
+        found = _Children((members[inside], members[~inside]), ids, self.values[self.features, ids])
+        self.splits[key] = found
+        self.nbytes += found.nbytes
+        while self.nbytes > self.budget and len(self.splits) > 1:
+            self.nbytes -= self.splits.popitem(last=False)[1].nbytes
         return key, found
 
 
-def _score_node(
-    wy: np.ndarray, members: np.ndarray, order: np.ndarray, vals: np.ndarray, cut: Optional[np.ndarray]
-) -> Optional[Tuple[float, int, float]]:
-    """Best (score gain, feature, threshold) for one node, from its lists.
+# A scored leaf: the signed sum of its weighted labels, and its best split
+# (score gain, feature, threshold), None when no cut improves.
+Scored = Tuple[float, Optional[Tuple[float, int, float]]]
+
+
+def _score(wy: np.ndarray, padded_wy: np.ndarray, node: _Children, x: np.ndarray) -> List[Scored]:
+    """Score every child of `node` in one pass over its padded lists.
 
     Score of a split is |sum wy left| + |sum wy right|; the gain is measured
-    against the unsplit |sum wy|. Candidate thresholds are midpoints between
-    consecutive distinct sorted values (the lower value when no float lies
-    strictly between them). Ties break to the lowest feature
-    index, then the lowest threshold. Returns None when no cut improves.
+    against the unsplit |sum wy|, one sum over the members in index order.
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values (the lower value when no float lies strictly between them). Ties
+    break to the lowest feature index, then the lowest threshold.
+
+    The padding only appends 0.0 to each row, so every real prefix sum is
+    bit for bit a sum over the child's own list, and the last column is
+    each row's total up to the sign of a zero, which |T - L| drops.
     """
-    if cut is None:
-        return None
-    base = abs(float(wy[members].sum()))
-    prefix = wy[order].cumsum(axis=1)
-    left = prefix[:, :-1]
-    scores = np.where(cut, np.abs(left) + np.abs(prefix[:, -1:] - left), -np.inf)
-    gains = scores.max(axis=1) - base
-    f = int(gains.argmax())  # first max: lowest feature wins ties
-    if not gains[f] > 0:
-        return None
-    p = int(scores[f].argmax())  # first max: lowest threshold wins ties
-    lo, hi = float(vals[f, p]), float(vals[f, p + 1])
-    # (lo + hi) / 2 rounded, without its overflow (halving is exact above the
-    # subnormals); between adjacent floats it rounds to hi, and the split
-    # sends x <= threshold left, so it needs lo <= threshold < hi
-    threshold = lo / 2 + hi / 2
-    if not lo <= threshold < hi:
-        threshold = lo
-    return float(gains[f]), f, threshold
+    sums = [float(wy[members].sum()) for members in node.members]
+    if node.cut is None:
+        return [(total, None) for total in sums]
+    prefix = np.add.accumulate(padded_wy[node.ids], axis=1)
+    scores = np.abs(prefix[:, -1:] - prefix)
+    scores += np.abs(prefix)
+    scores = np.where(node.cut, scores, -np.inf)
+    cuts = scores.argmax(axis=1)  # first max: lowest threshold wins ties
+    gains = scores[np.arange(len(cuts)), cuts].reshape(len(sums), -1)
+    gains -= np.array([[abs(total)] for total in sums])
+    m = gains.shape[1]
+    found: List[Scored] = []
+    for c, (total, f) in enumerate(zip(sums, gains.argmax(axis=1).tolist())):  # first max: lowest feature wins ties
+        gain = float(gains[c, f])
+        if not gain > 0:
+            found.append((total, None))
+            continue
+        row = c * m + f
+        p = int(cuts[row])
+        lo, hi = float(x[node.ids[row, p], f]), float(x[node.ids[row, p + 1], f])
+        # (lo + hi) / 2 rounded, without its overflow (halving is exact above
+        # the subnormals); between adjacent floats it rounds to hi, and the
+        # split sends x <= threshold left, so it needs lo <= threshold < hi
+        threshold = lo / 2 + hi / 2
+        if not lo <= threshold < hi:
+            threshold = lo
+        found.append((total, (gain, f, threshold)))
+    return found
 
 
 def _grow(
-    wy: np.ndarray, memo: _NodeMemo, max_depth: int, max_leaves: int
+    wy: np.ndarray, memo: _SplitMemo, max_depth: int, max_leaves: int
 ) -> Tuple[Dict[int, Tuple[int, float, int, int]], Dict[int, int], np.ndarray]:
     """Grow a tree greedily on the weighted labels `wy`, always applying the
-    split with the largest gain, until the depth/leaf bounds bind or no split
-    improves. Returns the splits (node id -> (feature, threshold, left id,
-    right id)), the leaves' labels and the tree's prediction at every point,
-    both sign-flipped when the tree's edge would be negative."""
+    split with the largest gain (ties to the lowest leaf id), until the
+    depth/leaf bounds bind or no split improves. Returns the splits (node id
+    -> (feature, threshold, left id, right id)), the leaves' labels and the
+    tree's prediction at every point, both sign-flipped when the tree's edge
+    would be negative."""
     splits: Dict[int, Tuple[int, float, int, int]] = {}
+    padded_wy = np.concatenate((wy, _PAD))
     next_id = 1
-    leaves = {0: (0, (), memo.root)}  # leaf id -> (depth, path, lists)
-    candidates: Dict[int, Optional[Tuple[float, int, float]]] = {}  # leaf id -> its best split
+    leaves = {0: (0, (), memo.root, 0)}  # leaf id -> (depth, path, its split's children, side)
+    scored: Dict[int, Scored] = {}  # only leaves that may still split are scored
+    if max_leaves > 1:
+        scored[0] = _score(wy, padded_wy, memo.root, memo.ds.x)[0]
 
     while len(leaves) < max_leaves:
         best_leaf = None
         best_split = None
         for leaf_id in sorted(leaves):
-            depth, _, lists = leaves[leaf_id]
-            if depth >= max_depth:
-                continue
-            if leaf_id not in candidates:
-                candidates[leaf_id] = _score_node(wy, *lists)
-            found = candidates[leaf_id]
-            if found is None:
-                continue
-            if best_split is None or found[0] > best_split[0]:
+            found = scored[leaf_id][1] if leaf_id in scored else None
+            if found is not None and (best_split is None or found[0] > best_split[0]):
                 best_leaf, best_split = leaf_id, found
         if best_leaf is None:
             break
         _, feature, threshold = best_split
-        depth, path, lists = leaves.pop(best_leaf)
+        depth, path, node, c = leaves.pop(best_leaf)
+        key, children = memo.split(path, node, c, feature, threshold)
         for side in (0, 1):
-            leaves[next_id + side] = (depth + 1, *memo.child(path, lists, feature, threshold, side))
+            leaves[next_id + side] = (depth + 1, (key, side), children, side)
+        if len(leaves) < max_leaves and depth + 1 < max_depth:
+            scored[next_id], scored[next_id + 1] = _score(wy, padded_wy, children, memo.ds.x)
         splits[best_leaf] = (feature, threshold, next_id, next_id + 1)
         next_id += 2
 
@@ -360,8 +416,10 @@ def _grow(
     # so their labels are the unflipped tree's predictions.
     preds = np.empty(len(wy), dtype=np.int64)
     labels = {}
-    for leaf_id, (_, _, (members, *_)) in leaves.items():
-        labels[leaf_id] = 1 if wy[members].sum() >= 0 else -1
+    for leaf_id, (_, _, node, c) in leaves.items():
+        members = node.members[c]
+        total = scored[leaf_id][0] if leaf_id in scored else wy[members].sum()
+        labels[leaf_id] = 1 if total >= 0 else -1
         preds[members] = labels[leaf_id]
     if float(np.dot(wy, preds)) < 0:
         return splits, {leaf_id: -label for leaf_id, label in labels.items()}, -preds
@@ -386,14 +444,17 @@ def train_tree(
     The first split applied is exactly the best decision stump, so the
     returned tree never scores below it. If the finished tree somehow had a
     negative edge it would be sign-flipped, keeping the edge nonnegative.
+    Weights must be finite and nonnegative; zero weights are allowed.
     """
     _check_bounds(max_depth, max_leaves)
     weights = np.asarray(
         w.components if isinstance(w, WeightVector) else w, dtype=np.float64
     )
-    if weights.shape[0] != ds.n:
+    if weights.shape != (ds.n,):
         raise ValueError("weight vector does not match dataset size")
-    splits, labels, _ = _grow(weights * np.asarray(ds.y, dtype=np.float64), _NodeMemo(ds), max_depth, max_leaves)
+    if not (np.isfinite(weights) & (weights >= 0)).all():
+        raise ValueError("weights must be finite and nonnegative")
+    splits, labels, _ = _grow(weights * np.asarray(ds.y, dtype=np.float64), _SplitMemo(ds), max_depth, max_leaves)
 
     def build(node_id: int) -> TreeNode:
         if node_id in splits:
@@ -438,7 +499,7 @@ def run_on_dataset(
     initial = uniform_weights(ds.n, mode)
     exact = mode == "exact"
     y = np.asarray(ds.y, dtype=np.int64)
-    memo = _NodeMemo(ds)
+    memo = _SplitMemo(ds)
     chosen: Dict[bytes, Tuple[int, MistakeDichotomy, np.ndarray]] = {}  # eta bytes -> (row, dichotomy, signs)
 
     def choose(w: np.ndarray, t: int) -> Tuple[int, np.ndarray, Scalar]:

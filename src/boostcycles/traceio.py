@@ -173,11 +173,20 @@ def _fraction_text(value: Fraction) -> str:
     return _ratio_text(value.numerator, value.denominator)
 
 
+def _hex_pair(text: str) -> Tuple[int, int]:
+    """A hexadecimal `_ratio_text` string as a pair (p, q), q > 0, with no
+    gcd; a zero denominator raises Fraction's error."""
+    numerator, _, denominator = text.partition("/")
+    p, q = int(numerator, 16), int(denominator, 16) if denominator else 1
+    if not q:
+        raise ZeroDivisionError(f"Fraction({p}, 0)")
+    return (p, q) if q > 0 else (-p, -q)
+
+
 def _parse_fraction(text: str) -> Fraction:
     """Read a `_fraction_text` string back."""
     if "x" in text:
-        numerator, _, denominator = text.partition("/")
-        return Fraction(int(numerator, 16), int(denominator, 16) if denominator else 1)
+        return Fraction(*_hex_pair(text))
     return Fraction(text)
 
 
@@ -188,16 +197,18 @@ def _is_digits(text: str) -> bool:
 def _parse_ratio(value: Union[str, float, int]) -> Tuple[int, int]:
     """An exact scalar of a trace file (a `p/q` string, or a JSON number) as
     a pair (p, q), q > 0, with p/q the value Fraction would read. A plain
-    decimal `p/q` or `p` is parsed by int alone, so its pair is as written
-    and need not be in lowest terms; anything else is left to Fraction,
-    which also raises the errors of malformed text."""
+    decimal `p/q` or `p`, or a hexadecimal one, is parsed by int alone, so
+    its pair is as written and need not be in lowest terms; anything else
+    is left to Fraction, which also raises the errors of malformed text."""
     if type(value) is str:
         numerator, slash, denominator = value.partition("/")
         if _is_digits(numerator[1:] if numerator[:1] == "-" else numerator) and (
             not slash or _is_digits(denominator) and denominator.strip("0")
         ):
             return int(numerator), int(denominator) if slash else 1
-        value = _parse_fraction(value)
+        if "x" in value:
+            return _hex_pair(value)
+        value = Fraction(value)
     else:
         value = Fraction(value)
     return value.numerator, value.denominator
@@ -254,13 +265,14 @@ def _decode_rule(doc: Dict[str, object], pool: HypothesisPool) -> SelectionRule:
 
 
 def _point_texts(point: List[int]) -> List[str]:
-    """A lattice point [D, a_1..a_n] as the `p/q` texts of its weights."""
+    """A lattice point [D, a_1..a_n] as the `p/q` texts of its weights, with
+    one gcd per distinct numerator."""
     d, *a = point
-    texts = []
-    for x in a:
+    texts = {}
+    for x in set(a):
         g = math.gcd(x, d)
-        texts.append(_ratio_text(x // g, d // g))
-    return texts
+        texts[x] = _ratio_text(x // g, d // g)
+    return [texts[x] for x in a]
 
 
 def trace_to_dict(trace: BoostTrace, provenance: Optional[Dict[str, object]] = None) -> Dict:
@@ -312,14 +324,18 @@ def _stored_point(values) -> List[int]:
     form, checked as a WeightVector checks them (nonempty, positive, summing
     to 1); a failing vector raises WeightVector's error."""
     ratios = [_parse_ratio(c) for c in values]
-    d = math.lcm(*(q for _, q in ratios))
-    point = [d, *(p * (d // q) for p, q in ratios)]
-    if not ratios or min(p for p, _ in ratios) <= 0 or sum(point[1:]) != d:
+    # the arithmetic runs once per distinct (p, q): a dataset's weights take
+    # few distinct values
+    distinct = set(ratios)
+    d = math.lcm(*{q for _, q in distinct})
+    numerators = {(p, q): p * (d // q) for p, q in distinct}
+    if not ratios or min(p for p, _ in distinct) <= 0 or sum(numerators[r] for r in ratios) != d:
         WeightVector(tuple(Fraction(p, q) for p, q in ratios))
     # one gcd brings the point to canonical form, whether or not its p/q
     # were written in lowest terms
-    g = math.gcd(*point)
-    return [x // g for x in point]
+    g = math.gcd(d, *numerators.values())
+    reduced = {r: a // g for r, a in numerators.items()}
+    return [d // g, *(reduced[r] for r in ratios)]
 
 
 def _read_steps(

@@ -118,6 +118,25 @@ class TestRun:
         assert run_cli("run", "--pool", str(pool), "--iters", "5") == 4
         assert "latin1.pool" in capsys.readouterr().err
 
+    def test_byte_order_mark_dataset(self, tmp_path, capsys):
+        csv = tmp_path / "bom.csv"
+        csv.write_bytes("\ufefflabel,x\nb,1\na,2\nb,3\n".encode("utf-8"))
+        code = run_cli("run", "--dataset", str(csv), "--label", "label", "--positive", "b", "--iters", "5")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_single_class_sample_io_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "s.json"
+        code = run_cli(
+            "run", "--dataset", IRIS, "--label", "species", "--positive", "versicolor",
+            "--sample", "2", "--seed", seed, "--iters", "5", "--out", str(out),
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "single-class" in err
+        assert not out.exists()
+
     def test_non_numeric_dataset_column_io_error(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
         csv.write_text("x,color,label\n1.0,red,a\n2.0,blue,b\n3.0,red,a\n")

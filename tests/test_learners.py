@@ -164,29 +164,137 @@ def reference_run_on_dataset(ds, max_depth, max_leaves, t_max, mode):
     return BoostTrace(mode, pool, Optimal(), initial, rows, signs, states, halt)
 
 
+class ReferenceNodeMemo:
+    """The learner's node memo before both children of a split were scored
+    in one pass, kept as the reference with `reference_grow`: a node's
+    lists, keyed by its split path, with no bound."""
+
+    def __init__(self, ds):
+        self.ds = ds
+        self.root = reference_node_lists(np.arange(ds.n), *ds.presort)
+        self.lists = {}
+
+    def child(self, path, parent, feature, threshold, side):
+        key = (path, feature, threshold, side)
+        if key not in self.lists:
+            members, order, vals, _ = parent
+            go = self.ds.x[:, feature] <= threshold
+            if side:
+                go = ~go
+            in_lists = go[order]
+            m = self.ds.m
+            self.lists[key] = reference_node_lists(
+                members[go[members]], order[in_lists].reshape(m, -1), vals[in_lists].reshape(m, -1)
+            )
+        return key, self.lists[key]
+
+
+def reference_node_lists(members, order, vals):
+    cut = vals[:, :-1] < vals[:, 1:]
+    return members, order, vals, cut if cut.any() else None
+
+
+def reference_score_node(wy, members, order, vals, cut):
+    """One node scored on its own: the learner's `_score_node` before the
+    batched pass."""
+    if cut is None:
+        return None
+    base = abs(float(wy[members].sum()))
+    prefix = wy[order].cumsum(axis=1)
+    left = prefix[:, :-1]
+    scores = np.where(cut, np.abs(left) + np.abs(prefix[:, -1:] - left), -np.inf)
+    gains = scores.max(axis=1) - base
+    f = int(gains.argmax())
+    if not gains[f] > 0:
+        return None
+    p = int(scores[f].argmax())
+    lo, hi = float(vals[f, p]), float(vals[f, p + 1])
+    threshold = lo / 2 + hi / 2
+    if not lo <= threshold < hi:
+        threshold = lo
+    return float(gains[f]), f, threshold
+
+
+def reference_grow(wy, memo, max_depth, max_leaves):
+    """The learner's `_grow` before the batched pass: every open leaf scored
+    on its own, the first time it is a candidate."""
+    splits = {}
+    next_id = 1
+    leaves = {0: (0, (), memo.root)}
+    candidates = {}
+    while len(leaves) < max_leaves:
+        best_leaf = None
+        best_split = None
+        for leaf_id in sorted(leaves):
+            depth, _, lists = leaves[leaf_id]
+            if depth >= max_depth:
+                continue
+            if leaf_id not in candidates:
+                candidates[leaf_id] = reference_score_node(wy, *lists)
+            found = candidates[leaf_id]
+            if found is None:
+                continue
+            if best_split is None or found[0] > best_split[0]:
+                best_leaf, best_split = leaf_id, found
+        if best_leaf is None:
+            break
+        _, feature, threshold = best_split
+        depth, path, lists = leaves.pop(best_leaf)
+        for side in (0, 1):
+            leaves[next_id + side] = (depth + 1, *memo.child(path, lists, feature, threshold, side))
+        splits[best_leaf] = (feature, threshold, next_id, next_id + 1)
+        next_id += 2
+    preds = np.empty(len(wy), dtype=np.int64)
+    labels = {}
+    for leaf_id, (_, _, (members, *_)) in leaves.items():
+        labels[leaf_id] = 1 if wy[members].sum() >= 0 else -1
+        preds[members] = labels[leaf_id]
+    if float(np.dot(wy, preds)) < 0:
+        return splits, {leaf_id: -label for leaf_id, label in labels.items()}, -preds
+    return splits, labels, preds
+
+
+def assert_same_growth(grown, expected, case=None):
+    """Equal splits (thresholds bit for bit), labels and predictions."""
+    (splits, labels, preds), (ref_splits, ref_labels, ref_preds) = grown, expected
+    assert splits == ref_splits and labels == ref_labels, case
+    assert preds.dtype == ref_preds.dtype and np.array_equal(preds, ref_preds), case
+    for (_, threshold, *_), (_, ref_threshold, *_) in zip(splits.values(), ref_splits.values()):
+        assert np.float64(threshold).tobytes() == np.float64(ref_threshold).tobytes(), case
+
+
 @pytest.fixture()
 def memos(monkeypatch):
-    """Watches every node memo: weak references to the memos made, and the
-    counts of lookups and evictions. A memo's size is checked against its
-    bound after every lookup."""
+    """Watches every split memo: weak references to the memos made, and the
+    counts of lookups and evictions. After every lookup, a memo's byte
+    count must be the bytes of the arrays it holds, and within its budget
+    unless it holds a single split."""
     watch = {"made": [], "lookups": 0, "evictions": 0}
-    init, child = learners._NodeMemo.__init__, learners._NodeMemo.child
+    init, split = learners._SplitMemo.__init__, learners._SplitMemo.split
 
     def tracked_init(self, ds):
         init(self, ds)
         watch["made"].append(weakref.ref(self))
 
-    def checked_child(self, *args):
-        oldest = next(iter(self.lists), None)
-        found = child(self, *args)
-        assert len(self.lists) <= self.bound
+    def checked_split(self, *args):
+        oldest = next(iter(self.splits), None)
+        found = split(self, *args)
+        assert self.nbytes == held_bytes(self)
+        assert self.nbytes <= self.budget or len(self.splits) == 1
         watch["lookups"] += 1
-        watch["evictions"] += oldest is not None and oldest not in self.lists
+        watch["evictions"] += oldest is not None and oldest not in self.splits
         return found
 
-    monkeypatch.setattr(learners._NodeMemo, "__init__", tracked_init)
-    monkeypatch.setattr(learners._NodeMemo, "child", checked_child)
+    monkeypatch.setattr(learners._SplitMemo, "__init__", tracked_init)
+    monkeypatch.setattr(learners._SplitMemo, "split", checked_split)
     return watch
+
+
+def held_bytes(memo):
+    """The bytes of the arrays a split memo holds."""
+    return sum(
+        a.nbytes for children in memo.splits.values() for a in (*children.members, children.ids, children.cut) if a is not None
+    )
 
 
 def released(watch):
@@ -258,6 +366,20 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="'b' is not numeric"):
             load_csv(str(path), "label", "x")
 
+    def test_byte_order_mark_label_column(self, tmp_path):
+        # "CSV UTF-8" as spreadsheet programs save it: a byte-order mark,
+        # then the header's first cell
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufefflabel,x\nb,1\na,2\nb,3\n".encode("utf-8"))
+        ds = load_csv(str(path), "label", "b")
+        assert ds.y == (1, -1, 1) and ds.feature_names == ("x",)
+
+    def test_byte_order_mark_feature_name(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeffx,label\n1,b\n2,a\n".encode("utf-8"))
+        ds = load_csv(str(path), "label", "b")
+        assert ds.feature_names == ("x",) and ds.x.tolist() == [[1.0], [2.0]]
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -284,6 +406,13 @@ class TestSample:
         ds = load_csv(IRIS, "species", "versicolor")
         full = sample(ds, ds.n, seed=0)
         assert np.array_equal(full.x, ds.x) and full.y == ds.y
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_single_class_sample_rejected(self, seed):
+        # two rows of Iris versicolor draw two negatives with these seeds
+        ds = load_csv(IRIS, "species", "versicolor")
+        with pytest.raises(ValueError, match="single-class"):
+            sample(ds, 2, seed=seed)
 
     def test_oversample_rejected(self):
         ds = load_csv(IRIS, "species", "versicolor")
@@ -363,6 +492,22 @@ class TestTrainTree:
         tree = train_tree(ds, uniform(3), max_depth=3, max_leaves=4)
         assert tree.n_leaves == 1
         assert list(tree.predict(ds.x)) == [1, 1, 1]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1e-300])
+    def test_weights_validated(self, bad):
+        ds = load_csv(IRIS, "species", "versicolor")
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            train_tree(ds, [bad] * ds.n, 3, 4)
+        weights = [1 / ds.n] * ds.n
+        weights[7] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            train_tree(ds, weights, 3, 4)
+
+    def test_zero_weights_allowed(self):
+        # float runs underflow to 0.0; -0.0 is zero too
+        ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [1, -1, 1, -1])
+        tree = train_tree(ds, [0.5, 0.0, 0.5, -0.0], 1, 2)
+        assert tree == reference_train_tree(ds, [0.5, 0.0, 0.5, -0.0], 1, 2)
 
     def test_bounds_validated(self):
         ds = make_dataset([[0.0], [1.0]], [1, -1])
@@ -528,6 +673,97 @@ class TestPresortedLearnerMatchesReference:
         assert dumps_trace(run_on_dataset(ds, *bounds, iters, "float")) == expected
 
 
+class TestBatchedScorerMatchesReference:
+    """`_grow` scores both children of a split in one padded pass and keeps
+    each scored leaf's sum for its label. It must return what the
+    node-at-a-time reference returns: the same splits, labels and
+    predictions, bit for bit, also when one memo serves many weights."""
+
+    @staticmethod
+    def weight_vectors(rng, y):
+        """Positive weights; uniform ones (tied cut scores); zero weights
+        on the y = -1 points (weighted labels of -0.0); subnormal ones."""
+        n = len(y)
+        raw = np.array([rng.random() + 0.01 for _ in range(n)])
+        zeroed = np.where(y < 0, 0.0, raw)
+        subnormal = np.array([rng.randint(1, 9) * 5e-324 for _ in range(n)])
+        mixed = np.where(raw > 0.5, raw / raw.sum(), subnormal)
+        return [raw / raw.sum(), np.full(n, 1 / n), zeroed, subnormal, mixed]
+
+    @staticmethod
+    def child_kinds(memo):
+        """Which kinds of child the memo's splits made: of one point, and
+        with no cut beside a sibling that has one."""
+        kinds = set()
+        m = memo.ds.m
+        for children in memo.splits.values():
+            sizes = [len(members) for members in children.members]
+            kinds.update("one point" for size in sizes if size == 1)
+            if children.cut is not None:
+                has_cut = [children.cut[c * m : (c + 1) * m].any() for c in (0, 1)]
+                kinds.update("no cut" for c in (0, 1) if not has_cut[c] and sizes[c] > 1)
+        return kinds
+
+    def test_random_datasets(self):
+        rng = random.Random(51)
+        kinds = set()
+        for case in range(250):
+            n, m = rng.randint(1, 40), rng.randint(1, 4)
+            if case % 3 == 0:  # few distinct values: tied values, children with no cut
+                x = [[rng.randint(0, 2) for _ in range(m)] for _ in range(n)]
+            elif case % 3 == 1:
+                x = [[rng.uniform(-3, 3) for _ in range(m)] for _ in range(n)]
+            else:  # one far point per feature, so that a child holds it alone
+                x = [[rng.uniform(0, 1) if i else 50.0 for _ in range(m)] for i in range(n)]
+            ds = make_dataset(x, [rng.choice((1, -1)) for _ in range(n)])
+            y = np.asarray(ds.y, dtype=np.float64)
+            depth, leaves = rng.randint(1, 5), rng.randint(1, 12)
+            memo, reference = learners._SplitMemo(ds), ReferenceNodeMemo(ds)
+            for w in self.weight_vectors(rng, y):
+                expected = reference_grow(w * y, reference, depth, leaves)
+                assert_same_growth(learners._grow(w * y, memo, depth, leaves), expected, case)
+            kinds |= self.child_kinds(memo)
+        assert kinds == {"one point", "no cut"}
+
+    def test_child_with_no_cut(self):
+        # the split at 0.75 leaves {0, 0.5} with a cut and four equal values
+        # with none
+        ds = make_dataset([[0.0], [0.5], [1.0], [1.0], [1.0], [1.0]], [1, 1, -1, -1, -1, -1])
+        memo = learners._SplitMemo(ds)
+        wy = np.full(ds.n, 1 / 6) * np.asarray(ds.y, dtype=np.float64)
+        grown = learners._grow(wy, memo, 3, 4)
+        assert_same_growth(grown, reference_grow(wy, ReferenceNodeMemo(ds), 3, 4))
+        assert grown[0] == {0: (0, 0.75, 1, 2)} and self.child_kinds(memo) == {"no cut"}
+
+    def test_fraction_weights_through_train_tree(self, monkeypatch):
+        grown = []
+
+        def spy(wy, memo, max_depth, max_leaves):
+            grown.append((wy, grow(wy, memo, max_depth, max_leaves)))
+            return grown[-1][1]
+
+        grow = learners._grow
+        monkeypatch.setattr(learners, "_grow", spy)
+        rng = random.Random(53)
+        for case in range(60):
+            n, m = rng.randint(2, 30), rng.randint(1, 3)
+            ds = make_dataset([[rng.randint(0, 4) for _ in range(m)] for _ in range(n)], [rng.choice((1, -1)) for _ in range(n)])
+            if case % 2:  # a plain sequence may hold zero weights
+                raw = [rng.randint(0, 9) for _ in range(n)]
+                raw[0] += 1
+                weights = [Fraction(v, sum(raw)) for v in raw]
+            else:
+                raw = [rng.randint(1, 9) for _ in range(n)]
+                weights = WeightVector(tuple(Fraction(v, sum(raw)) for v in raw))
+            depth, leaves = rng.randint(1, 4), rng.randint(2, 8)
+            tree = train_tree(ds, weights, depth, leaves)
+            wy, result = grown[-1]
+            floats = [float(v) for v in (weights.components if case % 2 == 0 else weights)]
+            assert np.array_equal(wy, np.array(floats) * np.asarray(ds.y))
+            assert_same_growth(result, reference_grow(wy, ReferenceNodeMemo(ds), depth, leaves), case)
+            assert tree == reference_train_tree(ds, weights, depth, leaves), case
+
+
 class TestMemoizedLoopMatchesReference:
     """`run_on_dataset` grows each step's tree from node lists memoized over
     the run and reads the dichotomy off its leaves. Its traces must dump to
@@ -565,13 +801,35 @@ class TestMemoizedLoopMatchesReference:
         assert text == dumps_trace(reference_run_on_dataset(ds, 3, 4, 12, "exact"))
         assert len(memos["made"]) == 1 and released(memos)
 
-    def test_bound_caps_the_bytes(self):
-        # each node's lists are at most the root's, so bound * root bytes caps
-        # the memo; a large dataset holds fewer than _MEMO_NODES nodes
-        small = learners._NodeMemo(load_csv(IRIS, "species", "versicolor"))
-        assert small.bound == learners._MEMO_NODES
+    def test_bound_caps_the_bytes(self, monkeypatch):
+        # the budget is 256 roots' bytes, or 64 MiB when that is less
+        small = learners._SplitMemo(load_csv(IRIS, "species", "versicolor"))
+        assert small.budget == learners._MEMO_ROOTS * small.root.nbytes
         rng = np.random.default_rng(0)
-        large = learners._NodeMemo(make_dataset(rng.random((20000, 8)), [1, -1] * 10000))
-        root_bytes = sum(a.nbytes for a in large.root)
-        assert 1 <= large.bound < learners._MEMO_NODES
-        assert large.bound * root_bytes <= learners._MEMO_BYTES
+        large = learners._SplitMemo(make_dataset(rng.random((20000, 8)), [1, -1] * 10000))
+        assert large.budget == learners._MEMO_BYTES < learners._MEMO_ROOTS * large.root.nbytes
+        # filled past its budget, a memo evicts the oldest splits down to it
+        monkeypatch.setattr(learners, "_MEMO_BYTES", 2 << 20)
+        ds = make_dataset(rng.random((1000, 4)), [1, -1] * 500)
+        memo = learners._SplitMemo(ds)
+        assert memo.budget == 2 << 20
+        keys = []
+        for k in range(40):
+            key, children = memo.split((), memo.root, 0, k % 4, 0.02 * (k + 1))
+            keys.append(key)
+            assert memo.nbytes == held_bytes(memo) <= memo.budget
+            assert [len(members) for members in children.members] == [
+                int(np.count_nonzero(ds.x[:, k % 4] <= 0.02 * (k + 1))),
+                int(np.count_nonzero(ds.x[:, k % 4] > 0.02 * (k + 1))),
+            ]
+        assert list(memo.splits) == keys[-len(memo.splits) :] and len(memo.splits) < 40
+
+    def test_one_split_beyond_the_budget_is_kept(self, monkeypatch):
+        monkeypatch.setattr(learners, "_MEMO_BYTES", 1)
+        ds = load_csv(IRIS, "species", "versicolor")
+        memo = learners._SplitMemo(ds)
+        for feature in range(ds.m):
+            key, _ = memo.split((), memo.root, 0, feature, 3.0)
+            assert list(memo.splits) == [key] and memo.nbytes == held_bytes(memo) > memo.budget
+        wy = np.full(ds.n, 1 / ds.n) * np.asarray(ds.y, dtype=np.float64)
+        assert_same_growth(learners._grow(wy, memo, 3, 4), reference_grow(wy, ReferenceNodeMemo(ds), 3, 4))

@@ -25,6 +25,9 @@ from boostcycles.traceio import (
     _encode_scalar,
     _fraction_text,
     _parse_fraction,
+    _parse_ratio,
+    _point_texts,
+    _stored_point,
     dumps_trace,
     load_pool,
     load_trace,
@@ -286,6 +289,51 @@ class TestHugeFractions:
         doc["steps"][0]["r_exact"] = text
         with pytest.raises(TraceFormatError):
             loads_trace(json.dumps(doc))
+
+
+class TestExactPointArithmetic:
+    """The writer reduces each distinct numerator once, the reader scales
+    each distinct (p, q) once and parses hexadecimal text with int alone;
+    the results are those of one Fraction per value."""
+
+    @pytest.mark.parametrize(
+        "text", ["0x1/0x3", "0x2/0x6", "-0x4/0x6", "0x4/-0x6", "0x5", "0x5/", "0X5/0x7", " 0x5/0x7", "0x_5/0x7"]
+    )
+    def test_hex_pairs(self, text):
+        p, q = _parse_ratio(text)
+        assert q > 0 and Fraction(p, q) == _parse_fraction(text)
+        if text == "0x2/0x6":
+            assert (p, q) == (2, 6)  # as written, no gcd
+
+    @pytest.mark.parametrize("text", ["0x", "0xg/0x3", "0x1/0x", "0x1/0x0", "-0x3/0x0", "0x1/0x2/0x3"])
+    def test_malformed_hex_raises_as_fraction(self, text):
+        with pytest.raises((ValueError, ZeroDivisionError)) as caught:
+            _parse_ratio(text)
+        with pytest.raises(type(caught.value)) as expected:
+            _parse_fraction(text)
+        assert str(caught.value) == str(expected.value)
+
+    def test_stored_point_is_canonical(self):
+        rng = np.random.default_rng(3)
+        for case in range(200):
+            parts = rng.integers(1, 6, size=rng.integers(1, 12)).tolist()
+            total = sum(parts)
+            weights = [Fraction(v, total) for v in parts]
+            texts = [
+                [str(w), f"{2 * w.numerator}/{2 * w.denominator}", f"{w.numerator:#x}/{w.denominator:#x}"][rng.integers(3)]
+                for w in weights
+            ]
+            d = math.lcm(*(w.denominator for w in weights))
+            assert _stored_point(texts) == [d, *(int(w * d) for w in weights)], case
+            assert _point_texts(_stored_point(texts)) == [str(w) for w in weights], case
+
+    def test_stored_point_errors(self):
+        with pytest.raises(ValueError, match="sum to 2/3"):
+            _stored_point(["1/3", "1/3"])
+        with pytest.raises(ValueError, match="strictly positive"):
+            _stored_point(["0x0/0x1", "1"])
+        with pytest.raises(ZeroDivisionError):
+            _stored_point(["0x1/0x0"])
 
 
 def infinite_edge(doc):
