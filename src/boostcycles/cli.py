@@ -28,10 +28,10 @@ from .cycles import (
 )
 from .engine import FirstAbove, FixedSequence, Optimal
 from .farey import GOLDEN, MAX_ENUMERATION_LENGTH, FareyWord, decimals, enumerate_orbits, orbit_values
-from .figures import FigureSpec, save_figure
+from .figures import save_figure
 from .traceio import (
     TraceFormatError,
-    _fraction_text,
+    _ratio_text,
     dumps_trace,
     load_pool,
     load_trace,
@@ -52,7 +52,7 @@ class InputError(Exception):
 
 def _fmt(value, mode: str) -> str:
     if mode == "exact":
-        return _fraction_text(Fraction(value))
+        return _ratio_text(value.numerator, value.denominator)
     return f"{float(value):.12g}"
 
 
@@ -107,21 +107,6 @@ def _load_dataset(args) -> learners.Dataset:
     return ds
 
 
-def _save_edge_figure(edges, path: str, title: str, refs, last: Optional[int] = None) -> None:
-    """Edge against iteration as an SVG: every step, or only the last ones."""
-    points = tuple((float(t), edge) for t, edge in enumerate(edges))
-    save_figure(
-        FigureSpec(
-            title=title,
-            x_label="iteration",
-            y_label="edge",
-            series=(("edge", points[-last:] if last else points),),
-            ref_lines=tuple(refs),
-        ),
-        path,
-    )
-
-
 def cmd_run(args, parser) -> int:
     if (args.pool is None) == (args.dataset is None):
         parser.error("exactly one of --pool or --dataset is required")
@@ -156,10 +141,13 @@ def cmd_run(args, parser) -> int:
         sys.stdout.write(dumps_trace(trace, provenance))
         return EXIT_OK
     if len(trace):
-        edge = trace.state(-1)[0]
-        text = _fmt(edge, trace.mode)
-        if len(text) > 80:  # a long exact value is read from the trace, not the line
-            text = f"{_fmt(edge, 'float')} (exact value in the trace, {len(text)} characters)"
+        if trace.mode == "exact":
+            p, q = trace.states[-1, :2].tolist()  # the edge in lowest terms
+            text = _ratio_text(p, q)
+            if len(text) > 80:  # a long exact value is read from the trace, not the line
+                text = f"{p / q:.12g} (exact value in the trace, {len(text)} characters)"
+        else:
+            text = _fmt(trace.states[-1, 0], "float")
         print(f", final edge {text}", end="")
     if trace.halt:
         print(f", halted: {trace.halt}", end="")
@@ -292,7 +280,7 @@ def cmd_replicate(args, parser) -> int:
     figure_path = os.path.join(args.out_dir, "edges.svg")
     edges = trace.states[:, 0].tolist()
     if edges:
-        _save_edge_figure(edges, figure_path, f"edge values: {os.path.basename(args.dataset)}", (GOLDEN_REF,))
+        save_figure(edges, figure_path, f"edge values: {os.path.basename(args.dataset)}", (GOLDEN_REF,))
         written.append(figure_path)
     elif os.path.exists(figure_path):
         os.remove(figure_path)  # a figure of an earlier run, not of this trace
@@ -350,12 +338,13 @@ def cmd_plot(args, parser) -> int:
                 parser.error(f"bad reference value {ref!r}")
     # float(Fraction) and the state matrix round exact edges alike
     edges = trace.state_matrix[:, 0].tolist()
-    _save_edge_figure(edges, args.out, args.title or "edge values", refs, args.last)
+    save_figure(edges, args.out, args.title or "edge values", refs, args.last)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    at_least_0 = _checked(int, lambda v: v >= 0, "at least 0")
     at_least_1 = _checked(int, lambda v: v >= 1, "at least 1")
     repeats = _checked(int, lambda v: v >= 2, "at least 2")
     tolerance = _checked(float, lambda v: 0 < v < float("inf"), "a finite number above 0")
@@ -370,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--label", required=required, help="label column name (dataset runs)")
         p.add_argument("--positive", required=required, help="label value mapped to +1 (dataset runs)")
         p.add_argument("--sample", type=at_least_1, help="sample this many rows without replacement")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+        p.add_argument("--seed", type=at_least_0, default=0, help="sampling seed (default 0)")
         p.add_argument("--depth", type=at_least_1, default=3, help="max tree depth (dataset runs)")
         p.add_argument("--leaves", type=at_least_1, default=4, help="max tree leaves (dataset runs)")
 

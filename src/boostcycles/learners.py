@@ -444,7 +444,8 @@ def train_tree(
     The first split applied is exactly the best decision stump, so the
     returned tree never scores below it. If the finished tree somehow had a
     negative edge it would be sign-flipped, keeping the edge nonnegative.
-    Weights must be finite and nonnegative; zero weights are allowed.
+    Weights must be finite and nonnegative, with a sum a double holds; zero
+    weights are allowed.
     """
     _check_bounds(max_depth, max_leaves)
     weights = np.asarray(
@@ -454,6 +455,9 @@ def train_tree(
         raise ValueError("weight vector does not match dataset size")
     if not (np.isfinite(weights) & (weights >= 0)).all():
         raise ValueError("weights must be finite and nonnegative")
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected, not warned about
+        if not np.isfinite(weights.sum()):
+            raise ValueError("weights must have a finite sum")
     splits, labels, _ = _grow(weights * np.asarray(ds.y, dtype=np.float64), _SplitMemo(ds), max_depth, max_leaves)
 
     def build(node_id: int) -> TreeNode:

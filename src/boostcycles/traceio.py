@@ -54,16 +54,20 @@ them. A failing check is a TraceFormatError at the step it concerns. When
 the stored steps' first repeat is the header's, the loaded trace keeps it
 as its `repeat`, which is then not searched for over the tiled columns.
 
-Exact values never pass through `Fraction` on the way in or out. The reader
-parses each decimal `p/q` edge to a pair of ints with no gcd: the pair need
-not be in lowest terms, since it is only compared with the kernel's edge by
-a cross product, and the states column keeps the kernel's reduced edge. It
-turns stored weights into canonical lattice points (integer numerators over
-their least common denominator, one gcd per checkpoint), and replays with
-the engine's integer kernel; the writer reduces a lattice point's
-numerators to `p/q` text only at checkpoints. A Fraction is built only for
-the message of a failing value, so the messages are those of the Fraction
-values the file holds.
+Exact values never pass through `Fraction` on the way in or out: every
+exact number is written by `_ratio_text` from a pair of ints and read by
+`_parse_ratio` into one. The reader keeps each decimal `p/q` edge as a pair
+with no gcd: the pair need not be in lowest terms, since it is only compared
+with the kernel's edge by a cross product, and the states column keeps the
+kernel's reduced edge. It turns stored weights into canonical lattice
+points (integer numerators over their least common denominator, one gcd per
+checkpoint), and replays with the engine's integer kernel; the writer
+reduces a lattice point's numerators to `p/q` text only at checkpoints. The
+header's initial weights are read and written as a checkpoint's, exact or
+float, their values checked before their length. Fractions are built only
+for the loaded trace's initial weights and threshold, and for the message of
+a failing value, so the messages are those of the Fraction values the file
+holds.
 
 The writer reads the trace's columns, and the reader builds them. Reading
 makes one pass over the step records, then the replay. The pass reads the
@@ -107,7 +111,7 @@ from .engine import (
     _update,
     alpha,
 )
-from .simplex import HypothesisPool, Scalar, SignTextError, WeightVector, _parse_signs, _sign_texts, _signed_sums
+from .simplex import HypothesisPool, SignTextError, WeightVector, _parse_signs, _sign_texts, _signed_sums
 
 TRACE_SCHEMA = "boostcycles-trace-v2"
 REPEAT_SCHEMA = "boostcycles-trace-v3"
@@ -168,11 +172,6 @@ def _ratio_text(p: int, q: int) -> str:
         return f"{p:#x}/{q:#x}"
 
 
-def _fraction_text(value: Fraction) -> str:
-    """A Fraction as `_ratio_text` writes it."""
-    return _ratio_text(value.numerator, value.denominator)
-
-
 def _hex_pair(text: str) -> Tuple[int, int]:
     """A hexadecimal `_ratio_text` string as a pair (p, q), q > 0, with no
     gcd; a zero denominator raises Fraction's error."""
@@ -181,13 +180,6 @@ def _hex_pair(text: str) -> Tuple[int, int]:
     if not q:
         raise ZeroDivisionError(f"Fraction({p}, 0)")
     return (p, q) if q > 0 else (-p, -q)
-
-
-def _parse_fraction(text: str) -> Fraction:
-    """Read a `_fraction_text` string back."""
-    if "x" in text:
-        return Fraction(*_hex_pair(text))
-    return Fraction(text)
 
 
 def _is_digits(text: str) -> bool:
@@ -214,20 +206,6 @@ def _parse_ratio(value: Union[str, float, int]) -> Tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def _encode_scalar(value: Scalar, mode: str) -> Union[str, float]:
-    if mode == "exact":
-        return _fraction_text(Fraction(value))
-    return float(value)
-
-
-def _decode_scalar(value: Union[str, float, int], mode: str) -> Scalar:
-    if mode == "exact":
-        return _parse_fraction(value) if isinstance(value, str) else Fraction(value)
-    if not _is_double(value):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
 def _encode_rule(rule: SelectionRule) -> Dict[str, object]:
     if isinstance(rule, Optimal):
         return {"kind": "optimal"}
@@ -235,7 +213,8 @@ def _encode_rule(rule: SelectionRule) -> Dict[str, object]:
         # a rational threshold stays a p/q string in either mode: a float run
         # compares float edges with it exactly, so a rounded one is another rule
         theta = rule.theta
-        return {"kind": "first_above", "theta": theta if isinstance(theta, float) else _fraction_text(Fraction(theta))}
+        text = theta if isinstance(theta, float) else _ratio_text(theta.numerator, theta.denominator)
+        return {"kind": "first_above", "theta": text}
     if isinstance(rule, FixedSequence):
         return {"kind": "fixed_sequence", "rows": list(rule.rows)}
     raise TraceFormatError(f"unknown rule {rule!r}")
@@ -248,7 +227,7 @@ def _decode_rule(doc: Dict[str, object], pool: HypothesisPool) -> SelectionRule:
         return Optimal()
     if kind == "first_above":
         theta = doc["theta"]
-        return FirstAbove(_parse_fraction(theta) if isinstance(theta, str) else float(theta))
+        return FirstAbove(Fraction(*_parse_ratio(theta)) if isinstance(theta, str) else float(theta))
     if kind == "fixed_sequence":
         rows = doc["rows"]
         if type(rows) is not list:
@@ -276,7 +255,7 @@ def _point_texts(point: List[int]) -> List[str]:
 
 
 def trace_to_dict(trace: BoostTrace, provenance: Optional[Dict[str, object]] = None) -> Dict:
-    mode = trace.mode
+    mode, initial = trace.mode, trace.initial_weights
     exact = mode == "exact"
     repeat = trace.repeat
     stored = len(trace) if repeat is None else sum(repeat)
@@ -300,7 +279,7 @@ def trace_to_dict(trace: BoostTrace, provenance: Optional[Dict[str, object]] = N
             "rows": _sign_texts(trace.pool.signs),
         },
         "provenance": provenance or {},
-        "initial_weights": [_encode_scalar(c, mode) for c in trace.initial_weights],
+        "initial_weights": _point_texts(_lattice_point(initial).tolist()) if exact else list(map(float, initial)),
         "halt": trace.halt,
     }
     if repeat is not None:
@@ -336,6 +315,15 @@ def _stored_point(values) -> List[int]:
     g = math.gcd(d, *numerators.values())
     reduced = {r: a // g for r, a in numerators.items()}
     return [d // g, *(reduced[r] for r in ratios)]
+
+
+def _stored_floats(values) -> WeightVector:
+    """Stored float weights, each a JSON number that converts to a double,
+    checked as a WeightVector."""
+    for c in values:
+        if not _is_double(c):
+            raise TypeError(f"{c!r} is not a number")
+    return WeightVector(tuple(map(float, values)))
 
 
 def _read_steps(
@@ -405,10 +393,7 @@ def _read_steps(
         edges.append(edge)
         if "weights" in rec:
             try:
-                if exact:
-                    stored = _stored_point(rec["weights"])
-                else:
-                    stored = WeightVector(tuple(_decode_scalar(c, mode) for c in rec["weights"])).as_array()
+                stored = _stored_point(rec["weights"]) if exact else _stored_floats(rec["weights"]).as_array()
             except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                 error = f"step {t}: stored weights: {exc}"
                 break
@@ -426,7 +411,7 @@ def _read_steps(
 
 
 def _replay(
-    initial: np.ndarray,
+    initial: Stored,
     rows: np.ndarray,
     signs: np.ndarray,
     edges: np.ndarray,
@@ -459,8 +444,8 @@ def _replay(
     at the earliest step; at one step an edge fails before stored weights.
     """
     steps, n = signs.shape
-    if initial.dtype == object:
-        point, states = initial.tolist(), []
+    if type(initial) is list:
+        point, states = initial, []
         for t, (eta, s, d) in enumerate(zip(signs.tolist(), edges[:, 0].tolist(), edges[:, 1].tolist())):
             try:
                 p, q, point = _lattice_step(point, eta)
@@ -574,7 +559,14 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
     pool = HypothesisPool.from_matrix(signs, origin=pool_doc.get("origin", "synthetic"))
     rule = _decode_rule(_header_field(doc, "rule", dict), pool)
     n = pool.n_points
-    initial = WeightVector(tuple(_decode_scalar(c, mode) for c in _header_field(doc, "initial_weights", list)))
+    # the initial weights are read as a checkpoint's: values, then length
+    values = _header_field(doc, "initial_weights", list)
+    if mode == "exact":
+        start = _stored_point(values)
+        initial = WeightVector(tuple(Fraction(a, start[0]) for a in start[1:]))
+    else:
+        initial = _stored_floats(values)
+        start = initial.as_array()
     if len(initial) != n:
         raise TraceFormatError(f"initial_weights has {len(initial)} components, pool rows {n}")
     halt = doc.get("halt")
@@ -589,7 +581,6 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
         raise TraceFormatError(f"step {len(records) - 1}: the last step has no weights checkpoint")
     rows, edges, checkpoints, record_failure = _read_steps(records, pool, mode)
     signs = pool.signs[rows]
-    start = _lattice_point(initial) if mode == "exact" else initial.as_array()
     # the replay ends where the records failed, so its failure comes first
     states = _replay(start, rows, signs, edges, checkpoints)
     if record_failure is not None:

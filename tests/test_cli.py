@@ -1,11 +1,14 @@
 import argparse
 import json
+from fractions import Fraction
 from importlib import resources
+from xml.dom import minidom
 
 import pytest
 
 from boostcycles.cli import main
-from boostcycles.traceio import _parse_fraction, load_trace
+from boostcycles.engine import BoostTrace
+from boostcycles.traceio import _parse_ratio, load_trace
 
 from test_traceio import v2_dumps_trace
 
@@ -476,6 +479,23 @@ class TestPlot:
         assert exc.value.code == 2
         assert "bad reference value '1e400'" in capsys.readouterr().err
 
+    def test_title_is_escaped(self, golden_trace_file, tmp_path):
+        out = tmp_path / "e.svg"
+        assert run_cli("plot", golden_trace_file, "--out", str(out), "--title", "R&D <edges>") == 0
+        title = minidom.parse(str(out)).getElementsByTagName("text")[0]
+        assert title.firstChild.data == "R&D <edges>"
+
+    def test_dataset_name_is_escaped(self, tmp_path):
+        csv = tmp_path / "R&D <1>.csv"
+        csv.write_bytes(open(SYNTH3, "rb").read())
+        out_dir = tmp_path / "rep"
+        assert run_cli(
+            "replicate", "--dataset", str(csv), "--label", "label", "--positive", "a",
+            "--depth", "1", "--leaves", "2", "--iters", "50", "--out-dir", str(out_dir),
+        ) == 0
+        title = minidom.parse(str(out_dir / "edges.svg")).getElementsByTagName("text")[0]
+        assert title.firstChild.data == "edge values: R&D <1>.csv"
+
 
 class TestTinyTolerance:
     """A tol so small that tol / 10 overflows the collision keys (or is 0)
@@ -530,7 +550,7 @@ class TestHugeExactNumbers:
         # the line gives a long exact edge as a float and the length of its text
         last = doc["steps"][-1]["r_exact"]
         assert last.startswith("0x") and len(last) > 80
-        assert out == f"wrote {path}: 30 steps, final edge {float(_parse_fraction(last)):.12g} (exact value in the trace, {len(last)} characters)\n"
+        assert out == f"wrote {path}: 30 steps, final edge {float(Fraction(*_parse_ratio(last))):.12g} (exact value in the trace, {len(last)} characters)\n"
         assert doc["steps"][0]["r_exact"] == "3/7"  # small values keep the decimal form
         assert any(w.startswith("0x") for w in doc["steps"][-1]["weights"])
         assert run_cli("analyze", str(path)) == 0
@@ -544,6 +564,36 @@ class TestHugeExactNumbers:
         last = json.loads(path.read_text())["steps"][-1]["r_exact"]
         assert len(last) <= 80
         assert capsys.readouterr().out == f"wrote {path}: 6 steps, final edge {last}\n"
+
+
+class TestExactFinalEdge:
+    """`run --mode exact --out` prints the final edge from the last states
+    row's reduced (p, q), with BoostTrace.state never called; the lines are
+    those of the earlier printer, which read it through state(-1)."""
+
+    @pytest.mark.parametrize(
+        "source, tail",
+        [
+            (["--pool", POOL3, "--iters", "30"], "30 steps, final edge 832040/1346269"),
+            (
+                ["--pool", POOL3, "--iters", "300"],
+                "300 steps, final edge 0.61803398875 (exact value in the trace, 127 characters)",
+            ),
+            (
+                ["--dataset", IRIS, "--label", "species", "--positive", "versicolor", "--iters", "16"],
+                "16 steps, final edge 0.588169047375 (exact value in the trace, 9063 characters)",
+            ),
+        ],
+        ids=["pool-30", "pool-300", "iris-16"],
+    )
+    def test_line(self, tmp_path, capsys, monkeypatch, source, tail):
+        def state(trace, t):
+            raise AssertionError("BoostTrace.state was called")
+
+        monkeypatch.setattr(BoostTrace, "state", state)
+        path = tmp_path / "t.json"
+        assert run_cli("run", *source, "--mode", "exact", "--out", str(path)) == 0
+        assert capsys.readouterr().out == f"wrote {path}: {tail}\n"
 
 
 class TestAnalyzeSharing:
@@ -637,6 +687,21 @@ class TestDatasetOptions:
         assert summary["sample_size"] == 40 and summary["seed"] == 7
         for name in ("trace.json", "summary.json"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("sample", [["--sample", "20"], []], ids=["sampled", "unsampled"])
+    @pytest.mark.parametrize("command", ["run", "replicate"])
+    def test_negative_seed_usage_error(self, tmp_path, capsys, command, sample):
+        # a usage error with or without --sample, before numpy sees the seed
+        argv = [command, "--dataset", IRIS, "--label", "species", "--positive", "versicolor", *sample, "--seed", "-1"]
+        if command == "run":
+            argv += ["--iters", "3", "--out", str(tmp_path / "a.json")]
+        else:
+            argv += ["--out-dir", str(tmp_path / "rep")]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "a.json").exists() and not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("drop", ["--label", "--positive"])
     def test_run_dataset_needs_label_and_positive(self, capsys, drop):

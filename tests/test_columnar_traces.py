@@ -47,7 +47,7 @@ from boostcycles.traceio import (
     SCREEN_MARGIN,
     TraceFormatError,
     _decode_rule,
-    _parse_fraction,
+    _parse_ratio,
     _replay_drift,
     dumps_trace,
     load_trace,
@@ -181,7 +181,7 @@ def reference_run_on_dataset(ds, max_depth, max_leaves, t_max, mode, lattice_sta
 
 def reference_decode_scalar(value, mode):
     if mode == "exact":
-        return _parse_fraction(value) if isinstance(value, str) else Fraction(value)
+        return Fraction(*_parse_ratio(value)) if isinstance(value, str) else Fraction(value)
     return float(value)
 
 

@@ -1,53 +1,65 @@
+from xml.dom import minidom
+
 import pytest
 
-from boostcycles.figures import FigureSpec, render_line_chart, save_figure
+from boostcycles.figures import save_figure
 
 
-def spec_with(points, refs=()):
-    return FigureSpec(
-        title="edges",
-        x_label="iteration",
-        y_label="edge",
-        series=(("edge", tuple(points)),),
-        ref_lines=tuple(refs),
-    )
+def chart(tmp_path, edges, refs=(), title="edges", last=None):
+    """The SVG text save_figure writes for these edges."""
+    path = tmp_path / "f.svg"
+    save_figure(edges, str(path), title, refs, last)
+    return path.read_text()
 
 
 def test_deterministic_bytes(tmp_path):
-    spec = spec_with([(0, 0.3), (1, 0.5), (2, 0.61)], [(0.618, "golden")])
+    edges, refs = [0.3, 0.5, 0.61], [(0.618, "golden")]
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-    save_figure(spec, str(a))
-    save_figure(spec, str(b))
+    save_figure(edges, str(a), "edges", refs)
+    save_figure(edges, str(b), "edges", refs)
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_data_table_embedded():
-    points = [(0, 0.3333333333333333), (1, 0.49999999999999994)]
-    svg = render_line_chart(spec_with(points))
+def test_data_table_embedded(tmp_path):
+    edges = [0.3333333333333333, 0.49999999999999994]
+    svg = chart(tmp_path, edges)
     assert "<!-- data" in svg
-    for x, y in points:
-        assert f"{x!r},{y!r}" in svg
+    for t, y in enumerate(edges):
+        assert f"{float(t)!r},{y!r}" in svg
 
 
-def test_reference_line_labeled():
-    svg = render_line_chart(spec_with([(0, 0.3), (1, 0.7)], [(0.618, "(sqrt(5)-1)/2")]))
+def test_reference_line_labeled(tmp_path):
+    svg = chart(tmp_path, [0.3, 0.7], [(0.618, "(sqrt(5)-1)/2")])
     assert "(sqrt(5)-1)/2" in svg
     assert "stroke-dasharray" in svg
 
 
-def test_single_point_valid():
-    svg = render_line_chart(spec_with([(0, 0.5)]))
+def test_single_point_valid(tmp_path):
+    svg = chart(tmp_path, [0.5])
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
-def test_empty_rejected():
+def test_empty_rejected(tmp_path):
     with pytest.raises(ValueError):
-        render_line_chart(spec_with([]))
+        save_figure([], str(tmp_path / "f.svg"), "edges")
+    assert not (tmp_path / "f.svg").exists()
 
 
-def test_axis_labels_and_title():
-    svg = render_line_chart(spec_with([(0, 1.0), (5, 2.0)]))
+def test_axis_labels_and_title(tmp_path):
+    svg = chart(tmp_path, [1.0, 2.0])
     assert ">edges<" in svg and ">iteration<" in svg and ">edge<" in svg
+
+
+def test_last_steps_only(tmp_path):
+    svg = chart(tmp_path, [0.1, 0.2, 0.3, 0.4], last=2)
+    assert "2.0,0.3" in svg and "3.0,0.4" in svg and "1.0,0.2" not in svg
+
+
+def test_text_is_escaped(tmp_path):
+    svg = chart(tmp_path, [0.3, 0.7], [(0.5, "a<b & c>d")], title="R&D <edges>")
+    texts = [node.firstChild.data for node in minidom.parseString(svg).getElementsByTagName("text")]
+    assert texts[0] == "R&D <edges>" and texts[-1] == "a<b & c>d"
+    assert "ref: a<b & c>d = 0.5" in svg  # the data table keeps the label as given
 
 
 def test_ticks_below_the_spacing_of_doubles(run_python, tmp_path):

@@ -48,8 +48,8 @@ from boostcycles.cycles import SUBSUMS_INCONSISTENT, CheckResult, analyze_trace
 from boostcycles.traceio import (
     CHECKPOINT_EVERY,
     TraceFormatError,
-    _fraction_text,
-    _parse_fraction,
+    _parse_ratio,
+    _ratio_text,
     dumps_trace,
     loads_trace,
 )
@@ -145,10 +145,13 @@ def fraction_run_on_dataset(ds, max_depth, max_leaves, t_max, lattice_states):
 
 def fraction_steps(states, rows):
     """The step records of a v2 trace file, written from Fraction states."""
-    steps = [{"row": row, "r_exact": _fraction_text(r)} for row, r in zip(rows.tolist(), states[:, 0].tolist())]
+    steps = [
+        {"row": row, "r_exact": _ratio_text(r.numerator, r.denominator)}
+        for row, r in zip(rows.tolist(), states[:, 0].tolist())
+    ]
     if steps:
         for t in (*range(CHECKPOINT_EVERY - 1, len(steps) - 1, CHECKPOINT_EVERY), len(steps) - 1):
-            steps[t]["weights"] = [_fraction_text(c) for c in states[t, 1:].tolist()]
+            steps[t]["weights"] = [_ratio_text(c.numerator, c.denominator) for c in states[t, 1:].tolist()]
     return steps
 
 
@@ -206,13 +209,13 @@ def fraction_load(text):
     records = doc["steps"]
     rows = np.array([rec["row"] for rec in records], dtype=np.int64)
     edges = np.empty(len(records), dtype=object)
-    edges[:] = [_parse_fraction(rec["r_exact"]) for rec in records]
+    edges[:] = [Fraction(*_parse_ratio(rec["r_exact"])) for rec in records]
     checkpoints = {
-        t: np.array([_parse_fraction(c) for c in rec["weights"]], dtype=object)
+        t: np.array([Fraction(*_parse_ratio(c)) for c in rec["weights"]], dtype=object)
         for t, rec in enumerate(records)
         if "weights" in rec
     }
-    initial = np.array([_parse_fraction(c) for c in doc["initial_weights"]], dtype=object)
+    initial = np.array([Fraction(*_parse_ratio(c)) for c in doc["initial_weights"]], dtype=object)
     states, failure = fraction_replay(initial, rows, pool.signs[rows], edges, checkpoints)
     return (None, failure) if failure else (states, None)
 

@@ -503,6 +503,22 @@ class TestTrainTree:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             train_tree(ds, weights, 3, 4)
 
+    @pytest.mark.parametrize("weight", [1e308, 1e307, 2e306])
+    def test_weights_whose_sum_overflows(self, weight):
+        # 150 finite weights summing past the largest double (3e308 for
+        # 2e306) are rejected, and without a numpy overflow warning
+        ds = load_csv(IRIS, "species", "versicolor")
+        with pytest.raises(ValueError, match="finite sum"):
+            train_tree(ds, [weight] * ds.n, 3, 4)
+
+    def test_large_weights_with_a_finite_sum(self):
+        # 150 weights of 1e306 sum to 1.5e308 and grow the usual tree
+        ds = load_csv(IRIS, "species", "versicolor")
+        weights = [1e306] * ds.n
+        tree = train_tree(ds, weights, 3, 4)
+        assert tree.n_leaves == 4
+        assert tree == reference_train_tree(ds, weights, 3, 4)
+
     def test_zero_weights_allowed(self):
         # float runs underflow to 0.0; -0.0 is zero too
         ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [1, -1, 1, -1])

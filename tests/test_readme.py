@@ -8,7 +8,7 @@ from pathlib import Path
 
 import boostcycles as bc
 from boostcycles.cycles import analyze_trace
-from boostcycles.figures import FigureSpec, save_figure
+from boostcycles.figures import save_figure
 from boostcycles.traceio import dumps_trace, load_trace, loads_trace, save_trace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -51,6 +51,5 @@ def test_library_prints_nothing(capsys, tmp_path):
         trace.steps[-1]
     bc.detect_cycle(bc.run(pool, bc.FirstAbove(0.4), 500, "float"))
     list(bc.enumerate_orbits(3))
-    spec = FigureSpec("edges", "iteration", "edge", (("edge", ((0.0, 0.3), (1.0, 0.5))),))
-    save_figure(spec, str(tmp_path / "f.svg"))
+    save_figure([0.3, 0.5], str(tmp_path / "f.svg"), "edges")
     assert capsys.readouterr().out == ""

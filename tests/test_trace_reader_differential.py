@@ -24,10 +24,8 @@ from boostcycles.simplex import HypothesisPool, WeightVector
 from boostcycles.traceio import (
     ALPHA_REL_TOL,
     TraceFormatError,
-    _decode_scalar,
     _is_digits,
     _is_double,
-    _parse_fraction,
     _stored_point,
     dumps_trace,
     loads_trace,
@@ -49,10 +47,18 @@ def _parse_ratio(value) -> Tuple[int, int]:
             p, q = int(numerator), int(denominator) if slash else 1
             g = math.gcd(p, q)
             return p // g, q // g
-        value = _parse_fraction(value)
+        value = Fraction(*traceio._parse_ratio(value))
     else:
         value = Fraction(value)
     return value.numerator, value.denominator
+
+
+def _float(value) -> float:
+    """The replaced reader's float parse, as it was: a JSON number that
+    converts to a double."""
+    if not _is_double(value):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
 
 
 class _FirstFailure:
@@ -158,7 +164,7 @@ def scanning_read_steps(
             if exact:
                 stored = _stored_point(records[t]["weights"])
             else:
-                stored = WeightVector(tuple(_decode_scalar(c, mode) for c in records[t]["weights"])).as_array()
+                stored = WeightVector(tuple(map(_float, records[t]["weights"]))).as_array()
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             found.fail(t, f"step {t}: stored weights: {exc}", at_checkpoint=True)
             break
