@@ -36,12 +36,12 @@ picks each step's dichotomy and edge. The weights before each step are a
 row of one array: float64 in float mode, a lattice point in exact mode. Each
 step applies an update kernel to its row and writes the next (`_update` for
 floats, `_lattice_step` for a lattice point); float weights are divided by
-their left-to-right sum, bit-equal to Python's `sum`. The loop builds no
-per-step object: it appends the step's row, signs and edge, and the trace
-keeps them and the weight rows as three columns (see BoostTrace). `select`,
-`weight_update` and `simplex.edge_dot` are wrappers over the same kernels
-for single value objects. A trace's BoostSteps are built only when
-`BoostTrace.steps` is read.
+their left-to-right sum. The loop builds no per-step object: it appends the
+step's row, signs and edge, and the trace keeps them and the weight rows as
+three columns (see BoostTrace). `select`, `weight_update` and
+`simplex.edge_dot` are wrappers over the same kernels for single value
+objects. A trace's BoostSteps are built only when `BoostTrace.steps` is
+read.
 
 A float run fast-forwards through a cycle it has closed. The loop relies on
 one contract with `choose`: a step's choice is a function of the weights'
@@ -123,9 +123,9 @@ class FixedSequence:
 
 SelectionRule = Union[Optimal, FirstAbove, FixedSequence]
 
-# Float screening margin, per point. The reference edge (edge_dot, Python's
-# sum) and the matrix-vector product (any summation order) each add n exact
-# terms +-w_i, so each lies within (n-1) * eps/2 * sum(w) of the exact dot
+# Float screening margin, per point. The reference edge (edge_dot, summed
+# left to right) and the matrix-vector product (any summation order) each add
+# n exact terms +-w_i, so each lies within (n-1) * eps/2 * sum(w) of the exact dot
 # product (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1),
 # and sum(w) <= 1 + FLOAT_SUM_TOL. Let k be the row with the largest product.
 # Comparing an excluded row's reference edge with row k's crosses four such
@@ -138,18 +138,24 @@ SelectionRule = Union[Optimal, FirstAbove, FixedSequence]
 SCREEN_MARGIN = 4 * np.finfo(np.float64).eps
 
 
+def _check_schedule(rows: Sequence[int], pool: HypothesisPool) -> None:
+    """Raise IndexError at the first scheduled row outside the pool."""
+    for row in rows:
+        if not 0 <= row < len(pool):
+            raise IndexError(f"scheduled row {row} outside pool of {len(pool)} rows")
+
+
 def _select(w: np.ndarray, pool: HypothesisPool, rule: SelectionRule, t: int) -> Tuple[int, Scalar]:
     """The selection kernel: (row index, edge) for float64 weights, or for a
     lattice point in exact mode, where the edge is returned as its integer
-    numerator s over the point's denominator D. See `select`."""
+    numerator s over the point's denominator D. See `select`, which, like
+    `run`, checks a fixed schedule's rows first (`_check_schedule`)."""
     exact = w.dtype == object
     # the pool's signs in the weights' arithmetic: Python ints against the
     # numerators of a lattice point
     signs, weights = (pool.exact_signs, w[1:]) if exact else (pool.matrix, w)
     if isinstance(rule, FixedSequence):
         row = rule.rows[t % len(rule.rows)]
-        if not 0 <= row < len(pool):
-            raise IndexError(f"scheduled row {row} outside pool of {len(pool)} rows")
         return row, _signed_sums(signs[row : row + 1], weights).tolist()[0]
 
     if exact:
@@ -193,12 +199,15 @@ def select(
 ) -> Tuple[int, MistakeDichotomy, Scalar]:
     """Choose a dichotomy from the pool; returns (row index, dichotomy, edge).
 
-    The iteration index t only matters for FixedSequence schedules.
-    Raises WeakLearningFailure when Optimal (or the FirstAbove fallback)
-    finds no positive edge.
+    The iteration index t only matters for FixedSequence schedules, whose
+    row for t must lie in the pool (else IndexError). Raises
+    WeakLearningFailure when Optimal (or the FirstAbove fallback) finds no
+    positive edge.
     """
     if len(w) != pool.n_points:
         raise DimensionMismatch(f"weights have {len(w)} components, pool rows {pool.n_points}")
+    if isinstance(rule, FixedSequence):
+        _check_schedule((rule.rows[t % len(rule.rows)],), pool)
     if is_exact(w):
         point = _lattice_point(w)
         row, s = _select(point, pool, rule, t)
@@ -223,8 +232,8 @@ def _update(w: np.ndarray, eta: np.ndarray, r) -> Tuple[np.ndarray, np.ndarray]:
     axis, renormalised.
 
     eta holds the ±1 signs; r is one edge, or a column of edges (one per
-    weight row). The new weights are divided by their left-to-right sum
-    (bit-equal to Python's `sum`); returns them and that sum.
+    weight row). The new weights are divided by their left-to-right sum;
+    returns them and that sum.
     """
     new = eta * r  # exactly +-r
     new += 1.0
@@ -642,9 +651,13 @@ def run(pool: HypothesisPool, rule: SelectionRule, t_max: int, mode: str = "exac
 
     Deterministic: identical inputs give bit-identical traces. Halts early
     (recording the reason) if no positive edge exists or an edge reaches 1.
+    A FixedSequence's rows are all checked against the pool before step 0,
+    whatever t_max: a row outside it raises IndexError.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
+    if isinstance(rule, FixedSequence):
+        _check_schedule(rule.rows, pool)
     initial = uniform_weights(pool.n_points, mode)
     # one row per dichotomy, shared by the steps that choose it
     signs = list(pool.exact_signs if mode == "exact" else pool.matrix)

@@ -504,7 +504,8 @@ def run_on_dataset(
     exact = mode == "exact"
     y = np.asarray(ds.y, dtype=np.int64)
     memo = _SplitMemo(ds)
-    chosen: Dict[bytes, Tuple[int, MistakeDichotomy, np.ndarray]] = {}  # eta bytes -> (row, dichotomy, signs)
+    chosen: Dict[bytes, Tuple[int, np.ndarray]] = {}  # eta bytes -> (row, signs)
+    pool_rows: List[np.ndarray] = []  # the int8 signs of each row, in order of first use
 
     def choose(w: np.ndarray, t: int) -> Tuple[int, np.ndarray, Scalar]:
         # a lattice point's weights a_i / D, each correctly rounded
@@ -513,17 +514,19 @@ def run_on_dataset(
         eta = y * preds
         key = eta.tobytes()
         if key not in chosen:
-            entries = tuple(eta.tolist())
-            signs = np.array(entries, dtype=object if exact else np.float64)
-            chosen[key] = (len(chosen), MistakeDichotomy(entries), signs)
-        row, _, signs = chosen[key]
+            signs = np.array(eta.tolist(), dtype=object) if exact else eta.astype(np.float64)
+            chosen[key] = (len(chosen), signs)
+            pool_rows.append(eta.astype(np.int8))
+        row, signs = chosen[key]
         if exact:
             return row, signs, signs @ w[1:]  # the edge's numerator over D
         return row, signs, float(np.dot(w, signs))
 
     rows, signs, states, halt = boost(choose, initial, t_max)
     # rows are numbered in order of first use; a dichotomy met only on the
-    # halting step is not in the trace, unless no step was taken at all
+    # halting step is not in the trace, unless no step was taken at all.
+    # The rows are distinct, and each has a +1 (a tree's edge is not
+    # negative), so the matrix needs no check.
     used = int(rows.max()) + 1 if len(rows) else 1
-    pool = HypothesisPool(tuple(eta for _, eta, _ in list(chosen.values())[:used]), origin="learned")
+    pool = HypothesisPool.from_matrix(np.array(pool_rows[:used]), origin="learned")
     return BoostTrace(mode, pool, Optimal(), initial, rows, signs, states, halt)

@@ -283,9 +283,8 @@ def _signed_sums(signs: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     Object weights (Fractions, or the integer numerators of exact mode) are
     summed exactly, by a matrix product (the signs must be integers there). Float weights are
-    summed left to right (`np.add.accumulate`, as `np.cumsum` does), so each
-    sum is bit-equal to Python's `sum` over the same terms; the products
-    s_i * w_i are exact.
+    summed left to right (`np.add.accumulate`, as `np.cumsum` does); the
+    products s_i * w_i are exact.
     """
     if w.dtype == object:
         return signs @ w

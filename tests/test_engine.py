@@ -22,6 +22,7 @@ from boostcycles import (
     uniform_weights,
     weight_update,
 )
+import boostcycles.engine as engine
 from boostcycles.engine import _lattice_point, _lattice_step, _select, boost
 
 
@@ -72,6 +73,11 @@ class TestSelect:
     def test_fixed_sequence_bounds(self, pool3):
         with pytest.raises(IndexError):
             select(wv("1/3", "1/3", "1/3"), pool3, FixedSequence((5,)))
+        # only the row for t is checked
+        schedule = FixedSequence((0, 7))
+        assert select(wv("1/3", "1/3", "1/3"), pool3, schedule, 2)[0] == 0
+        with pytest.raises(IndexError, match="scheduled row 7 outside pool of 3 rows"):
+            select(wv("1/3", "1/3", "1/3"), pool3, schedule, 1)
 
     def test_weak_learning_failure(self):
         pool = HypothesisPool.from_signs([(1, -1, -1)])
@@ -369,6 +375,16 @@ class TestRun:
         a = run(pool3, FirstAbove(0.4), 120, "float")
         b = run(pool3, FirstAbove(0.4), 120, "float")
         assert a == b
+
+    @pytest.mark.parametrize("t_max", [1, 2, 5])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_schedule_checked_before_step_0(self, pool3, monkeypatch, mode, t_max):
+        # every scheduled row is checked once, before the loop selects
+        calls = []
+        monkeypatch.setattr(engine, "_select", lambda *args: calls.append(args))
+        with pytest.raises(IndexError, match="^scheduled row 7 outside pool of 3 rows$"):
+            run(pool3, FixedSequence((0, 7)), t_max, mode)
+        assert calls == []
 
     def test_halts_recorded(self):
         perfect = HypothesisPool.from_signs([(1, 1, 1)])

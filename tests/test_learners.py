@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import weakref
 from fractions import Fraction
@@ -22,6 +24,7 @@ from boostcycles import (
     uniform_weights,
 )
 from boostcycles import engine, learners
+from boostcycles.cli import main
 from boostcycles.learners import TreeHypothesis, TreeNode
 from boostcycles.traceio import dumps_trace
 
@@ -616,6 +619,17 @@ class TestRunOnDataset:
         ds = load_csv(IRIS, "species", "setosa")
         trace = run_on_dataset(ds, 3, 4, 5, "float")
         assert trace.halt == "perfect_classification"
+
+    def test_replicate_trace_pinned(self, tmp_path, capsys):
+        # replicate's trace.json on Iris versicolor, tree (3, 4), 1000
+        # iterations, with the dataset's path written as "iris.csv"
+        argv = ["replicate", "--dataset", IRIS, "--label", "species", "--positive", "versicolor",
+                "--depth", "3", "--leaves", "4", "--iters", "1000", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        text = (tmp_path / "trace.json").read_text().replace(json.dumps(IRIS), '"iris.csv"')
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4e07007b213af4dfa6685a6199ba97d33058ffbb84d6ab62be0d506f8750e73f"
+        )
 
 
 class TestDataset:

@@ -1,9 +1,9 @@
 """The trace reader's one pass over the step records, tested against the
 reader it replaced: kind-by-kind scans over the records that emulated, one
 check at a time, the order of a per-step reader. On a seeded corpus of
-tampered v1 and v2 documents both must give the same TraceFormatError
-message, or equal traces, except where the old scans reached a later step's
-non-numeric field before an earlier step's stored weights."""
+tampered v2 documents, with checkpoints as written and with the weights of
+every step, and v3 documents, both must give the same TraceFormatError
+message, or equal traces."""
 
 from __future__ import annotations
 
@@ -19,10 +19,8 @@ import numpy as np
 import pytest
 
 from boostcycles import Optimal, load_csv, run, run_on_dataset, traceio
-from boostcycles.engine import alpha
 from boostcycles.simplex import HypothesisPool, WeightVector
 from boostcycles.traceio import (
-    ALPHA_REL_TOL,
     TraceFormatError,
     _is_digits,
     _is_double,
@@ -31,7 +29,7 @@ from boostcycles.traceio import (
     loads_trace,
 )
 from test_engine import wide_pool
-from test_traceio import v1_trace_to_dict, v2_trace_to_dict
+from test_traceio import v2_trace_to_dict
 
 
 def _parse_ratio(value) -> Tuple[int, int]:
@@ -102,12 +100,6 @@ def scanning_read_steps(
         t = _first(records, lambda rec: type(rec) is dict)
         found.fail(t, f"step {t}: not a JSON object")
     records = records[: found.limit]
-    keys = set().union(*records)
-
-    if "t" in keys:
-        t = _first(enumerate(records), lambda item: item[1].get("t", item[0]) == item[0])
-        if t is not None:
-            found.fail(t, f"step {t}: recorded t is {records[t]['t']!r}")
 
     rows = _field(records[: found.limit], "row")
     if not (set(map(type, rows)) <= {int} and (not rows or 0 <= min(rows) and max(rows) < len(pool))):
@@ -117,14 +109,6 @@ def scanning_read_steps(
             found.fail(t, f"step {t}: row {row} outside pool of {len(pool)} rows")
         else:
             found.fail(t, f"step {t}: row {row!r} is not an integer")
-
-    if "eta" in keys:
-        strings = [r.to_string() for r in pool.rows]
-        t = _first(
-            zip(records[: found.limit], rows), lambda item: item[0].get("eta", strings[item[1]]) == strings[item[1]]
-        )
-        if t is not None:
-            found.fail(t, f"step {t}: eta {records[t]['eta']!r} is not pool row {rows[t]}")
 
     key = "r_exact" if exact else "r"
     raw = _field(records[: found.limit], key)
@@ -149,14 +133,6 @@ def scanning_read_steps(
         if outside.size:
             t = int(outside[0])
             found.fail(t, f"step {t}: edge {edge_column[t]} outside (0, 1)")
-
-    if "alpha" in keys:
-        for t, rec in enumerate(records[: found.limit]):
-            if "alpha" in rec:
-                a = alpha(Fraction(*edge_column[t]) if exact else edge_column[t])
-                if abs(float(rec["alpha"]) - a) > ALPHA_REL_TOL * a:
-                    found.fail(t, f"step {t}: alpha {rec['alpha']!r} is not alpha(r) = {a!r}")
-                    break
 
     checkpoints: Dict[int, np.ndarray] = {}
     for t in compress(count(), map(dict.__contains__, records[: found.limit], repeat("weights"))):
@@ -213,10 +189,6 @@ def non_object(doc, t, rng):
     doc["steps"][t] = rng.choice([[], "row", 3, None, [rec["row"]], list(rec)])
 
 
-def wrong_t(doc, t, rng):
-    doc["steps"][t]["t"] = rng.choice([t + 1, t - 1, str(t), None, t + 0.5])
-
-
 def row_not_int(doc, t, rng):
     rec = doc["steps"][t]
     choice = rng.randrange(5)
@@ -228,11 +200,6 @@ def row_not_int(doc, t, rng):
 
 def row_outside(doc, t, rng):
     doc["steps"][t]["row"] = rng.choice([-1, len(doc["pool"]["rows"]), 10**30])
-
-
-def wrong_eta(doc, t, rng):
-    rec, rows = doc["steps"][t], doc["pool"]["rows"]
-    rec["eta"] = rng.choice([r for r in rows if r != rows[rec["row"]]] + ["", 1])
 
 
 def edge_not_number(doc, t, rng):
@@ -284,15 +251,6 @@ def row_swapped(doc, t, rng):
     rec["row"] = (rec["row"] + rng.randint(1, len(doc["pool"]["rows"]) - 1)) % len(doc["pool"]["rows"])
 
 
-def alpha_mismatch(doc, t, rng):
-    rec = doc["steps"][t]
-    rec["alpha"] = rec.get("alpha", 0.5) * rng.choice([1.001, 0.999, -1, 0])
-
-
-def alpha_not_number(doc, t, rng):
-    doc["steps"][t]["alpha"] = rng.choice(["x", None, [1.0]])
-
-
 def weights_short(doc, t, rng):
     w = doc["steps"][t]["weights"]
     del w[rng.randrange(len(w)) :]
@@ -332,12 +290,9 @@ BAD_WEIGHTS = (weights_short, weights_non_positive, weights_widened)
 # tampers of stored weights, drawn among the steps that store them
 AT_CHECKPOINTS = BAD_WEIGHTS + (weights_moved,)
 TAMPERS = (
-    non_object, wrong_t, row_not_int, row_outside, wrong_eta, edge_not_number, edge_out_of_range,
-    edge_hexadecimal, edge_zero_denominator, edge_nan, edge_off, row_swapped, alpha_mismatch, alpha_not_number,
+    non_object, row_not_int, row_outside, edge_not_number, edge_out_of_range, edge_hexadecimal,
+    edge_zero_denominator, edge_nan, edge_off, row_swapped,
 ) + AT_CHECKPOINTS
-# a non-numeric alpha raises out of the replaced reader's alpha scan, which
-# ran before its scan of every step's stored weights
-RAISING = (alpha_not_number,)
 
 
 def tampered_documents(doc, rng, singles: int, pairs: int):
@@ -366,12 +321,6 @@ def tampered_documents(doc, rng, singles: int, pairs: int):
     yield [(steps - 1, "last_weights_removed")], json.dumps(copy)
 
 
-def reads_earlier_weights(plan) -> bool:
-    """The one case where the readers differ: stored weights that fail at
-    one step and a raising field at a later one."""
-    return any(f in BAD_WEIGHTS and g in RAISING and u > t for t, f in plan for u, g in plan)
-
-
 def base_documents() -> Dict[str, dict]:
     pool3 = HypothesisPool.from_signs([(-1, 1, 1), (1, -1, 1), (1, 1, -1)])
     iris = load_csv(str(resources.files("boostcycles") / "data" / "iris.csv"), "species", "versicolor")
@@ -386,9 +335,10 @@ def base_documents() -> Dict[str, dict]:
     docs = {}
     for name, trace in traces.items():
         docs[f"{name}-v2"] = v2_trace_to_dict(trace)
-        # every v1 step stores its weights: a prefix is a v1 document too
-        docs[f"{name}-v1"] = v1_trace_to_dict(trace)
-        del docs[f"{name}-v1"]["steps"][60:]
+        # every step stores its weights, as the v1 layout did: a prefix is a
+        # document too
+        docs[f"{name}-every"] = v2_trace_to_dict(trace, every=1)
+        del docs[f"{name}-every"]["steps"][60:]
     # the 3-point float run repeats bit for bit: its own layout stores 42 steps
     docs["pool3-float-v3"] = json.loads(dumps_trace(traces["pool3-float"]))
     assert docs["pool3-float-v3"]["schema"] == "boostcycles-trace-v3"
@@ -398,9 +348,9 @@ def base_documents() -> Dict[str, dict]:
 SINGLES, PAIRS = 30, 25
 # a fragment of each message the corpus must reach
 MESSAGES = (
-    "not a JSON object", "recorded t", "is not an integer", "outside pool", "is not pool row", "is not a number",
-    "outside (0, 1)", "is not alpha(r)", "stored weights: ", "weights have", "is not the edge of row",
-    "do not match the replayed update", "no weights checkpoint", "malformed trace: ",
+    "not a JSON object", "is not an integer", "outside pool", "is not a number", "outside (0, 1)",
+    "stored weights: ", "weights have", "is not the edge of row", "do not match the replayed update",
+    "no weights checkpoint", "malformed trace: ",
 )
 
 
@@ -412,7 +362,7 @@ def documents():
 class TestOnePassMatchesScans:
     def test_tampered_corpus(self, documents):
         rng = random.Random(20261019)
-        same = differ = 0
+        compared = 0
         messages = set()
         for name, doc in sorted(documents.items()):
             for plan, text in tampered_documents(doc, rng, SINGLES, PAIRS):
@@ -420,15 +370,7 @@ class TestOnePassMatchesScans:
                 messages.update(kind for kind in MESSAGES if kind in got[1])
                 if not plan:
                     assert got[0] == "trace", name
-                if not reads_earlier_weights(plan):
-                    assert got == expected, (name, plan)
-                    same += 1
-                    continue
-                # the earliest failing step wins: the weights, not the later field
-                ((t, _),) = [(t, f) for t, f in plan if f in BAD_WEIGHTS]
-                assert got[0] == "TraceFormatError" and got[1].startswith(f"step {t}: "), (name, plan, got)
-                assert "weights" in got[1] and expected[1].startswith("malformed trace: "), (name, plan)
-                differ += 1
-        assert same + differ == len(documents) * (SINGLES + PAIRS + 2)
-        assert differ > 0
+                assert got == expected, (name, plan)
+                compared += 1
+        assert compared == len(documents) * (SINGLES + PAIRS + 2)
         assert messages == set(MESSAGES)

@@ -55,48 +55,12 @@ def hex_fraction(text):
     return Fraction(int(numerator, 16), int(denominator or "1", 16))
 
 
-def v1_trace_to_dict(trace, provenance=None):
-    """The boostcycles-trace-v1 writer, kept as the reference for the v1
-    reader: every step stores t, row, eta, r, alpha and its weights."""
-    mode = trace.mode
-    steps = []
-    for s in trace.steps:
-        record = {
-            "t": s.t,
-            "row": s.row,
-            "eta": s.eta.to_string(),
-            "r": float(s.edge),
-            "alpha": s.alpha,
-            "weights": [scalar_text(c, mode) for c in s.weights_after],
-        }
-        if mode == "exact":
-            record["r_exact"] = str(Fraction(s.edge))
-        steps.append(record)
-    doc = {
-        "schema": "boostcycles-trace-v1",
-        "mode": mode,
-        "rule": _encode_rule(trace.rule),
-        "pool": {
-            "origin": trace.pool.origin,
-            "rows": [row.to_string() for row in trace.pool.rows],
-        },
-        "provenance": provenance or {},
-        "initial_weights": [scalar_text(c, mode) for c in trace.initial_weights],
-        "halt": trace.halt,
-        "steps": steps,
-    }
-    return doc
-
-
-def v1_dumps_trace(trace, provenance=None):
-    return json.dumps(v1_trace_to_dict(trace, provenance), indent=1) + "\n"
-
-
-def v2_trace_to_dict(trace, provenance=None):
+def v2_trace_to_dict(trace, provenance=None, every=CHECKPOINT_EVERY):
     """The boostcycles-trace-v2 writer, kept as the reference for the v2
-    reader: every step's row and edge, with the weights every
-    CHECKPOINT_EVERY steps and on the last step. It writes a float trace
-    that repeats bit for bit as v2 too, where dumps_trace writes v3."""
+    reader: every step's row and edge, with the weights every `every` steps
+    and on the last step. It writes a float trace that repeats bit for bit
+    as v2 too, where dumps_trace writes v3. With every=1 each step stores
+    its weights, as the v1 layout did."""
     mode = trace.mode
     exact = mode == "exact"
     states = trace.states
@@ -106,7 +70,7 @@ def v2_trace_to_dict(trace, provenance=None):
         edges = states[:, 0].tolist()
     steps = [{"row": row, "r_exact" if exact else "r": r} for row, r in zip(trace.rows.tolist(), edges)]
     if steps:
-        for t in (*range(CHECKPOINT_EVERY - 1, len(steps) - 1, CHECKPOINT_EVERY), len(steps) - 1):
+        for t in (*range(every - 1, len(steps) - 1, every), len(steps) - 1):
             if exact:
                 steps[t]["weights"] = [scalar_text(c, mode) for c in trace.state(t)[1:]]
             else:
@@ -126,10 +90,10 @@ def v2_trace_to_dict(trace, provenance=None):
     }
 
 
-def v2_dumps_trace(trace, provenance=None):
+def v2_dumps_trace(trace, provenance=None, every=CHECKPOINT_EVERY):
     """v2_trace_to_dict's document in dumps_trace's layout: one step record
     per line."""
-    doc = v2_trace_to_dict(trace, provenance)
+    doc = v2_trace_to_dict(trace, provenance, every)
     steps = ",\n".join(json.dumps(record) for record in doc.pop("steps"))
     return f'{json.dumps(doc)[:-1]}, "steps": [\n{steps}\n]}}\n'
 
@@ -362,8 +326,8 @@ def infinite_initial_weight(doc):
     doc["initial_weights"][0] = math.inf
 
 
-def huge_v1_alpha(doc):
-    doc["steps"][1]["alpha"] = 10**400
+def huge_threshold(doc):
+    doc["rule"] = {"kind": "first_above", "theta": 10**400}
 
 
 class TestOverflowingValues:
@@ -371,18 +335,17 @@ class TestOverflowingValues:
     as a float, is a malformed trace (exit 4), not a traceback."""
 
     @pytest.mark.parametrize(
-        "schema, tamper, message",
+        "tamper, message",
         [
-            ("v2", infinite_edge, "step 2: edge inf is not a number (cannot convert Infinity to integer ratio)"),
-            ("v2", infinite_stored_weight, "step 3: stored weights: cannot convert Infinity to integer ratio"),
-            ("v2", infinite_initial_weight, "malformed trace: cannot convert Infinity to integer ratio"),
-            ("v1", huge_v1_alpha, "malformed trace: int too large to convert to float"),
+            (infinite_edge, "step 2: edge inf is not a number (cannot convert Infinity to integer ratio)"),
+            (infinite_stored_weight, "step 3: stored weights: cannot convert Infinity to integer ratio"),
+            (infinite_initial_weight, "malformed trace: cannot convert Infinity to integer ratio"),
+            (huge_threshold, "malformed trace: int too large to convert to float"),
         ],
-        ids=["edge", "stored-weight", "initial-weight", "v1-alpha"],
+        ids=["edge", "stored-weight", "initial-weight", "threshold"],
     )
-    def test_exit_4(self, pool3, tmp_path, capsys, schema, tamper, message):
-        trace = run(pool3, Optimal(), 4, "exact")
-        doc = v1_trace_to_dict(trace) if schema == "v1" else json.loads(dumps_trace(trace))
+    def test_exit_4(self, pool3, tmp_path, capsys, tamper, message):
+        doc = json.loads(dumps_trace(run(pool3, Optimal(), 4, "exact")))
         tamper(doc)
         path = tmp_path / "t.json"
         path.write_text(json.dumps(doc))
@@ -440,16 +403,12 @@ def tamper_negative_row(doc):
     doc["steps"][1]["row"] = -1
 
 
-def tamper_eta(doc):
-    doc["steps"][1]["eta"] = doc["pool"]["rows"][0]
-
-
 def tamper_step_width(doc):
     split_last_weight(doc["steps"][1]["weights"])
 
 
 class TestTraceConsistency:
-    """Tampered v1 documents: the fields only v1 stores are still checked."""
+    """Tampered documents that store the weights of every step."""
 
     @pytest.mark.parametrize(
         "tamper, message",
@@ -457,26 +416,13 @@ class TestTraceConsistency:
             (tamper_initial_width, "initial_weights"),
             (tamper_row_range, "outside pool"),
             (tamper_negative_row, "outside pool"),
-            (tamper_eta, "is not pool row"),
             (tamper_step_width, "weights have"),
         ],
     )
     def test_tampered_trace_rejected(self, pool3, tamper, message):
-        doc = json.loads(v1_dumps_trace(run(pool3, Optimal(), 3, "exact")))
+        doc = v2_trace_to_dict(run(pool3, Optimal(), 3, "exact"), every=1)
         tamper(doc)
         with pytest.raises(TraceFormatError, match=message):
-            loads_trace(json.dumps(doc))
-
-    def test_tampered_alpha_rejected(self, pool3):
-        doc = v1_trace_to_dict(run(pool3, Optimal(), 3, "float"))
-        doc["steps"][1]["alpha"] *= 1.001
-        with pytest.raises(TraceFormatError, match="alpha"):
-            loads_trace(json.dumps(doc))
-
-    def test_tampered_t_rejected(self, pool3):
-        doc = v1_trace_to_dict(run(pool3, Optimal(), 3, "exact"))
-        doc["steps"][1]["t"] = 2
-        with pytest.raises(TraceFormatError, match="recorded t"):
             loads_trace(json.dumps(doc))
 
     @pytest.mark.parametrize(
@@ -487,11 +433,11 @@ class TestTraceConsistency:
         ],
         ids=["float", "exact"],
     )
-    def test_stored_weights_before_a_later_non_numeric_alpha(self, pool3, mode, message):
+    def test_stored_weights_before_a_later_non_numeric_edge(self, pool3, mode, message):
         # the earliest failing step wins, whatever fails at a later one
-        doc = v1_trace_to_dict(run(pool3, Optimal(), 4, mode))
+        doc = v2_trace_to_dict(run(pool3, Optimal(), 4, mode), every=1)
         del doc["steps"][1]["weights"][2:]
-        doc["steps"][2]["alpha"] = "x"
+        doc["steps"][2]["r_exact" if mode == "exact" else "r"] = "x"
         with pytest.raises(TraceFormatError) as info:
             loads_trace(json.dumps(doc))
         assert str(info.value) == message
@@ -543,24 +489,50 @@ class TestRoundTripCorpora:
         assert loads_trace(dumps_trace(synthetic3_trace)) == synthetic3_trace
 
 
+def v1_document(trace):
+    """The trace as a boostcycles-trace-v1 document: every step stores t,
+    row, eta, r (and r_exact in exact mode), alpha and its weights."""
+    doc = v2_trace_to_dict(trace, every=1)
+    doc["schema"] = "boostcycles-trace-v1"
+    for t, (rec, s) in enumerate(zip(doc["steps"], trace.steps)):
+        rec.update(t=t, eta=s.eta.to_string(), r=float(s.edge), alpha=s.alpha)
+    return doc
+
+
 class TestV1Reader:
+    """v1 documents are not read. Their layout, the weights of every step,
+    is still read in v2 documents: the float replay takes a checkpoint on
+    any step."""
+
+    def test_v1_document_unsupported(self, pool3, tmp_path, capsys):
+        for mode in ("exact", "float"):
+            doc = v1_document(run(pool3, Optimal(), 30, mode))
+            with pytest.raises(TraceFormatError) as info:
+                loads_trace(json.dumps(doc))
+            assert str(info.value) == "unsupported schema 'boostcycles-trace-v1'"
+            path = tmp_path / f"{mode}.json"
+            path.write_text(json.dumps(doc))
+            assert main(["analyze", str(path)]) == 4
+            assert capsys.readouterr().err.strip().endswith("unsupported schema 'boostcycles-trace-v1'")
+
     def test_exact_and_float_runs(self, pool3):
         for rule in (Optimal(), FirstAbove(Fraction(2, 5)), FixedSequence((0, 1, 2))):
             for mode in ("exact", "float"):
                 trace = run(pool3, rule, 150, mode)
-                assert loads_trace(v1_dumps_trace(trace)) == trace
+                assert loads_trace(v2_dumps_trace(trace, every=1)) == trace
 
     def test_fuzz_exact_traces(self, fuzz_exact_traces):
         for trace in fuzz_exact_traces[:200]:
-            assert loads_trace(v1_dumps_trace(trace)) == trace
+            assert loads_trace(v2_dumps_trace(trace, every=1)) == trace
 
     def test_dataset_runs(self, iris_trace, synthetic3_trace):
-        assert loads_trace(v1_dumps_trace(iris_trace)) == iris_trace
-        assert loads_trace(v1_dumps_trace(synthetic3_trace)) == synthetic3_trace
+        assert loads_trace(v2_dumps_trace(iris_trace, every=1)) == iris_trace
+        assert loads_trace(v2_dumps_trace(synthetic3_trace, every=1)) == synthetic3_trace
 
     def test_v1_rewritten_as_v2(self, pool3):
+        # the v1 layout, every step's weights, is written again with checkpoints
         trace = run(pool3, Optimal(), 30, "exact")
-        assert dumps_trace(loads_trace(v1_dumps_trace(trace))) == dumps_trace(trace)
+        assert dumps_trace(loads_trace(v2_dumps_trace(trace, every=1))) == dumps_trace(trace)
 
 
 def float_edge_off(doc):
@@ -629,9 +601,10 @@ class TestReplayVerification:
         path.write_text(text)
         assert main(["analyze", str(path)]) == 4
 
-    @pytest.mark.parametrize("tamper", [tamper_eta, tamper_step_width, tamper_row_range])
+    @pytest.mark.parametrize("tamper", [tamper_step_width, tamper_row_range])
     def test_tampered_v1_exits_4(self, pool3, tmp_path, tamper):
-        doc = v1_trace_to_dict(run(pool3, Optimal(), 3, "exact"))
+        # a document in the v1 layout: every step stores its weights
+        doc = v2_trace_to_dict(run(pool3, Optimal(), 3, "exact"), every=1)
         tamper(doc)
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(doc))
