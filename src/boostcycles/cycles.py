@@ -13,9 +13,9 @@ run as array kernels over the trace's columns: its signs, its states and the
 float64 `BoostTrace.state_matrix` (the states themselves in float mode):
 
 - Cycle detection compares float64 states in both modes, within tol (exact
-  values rounded to the nearest double). Candidate periods come from
-  quantized-state collisions in float mode and from exact state equality in
-  exact mode.
+  values rounded to the nearest double). The candidate periods are the
+  distances back to the second-half steps within tol of the last state,
+  tried least first.
 - The identity checks (edge update, subsums) read the group masks of every
   transition, computed once per analysis (`transition_groups`), and the
   previous weights' mass on each group, summed block by block as the checks
@@ -299,25 +299,6 @@ class CycleReport:
         return self.periodic_violation is None
 
 
-def _prime_factors(n: int) -> List[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-# The smallest quantum of the float collision keys. State values lie in
-# [0, 1 + FLOAT_SUM_TOL], so a value divided by it stays finite however
-# small tol is; below it the keys tell apart every value above 2**-970.
-_MIN_QUANTUM = np.finfo(np.float64).tiny
-
 # Rows of the phase walk-back compared at once: a cycle reached late in a
 # long trace does not pay for a scan of the whole trace, and the temporary
 # stays small beside the state matrix.
@@ -332,12 +313,13 @@ def detect_cycle(
     """Find the smallest period k such that edges and weight vectors repeat
     within tol over min_repeats consecutive trailing periods.
 
-    The first half of the trace is burn-in: candidate periods come from
-    quantized-state collisions of steps in the second half with the final
-    state (plus a direct scan of small periods), so that min_repeats
-    periods fit in that half; each candidate is verified by a tolerance
-    sweep and reduced to its primitive period. Returns None when nothing
-    qualifies.
+    The first half of the trace is burn-in, so that min_repeats periods fit
+    in the second half. A period k can pass only if the state k steps
+    before the last one is within tol of it; those steps in the second
+    half give the candidates, which are tried least first against every
+    state of the window. The first that passes is the least period, and so
+    primitive: a proper divisor would have passed first. Returns None when
+    nothing qualifies.
     """
     n_steps = len(trace)
     if min_repeats < 2:
@@ -360,41 +342,19 @@ def detect_cycle(
         d = deviation(k, n_steps - min_repeats * k, n_steps - k)
         return None if (d > tol).any() else float(d.max())
 
-    # steps t >= burn_in whose state collides with the last one
-    tail = states[burn_in:]
-    if trace.mode == "float":
-        keys = tail / max(tol / 10, _MIN_QUANTUM)
-        np.rint(keys, out=keys)
-        hits = (np.flatnonzero((keys[:-1] == keys[-1]).all(axis=1)) + burn_in).tolist()
-    else:
-        # equal states round to equal doubles: screen on those, then
-        # confirm with exact equality
-        screened = np.flatnonzero((tail[:-1] == tail[-1]).all(axis=1)) + burn_in
-        last = trace.states[-1].tolist()
-        hits = [t for t in screened.tolist() if trace.states[t].tolist() == last]
-    candidates = set(range(1, min(k_max, 64) + 1))
-    candidates.update(n_steps - 1 - t for t in hits)
-
-    period = None
-    residual = 0.0
-    for k in sorted(c for c in candidates if c <= k_max):
-        res = verified(k)
-        if res is not None:
-            period, residual = k, res
+    # the steps t >= burn_in within tol of the last state (the negation of
+    # verified's failure test), as periods n - 1 - t, least first
+    d = states[burn_in:-1] - states[-1]
+    near = np.flatnonzero(~(np.abs(d, out=d) > tol).any(axis=1))
+    for k in (n_steps - 1 - burn_in - near[::-1]).tolist():
+        if k > k_max:
+            return None
+        residual = verified(k)
+        if residual is not None:
+            period = k
             break
-    if period is None:
+    else:
         return None
-
-    # collapse to the primitive period if a proper divisor also verifies
-    reduced = True
-    while reduced:
-        reduced = False
-        for f in _prime_factors(period):
-            res = verified(period // f)
-            if res is not None:
-                period, residual = period // f, res
-                reduced = True
-                break
 
     # walk back from the verified window while states one period apart
     # agree. When the period is a multiple of the trace's bit period, states

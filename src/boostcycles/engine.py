@@ -119,6 +119,9 @@ class FixedSequence:
     def __post_init__(self) -> None:
         if not self.rows:
             raise ValueError("empty row schedule")
+        for row in self.rows:
+            if type(row) is not int:
+                raise TypeError(f"scheduled row {row!r} is not an integer")
 
 
 SelectionRule = Union[Optimal, FirstAbove, FixedSequence]

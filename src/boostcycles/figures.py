@@ -8,11 +8,18 @@ so a figure can be audited against its trace.
 from __future__ import annotations
 
 import math
+import re
 from html import escape  # with quote=False, the text of xml.sax.saxutils.escape, without its 45 imports
 from typing import Optional, Sequence, Tuple
 
 WIDTH, HEIGHT = 900, 540
 COLOR = "#1f6fb2"
+
+# What XML 1.0 cannot hold: C0 controls other than tab, LF and CR, lone
+# surrogates (a byte of a non-UTF-8 argv decodes to one), U+FFFE and U+FFFF.
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# A dash followed by a dash, which would end the data comment early.
+_DOUBLE_DASH = re.compile("-(?=-)")
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> Tuple[float, ...]:
@@ -53,8 +60,11 @@ def save_figure(
 ) -> None:
     """Write edge against iteration (the step t) as a WIDTH x HEIGHT SVG
     chart: every step's edge, or the last `last` ones, with a dashed line
-    for each (value, label) in refs. The title and the labels are escaped
-    as XML text (&, < and >)."""
+    for each (value, label) in refs. In the title and the labels, each
+    character XML cannot hold becomes U+FFFD; they are then escaped as XML
+    text (&, < and >), and a label's `--` is broken in the data comment."""
+    title = _NOT_XML.sub("\ufffd", title)
+    refs = [(value, _NOT_XML.sub("\ufffd", label)) for value, label in refs]
     pts = [(float(t), edge) for t, edge in enumerate(edges)]
     if last:
         pts = pts[-last:]
@@ -87,7 +97,7 @@ def save_figure(
         "<!-- data",
         "series: edge",
         *(f"{x!r},{y!r}" for x, y in pts),
-        *(f"ref: {label} = {value!r}" for value, label in refs),
+        *(f"ref: {_DOUBLE_DASH.sub('- ', label)} = {value!r}" for value, label in refs),
         "-->",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
@@ -132,5 +142,5 @@ def save_figure(
     if len(pts) <= 400:
         out.extend(f'<circle cx="{px(x)}" cy="{py(y)}" r="1.6" fill="{COLOR}"/>' for x, y in pts)
     out.append("</svg>")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")

@@ -124,13 +124,14 @@ def _limit_address_space() -> None:
 def run_python():
     """Run Python source in a child interpreter that imports this checkout's
     boostcycles, under a time limit and an address-space cap; returns the
-    CompletedProcess (stdout and stderr as text)."""
+    CompletedProcess (stdout and stderr as text). args go to the child's
+    sys.argv[1:], as str or bytes."""
     src = str(Path(boostcycles.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
 
-    def run(source: str, cwd: Path, timeout: float = 120) -> subprocess.CompletedProcess:
+    def run(source: str, cwd: Path, timeout: float = 120, args=()) -> subprocess.CompletedProcess:
         return subprocess.run(
-            [sys.executable, "-c", source],
+            [sys.executable, "-c", source, *args],
             capture_output=True,
             text=True,
             timeout=timeout,

@@ -181,6 +181,20 @@ def reference_detect_cycle(trace, tol=1e-9, min_repeats=3):
     return CycleReport(period, edge_period, phase, edge_values, weight_cycle, violation, residual, tol)
 
 
+def least_passing_period(trace, tol=1e-9, min_repeats=3):
+    """The definition of the period, by brute force: the least k in
+    1 .. k_max whose trailing window of min_repeats periods repeats within
+    tol, or None."""
+    n_steps = len(trace)
+    k_max = (n_steps - n_steps // 2) // min_repeats
+    edges = [s.edge for s in trace.steps]
+    weights = [s.weights_after for s in trace.steps]
+    for k in range(1, k_max + 1):
+        if _window_periodic(edges, weights, k, n_steps - min_repeats * k, n_steps, tol) is not None:
+            return k
+    return None
+
+
 def _weights_close(a, b, tol):
     if len(a) != len(b):
         return False
@@ -370,6 +384,22 @@ def named_traces(pool3, golden_exact, golden_float, twocycle_float):
     return traces
 
 
+def _tiled_70(trace):
+    """The trace's first 70 steps, reversed so that each block ends on the
+    unsettled first steps, repeated 7 times: period 70."""
+    return take_steps(trace, np.tile(np.arange(69, -1, -1), 7))
+
+
+def _moved_last_state(trace):
+    """The exact trace with its last state moved by less than a double can
+    show: the same state matrix, but no longer an exact repeat."""
+    states = trace.states.copy()
+    states[-1, 2:] *= 2**200  # D and the a_i
+    states[-1, 3] += 1
+    states[-1, 4] -= 1
+    return replace(trace, states=states)
+
+
 def _float_bits(x):
     return float(x).hex()
 
@@ -466,28 +496,25 @@ class TestNamedTraces:
         assert periods["golden exact 300"] == 3
 
     def test_long_exact_repeats(self, named_traces):
-        # a state sequence repeating exactly with period 70 > 64 is found
-        # only through the collisions with the last state, in both modes
+        # a state sequence repeating exactly with period 70, in both modes
         for name in ("golden exact 300", "golden float 2000"):
-            trace = named_traces[name]
-            # reversed, so that each block ends on the unsettled first steps
-            repeated = take_steps(trace, np.tile(np.arange(69, -1, -1), 7))
+            repeated = _tiled_70(named_traces[name])
             report = detect_cycle(repeated)
             assert report.period == 70 and report.residual == 0.0, name
             assert_same_report(report, reference_detect_cycle(repeated), name)
 
     def test_exact_confirmation_of_float_collisions(self, named_traces):
-        # the last state, moved by less than a double can show, collides with
-        # its earlier copies as doubles but not exactly: no period is proposed
-        repeated = take_steps(named_traces["golden exact 300"], np.tile(np.arange(69, -1, -1), 7))
-        assert detect_cycle(repeated).period == 70
-        states = repeated.states.copy()
-        states[-1, 2:] *= 2**200  # D and the a_i
-        states[-1, 3] += 1
-        states[-1, 4] -= 1
-        moved = replace(repeated, states=states)
+        # the last state, moved by less than a double can show, repeats
+        # within tol but not exactly: the period is that of the unmoved trace
+        repeated = _tiled_70(named_traces["golden exact 300"])
+        moved = _moved_last_state(repeated)
         assert np.array_equal(moved.state_matrix, repeated.state_matrix)
-        assert detect_cycle(moved) is None
+        assert moved.states[-1].tolist() != repeated.states[-1].tolist()
+        want = detect_cycle(repeated)
+        got = detect_cycle(moved)
+        assert got.period == 70 and got.residual == 0.0
+        assert (got.period, got.phase, got.edge_period) == (want.period, want.phase, want.edge_period)
+        assert got.period == least_passing_period(moved)
 
     def test_float_group_masses(self, named_traces):
         for name, trace in named_traces.items():
@@ -606,9 +633,35 @@ class TestFuzzCorpora:
                 assert got == want, (i, start_a)
 
 
+class TestLeastPassingPeriod:
+    """detect_cycle's period is the least k <= k_max whose window passes."""
+
+    CASES = [(tol, m) for tol in (1e-9, 1e-12) for m in (2, 3, 5)]
+
+    def assert_least(self, trace, case):
+        for tol, min_repeats in self.CASES:
+            report = detect_cycle(trace, tol, min_repeats)
+            got = None if report is None else report.period
+            assert got == least_passing_period(trace, tol, min_repeats), (case, tol, min_repeats)
+
+    def test_named_traces(self, named_traces):
+        for name, trace in named_traces.items():
+            self.assert_least(trace, name)
+        for name in ("golden exact 300", "golden float 2000"):
+            self.assert_least(_tiled_70(named_traces[name]), (name, "tiled"))
+        self.assert_least(_moved_last_state(_tiled_70(named_traces["golden exact 300"])), "moved")
+
+    def test_fuzz_exact_traces(self, fuzz_exact_traces):
+        for i, trace in enumerate(fuzz_exact_traces):
+            self.assert_least(trace, i)
+
+    def test_fuzz_float_cycles(self, fuzz_float_cycles):
+        for i, (trace, _) in enumerate(fuzz_float_cycles):
+            self.assert_least(trace, i)
+
+
 class TestTinyTolerance:
-    """Quantising by tol / 10 must not overflow or divide by zero, however
-    small tol is: the keys then tell apart every distinct value."""
+    """detect_cycle works however small tol is."""
 
     @pytest.mark.parametrize("tol", [1e-300, 1e-320, 5e-324])
     def test_detect_cycle(self, golden_float, tol):

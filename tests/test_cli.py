@@ -502,6 +502,15 @@ class TestPlot:
         title = minidom.parse(str(out)).getElementsByTagName("text")[0]
         assert title.firstChild.data == "R&D <edges>"
 
+    def test_title_not_utf8(self, run_python, golden_trace_file, tmp_path):
+        # an argv byte that is not UTF-8 decodes to a lone surrogate, which
+        # the SVG holds as U+FFFD
+        argv = ["plot", golden_trace_file, "--out", "t.svg", "--title", b"a\xffb"]
+        proc = run_python("import sys\nfrom boostcycles.cli import main\nsys.exit(main())", tmp_path, args=argv)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        title = minidom.parse(str(tmp_path / "t.svg")).getElementsByTagName("text")[0]
+        assert title.firstChild.data == "a\ufffdb"
+
     def test_dataset_name_is_escaped(self, tmp_path):
         csv = tmp_path / "R&D <1>.csv"
         csv.write_bytes(open(SYNTH3, "rb").read())

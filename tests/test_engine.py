@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -385,6 +386,17 @@ class TestRun:
         with pytest.raises(IndexError, match="^scheduled row 7 outside pool of 3 rows$"):
             run(pool3, FixedSequence((0, 7)), t_max, mode)
         assert calls == []
+
+    @pytest.mark.parametrize("row", [1.5, "0", True, np.int64(1)])
+    def test_schedule_rows_must_be_ints(self, row):
+        # the rule the trace reader applies: a row that is not an int, bools
+        # included, is rejected when the schedule is built
+        with pytest.raises(TypeError, match=f"^{re.escape(f'scheduled row {row!r} is not an integer')}$"):
+            FixedSequence((row, 2))
+
+    def test_int_schedule_runs(self, pool3):
+        trace = run(pool3, FixedSequence((1, 2, 0)), 6, "exact")
+        assert [s.row for s in trace.steps] == [1, 2, 0, 1, 2, 0]
 
     def test_halts_recorded(self):
         perfect = HypothesisPool.from_signs([(1, 1, 1)])

@@ -9,7 +9,7 @@ def chart(tmp_path, edges, refs=(), title="edges", last=None):
     """The SVG text save_figure writes for these edges."""
     path = tmp_path / "f.svg"
     save_figure(edges, str(path), title, refs, last)
-    return path.read_text()
+    return path.read_text(encoding="utf-8")
 
 
 def test_deterministic_bytes(tmp_path):
@@ -60,6 +60,25 @@ def test_text_is_escaped(tmp_path):
     texts = [node.firstChild.data for node in minidom.parseString(svg).getElementsByTagName("text")]
     assert texts[0] == "R&D <edges>" and texts[-1] == "a<b & c>d"
     assert "ref: a<b & c>d = 0.5" in svg  # the data table keeps the label as given
+
+    # each character XML 1.0 cannot hold becomes U+FFFD, in the text and in
+    # the data table
+    cases = [
+        ("a\x01b", "a\ufffdb"),  # a C0 control
+        ("\x1c1/2", "\ufffd1/2"),  # Fraction reads \x1c as whitespace
+        ("a\udcffb", "a\ufffdb"),  # a lone surrogate, as a non-UTF-8 argv byte decodes
+        ("\ufffe\uffff", "\ufffd\ufffd"),
+        ("tab\tkept", "tab\tkept"),
+    ]
+    for given, shown in cases:
+        svg = chart(tmp_path, [0.3, 0.7], [(0.5, given)], title=given)
+        texts = [node.firstChild.data for node in minidom.parseString(svg).getElementsByTagName("text")]
+        assert texts[0] == shown and texts[-1] == shown, given
+        assert f"ref: {shown} = 0.5" in svg, given
+    # a `--` would end the data comment early
+    svg = chart(tmp_path, [0.3, 0.7], [(0.5, "a--b---c")])
+    assert minidom.parseString(svg).getElementsByTagName("text")[-1].firstChild.data == "a--b---c"
+    assert "ref: a- -b- - -c = 0.5" in svg
 
 
 def test_ticks_below_the_spacing_of_doubles(run_python, tmp_path):
