@@ -27,11 +27,10 @@ from .cycles import (
     analyze_trace,
 )
 from .engine import FirstAbove, FixedSequence, Optimal
-from .farey import GOLDEN, MAX_ENUMERATION_LENGTH, FareyWord, decimals, enumerate_orbits, orbit_values
+from .farey import GOLDEN, MAX_ENUMERATION_LENGTH, FareyWord, _ratio_text, decimals, enumerate_orbits, orbit_values
 from .figures import save_figure
 from .traceio import (
     TraceFormatError,
-    _ratio_text,
     dumps_trace,
     load_pool,
     load_trace,
@@ -155,26 +154,25 @@ def cmd_run(args, parser) -> int:
     return EXIT_OK
 
 
-def _report_cycle(report: Optional[CycleReport], mode: str, out) -> None:
+def _report_cycle(report: Optional[CycleReport], mode: str) -> None:
     if report is None:
-        print("no cycle detected", file=out)
+        print("no cycle detected")
         return
     print(
         f"cycle: period {report.period} (edges alone: {report.edge_period}), "
-        f"phase {report.phase}, residual {report.residual:.3g}",
-        file=out,
+        f"phase {report.phase}, residual {report.residual:.3g}"
     )
     values = ", ".join(_fmt(v, mode) for v in report.edge_values)
-    print(f"edge values: {values}", file=out)
+    print(f"edge values: {values}")
     if report.periodic_learning_holds:
-        print("periodic learning condition holds on the cycling window", file=out)
+        print("periodic learning condition holds on the cycling window")
     else:
         i, t = report.periodic_violation
-        print(f"periodic learning condition violated at point {i}, iteration {t}", file=out)
+        print(f"periodic learning condition violated at point {i}, iteration {t}")
     if report.farey_word is not None:
-        print(f"matched word: {report.farey_word} (canonical {report.farey_word.canonical()})", file=out)
+        print(f"matched word: {report.farey_word} (canonical {report.farey_word.canonical()})")
     else:
-        print("no Farey word matches the edge cycle", file=out)
+        print("no Farey word matches the edge cycle")
 
 
 def cmd_analyze(args, parser) -> int:
@@ -191,7 +189,7 @@ def cmd_analyze(args, parser) -> int:
 
     names = requested if requested is not None else ALL_CHECKS
     report, results = analyze_trace(trace, args.tol, args.min_repeats, names)
-    _report_cycle(report, trace.mode, sys.stdout)
+    _report_cycle(report, trace.mode)
     for result in results:
         print(f"check {result.name}: {'pass' if result.ok else 'FAIL'} - {result.detail}")
 

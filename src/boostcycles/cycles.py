@@ -44,7 +44,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import BoostTrace, _lattice_point, _tiling
+from .engine import STEP_BLOCK, BoostTrace, _lattice_point, _tiling
 from .farey import FareyWord, inv_L, inv_R
 from .simplex import (
     MistakeDichotomy,
@@ -136,15 +136,12 @@ class TransitionGroups:
         return TransitionGroups(*(getattr(self, f.name)[index] for f in fields(self)))
 
     def blocks(self) -> Iterator[Tuple[int, "TransitionGroups"]]:
-        """(first row, the groups of the next _GROUP_BLOCK rows), in order.
+        """(first row, the groups of the next STEP_BLOCK rows), in order.
         The checks read the masses and evaluate their expressions block by
         block, so that their temporaries (large integers, in exact mode) are
         one block's rather than the whole trace's."""
-        for lo in range(0, len(self.r_prev), _GROUP_BLOCK):
-            yield lo, self.rows(slice(lo, lo + _GROUP_BLOCK))
-
-
-_GROUP_BLOCK = 256
+        for lo in range(0, len(self.r_prev), STEP_BLOCK):
+            yield lo, self.rows(slice(lo, lo + STEP_BLOCK))
 
 
 def transition_groups(trace: BoostTrace, stop: Optional[int] = None) -> TransitionGroups:
@@ -299,12 +296,6 @@ class CycleReport:
         return self.periodic_violation is None
 
 
-# Rows of the phase walk-back compared at once: a cycle reached late in a
-# long trace does not pay for a scan of the whole trace, and the temporary
-# stays small beside the state matrix.
-_WALK_BACK_BLOCK = 256
-
-
 def detect_cycle(
     trace: BoostTrace,
     tol: float = 1e-9,
@@ -366,7 +357,7 @@ def detect_cycle(
     if repeat is not None and period % repeat[1] == 0:
         phase = min(phase, repeat[0])
     while phase > 0:
-        lo = max(0, phase - _WALK_BACK_BLOCK)
+        lo = max(0, phase - STEP_BLOCK)
         apart = np.flatnonzero(deviation(period, lo, phase) > tol)
         if apart.size:
             phase = lo + int(apart[-1]) + 1

@@ -138,7 +138,17 @@ SelectionRule = Union[Optimal, FirstAbove, FixedSequence]
 # row whose product is below theta - margin has a reference edge within
 # (n-1) * eps * sum(w) of it, so below theta with room to spare for the
 # rounding of theta - margin itself.
+# The loop's float weights (uniform 1/n, or quotients by their left-to-right
+# sum, each correctly rounded) sum to within about n * eps/2 of 1, so a float
+# sum of them all, in any order, lies within n * eps of 1: a mistake-free
+# dichotomy's edge is within a quarter of the margin of 1.
 SCREEN_MARGIN = 4 * np.finfo(np.float64).eps
+
+
+# Steps per block of an array pass over a trace (the float replay's edge
+# check, the transition checks, the phase walk-back): its temporaries are one
+# block's, not the whole trace's, and the walk-back stops at its first block.
+STEP_BLOCK = 256
 
 
 def _check_schedule(rows: Sequence[int], pool: HypothesisPool) -> None:
@@ -191,10 +201,7 @@ def _select(w: np.ndarray, pool: HypothesisPool, rule: SelectionRule, t: int) ->
         rows = (approx >= approx[approx.argmax()] - margin).nonzero()[0]
         edges = _signed_sums(signs[rows], w)
     best = int(edges.argmax())  # the first maximum: ties go to the lowest row
-    edge = edges.tolist()[best]
-    if edge <= 0:
-        raise WeakLearningFailure("all available edges are <= 0")
-    return int(rows[best]), edge
+    return int(rows[best]), edges.tolist()[best]
 
 
 def select(
@@ -214,8 +221,11 @@ def select(
     if is_exact(w):
         point = _lattice_point(w)
         row, s = _select(point, pool, rule, t)
-        return row, pool[row], Fraction(s, point[0])
-    row, edge = _select(w.as_array(), pool, rule, t)
+        edge = Fraction(s, point[0])
+    else:
+        row, edge = _select(w.as_array(), pool, rule, t)
+    if edge <= 0 and not isinstance(rule, FixedSequence):
+        raise WeakLearningFailure("all available edges are <= 0")
     return row, pool[row], edge
 
 
@@ -584,16 +594,17 @@ def boost(
     and the remaining rows, signs and states are those of steps onset ..
     onset + period - 1, tiled. Such a run cannot halt.
 
-    Each iteration asks choose for a dichotomy and its edge, halts when
-    choose raises WeakLearningFailure or the edge leaves (0, 1), and applies
-    the update kernel to the weights. A float edge at most SCREEN_MARGIN * n
-    is a weak-learning failure too: it lies within the screen's rounding
-    bound of 0, where exact AdaBoost finds an edge of exactly 0 (the chosen
-    row's edge right after an update of that row). In exact mode choose
-    gives the edge's numerator s over the lattice point's denominator D, so
-    the halts are s <= 0 and s >= D; `_lattice_step` derives the edge from
-    the weights, and a choose whose s is not that edge's numerator raises
-    ValueError.
+    Each iteration asks choose for a dichotomy and its edge, halts when the
+    edge leaves (0, 1) (the halts are decided here alone), and applies the
+    update kernel to the weights. A float edge at most SCREEN_MARGIN * n is
+    a weak-learning failure: it lies within the screen's rounding bound of
+    0, where exact AdaBoost finds an edge of exactly 0 (the chosen row's
+    edge right after an update of that row). Mirrored at 1, a float edge at
+    least 1 - SCREEN_MARGIN * n on signs with no -1 is a perfect
+    classification. In exact mode choose gives the edge's numerator s over
+    the lattice point's denominator D, so the halts are s <= 0 and s >= D;
+    `_lattice_step` derives the edge from the weights, and a choose whose s
+    is not that edge's numerator raises ValueError.
     The new point sums to 1 by construction. Float weights are renormalised,
     and validated as a WeightVector once, after the last step: a
     weight that underflows to 0, or turns NaN, stays so, so the last vector
@@ -606,6 +617,9 @@ def boost(
     # the smallest edge a step may take: a float edge within the screen's
     # rounding bound of 0 may be the residue of an exact 0
     floor = 0 if exact else SCREEN_MARGIN * n
+    # the floor mirrored at 1, above which a mistake-free dichotomy's float
+    # edge lies: there the signs tell whether the exact edge is 1
+    ceiling = 1 - floor
     for t in range(t_max):
         if t + 1 == len(keys):  # full: t + 1 is a power of two
             # keys compare as bits: a comparison of values would take -0.0
@@ -615,15 +629,11 @@ def boost(
                 break
             keys = np.concatenate((keys, np.empty((min(t + 1, t_max - t), keys.shape[1]), keys.dtype)))
         w = keys[t]
-        try:
-            row, eta, r = choose(w, t)
-        except WeakLearningFailure:
-            halt = "weak_learning_failure"
-            break
+        row, eta, r = choose(w, t)
         if r <= floor:
             halt = "weak_learning_failure"
             break
-        if r >= (w[0] if exact else 1):  # s >= D for an edge s / D
+        if (r >= w[0]) if exact else (r >= ceiling and (r >= 1 or not (eta < 0).any())):
             halt = "perfect_classification"
             break
         if exact:

@@ -72,10 +72,17 @@ def _floor(a: int, b: int, d: int) -> int:
     return a + (r if b >= 0 else -r - (r * r != n))
 
 
-def _ratio(p: int, q: int) -> str:
-    """str(Fraction(p, q)) for q > 0, without building the Fraction."""
-    g = math.gcd(p, q)
-    return str(p // g) if q == g else f"{p // g}/{q // g}"
+def _ratio_text(p: int, q: int) -> str:
+    """`p/q` in decimal (`p` when q is 1), as str(Fraction(p, q)) writes a
+    reduced p/q, or in hexadecimal (`0x...`) when a decimal form would pass
+    the interpreter's limit on int-to-string digits: binary bases are exempt
+    from that limit, and the process-wide limit is left as it is."""
+    try:
+        return f"{p}/{q}" if q != 1 else str(p)
+    except ValueError:
+        if q == 1:
+            return f"{p:#x}"
+        return f"{p:#x}/{q:#x}"
 
 
 class QuadraticIrrational:
@@ -244,8 +251,10 @@ class QuadraticIrrational:
         return _floor(self._a, self._b, self._d) // self._c
 
     def __str__(self) -> str:
-        a = _ratio(self._a, self._c)
-        return f"({a}+{_ratio(self._b, self._c)}*sqrt({self._d}))" if self._b else a
+        a, b, c = self._a, self._b, self._c
+        ga, gb = math.gcd(a, c), math.gcd(b, c)
+        text = _ratio_text(a // ga, c // ga)
+        return f"({text}+{_ratio_text(b // gb, c // gb)}*sqrt({self._d}))" if b else text
 
     def decimal(self, digits: int = 50) -> str:
         """Decimal expansion to the given number of significant digits."""

@@ -494,8 +494,9 @@ def run_on_dataset(
 
     The trace's pool collects the distinct dichotomies of the steps taken,
     in order of first use, so every analysis that works on synthetic-pool
-    traces works here too. Halts with a recorded reason when the edge
-    leaves (0, 1).
+    traces works here too. Halts with a recorded reason by `boost`'s rule:
+    when the edge leaves (0, 1), and in float mode also when it is within
+    SCREEN_MARGIN * n of 0, or of 1 on a tree that misclassifies no point.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")

@@ -55,7 +55,7 @@ the stored steps' first repeat is the header's, the loaded trace keeps it
 as its `repeat`, which is then not searched for over the tiled columns.
 
 Exact values never pass through `Fraction` on the way in or out: every
-exact number is written by `_ratio_text` from a pair of ints and read by
+exact number is written by `farey._ratio_text` from a pair of ints and read by
 `_parse_ratio` into one. The reader keeps each decimal `p/q` edge as a pair
 with no gcd: the pair need not be in lowest terms, since it is only compared
 with the kernel's edge by a cross product, and the states column keeps the
@@ -97,6 +97,7 @@ import numpy as np
 
 from .engine import (
     SCREEN_MARGIN,
+    STEP_BLOCK,
     HALTS,
     BoostTrace,
     FirstAbove,
@@ -110,6 +111,7 @@ from .engine import (
     _tiling,
     _update,
 )
+from .farey import _ratio_text
 from .simplex import HypothesisPool, SignTextError, WeightVector, _parse_signs, _sign_texts, _signed_sums
 
 TRACE_SCHEMA = "boostcycles-trace-v2"
@@ -119,11 +121,6 @@ READABLE_SCHEMAS = (TRACE_SCHEMA, REPEAT_SCHEMA)
 # Steps between stored weight vectors. Each checkpoint bounds again the
 # drift a float replay may open (_replay_drift grows with the steps since).
 CHECKPOINT_EVERY = 100
-
-# Steps per pass of the float replay's edge check: its temporaries (the
-# weights before each step, their signed terms and running sums) are one
-# block's, not three (steps x points) arrays.
-_REPLAY_BLOCK = 256
 
 _EPS = 2.0 ** -52
 
@@ -151,19 +148,6 @@ def _replay_drift(k: int, n: int) -> float:
 
 class TraceFormatError(ValueError):
     """The document is not a valid trace file."""
-
-
-def _ratio_text(p: int, q: int) -> str:
-    """`p/q` in decimal (`p` when q is 1), as str(Fraction(p, q)) writes a
-    reduced p/q, or in hexadecimal (`0x...`) when a decimal form would pass
-    the interpreter's limit on int-to-string digits: binary bases are exempt
-    from that limit, and the process-wide limit is left as it is."""
-    try:
-        return f"{p}/{q}" if q != 1 else str(p)
-    except ValueError:
-        if q == 1:
-            return f"{p:#x}"
-        return f"{p:#x}/{q:#x}"
 
 
 def _hex_pair(text: str) -> Tuple[int, int]:
@@ -418,7 +402,7 @@ def _replay(
     stored values. The weights before
     every step are then the initial weights and the states' weights, so
     every recorded edge is checked after the loop, by `_signed_sums` over
-    blocks of _REPLAY_BLOCK steps: it must lie within SCREEN_MARGIN * n +
+    blocks of STEP_BLOCK steps: it must lie within SCREEN_MARGIN * n +
     _replay_drift(j, n) of its row's edge on the weights before it, j being
     the step's offset in its segment. Segments are independent, so the first failure is the failure
     at the earliest step; at one step an edge fails before stored weights.
@@ -470,8 +454,8 @@ def _replay(
     states[stored, 1:] = expected
     # every step's edge on the weights before it
     replayed = np.empty(steps)
-    for lo in range(0, steps, _REPLAY_BLOCK):
-        hi = min(lo + _REPLAY_BLOCK, steps)
+    for lo in range(0, steps, STEP_BLOCK):
+        hi = min(lo + STEP_BLOCK, steps)
         before = states[lo - 1 : hi - 1, 1:] if lo else np.vstack((initial, states[: hi - 1, 1:]))
         replayed[lo:hi] = _signed_sums(signs[lo:hi], before)
     bad = (np.abs(replayed - edges) > SCREEN_MARGIN * n + _replay_drift(offsets, n)).nonzero()[0]

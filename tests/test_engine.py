@@ -2,6 +2,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -433,6 +434,49 @@ class TestRun:
         trace = load_trace(str(out))
         assert (trace.halt, len(trace)) == ("weak_learning_failure", 1)
         assert trace.rows.tolist() == [0]
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_mistake_free_row_halts_before_its_step(self, mode):
+        # the float edge of row 0 is the left-to-right sum of ten 0.1s,
+        # 0.9999999999999999: a float run must not step on it
+        pool = HypothesisPool.from_signs([(1,) * 10, (1, -1) * 5])
+        trace = run(pool, Optimal(), 5, mode)
+        assert (trace.halt, len(trace)) == ("perfect_classification", 0)
+
+    def test_iris_sample_halts_on_its_perfect_tree(self, tmp_path, capsys):
+        # the tree learner's float edge of its perfect tree rounds below 1:
+        # a step on it once left weights of 0 that `analyze` saw as a
+        # broken subsum identity
+        from boostcycles.cli import main
+        from boostcycles.traceio import load_trace
+
+        iris = str(resources.files("boostcycles") / "data" / "iris.csv")
+        out = str(tmp_path / "t.json")
+        argv = ["run", "--dataset", iris, "--label", "species", "--positive", "virginica",
+                "--sample", "80", "--seed", "3", "--iters", "300", "--out", out]
+        assert main(argv) == 0
+        trace = load_trace(out)
+        assert (trace.halt, len(trace)) == ("perfect_classification", 5)
+        capsys.readouterr()
+        assert main(["analyze", out]) == 0
+        assert "check subsums: pass" in capsys.readouterr().out
+
+    def test_float_runs_take_no_mistake_free_step(self):
+        # seeded random pools: no float step's signs are all +1, as no
+        # exact step's can be
+        from conftest import random_pool
+
+        rng = random.Random(5)
+        runs = 0
+        for _ in range(3000):
+            pool = random_pool(rng, max_points=8, max_rows=10)
+            if pool is None:
+                continue
+            rule = Optimal() if rng.random() < 0.7 else FirstAbove(Fraction(rng.randint(1, 9), 10))
+            trace = run(pool, rule, 20, "float")
+            assert not (trace.signs > 0).all(axis=1).any(), (pool, rule)
+            runs += 1
+        assert runs > 2900
 
     def test_t_max_validated(self, pool3):
         with pytest.raises(ValueError):
