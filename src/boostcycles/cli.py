@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import warnings
-from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 from . import engine, learners
@@ -27,7 +26,9 @@ from .cycles import (
     analyze_trace,
 )
 from .engine import FirstAbove, FixedSequence, Optimal
-from .farey import GOLDEN, MAX_ENUMERATION_LENGTH, FareyWord, _ratio_text, decimals, enumerate_orbits, orbit_values
+from .farey import (
+    GOLDEN, MAX_ENUMERATION_LENGTH, FareyWord, _parse_fraction, _ratio_text, decimals, enumerate_orbits, orbit_values
+)
 from .figures import save_figure
 from .traceio import (
     TraceFormatError,
@@ -74,7 +75,7 @@ def _parse_rule(text: str, mode: str):
     if text.startswith("first-above:"):
         raw = text.split(":", 1)[1]
         try:
-            theta = Fraction(raw)
+            theta = _parse_fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad threshold {raw!r}")
         rule = FirstAbove(theta)  # the range check, before a float could overflow
@@ -331,7 +332,7 @@ def cmd_plot(args, parser) -> int:
             refs.append(GOLDEN_REF)
         else:
             try:
-                refs.append((float(Fraction(ref)), ref))
+                refs.append((float(_parse_fraction(ref)), ref))
             except (ValueError, ZeroDivisionError, OverflowError):
                 parser.error(f"bad reference value {ref!r}")
     # float(Fraction) and the state matrix round exact edges alike

@@ -37,11 +37,11 @@ row of one array: float64 in float mode, a lattice point in exact mode. Each
 step applies an update kernel to its row and writes the next (`_update` for
 floats, `_lattice_step` for a lattice point); float weights are divided by
 their left-to-right sum. The loop builds no per-step object: it appends the
-step's row, signs and edge, and the trace keeps them and the weight rows as
-three columns (see BoostTrace). `select`, `weight_update` and
-`simplex.edge_dot` are wrappers over the same kernels for single value
-objects. A trace's BoostSteps are built only when `BoostTrace.steps` is
-read.
+step's row and edge, and the trace keeps them and the weight rows as two
+columns (see BoostTrace), with signs read from the pool. `select`,
+`weight_update` and `simplex.edge_dot` are wrappers over the same kernels
+for single value objects. A trace's BoostSteps are built only when
+`BoostTrace.steps` is read.
 
 A float run fast-forwards through a cycle it has closed. The loop relies on
 one contract with `choose`: a step's choice is a function of the weights'
@@ -164,9 +164,9 @@ def _select(w: np.ndarray, pool: HypothesisPool, rule: SelectionRule, t: int) ->
     numerator s over the point's denominator D. See `select`, which, like
     `run`, checks a fixed schedule's rows first (`_check_schedule`)."""
     exact = w.dtype == object
-    # the pool's signs in the weights' arithmetic: Python ints against the
-    # numerators of a lattice point
-    signs, weights = (pool.exact_signs, w[1:]) if exact else (pool.matrix, w)
+    # int8 signs against a lattice point's numerators (numpy promotes them
+    # to Python ints, so the sums are exact), float64 against float weights
+    signs, weights = (pool.signs, w[1:]) if exact else (pool.matrix, w)
     if isinstance(rule, FixedSequence):
         row = rule.rows[t % len(rule.rows)]
         return row, _signed_sums(signs[row : row + 1], weights).tolist()[0]
@@ -356,10 +356,10 @@ class BoostStep:
 
 @dataclass(frozen=True, eq=False)
 class BoostTrace:
-    """Full record of a run, as three read-only columns over its T steps:
+    """Full record of a run, as two read-only columns over its T steps, with
+    signs read from the pool (`signs`, pool.signs[rows]):
 
     - rows: (T,) int64, the chosen row of the pool;
-    - signs: (T, n) int8, the chosen dichotomy (±1 per point);
     - states: the edge, then the weights after the step. In float mode a
       (T, n+1) float64 array; in exact mode a (T, n+3) object array of
       Python ints whose row t is the edge as p, q in lowest terms, then the
@@ -369,9 +369,10 @@ class BoostTrace:
     `weights_before`, which build them from the integer rows they read.
 
     halt is None, or the reason the loop ended early. The constructor checks
-    the columns' shapes and makes them read-only; the values are the
-    producer's (the loop, or the replay of a trace file) to vouch for.
-    Traces are equal when their columns are.
+    the weights' length (DimensionMismatch), the columns' shapes, and that
+    every row lies in the pool (IndexError), and makes the columns
+    read-only; the values are the producer's (the loop, or the replay of a
+    trace file) to vouch for. Traces are equal when their columns are.
     """
 
     mode: str
@@ -379,19 +380,18 @@ class BoostTrace:
     rule: SelectionRule
     initial_weights: WeightVector
     rows: np.ndarray
-    signs: np.ndarray
     states: np.ndarray
     halt: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        exact = self.mode == "exact"
-        n = len(self.initial_weights)
+        exact, n = self.mode == "exact", self.pool.n_points
+        if len(self.initial_weights) != n:
+            raise DimensionMismatch(f"initial weights have {len(self.initial_weights)} components, pool rows {n}")
         steps = len(self.rows)
         columns = (
             ("rows", np.int64, (steps,)),
-            ("signs", np.int8, (steps, n)),
             ("states", object if exact else np.float64, (steps, n + 3 if exact else n + 1)),
         )
         for name, dtype, shape in columns:
@@ -400,6 +400,9 @@ class BoostTrace:
                 raise DimensionMismatch(f"{name} has shape {column.shape}, expected {shape}")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        outside = np.flatnonzero((self.rows < 0) | (self.rows >= len(self.pool)))
+        if len(outside):
+            raise IndexError(f"step {outside[0]}: row {self.rows[outside[0]]} outside pool of {len(self.pool)} rows")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoostTrace):
@@ -407,7 +410,7 @@ class BoostTrace:
         header = (self.mode, self.pool, self.rule, self.initial_weights, self.halt)
         # canonical integer forms are equal exactly when their values are
         return header == (other.mode, other.pool, other.rule, other.initial_weights, other.halt) and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in ("rows", "signs", "states")
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in ("rows", "states")
         )
 
     def __len__(self) -> int:
@@ -416,20 +419,17 @@ class BoostTrace:
     @cached_property
     def steps(self) -> Tuple[BoostStep, ...]:
         """The steps as BoostSteps, built from the columns when first read."""
-        # one dichotomy per distinct sign row, and one (edge, alpha, weights)
-        # per distinct float state row (its bits), however many steps share
-        # it: a tiled cycle repeats its rows, while exact rows never repeat
+        # one (edge, alpha, weights) per distinct float state row (its bits),
+        # however many steps share it: a tiled cycle repeats its rows, while
+        # exact rows never repeat
         exact = self.mode == "exact"
-        steps, dichotomies, states = [], {}, {}
-        columns = zip(self.rows.tolist(), map(tuple, self.signs.tolist()), self.states)
-        for t, (row, signs, state) in enumerate(columns):
+        steps, states = [], {}
+        for t, (row, state) in enumerate(zip(self.rows.tolist(), self.states)):
             key = t if exact else state.tobytes()
             if key not in states:
                 edge, *weights = self._scalars(state)
                 states[key] = (edge, alpha(edge), WeightVector(tuple(weights)))
-            if signs not in dichotomies:
-                dichotomies[signs] = MistakeDichotomy(signs)
-            steps.append(BoostStep(t, row, dichotomies[signs], *states[key]))
+            steps.append(BoostStep(t, row, self.pool[row], *states[key]))
         return tuple(steps)
 
     def state(self, t: int) -> Tuple[Scalar, ...]:
@@ -458,6 +458,14 @@ class BoostTrace:
     # Array views for the analysis kernels in `cycles`. Each is built on
     # first use and kept for the trace's lifetime, so every check on one
     # trace reads the same arrays. They are read-only.
+
+    @cached_property
+    def signs(self) -> np.ndarray:
+        """The chosen dichotomies as a (T, n) int8 array of ±1: each step's
+        row of the pool's signs, pool.signs[rows]."""
+        signs = self.pool.signs[self.rows]
+        signs.flags.writeable = False
+        return signs
 
     @cached_property
     def state_matrix(self) -> np.ndarray:
@@ -493,9 +501,9 @@ class BoostTrace:
 HALTS = (None, "weak_learning_failure", "perfect_classification")
 
 # Choose(weights, t) -> (row, signs, edge): one iteration's choice of a
-# dichotomy (its row index and its ±1 signs: float64 against float weights,
-# Python ints against a lattice point) and its edge on the weights (in exact
-# mode the edge's integer numerator over the point's denominator).
+# dichotomy (its row index, and its ±1 signs as an array, for the update
+# only: a trace reads them from its pool) and its edge on the weights (in
+# exact mode the edge's integer numerator over the point's denominator).
 Choose = Callable[[np.ndarray, int], Tuple[int, np.ndarray, Scalar]]
 
 
@@ -561,28 +569,28 @@ def _first_repeat(initial: np.ndarray, before: np.ndarray, schedule: int) -> Opt
 
 def _repeat(trace: BoostTrace) -> Optional[Tuple[int, int]]:
     """The (onset, period) of a float trace's bit repeat, read from its
-    columns: the first repeat of its key (`_first_repeat`), when the rows,
-    signs and state bits from the onset on are that period's, tiled, and the
-    trace did not halt. None otherwise, and for every exact trace. Step t >=
-    onset of such a trace is step onset + (t - onset) % period
-    (`_tiling`); the v3 trace file stores steps 0 .. onset + period - 1, and
-    the analysis evaluates the steps that tiling reads."""
+    columns: the first repeat of its key (`_first_repeat`), when the rows
+    and state bits from the onset on are that period's, tiled, and the
+    trace did not halt (signs follow from rows). None otherwise, and for
+    every exact trace. Step t >= onset of such a trace is step onset + (t -
+    onset) % period (`_tiling`); the v3 trace file stores steps 0 .. onset +
+    period - 1, and the analysis evaluates the steps that tiling reads."""
     if trace.mode == "exact" or trace.halt is not None:
         return None
     found = _first_repeat(trace.initial_weights.as_array(), trace.states[:-1, 1:], _schedule(trace.rule))
     if found is None:
         return None
     onset, period = found
-    columns = (trace.rows, trace.signs, trace.states.view(np.uint64))
+    columns = (trace.rows, trace.states.view(np.uint64))
     return found if all(np.array_equal(c[onset + period :], c[onset:-period]) for c in columns) else None
 
 
 def boost(
     choose: Choose, initial: WeightVector, t_max: int, schedule: int = 1
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[str]]:
+) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
     """The boosting loop: up to t_max iterations from the initial weights,
-    returning the trace's rows, signs and states columns (exact states in
-    integer form, see BoostTrace) and its halt.
+    returning the trace's rows and states columns (exact states in integer
+    form, see BoostTrace) and its halt; the trace reads signs from its pool.
 
     choose(w, t) must be a function of w's bits and of t mod schedule. In
     float mode the loop then stops at the first repeat of the key (the bits
@@ -591,8 +599,8 @@ def boost(
     time it does, `_first_repeat` looks for a repeat among its rows. When
     the key before step onset + period equals the key before step onset,
     every later step repeats the one a period before it, so the loop stops
-    and the remaining rows, signs and states are those of steps onset ..
-    onset + period - 1, tiled. Such a run cannot halt.
+    and the remaining rows and states are those of steps onset .. onset +
+    period - 1, tiled. Such a run cannot halt.
 
     Each iteration asks choose for a dichotomy and its edge, halts when the
     edge leaves (0, 1) (the halts are decided here alone), and applies the
@@ -612,7 +620,7 @@ def boost(
     """
     exact, n = is_exact(initial), len(initial)
     keys = (_lattice_point(initial) if exact else initial.as_array())[None]
-    rows, signs, edges = [], [], []
+    rows, edges = [], []
     halt = repeat = None
     # the smallest edge a step may take: a float edge within the screen's
     # rounding bound of 0 may be the residue of an exact 0
@@ -637,26 +645,24 @@ def boost(
             halt = "perfect_classification"
             break
         if exact:
-            p, q, keys[t + 1] = _lattice_step(w.tolist(), eta)
+            p, q, keys[t + 1] = _lattice_step(w.tolist(), eta.tolist())
             if r * q != p * w[0]:
                 raise ValueError(f"choose gave the edge {Fraction(r, w[0])}, not the edge {Fraction(p, q)} of its signs")
             r = (p, q)
         else:
             keys[t + 1] = _update(w, eta, r)[0]
         rows.append(row)
-        signs.append(eta)
         edges.append(r)
     if not rows:
-        width = n + 3 if exact else n + 1
-        return np.empty(0, np.int64), np.empty((0, n), np.int8), np.empty((0, width), keys.dtype), halt
+        return np.empty(0, np.int64), np.empty((0, n + 3 if exact else n + 1), keys.dtype), halt
     states = np.column_stack((np.array(edges, dtype=keys.dtype), keys[1 : len(rows) + 1]))
-    rows, signs = np.array(rows, dtype=np.int64), np.array(signs, dtype=np.int8)
+    rows = np.array(rows, dtype=np.int64)
     if repeat:
         index = _tiling(*repeat, t_max)
-        rows, signs, states = rows[index], signs[index], states[index]
+        rows, states = rows[index], states[index]
     if not exact:
         WeightVector(tuple(states[-1, 1:].tolist()))
-    return rows, signs, states, halt
+    return rows, states, halt
 
 
 def run(pool: HypothesisPool, rule: SelectionRule, t_max: int, mode: str = "exact") -> BoostTrace:
@@ -672,11 +678,9 @@ def run(pool: HypothesisPool, rule: SelectionRule, t_max: int, mode: str = "exac
     if isinstance(rule, FixedSequence):
         _check_schedule(rule.rows, pool)
     initial = uniform_weights(pool.n_points, mode)
-    # one row per dichotomy, shared by the steps that choose it
-    signs = list(pool.exact_signs if mode == "exact" else pool.matrix)
 
     def choose(w: np.ndarray, t: int) -> Tuple[int, np.ndarray, Scalar]:
         row, edge = _select(w, pool, rule, t)
-        return row, signs[row], edge
+        return row, pool.signs[row], edge
 
     return BoostTrace(mode, pool, rule, initial, *boost(choose, initial, t_max, _schedule(rule)))

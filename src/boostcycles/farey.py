@@ -21,6 +21,7 @@ element as the inverse-branch image of point j - 1.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Sequence, Tuple, Union
@@ -83,6 +84,22 @@ def _ratio_text(p: int, q: int) -> str:
         if q == 1:
             return f"{p:#x}"
         return f"{p:#x}/{q:#x}"
+
+
+# The interpreter's default limit on the digits of an int in decimal text;
+# it bounds the exponent of an exact value's text too.
+DIGIT_LIMIT = 4300
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """Fraction(text), but text whose exponent exceeds DIGIT_LIMIT in magnitude
+    raises a ValueError that names it: Fraction expands an exponent in full, in
+    time that grows about 30-fold per decade of it."""
+    exponent = re.search(r"e[-+]?([\d_]+)\s*\Z", text, re.IGNORECASE)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > len(str(DIGIT_LIMIT)) or int(digits or 0) > DIGIT_LIMIT:
+        raise ValueError(f"{text!r} has an exponent beyond {DIGIT_LIMIT} in magnitude")
+    return Fraction(text)
 
 
 class QuadraticIrrational:
@@ -274,46 +291,32 @@ def _reduced(a: int, b: int, c: int, d: int) -> QuadraticIrrational:
 def decimals(values: Sequence[QuadraticIrrational], digits: int = 50) -> List[str]:
     """Decimal expansions to `digits` significant digits in one decimal context:
     each a/c + b/c*sqrt(d) at digits + 10 (Decimal division is correctly rounded,
-    so a/c gives the reduced Fraction's digits), sqrt(d) once per d, then rounded.
-    Where a and b*sqrt(d) have opposite signs the sum loses leading digits;
-    one that keeps fewer than digits + 5 of them is taken again by
-    `_cancelling_sum`."""
+    so a/c gives the reduced Fraction's digits), sqrt(d) once per d and precision,
+    then rounded. Where a and b*sqrt(d) have opposite signs the sum loses leading
+    digits (all of them when the terms cancel): one that lost more than 5 is taken
+    again at a precision raised by the digits lost, until digits + 10 remain. That
+    ends, as an irrational x is not 0."""
     import decimal
 
     dec, roots, wide = decimal.Decimal, {}, []
     with decimal.localcontext() as ctx:
-        ctx.prec = digits + 10
         for v in values:
-            if v._d not in roots:
-                roots[v._d] = dec(v._d).sqrt()
-            c = dec(v._c)
-            first, second = dec(v._a) / c, dec(v._b) / c * roots[v._d]
-            x = first + second
-            if v._a * v._b < 0 and (not x or max(first.adjusted(), second.adjusted()) - x.adjusted() > 5):
-                x = _cancelling_sum(v, digits)
+            prec = digits + 10
+            while True:
+                ctx.prec = prec
+                root = roots.get((v._d, prec)) or roots.setdefault((v._d, prec), dec(v._d).sqrt())
+                c = dec(v._c)
+                first, second = dec(v._a) / c, dec(v._b) / c * root
+                x = first + second
+                if v._a * v._b >= 0:
+                    break
+                lost = max(first.adjusted(), second.adjusted()) - x.adjusted() if x else prec
+                if (lost <= 5) if prec == digits + 10 else (prec - lost >= digits + 10):
+                    break
+                prec = digits + 10 + lost
             wide.append(x)
         ctx.prec = digits
         return [str(+x) for x in wide]
-
-
-def _cancelling_sum(v: QuadraticIrrational, digits: int):
-    """a/c + b/c*sqrt(d), for a and b of opposite signs, as a Decimal with
-    digits + 10 correct significant digits: the sum is taken at a precision
-    raised by the leading digits it loses (all of them when the rounded terms
-    cancel), until digits + 10 remain. It ends, as an irrational x is not 0."""
-    import decimal
-
-    dec, prec = decimal.Decimal, digits + 10
-    with decimal.localcontext() as ctx:
-        while True:
-            ctx.prec = prec
-            c = dec(v._c)
-            first, second = dec(v._a) / c, dec(v._b) / c * dec(v._d).sqrt()
-            x = first + second
-            lost = max(first.adjusted(), second.adjusted()) - x.adjusted() if x else prec
-            if prec - lost >= digits + 10:
-                return x
-            prec = digits + 10 + lost
 
 
 GOLDEN = QuadraticIrrational(Fraction(-1, 2), Fraction(1, 2), 5)

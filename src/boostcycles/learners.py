@@ -505,7 +505,7 @@ def run_on_dataset(
     exact = mode == "exact"
     y = np.asarray(ds.y, dtype=np.int64)
     memo = _SplitMemo(ds)
-    chosen: Dict[bytes, Tuple[int, np.ndarray]] = {}  # eta bytes -> (row, signs)
+    chosen: Dict[bytes, int] = {}  # eta bytes -> row
     pool_rows: List[np.ndarray] = []  # the int8 signs of each row, in order of first use
 
     def choose(w: np.ndarray, t: int) -> Tuple[int, np.ndarray, Scalar]:
@@ -513,21 +513,19 @@ def run_on_dataset(
         weights = np.asarray(w[1:] / w[0], dtype=np.float64) if exact else w
         _, _, preds = _grow(weights * y, memo, max_depth, max_leaves)
         eta = y * preds
-        key = eta.tobytes()
-        if key not in chosen:
-            signs = np.array(eta.tolist(), dtype=object) if exact else eta.astype(np.float64)
-            chosen[key] = (len(chosen), signs)
+        row = chosen.setdefault(eta.tobytes(), len(chosen))
+        if row == len(pool_rows):
             pool_rows.append(eta.astype(np.int8))
-        row, signs = chosen[key]
+        signs = pool_rows[row]
         if exact:
             return row, signs, signs @ w[1:]  # the edge's numerator over D
         return row, signs, float(np.dot(w, signs))
 
-    rows, signs, states, halt = boost(choose, initial, t_max)
+    rows, states, halt = boost(choose, initial, t_max)
     # rows are numbered in order of first use; a dichotomy met only on the
     # halting step is not in the trace, unless no step was taken at all.
     # The rows are distinct, and each has a +1 (a tree's edge is not
     # negative), so the matrix needs no check.
     used = int(rows.max()) + 1 if len(rows) else 1
     pool = HypothesisPool.from_matrix(np.array(pool_rows[:used]), origin="learned")
-    return BoostTrace(mode, pool, Optimal(), initial, rows, signs, states, halt)
+    return BoostTrace(mode, pool, Optimal(), initial, rows, states, halt)

@@ -253,15 +253,6 @@ class HypothesisPool:
         return self.signs.shape[1]
 
     @cached_property
-    def exact_signs(self) -> np.ndarray:
-        """The same matrix as Python ints (an object array), for exact
-        selection and updates on integer weights, where int8 products could
-        overflow."""
-        signs = self.signs.astype(object)
-        signs.flags.writeable = False
-        return signs
-
-    @cached_property
     def matrix(self) -> np.ndarray:
         """The same matrix in float64, for the float screen's matrix-vector
         product."""

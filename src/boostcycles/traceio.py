@@ -37,37 +37,38 @@ is written as a `boostcycles-trace-v3` document, which stores only the
 transient and one period. `engine._repeat` (read as `BoostTrace.repeat`,
 which the analysis reads too) finds the first repeat from the trace's
 columns alone: the key before step `onset + period` equals the key before
-step `onset`. The writer stores the v3 layout when
-the rows, signs and state bits from the onset on are that period tiled,
-the trace did not halt and its length T exceeds onset + period; every
-other trace, and every exact one, is written as v2. The v3 header adds
-`onset`, `period` and `length` (T), and `steps` holds the records of steps
-0 .. onset + period - 1, in the v2 form, with two more checkpoints: the
-weights before the onset (on step onset - 1; the initial weights when the
-onset is 0) and the weights after the last stored step (which v2 stores
-anyway). The reader checks the header first: `halt` is null, the period is
-a multiple of L, onset + period is the number of stored records, and it is
-less than T. It then replays the stored records as it replays v2, checks
-that the two checkpoints are bit-equal, and tiles the rows, signs and
-states of steps onset .. onset + period - 1 out to T, as `boost` tiles
-them. A failing check is a TraceFormatError at the step it concerns. When
-the stored steps' first repeat is the header's, the loaded trace keeps it
-as its `repeat`, which is then not searched for over the tiled columns.
+step `onset`. The writer stores the v3 layout when the rows and state bits
+from the onset on are that period tiled, the trace did not halt and its
+length T exceeds onset + period; every other trace, and every exact one,
+is written as v2. The v3 header adds `onset`, `period` and `length` (T),
+and `steps` holds the records of steps 0 .. onset + period - 1, in the v2
+form, with two more checkpoints: the weights before the onset (on step
+onset - 1; the initial weights when the onset is 0) and the weights after
+the last stored step (which v2 stores anyway). The reader checks the
+header first: `halt` is null, the period is a multiple of L, onset +
+period is the number of stored records, and it is less than T. It then
+replays the stored records as it replays v2, checks that the two
+checkpoints are bit-equal, and tiles the rows and states of steps onset ..
+onset + period - 1 out to T, as `boost` tiles them. A failing check is a
+TraceFormatError at the step it concerns. When the stored steps' first
+repeat is the header's, the loaded trace keeps it as its `repeat`, which
+is then not searched for over the tiled columns.
 
-Exact values never pass through `Fraction` on the way in or out: every
-exact number is written by `farey._ratio_text` from a pair of ints and read by
-`_parse_ratio` into one. The reader keeps each decimal `p/q` edge as a pair
-with no gcd: the pair need not be in lowest terms, since it is only compared
-with the kernel's edge by a cross product, and the states column keeps the
-kernel's reduced edge. It turns stored weights into canonical lattice
-points (integer numerators over their least common denominator, one gcd per
-checkpoint), and replays with the engine's integer kernel; the writer
-reduces a lattice point's numerators to `p/q` text only at checkpoints. The
-header's initial weights are read and written as a checkpoint's, exact or
-float, their values checked before their length. Fractions are built only
-for the loaded trace's initial weights and threshold, and for the message of
-a failing value, so the messages are those of the Fraction values the file
-holds.
+Exact values never pass through `Fraction` on the way in or out: every exact
+number is written by `farey._ratio_text` from a pair of ints and read by
+`_parse_ratio` into one. (Other text, such as `1e-9`, is read by
+`farey._parse_fraction`, which bounds its exponent.) The reader keeps each
+decimal `p/q` edge as a pair with no gcd: the pair need not be in lowest
+terms, since it is only compared with the kernel's edge by a cross product,
+and the states column keeps the kernel's reduced edge. It turns stored
+weights into canonical lattice points (integer numerators over their least
+common denominator, one gcd per checkpoint), and replays with the engine's
+integer kernel; the writer reduces a lattice point's numerators to `p/q`
+text only at checkpoints. The header's initial weights are read and written
+as a checkpoint's, exact or float, their values checked before their length.
+Fractions are built only for the loaded trace's initial weights and
+threshold, and for the message of a failing value, so the messages are those
+of the Fraction values the file holds.
 
 The writer reads the trace's columns, and the reader builds them. Reading
 makes one pass over the step records, then the replay. The pass reads the
@@ -111,7 +112,7 @@ from .engine import (
     _tiling,
     _update,
 )
-from .farey import _ratio_text
+from .farey import _parse_fraction, _ratio_text
 from .simplex import HypothesisPool, SignTextError, WeightVector, _parse_signs, _sign_texts, _signed_sums
 
 TRACE_SCHEMA = "boostcycles-trace-v2"
@@ -169,7 +170,8 @@ def _parse_ratio(value: Union[str, float, int]) -> Tuple[int, int]:
     a pair (p, q), q > 0, with p/q the value Fraction would read. A plain
     decimal `p/q` or `p`, or a hexadecimal one, is parsed by int alone, so
     its pair is as written and need not be in lowest terms; anything else
-    is left to Fraction, which also raises the errors of malformed text."""
+    is left to `farey._parse_fraction`, which also raises the errors of
+    malformed text."""
     if type(value) is str:
         numerator, slash, denominator = value.partition("/")
         if _is_digits(numerator[1:] if numerator[:1] == "-" else numerator) and (
@@ -178,7 +180,7 @@ def _parse_ratio(value: Union[str, float, int]) -> Tuple[int, int]:
             return int(numerator), int(denominator) if slash else 1
         if "x" in value:
             return _hex_pair(value)
-        value = Fraction(value)
+        value = _parse_fraction(value)
     else:
         value = Fraction(value)
     return value.numerator, value.denominator
@@ -544,9 +546,8 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
     if records and "weights" not in records[-1]:
         raise TraceFormatError(f"step {len(records) - 1}: the last step has no weights checkpoint")
     rows, edges, checkpoints, record_failure = _read_steps(records, pool, mode)
-    signs = pool.signs[rows]
     # the replay ends where the records failed, so its failure comes first
-    states = _replay(start, rows, signs, edges, checkpoints)
+    states = _replay(start, rows, pool.signs[rows], edges, checkpoints)
     if record_failure is not None:
         raise record_failure
     if repeat is not None:
@@ -559,10 +560,10 @@ def trace_from_dict(doc: Dict) -> BoostTrace:
             raise TraceFormatError(f"step {last}: stored weights are not bit-equal to the weights before step {onset}")
         try:
             index = _tiling(onset, period, length)
-            rows, signs, states = rows[index], signs[index], states[index]
+            rows, states = rows[index], states[index]
         except MemoryError:  # a small file may claim any length
             raise TraceFormatError(f"step {last + 1}: length {length} does not fit in memory") from None
-    trace = BoostTrace(mode, pool, rule, initial, rows, signs, states, halt)
+    trace = BoostTrace(mode, pool, rule, initial, rows, states, halt)
     # when the stored block's first repeat is the header's, it is the tiled
     # columns' repeat too (`engine._repeat`), so it is not searched for again
     if repeat is not None and _first_repeat(start, states[: onset + period, 1:], schedule) == (onset, period):

@@ -53,7 +53,7 @@ EPS = np.finfo(np.float64).eps
 
 def take_steps(trace, index):
     """The trace with its steps taken at the given indices, in that order."""
-    return replace(trace, rows=trace.rows[index], signs=trace.signs[index], states=trace.states[index])
+    return replace(trace, rows=trace.rows[index], states=trace.states[index])
 
 
 # --- reference: the per-step loops, as they were before the array kernels ---
@@ -556,12 +556,14 @@ class TestNamedTraces:
     def test_disagreements_located(self, golden_float):
         report = detect_cycle(golden_float)
         start, length = report.phase + 30, 12
-        signs, states = golden_float.signs.copy(), golden_float.states.copy()
-        # an all-correct dichotomy differs from every pool row without
-        # creating a repeated mistake; a permuted weight vector is still one
-        signs[start + 7] = (1, 1, 1)
+        rows, states = golden_float.rows.copy(), golden_float.states.copy()
+        # an all-correct dichotomy, a 4th pool row, differs from every other
+        # row without creating a repeated mistake; a permuted weight vector
+        # is still one
+        pool = HypothesisPool.from_signs([*golden_float.pool.signs.tolist(), (1, 1, 1)])
+        rows[start + 7] = 3
         states[start + 2, 1:] = states[start + 2, [2, 3, 1]]
-        tampered = replace(golden_float, signs=signs, states=states)
+        tampered = replace(golden_float, pool=pool, rows=rows, states=states)
         seen = set()
         for q in (0, 1, 5, 11):
             got = lattice_agreement(golden_float, tampered, (start, length), (start, length), q)

@@ -592,6 +592,44 @@ class TestHugeExactNumbers:
         assert capsys.readouterr().out == f"wrote {path}: 6 steps, final edge {last}\n"
 
 
+class TestExponentBound:
+    """Exact text whose exponent exceeds the interpreter's digit limit in
+    magnitude is refused before Fraction expands it: a trace file exits 4,
+    a CLI value exits 2, and each message names the text."""
+
+    TEXT = "1e-100000"
+
+    @pytest.fixture()
+    def exact_doc(self, tmp_path):
+        path = tmp_path / "exact.json"
+        assert run_cli("run", "--pool", POOL3, "--iters", "3", "--mode", "exact", "--out", str(path)) == 0
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("where", ["edge", "weight"])
+    def test_trace_value_io_error(self, exact_doc, capsys, where):
+        path, doc = exact_doc
+        if where == "edge":
+            doc["steps"][0]["r_exact"] = self.TEXT
+        else:
+            doc["steps"][-1]["weights"][0] = self.TEXT
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("analyze", str(path)) == 4
+        assert f"{self.TEXT!r} has an exponent beyond 4300 in magnitude" in capsys.readouterr().err
+
+    def test_threshold_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--pool", POOL3, "--rule", f"first-above:{self.TEXT}", "--iters", "5", "--mode", "exact")
+        assert exc.value.code == 2
+        assert f"bad threshold {self.TEXT!r}" in capsys.readouterr().err
+
+    def test_plot_reference_usage_error(self, golden_trace_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("plot", golden_trace_file, "--out", str(tmp_path / "f.svg"), "--ref", self.TEXT)
+        assert exc.value.code == 2
+        assert f"bad reference value {self.TEXT!r}" in capsys.readouterr().err
+
+
 class TestExactFinalEdge:
     """`run --mode exact --out` prints the final edge from the last states
     row's reduced (p, q), with BoostTrace.state never called; the lines are

@@ -131,8 +131,7 @@ def from_steps(mode, pool, rule, initial, steps, halt, lattice_states):
     if mode == "exact":
         states = lattice_states(states)
     rows = np.array([s.row for s in steps], dtype=np.int64)
-    signs = np.array([s.eta.entries for s in steps], dtype=np.int8).reshape(len(steps), len(initial))
-    return BoostTrace(mode, pool, rule, initial, rows, signs, states, halt)
+    return BoostTrace(mode, pool, rule, initial, rows, states, halt)
 
 
 def reference_run(pool, rule, t_max, mode, lattice_states):
@@ -454,10 +453,10 @@ class TestFastForward:
             return t % 6, POOL3.matrix[row], edge
 
         _, expected = reference_run(POOL3, schedule, 400, "float", lattice_states)
-        rows, signs, states, halt = engine.boost(choose, uniform_weights(3, "float"), 400, 6)
+        rows, states, halt = engine.boost(choose, uniform_weights(3, "float"), 400, 6)
         assert len(calls) < 400 and halt is None
         assert rows.tolist() == [t % 6 for t in range(400)]
-        assert np.array_equal(signs, expected.signs) and states.tobytes() == expected.states.tobytes()
+        assert states.tobytes() == expected.states.tobytes()
         mu, period = first_bit_repeat(expected)
         assert period == 3 and mu + period < len(calls)
 
@@ -540,17 +539,15 @@ class TestStepsView:
 
     def test_column_shapes_checked(self):
         trace = run(POOL3, Optimal(), 5, "float")
-        with pytest.raises(ValueError, match="signs has shape"):
-            BoostTrace("float", POOL3, Optimal(), trace.initial_weights, trace.rows, trace.signs[:4], trace.states)
         with pytest.raises(ValueError, match="states has shape"):
-            BoostTrace("float", POOL3, Optimal(), trace.initial_weights, trace.rows, trace.signs, trace.states[:, :3])
+            BoostTrace("float", POOL3, Optimal(), trace.initial_weights, trace.rows, trace.states[:, :3])
 
     def test_exact_states_take_the_integer_form(self, lattice_states):
         # an exact trace holds its states as integer rows [p, q, D, a_1..a_n]:
         # the same states as (T, n+1) Fractions are the wrong shape
         trace = run(POOL3, Optimal(), 5, "exact")
         fractions = np.array([trace.state(t) for t in range(len(trace))], dtype=object)
-        columns = ("exact", POOL3, Optimal(), trace.initial_weights, trace.rows, trace.signs)
+        columns = ("exact", POOL3, Optimal(), trace.initial_weights, trace.rows)
         with pytest.raises(DimensionMismatch, match=r"states has shape \(5, 4\), expected \(5, 6\)"):
             BoostTrace(*columns, fractions)
         assert BoostTrace(*columns, lattice_states(fractions)) == trace

@@ -207,7 +207,6 @@ class TestDetectCycle:
         window = replace(
             golden_float,
             rows=golden_float.rows[report.phase :],
-            signs=golden_float.signs[report.phase :],
             states=golden_float.states[report.phase :],
         )
         again = detect_cycle(window, tol=1e-9, min_repeats=3)

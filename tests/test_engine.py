@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from boostcycles import (
+    BoostTrace,
     FirstAbove,
     FixedSequence,
     HypothesisPool,
@@ -19,13 +21,17 @@ from boostcycles import (
     alpha,
     edge_dot,
     exponential_update,
+    load_csv,
     run,
+    run_on_dataset,
     select,
     uniform_weights,
     weight_update,
 )
 import boostcycles.engine as engine
 from boostcycles.engine import _lattice_point, _lattice_step, _select, boost
+from boostcycles.simplex import DimensionMismatch
+from boostcycles.traceio import dumps_trace, loads_trace
 
 
 def wv(*values):
@@ -294,11 +300,9 @@ class TestBoostChecksChoose:
 
     @pytest.mark.parametrize("wrong_at", [0, 5])
     def test_wrong_edge_numerator_raises(self, pool3, wrong_at):
-        signs = list(pool3.exact_signs)
-
         def choose(w, t):
             row, s = _select(w, pool3, Optimal(), t)
-            return row, signs[row], s + (t == wrong_at)
+            return row, pool3.signs[row], s + (t == wrong_at)
 
         with pytest.raises(ValueError, match="choose gave the edge"):
             boost(choose, uniform_weights(3, "exact"), 10)
@@ -486,3 +490,36 @@ class TestRun:
         trace = run(pool3, Optimal(), 4, "exact")
         assert trace.weights_before(0) == trace.initial_weights
         assert trace.weights_before(2) == trace.steps[1].weights_after
+
+
+class TestTraceBoundary:
+    """A trace keeps no signs column: it reads each step's signs from the
+    pool, at the step's row. Its constructor checks what that relies on:
+    every row lies in the pool, and the weights have one component per
+    point."""
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_row_outside_pool_raises(self, pool3, bad):
+        trace = run(pool3, Optimal(), 5, "float")
+        rows = trace.rows.copy()
+        rows[3] = bad
+        with pytest.raises(IndexError, match=rf"^step 3: row {bad} outside pool of 3 rows$"):
+            BoostTrace("float", pool3, Optimal(), trace.initial_weights, rows, trace.states)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_weights_wider_than_pool_raise(self, pool3, mode):
+        width = 7 if mode == "exact" else 5  # the states of 4 weights
+        states = np.empty((0, width), dtype=object if mode == "exact" else np.float64)
+        with pytest.raises(DimensionMismatch, match="initial weights have 4 components, pool rows 3"):
+            BoostTrace(mode, pool3, Optimal(), uniform_weights(4, mode), np.empty(0, np.int64), states)
+
+    def test_signs_are_the_rows_of_the_pool(self, pool3):
+        iris = load_csv(str(resources.files("boostcycles") / "data" / "iris.csv"), "species", "versicolor")
+        traces = [run(pool3, Optimal(), 50, mode) for mode in ("exact", "float")]
+        traces.append(run_on_dataset(iris, 3, 4, 300, "float"))
+        text = dumps_trace(run(pool3, Optimal(), 200, "float"))
+        assert json.loads(text)["schema"] == "boostcycles-trace-v3"
+        traces.append(loads_trace(text))
+        for trace in traces:
+            assert trace.signs.dtype == np.int8 and not trace.signs.flags.writeable
+            assert np.array_equal(trace.signs, trace.pool.signs[trace.rows])

@@ -87,7 +87,7 @@ def fraction_update(w, eta, r):
 
 def fraction_boost(choose, initial, t_max):
     w = np.array(initial.components, dtype=object)
-    rows, signs, edges, weights = [], [], [], []
+    rows, edges, weights = [], [], []
     halt = None
     for t in range(t_max):
         try:
@@ -104,14 +104,13 @@ def fraction_boost(choose, initial, t_max):
         w, total = fraction_update(w, eta, r)
         assert total == 1
         rows.append(row)
-        signs.append(eta)
         edges.append(r)
         weights.append(w)
     n = len(initial)
     if not rows:
-        return np.empty(0, np.int64), np.empty((0, n), np.int8), np.empty((0, n + 1), object), halt
+        return np.empty(0, np.int64), np.empty((0, n + 1), object), halt
     states = np.column_stack((np.array(edges, dtype=object), np.stack(weights)))
-    return np.array(rows, dtype=np.int64), np.array(signs, dtype=np.int8), states, halt
+    return np.array(rows, dtype=np.int64), states, halt
 
 
 def fraction_run(pool, rule, t_max, lattice_states):
@@ -123,8 +122,8 @@ def fraction_run(pool, rule, t_max, lattice_states):
         row, edge = fraction_select(w, pool, rule, t)
         return row, signs[row], edge
 
-    rows, signs_column, states, halt = fraction_boost(choose, initial, t_max)
-    return BoostTrace("exact", pool, rule, initial, rows, signs_column, lattice_states(states), halt), states
+    rows, states, halt = fraction_boost(choose, initial, t_max)
+    return BoostTrace("exact", pool, rule, initial, rows, lattice_states(states), halt), states
 
 
 def fraction_run_on_dataset(ds, max_depth, max_leaves, t_max, lattice_states):
@@ -137,10 +136,10 @@ def fraction_run_on_dataset(ds, max_depth, max_leaves, t_max, lattice_states):
         signs = np.array([eta.entries], dtype=np.int8)
         return row, signs[0], (signs @ w).tolist()[0]
 
-    rows, signs, states, halt = fraction_boost(choose, initial, t_max)
+    rows, states, halt = fraction_boost(choose, initial, t_max)
     used = int(rows.max()) + 1 if len(rows) else 1
     pool = HypothesisPool(tuple(eta for _, eta in list(chosen.values())[:used]), origin="learned")
-    return BoostTrace("exact", pool, Optimal(), initial, rows, signs, lattice_states(states), halt), states
+    return BoostTrace("exact", pool, Optimal(), initial, rows, lattice_states(states), halt), states
 
 
 def fraction_steps(states, rows):

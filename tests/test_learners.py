@@ -161,10 +161,10 @@ def reference_run_on_dataset(ds, max_depth, max_leaves, t_max, mode):
         signs = np.array(eta.entries, dtype=object if exact else np.float64)
         return row, signs, signs @ w[1:] if exact else float(np.dot(w, signs))
 
-    rows, signs, states, halt = engine.boost(choose, initial, t_max)
+    rows, states, halt = engine.boost(choose, initial, t_max)
     used = int(rows.max()) + 1 if len(rows) else 1
     pool = HypothesisPool(tuple(eta for _, eta in list(chosen.values())[:used]), origin="learned")
-    return BoostTrace(mode, pool, Optimal(), initial, rows, signs, states, halt)
+    return BoostTrace(mode, pool, Optimal(), initial, rows, states, halt)
 
 
 class ReferenceNodeMemo:

@@ -82,7 +82,7 @@ def repeat_calls(monkeypatch):
 
 
 def cut(trace, steps):
-    return trace.rows[:steps], trace.signs[:steps], trace.states[:steps]
+    return trace.rows[:steps], trace.states[:steps]
 
 
 def all_traces(named_runs, fuzz_float_cycles):
@@ -236,7 +236,7 @@ def switched_trace(tail_rows, steps=200, switch=60):
         w, _ = _update(w, POOL3.matrix[row], r)
         rows.append(row)
         states.append([r, *w.tolist()])
-    return BoostTrace("float", POOL3, Optimal(), golden.initial_weights, rows, POOL3.signs[rows], np.array(states))
+    return BoostTrace("float", POOL3, Optimal(), golden.initial_weights, rows, np.array(states))
 
 
 class TestV2Kept:
@@ -258,12 +258,12 @@ class TestV2Kept:
         assert loads_trace(text) == trace
 
     def test_rows_that_do_not_tile_are_v2(self):
-        # the weights and signs repeat, a row index does not (the trace is
-        # hand-built: the row's signs are not its pool row's)
+        # the weights repeat, a row index does not (the trace is hand-built:
+        # its states are not those of its rows)
         golden = run(POOL3, Optimal(), 100, "float")
         rows = golden.rows.copy()
         rows[90] = (rows[90] + 1) % 3
-        trace = BoostTrace("float", POOL3, Optimal(), golden.initial_weights, rows, golden.signs, golden.states)
+        trace = BoostTrace("float", POOL3, Optimal(), golden.initial_weights, rows, golden.states)
         assert finder(trace) == (39, 3)
         assert json.loads(dumps_trace(trace))["schema"] == V2
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from importlib import resources
@@ -291,6 +292,15 @@ class TestExactPointArithmetic:
             hex_fraction(text)
         assert str(caught.value) == str(expected.value)
 
+    @pytest.mark.parametrize("text", ["1e-4300", "3E+04300", "-7e4300 ", "2.5e-0"])
+    def test_exponents_within_the_digit_limit(self, text):
+        assert Fraction(*_parse_ratio(text)) == Fraction(text)
+
+    @pytest.mark.parametrize("text", ["1e-4301", "1E+04301", "-7e4301 ", "1e99999999999999999999"])
+    def test_exponents_beyond_the_digit_limit_raise(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"{text!r} has an exponent beyond 4300 in magnitude")):
+            _parse_ratio(text)
+
     def test_stored_point_is_canonical(self):
         rng = np.random.default_rng(3)
         for case in range(200):
@@ -463,7 +473,7 @@ class TestV2Layout:
         assert doc["steps"][-1]["weights"] == ["1/5", "3/10", "1/2"]
 
     def test_no_steps(self, pool3, lattice_states):
-        columns = np.empty(0), np.empty((0, 3)), lattice_states(np.empty((0, 4)))
+        columns = np.empty(0), lattice_states(np.empty((0, 4)))
         empty = BoostTrace("exact", pool3, Optimal(), uniform_weights(3, "exact"), *columns, "weak_learning_failure")
         assert loads_trace(dumps_trace(empty)) == empty
 
