@@ -76,8 +76,10 @@ def _parse_rule(text: str, mode: str):
         raw = text.split(":", 1)[1]
         try:
             theta = _parse_fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad threshold {raw!r}")
+        except ValueError as exc:
+            raise ValueError(f"bad threshold {raw!r}: {exc}")
+        except ZeroDivisionError as exc:
+            raise ValueError(f"bad threshold {raw!r}: {exc} has a zero denominator")
         rule = FirstAbove(theta)  # the range check, before a float could overflow
         return rule if mode == "exact" else FirstAbove(float(theta))
     if text.startswith("fixed:"):

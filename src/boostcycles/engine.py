@@ -1,12 +1,14 @@
 """The iterative boosting map: selection, weight update, trace recording.
 
 Selection picks the row of largest edge sum_i eta_i * w_i, lowest index on
-ties. In float mode the pool is screened with one matrix-vector product, and
-only the rows within the product's rounding error of its maximum are
-re-scored with the reference sum, so the chosen row and edge are
-bit-identical to scoring every row with that sum. The first-above threshold
-scan is screened the same way: only rows whose product comes within that
-error of the threshold are re-scored.
+ties. Its kernel is bound once per run, to the pool, rule and mode
+(`_chooser`), and each step only scores. In float mode the pool is screened
+with one matrix-vector product, and only the rows within the product's
+rounding error of its maximum (nearly always one) are re-scored with the
+reference sum, so the chosen row and edge are bit-identical to scoring
+every row with that sum. The first-above threshold scan is screened the
+same way: only rows whose product comes within that error of the threshold
+are re-scored.
 
 The primary update is the rational form w_i -> w_i / (1 + eta_i * r), which is
 self-normalizing: when r is the true edge of eta on w, the output sums to 1
@@ -34,14 +36,15 @@ One loop, `boost`, runs both pool selection (`run`) and the tree learner
 (`learners.run_on_dataset`); they differ only in the `choose` function that
 picks each step's dichotomy and edge. The weights before each step are a
 row of one array: float64 in float mode, a lattice point in exact mode. Each
-step applies an update kernel to its row and writes the next (`_update` for
-floats, `_lattice_step` for a lattice point); float weights are divided by
-their left-to-right sum. The loop builds no per-step object: it appends the
-step's row and edge, and the trace keeps them and the weight rows as two
-columns (see BoostTrace), with signs read from the pool. `select`,
-`weight_update` and `simplex.edge_dot` are wrappers over the same kernels
-for single value objects. A trace's BoostSteps are built only when
-`BoostTrace.steps` is read.
+step applies an update kernel to its row and writes the next: a float step
+writes w_i / (1 + eta_i * r) into that row in place and divides it by its
+left-to-right sum (`_factors`, then `_rescaled`, which the trace replay and
+`weight_update` share), a lattice point's step is `_lattice_step`. The loop
+builds no per-step object: it appends the step's row and edge, and the
+trace keeps them and the weight rows as two columns (see BoostTrace), with
+signs read from the pool. `select`, `weight_update` and `simplex.edge_dot`
+are wrappers over the same kernels for single value objects. A trace's
+BoostSteps are built only when `BoostTrace.steps` is read.
 
 A float run fast-forwards through a cycle it has closed. The loop relies on
 one contract with `choose`: a step's choice is a function of the weights'
@@ -72,7 +75,6 @@ from .simplex import (
     MistakeDichotomy,
     Scalar,
     WeightVector,
-    _signed_sums,
     is_exact,
     repeated_mistakes,
     uniform_weights,
@@ -158,50 +160,103 @@ def _check_schedule(rows: Sequence[int], pool: HypothesisPool) -> None:
             raise IndexError(f"scheduled row {row} outside pool of {len(pool)} rows")
 
 
-def _select(w: np.ndarray, pool: HypothesisPool, rule: SelectionRule, t: int) -> Tuple[int, Scalar]:
-    """The selection kernel: (row index, edge) for float64 weights, or for a
-    lattice point in exact mode, where the edge is returned as its integer
-    numerator s over the point's denominator D. See `select`, which, like
-    `run`, checks a fixed schedule's rows first (`_check_schedule`)."""
-    exact = w.dtype == object
-    # int8 signs against a lattice point's numerators (numpy promotes them
-    # to Python ints, so the sums are exact), float64 against float weights
-    signs, weights = (pool.signs, w[1:]) if exact else (pool.matrix, w)
-    if isinstance(rule, FixedSequence):
-        row = rule.rows[t % len(rule.rows)]
-        return row, _signed_sums(signs[row : row + 1], weights).tolist()[0]
-
+def _chooser(pool: HypothesisPool, rule: SelectionRule, exact: bool) -> Choose:
+    """The selection kernel of one run, bound once to its pool, rule and
+    mode: choose(w, t) -> (row, signs, edge) for float64 weights, or for a
+    lattice point in exact mode, where the edge is its integer numerator s
+    over the point's denominator D. The signs are the row's, for the update
+    (float ±1 in float mode). See `select`, which, like `run`, checks a
+    fixed schedule's rows first (`_check_schedule`)."""
     if exact:
-        # every row's edge numerator, exactly
-        rows = np.arange(len(pool))
-        edges = signs @ weights
-    else:
-        approx = signs @ w
-        margin = SCREEN_MARGIN * len(w)
+        return _exact_chooser(pool, rule)
+    matrix = pool.matrix
+    margin = SCREEN_MARGIN * pool.n_points
 
-    if isinstance(rule, FirstAbove):
-        if exact:
-            # s / D >= theta as a cross product; a float or Fraction theta
-            # converts to its integer ratio exactly
-            num, den = rule.theta.as_integer_ratio()
-            bar = num * w[0]
-            qualifying = [(s, i) for s, i in zip(edges.tolist(), rows.tolist()) if s * den >= bar]
-        else:
-            # a row whose product is below theta - margin has a reference
-            # edge below theta, by the argument beside SCREEN_MARGIN
-            rows = (approx >= rule.theta - margin).nonzero()[0]
-            edges = _signed_sums(signs[rows], w)
-            qualifying = [(r, i) for r, i in zip(edges.tolist(), rows.tolist()) if r >= rule.theta]
-        if qualifying:
-            r, row = min(qualifying)
-            return row, r
+    # a row's reference edge is the left-to-right sum of its products with
+    # the weights, which the float ±1 signs keep exact, as the int8 ones do
+
+    def scored(w: np.ndarray, row: int) -> Tuple[int, np.ndarray, Scalar]:
+        eta = matrix[row]
+        return row, eta, np.add.accumulate(eta * w)[-1]
+
+    def rescored(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.add.accumulate(matrix[rows] * w, axis=1)[:, -1]
+
+    if isinstance(rule, FixedSequence):
+        schedule = rule.rows
+        return lambda w, t: scored(w, schedule[t % len(schedule)])
+
+    def best(approx: np.ndarray, w: np.ndarray) -> Tuple[int, np.ndarray, Scalar]:
+        # only rows within the margin of the top product can win, by the
+        # argument beside SCREEN_MARGIN; it is nearly always that row alone
+        top = approx.argmax()
+        near = (approx >= approx[top] - margin).nonzero()[0]
+        if len(near) == 1:
+            return scored(w, top)
+        edges = rescored(w, near)
+        k = edges.argmax()  # the first maximum: ties go to the lowest row
+        return near[k], matrix[near[k]], edges[k]
+
+    if isinstance(rule, Optimal):
+        return lambda w, t: best(matrix @ w, w)
+
+    # a row whose product is below theta - margin has a reference edge below
+    # theta, by the argument beside SCREEN_MARGIN
+    theta = rule.theta
+    screen = theta - margin
+
+    def first_above(w: np.ndarray, t: int) -> Tuple[int, np.ndarray, Scalar]:
+        approx = matrix @ w
+        near = (approx >= screen).nonzero()[0]
+        edges = rescored(w, near)
+        above = edges >= theta  # exact against a Fraction theta too
+        if above.any():
+            # the least qualifying edge; ties go to the lowest row
+            k = np.where(above, edges, np.inf).argmin()
+            return near[k], matrix[near[k]], edges[k]
         # nothing at the threshold: fall back to the optimal choice
+        return best(approx, w)
 
-    if not exact:
-        rows = (approx >= approx[approx.argmax()] - margin).nonzero()[0]
-        edges = _signed_sums(signs[rows], w)
-    best = int(edges.argmax())  # the first maximum: ties go to the lowest row
-    return int(rows[best]), edges.tolist()[best]
+    return first_above
+
+
+def _exact_chooser(pool: HypothesisPool, rule: SelectionRule) -> Choose:
+    """`_chooser` in exact mode: every row's edge numerator, by a product of
+    the pool's signs as Python ints (cast once per run) with the lattice
+    point's numerators."""
+    signs = pool.signs.astype(object)
+
+    if isinstance(rule, FixedSequence):
+        schedule = rule.rows
+
+        def fixed(w: np.ndarray, t: int) -> Tuple[int, np.ndarray, Scalar]:
+            row = schedule[t % len(schedule)]
+            return row, pool.signs[row], signs[row] @ w[1:]
+
+        return fixed
+
+    def best(edges: List[int]) -> Tuple[int, np.ndarray, Scalar]:
+        s = max(edges)
+        row = edges.index(s)  # the first maximum: ties go to the lowest row
+        return row, pool.signs[row], s
+
+    if isinstance(rule, Optimal):
+        return lambda w, t: best((signs @ w[1:]).tolist())
+
+    # s / D >= theta as a cross product; a float or Fraction theta converts
+    # to its integer ratio exactly
+    num, den = rule.theta.as_integer_ratio()
+
+    def first_above(w: np.ndarray, t: int) -> Tuple[int, np.ndarray, Scalar]:
+        edges = (signs @ w[1:]).tolist()
+        bar = num * w[0]
+        qualifying = [(s, i) for i, s in enumerate(edges) if s * den >= bar]
+        if qualifying:
+            s, row = min(qualifying)
+            return row, pool.signs[row], s
+        return best(edges)
+
+    return first_above
 
 
 def select(
@@ -218,12 +273,10 @@ def select(
         raise DimensionMismatch(f"weights have {len(w)} components, pool rows {pool.n_points}")
     if isinstance(rule, FixedSequence):
         _check_schedule((rule.rows[t % len(rule.rows)],), pool)
-    if is_exact(w):
-        point = _lattice_point(w)
-        row, s = _select(point, pool, rule, t)
-        edge = Fraction(s, point[0])
-    else:
-        row, edge = _select(w.as_array(), pool, rule, t)
+    exact = is_exact(w)
+    point = _lattice_point(w) if exact else w.as_array()
+    row, _, edge = _chooser(pool, rule, exact)(point, t)
+    row, edge = int(row), Fraction(edge, point[0]) if exact else float(edge)
     if edge <= 0 and not isinstance(rule, FixedSequence):
         raise WeakLearningFailure("all available edges are <= 0")
     return row, pool[row], edge
@@ -240,20 +293,26 @@ def alpha(r: Scalar) -> float:
     return 0.5 * math.log((1 + float(r)) / (1 - float(r)))
 
 
-def _update(w: np.ndarray, eta: np.ndarray, r) -> Tuple[np.ndarray, np.ndarray]:
-    """The float update kernel w_i -> w_i / (1 + eta_i * r) along the last
-    axis, renormalised.
+# The float update kernel w_i -> w_i / (1 + eta_i * r), in two halves that
+# the loop, the trace replay and `weight_update` share: the factors, then the
+# quotients divided by their left-to-right sum.
 
-    eta holds the ±1 signs; r is one edge, or a column of edges (one per
-    weight row). The new weights are divided by their left-to-right sum;
-    returns them and that sum.
-    """
-    new = eta * r  # exactly +-r
-    new += 1.0
-    np.divide(w, new, out=new)
-    total = np.add.accumulate(new, axis=-1)[..., -1:]
-    new /= total
-    return new, total
+
+def _factors(eta: np.ndarray, r) -> np.ndarray:
+    """The float update's divisors 1 + eta_i * r, for the ±1 signs eta and
+    one edge r, or a column of edges (one per row of signs)."""
+    factors = eta * r  # exactly +-r
+    factors += 1.0
+    return factors
+
+
+def _rescaled(w: np.ndarray, factors: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """w / factors along the last axis, divided by its left-to-right sum:
+    the new float weights, written into out (which may be factors) when
+    given."""
+    out = np.divide(w, factors, out=out)
+    out /= np.add.accumulate(out, axis=-1)[..., -1:]
+    return out
 
 
 def _lattice_point(w: Iterable[Union[int, Fraction]]) -> np.ndarray:
@@ -323,7 +382,7 @@ def weight_update(w: WeightVector, eta: MistakeDichotomy, r: Scalar) -> WeightVe
         return WeightVector(tuple(Fraction(x, d) for x in a))
     # a float edge or float weights make a float update
     weights = w.as_array().astype(np.float64)
-    new, _ = _update(weights, np.array(eta.entries, dtype=np.float64), float(r))
+    new = _rescaled(weights, _factors(np.array(eta.entries, dtype=np.float64), float(r)))
     return WeightVector(tuple(new.tolist()))
 
 
@@ -602,9 +661,11 @@ def boost(
     and the remaining rows and states are those of steps onset .. onset +
     period - 1, tiled. Such a run cannot halt.
 
-    Each iteration asks choose for a dichotomy and its edge, halts when the
-    edge leaves (0, 1) (the halts are decided here alone), and applies the
-    update kernel to the weights. A float edge at most SCREEN_MARGIN * n is
+    Each iteration asks choose (for a pool, the kernel `_chooser` bound
+    once per run) for a dichotomy and its edge, halts when the edge leaves
+    (0, 1) (the halts are decided here alone), and applies the update
+    kernel, which writes the next row of the weights array (a float update
+    in place). A float edge at most SCREEN_MARGIN * n is
     a weak-learning failure: it lies within the screen's rounding bound of
     0, where exact AdaBoost finds an edge of exactly 0 (the chosen row's
     edge right after an update of that row). Mirrored at 1, a float edge at
@@ -650,7 +711,7 @@ def boost(
                 raise ValueError(f"choose gave the edge {Fraction(r, w[0])}, not the edge {Fraction(p, q)} of its signs")
             r = (p, q)
         else:
-            keys[t + 1] = _update(w, eta, r)[0]
+            _rescaled(w, _factors(eta, r), keys[t + 1])
         rows.append(row)
         edges.append(r)
     if not rows:
@@ -678,9 +739,5 @@ def run(pool: HypothesisPool, rule: SelectionRule, t_max: int, mode: str = "exac
     if isinstance(rule, FixedSequence):
         _check_schedule(rule.rows, pool)
     initial = uniform_weights(pool.n_points, mode)
-
-    def choose(w: np.ndarray, t: int) -> Tuple[int, np.ndarray, Scalar]:
-        row, edge = _select(w, pool, rule, t)
-        return row, pool.signs[row], edge
-
+    choose = _chooser(pool, rule, mode == "exact")
     return BoostTrace(mode, pool, rule, initial, *boost(choose, initial, t_max, _schedule(rule)))

@@ -79,8 +79,9 @@ replay covers the steps read. An exact replay runs in step order and stops
 at its first failure. A float replay restarts at every checkpoint, so the
 steps fall into segments, each starting at the initial or at stored
 weights, and `_replay` advances all segments together, one step offset at a
-time, with the engine's update kernel on a (segments x points) array; it
-then checks every recorded edge against the replayed weights in one pass.
+time, with the engine's update kernel on a (segments x points) array, whose
+factors it forms a block of (segment, offset) pairs at a time; it then
+checks every recorded edge against the replayed weights in one pass.
 A bad file fails with the message of its earliest failing step, and within
 a step its record's fields fail first, then its edge and update, then its
 stored weights.
@@ -90,7 +91,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -105,12 +105,13 @@ from .engine import (
     FixedSequence,
     Optimal,
     SelectionRule,
+    _factors,
     _first_repeat,
     _lattice_point,
     _lattice_step,
+    _rescaled,
     _schedule,
     _tiling,
-    _update,
 )
 from .farey import _parse_fraction, _ratio_text
 from .simplex import HypothesisPool, SignTextError, WeightVector, _parse_signs, _sign_texts, _signed_sums
@@ -396,7 +397,11 @@ def _replay(
     Float weights are float64 rows and float edges a float64 column. The
     steps are cut into segments, each starting at the initial weights or at
     a checkpoint's stored weights, and all segments advance together, one
-    step offset j at a time, as one (segments x points) array. A checkpoint
+    step offset j at a time, as one (segments x points) array. The update's
+    factors 1 + eta_i r are formed for a block of (segment, offset) pairs
+    at a time, at most max(segments, STEP_BLOCK) of them (`_factors`), and
+    each offset divides its live segments' weights by its rows of the block
+    in place (`_rescaled`): the loop's float update, bit for bit. A checkpoint
     may stand on any step, and every checkpoint ends a segment (a document
     that stores every step's weights has one-step segments); after the loop,
     all of them are compared at once, each within _replay_drift of the
@@ -437,16 +442,32 @@ def _replay(
     # still running at offset j are the first live(j) of them
     segments = sorted(zip(np.diff(cuts).tolist(), cuts[:-1]), key=lambda seg: -seg[0])
     starts = np.array([start for _, start in segments], dtype=np.int64)
-    negated_lengths = [-length for length, _ in segments]  # ascending
-    running = [bisect_left(negated_lengths, -j) for j in range(segments[0][0])] if steps else []
+    # running[j]: the segments still running at offset j, longer than j
+    ascending = np.array([length for length, _ in segments[::-1]], dtype=np.int64)
+    running = len(segments) - np.searchsorted(ascending, np.arange(ascending[-1] if steps else 0), "right")
     w = np.stack([initial if start == 0 else checkpoints[start - 1] for _, start in segments]) if steps else initial
     # a state row holds the edge, then the weights
     states = np.empty((steps, 1 + n))
     states[:, 0] = edges
-    for j, live in enumerate(running):
-        t = starts[:live] + j
-        w, _ = _update(w[:live], signs[t], edges[t][:, None])
-        states[t, 1:] = w
+    # the (segment, offset) pairs in offset order, cut into blocks of whole
+    # offsets, at most max(segments, STEP_BLOCK) pairs each; pairs[j] counts
+    # those of offsets 0 .. j
+    pairs = np.cumsum(running)
+    block = max(len(segments), STEP_BLOCK)
+    j = 0
+    while j < len(running):
+        k = int(np.searchsorted(pairs, pairs[j] - running[j] + block, "right"))
+        live = running[j:k]
+        offset = np.repeat(np.arange(j, k), live)
+        first = np.repeat(np.cumsum(live) - live, live)
+        t = starts[np.arange(len(offset)) - first] + offset
+        factors = _factors(signs[t], edges[t][:, None])
+        lo = 0
+        for count in live.tolist():
+            w = _rescaled(w[:count], factors[lo : lo + count], factors[lo : lo + count])
+            lo += count
+        states[t, 1:] = factors
+        j = k
     # each step's offset in its segment; a checkpoint's is its segment's last
     offsets = np.arange(steps) - np.repeat(cuts[:-1], np.diff(cuts))
     stored = np.array(list(checkpoints), dtype=np.int64)

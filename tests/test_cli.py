@@ -818,6 +818,18 @@ class TestCliErrors:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw, reason", [
+        ("1e-100000", "'1e-100000' has an exponent beyond 4300 in magnitude"),
+        ("abc", "Invalid literal for Fraction: 'abc'"),
+        ("1/0", "Fraction(1, 0) has a zero denominator"),
+    ])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_bad_threshold_keeps_the_parsers_reason(self, capsys, raw, reason, mode):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--pool", POOL3, "--rule", f"first-above:{raw}", "--iters", "5", "--mode", mode)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f": error: bad threshold {raw!r}: {reason}\n")
+
     def test_orbit_power_word_note(self, capsys):
         assert run_cli("farey", "orbit", "--word", "RR") == 0
         assert "note: RR is a power word; primitive period 1\n" in capsys.readouterr().out

@@ -295,17 +295,22 @@ def selections(monkeypatch):
     """Counts of the loop's pool selections and tree fits (`learners._grow`,
     which `run_on_dataset` calls once per step it computes)."""
     counts = {"select": 0, "fits": 0}
-    select, fit = engine._select, learners._grow
+    chooser, fit = engine._chooser, learners._grow
 
-    def counted_select(*args):
-        counts["select"] += 1
-        return select(*args)
+    def counted_chooser(*args):
+        choose = chooser(*args)
+
+        def counted_select(*args):
+            counts["select"] += 1
+            return choose(*args)
+
+        return counted_select
 
     def counted_fit(*args):
         counts["fits"] += 1
         return fit(*args)
 
-    monkeypatch.setattr(engine, "_select", counted_select)
+    monkeypatch.setattr(engine, "_chooser", counted_chooser)
     monkeypatch.setattr(learners, "_grow", counted_fit)
     return counts
 
@@ -445,12 +450,13 @@ class TestFastForward:
         # follow t mod 3: the key must hold t mod 6, and the weights alone
         # would tile rows 3, 4, 5 where rows 0, 1, 2 are due
         schedule = FixedSequence((0, 1, 2))
+        select = engine._chooser(POOL3, schedule, False)
         calls = []
 
         def choose(w, t):
             calls.append(t)
-            row, edge = engine._select(w, POOL3, schedule, t)
-            return t % 6, POOL3.matrix[row], edge
+            _, eta, edge = select(w, t)
+            return t % 6, eta, edge
 
         _, expected = reference_run(POOL3, schedule, 400, "float", lattice_states)
         rows, states, halt = engine.boost(choose, uniform_weights(3, "float"), 400, 6)
@@ -509,10 +515,7 @@ class TestFastForward:
         # run from its weights after step 10 repeats with onset 28, period 3
         initial = WeightVector(tuple(run(POOL3, Optimal(), 11, "float").states[-1, 1:].tolist()))
 
-        def choose(w, t):
-            row, edge = engine._select(w, POOL3, Optimal(), t)
-            return row, POOL3.matrix[row], edge
-
+        choose = engine._chooser(POOL3, Optimal(), False)
         selections["select"] = 0
         trace = BoostTrace("float", POOL3, Optimal(), initial, *engine.boost(choose, initial, 1000))
         assert brute_first_repeat(trace) == (28, 3) and selections["select"] == 31

@@ -29,7 +29,7 @@ from boostcycles import (
     weight_update,
 )
 import boostcycles.engine as engine
-from boostcycles.engine import _lattice_point, _lattice_step, _select, boost
+from boostcycles.engine import _lattice_point, _lattice_step, boost
 from boostcycles.simplex import DimensionMismatch
 from boostcycles.traceio import dumps_trace, loads_trace
 
@@ -122,6 +122,23 @@ def wide_pool(seed, n_points=64, n_pairs=100):
     return HypothesisPool.from_signs(rows)
 
 
+def full_scan(w, pool, rule):
+    """(row, edge) as the rule defines it on every row's reference edge:
+    optimal is reference_select; first-above takes the smallest edge at or
+    above theta, ties to the lowest index, else falls back to optimal."""
+    if isinstance(rule, FirstAbove):
+        qualifying = [(r, i) for i, r in enumerate(edge_dot(w, d) for d in pool.rows) if r >= rule.theta]
+        if qualifying:
+            return min(qualifying)[::-1]
+    return reference_select(w, pool)
+
+
+# a pool whose rows all tie on uniform weights: its screen keeps several
+# candidates, and the loop re-scores them all
+EQUAL_EDGES = HypothesisPool.from_signs([(1, 1, -1), (-1, 1, 1), (1, -1, 1)])
+THETAS = (0.05, 0.1, 0.2, 0.3, 0.99)
+
+
 class TestScreenedSelect:
     """Float selection screens the pool with one matrix product; it must
     choose the same row and the same edge bits as the reference."""
@@ -152,7 +169,7 @@ class TestScreenedSelect:
         assert fallbacks > 0
 
     def test_equal_edges_lowest_index_wins(self):
-        pool = HypothesisPool.from_signs([(1, 1, -1), (-1, 1, 1), (1, -1, 1)])
+        pool = EQUAL_EDGES
         w = WeightVector((0.25, 0.25, 0.5))
         assert edge_dot(w, pool[1]) == edge_dot(w, pool[2]) == 0.5
         assert select(w, pool, Optimal())[::2] == (1, 0.5) == reference_select(w, pool)
@@ -161,20 +178,37 @@ class TestScreenedSelect:
     def test_first_above_matches_full_scan(self, seed):
         pool = wide_pool(seed)
         w = uniform_weights(pool.n_points, "float")
-        checked = {theta: 0 for theta in (0.05, 0.1, 0.2, 0.3, 0.99)}
+        checked = {theta: 0 for theta in THETAS}
         for _ in range(100):
             edges = [edge_dot(w, d) for d in pool.rows]
             for theta in checked:
-                # the full scan the screen replaces: every row, smallest
-                # qualifying edge, ties to the lowest index
-                qualifying = [(r, i) for i, r in enumerate(edges) if r >= theta]
-                expected = min(qualifying)[::-1] if qualifying else reference_select(w, pool)
-                assert select(w, pool, FirstAbove(theta))[::2] == expected
-                checked[theta] += bool(qualifying)
+                # the full scan the screen replaces
+                assert select(w, pool, FirstAbove(theta))[::2] == full_scan(w, pool, FirstAbove(theta))
+                checked[theta] += any(r >= theta for r in edges)
             row, d, r = select(w, pool, Optimal())
             w = weight_update(w, d, r)
         assert checked[0.99] == 0  # no row reaches it: always the fallback
         assert all(checked[t] > 0 for t in (0.05, 0.1))
+
+    @pytest.mark.parametrize("rule", [Optimal(), *map(FirstAbove, THETAS)], ids=repr)
+    @pytest.mark.parametrize("pool", [wide_pool(1), wide_pool(2), EQUAL_EDGES], ids=["wide1", "wide2", "equal"])
+    def test_run_matches_full_scan(self, pool, rule):
+        # the loop's own selection, step by step: each step's row and edge
+        # bits are the full scan's on the weights before it, and its weights
+        # after are weight_update's
+        trace = run(pool, rule, 100, "float")
+        assert trace.halt is None and len(trace) == 100
+        margin = engine.SCREEN_MARGIN * pool.n_points
+        screened = 0
+        for t in range(100):
+            w = trace.weights_before(t)
+            row, edge = trace.rows[t].item(), trace.states[t, 0].item()
+            assert (row, edge) == full_scan(w, pool, rule)
+            assert trace.state(t)[1:] == weight_update(w, pool[row], edge).components
+            approx = pool.matrix @ w.as_array()
+            screened += (approx >= approx.max() - margin).sum() > 1
+        if pool is EQUAL_EDGES:
+            assert screened > 0  # the multi-candidate branch ran
 
     def test_first_above_edge_equal_to_theta_qualifies(self):
         pool = HypothesisPool.from_signs([(1, 1, 1), (1, -1, 1), (-1, 1, 1)])
@@ -300,9 +334,11 @@ class TestBoostChecksChoose:
 
     @pytest.mark.parametrize("wrong_at", [0, 5])
     def test_wrong_edge_numerator_raises(self, pool3, wrong_at):
+        select = engine._chooser(pool3, Optimal(), True)
+
         def choose(w, t):
-            row, s = _select(w, pool3, Optimal(), t)
-            return row, pool3.signs[row], s + (t == wrong_at)
+            row, eta, s = select(w, t)
+            return row, eta, s + (t == wrong_at)
 
         with pytest.raises(ValueError, match="choose gave the edge"):
             boost(choose, uniform_weights(3, "exact"), 10)
@@ -387,7 +423,7 @@ class TestRun:
     def test_schedule_checked_before_step_0(self, pool3, monkeypatch, mode, t_max):
         # every scheduled row is checked once, before the loop selects
         calls = []
-        monkeypatch.setattr(engine, "_select", lambda *args: calls.append(args))
+        monkeypatch.setattr(engine, "_chooser", lambda *args: calls.append(args))
         with pytest.raises(IndexError, match="^scheduled row 7 outside pool of 3 rows$"):
             run(pool3, FixedSequence((0, 7)), t_max, mode)
         assert calls == []

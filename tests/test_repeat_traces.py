@@ -25,7 +25,7 @@ from boostcycles import (
 from boostcycles import engine
 from boostcycles.cli import main
 from boostcycles.cycles import detect_cycle
-from boostcycles.engine import _first_repeat, _select, _update
+from boostcycles.engine import _chooser, _factors, _first_repeat, _rescaled
 from boostcycles.simplex import first_repeated_mistake
 from boostcycles.traceio import TraceFormatError, dumps_trace, loads_trace
 
@@ -231,9 +231,10 @@ def switched_trace(tail_rows, steps=200, switch=60):
     golden = run(POOL3, Optimal(), switch, "float")
     rows, states = golden.rows.tolist(), golden.states.tolist()
     w = golden.states[-1, 1:]
+    select = _chooser(POOL3, FixedSequence(tail_rows), False)
     for t in range(switch, steps):
-        row, r = _select(w, POOL3, FixedSequence(tail_rows), t)
-        w, _ = _update(w, POOL3.matrix[row], r)
+        row, eta, r = select(w, t)
+        w = _rescaled(w, _factors(eta, r))
         rows.append(row)
         states.append([r, *w.tolist()])
     return BoostTrace("float", POOL3, Optimal(), golden.initial_weights, rows, np.array(states))

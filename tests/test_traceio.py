@@ -668,12 +668,9 @@ class TestReplayVerification:
         with pytest.raises(TraceFormatError, match=f"^{first}"):
             loads_trace(json.dumps(doc))
 
-    def test_float_replay_memory(self):
-        # a long v2 float trace of 64 points: the edge check's temporaries
-        # stay a block's, not three (steps x points) arrays
-        trace = run(wide_pool(0), Optimal(), 5000, "float")
-        doc = json.loads(dumps_trace(trace))
-        assert doc["schema"] == "boostcycles-trace-v2" and trace.halt is None and len(trace) == 5000
+    @staticmethod
+    def replay_memory(doc, trace):
+        """(kept, transient) bytes of loading doc, which must give trace."""
         tracemalloc.start()
         try:
             loaded = trace_from_dict(doc)
@@ -681,14 +678,75 @@ class TestReplayVerification:
         finally:
             tracemalloc.stop()
         assert loaded == trace
+        return kept, peak - kept
+
+    def test_float_replay_memory(self):
+        # a long v2 float trace of 64 points: the edge check's temporaries
+        # stay a block's, not three (steps x points) arrays
+        trace = run(wide_pool(0), Optimal(), 5000, "float")
+        doc = json.loads(dumps_trace(trace))
+        assert doc["schema"] == "boostcycles-trace-v2" and trace.halt is None and len(trace) == 5000
+        kept, transient = self.replay_memory(doc, trace)
         assert kept > 2.5e6  # the states column alone is 2.6 MB
-        assert peak - kept < 1.5e6
+        assert transient < 1.5e6
+
+    def test_float_replay_memory_every_10(self):
+        # a checkpoint every 10 steps: the replay advances 500 segments at
+        # once, and its transient stays below the states column's size
+        trace = run(wide_pool(0), Optimal(), 5000, "float")
+        doc = json.loads(json.dumps(v2_trace_to_dict(trace, every=10)))
+        kept, transient = self.replay_memory(doc, trace)
+        assert kept > 2.5e6
+        assert transient < trace.states.nbytes == 2.6e6
 
     def test_edge_outside_unit_interval(self, pool3):
         doc = json.loads(dumps_trace(run(pool3, Optimal(), 3, "exact")))
         doc["steps"][1]["r_exact"] = "1"
         with pytest.raises(TraceFormatError, match=r"outside \(0, 1\)"):
             loads_trace(json.dumps(doc))
+
+
+def replay_run(name):
+    """The wide run or the 3-point run, of 300 float steps."""
+    pool = wide_pool(0) if name == "wide" else load_pool(str(DATA / "three_dichotomies.pool"))
+    return run(pool, Optimal(), 300, "float")
+
+
+class TestReplayBlocks:
+    """The float replay forms its update factors a block of (segment,
+    offset) pairs at a time; every layout of checkpoints must load to the
+    run's own columns, bit for bit. With 300 steps, a checkpoint every step
+    gives 300 one-step segments, more than STEP_BLOCK, so each block holds
+    one offset. Every 7 steps gives 43 segments, five offsets to a block,
+    and the last, shorter segment ends at offset 5, inside the second
+    block; random checkpoints give segments of uneven lengths."""
+
+    @pytest.mark.parametrize("every", [1, 7, 100])
+    @pytest.mark.parametrize("name", ["wide", "pool3"])
+    def test_every(self, name, every):
+        trace = replay_run(name)
+        doc = v2_trace_to_dict(trace, every=every)
+        loaded = loads_trace(json.dumps(doc))
+        assert loaded == trace and loaded.states.tobytes() == trace.states.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["wide", "pool3"])
+    def test_random_checkpoints(self, name, seed):
+        # checkpoints at seeded random steps
+        trace = replay_run(name)
+        doc = v2_trace_to_dict(trace, every=len(trace) + 1)  # the last step's only
+        rng = np.random.default_rng(seed)
+        for t in rng.choice(len(trace) - 1, size=rng.integers(1, 40), replace=False).tolist():
+            doc["steps"][t]["weights"] = trace.states[t, 1:].tolist()
+        loaded = loads_trace(json.dumps(doc))
+        assert loaded == trace and loaded.states.tobytes() == trace.states.tobytes()
+
+    def test_v3(self, pool3):
+        trace = run(pool3, Optimal(), 5000, "float")
+        text = dumps_trace(trace)
+        assert json.loads(text)["schema"] == "boostcycles-trace-v3"
+        loaded = loads_trace(text)
+        assert loaded == trace and loaded.states.tobytes() == trace.states.tobytes()
 
 
 class TestPoolFiles:
