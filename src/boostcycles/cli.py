@@ -69,17 +69,22 @@ def _checked(convert, ok, requirement: str):
     return parse
 
 
+def _parse_number(raw: str, what: str, convert=lambda value: value):
+    """convert(_parse_fraction(raw)); a failure raises ValueError with
+    `bad {what} {raw!r}: ` and the parser's (or convert's) reason."""
+    try:
+        return convert(_parse_fraction(raw))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad {what} {raw!r}: {exc} has a zero denominator") from None
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"bad {what} {raw!r}: {exc}") from None
+
+
 def _parse_rule(text: str, mode: str):
     if text == "optimal":
         return Optimal()
     if text.startswith("first-above:"):
-        raw = text.split(":", 1)[1]
-        try:
-            theta = _parse_fraction(raw)
-        except ValueError as exc:
-            raise ValueError(f"bad threshold {raw!r}: {exc}")
-        except ZeroDivisionError as exc:
-            raise ValueError(f"bad threshold {raw!r}: {exc} has a zero denominator")
+        theta = _parse_number(text.split(":", 1)[1], "threshold")
         rule = FirstAbove(theta)  # the range check, before a float could overflow
         return rule if mode == "exact" else FirstAbove(float(theta))
     if text.startswith("fixed:"):
@@ -334,9 +339,9 @@ def cmd_plot(args, parser) -> int:
             refs.append(GOLDEN_REF)
         else:
             try:
-                refs.append((float(_parse_fraction(ref)), ref))
-            except (ValueError, ZeroDivisionError, OverflowError):
-                parser.error(f"bad reference value {ref!r}")
+                refs.append((_parse_number(ref, "reference value", float), ref))
+            except ValueError as exc:
+                parser.error(str(exc))
     # float(Fraction) and the state matrix round exact edges alike
     edges = trace.state_matrix[:, 0].tolist()
     save_figure(edges, args.out, args.title or "edge values", refs, args.last)

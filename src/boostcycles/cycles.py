@@ -21,9 +21,12 @@ float64 `BoostTrace.state_matrix` (the states themselves in float mode):
   previous weights' mass on each group, summed block by block as the checks
   read them. Exact traces keep their states in integer form (numerators over
   one common denominator per step, edges as reduced p/q), so each identity
-  is an integer cross-product: an exact rational equality, with no
-  tolerance and no float. A Fraction is built only for a public function's
-  values. Float traces compare within tol.
+  is an integer equality: an exact rational equality, with no tolerance and
+  no float. Each is written over c, rem = D // q', D % q', where q' is the
+  previous edge's denominator and D the weights' (`_previous_edge`): on a
+  trace the kernel wrote, q' divides D, so rem is 0 and no product of
+  full-size integers is formed. A Fraction is built only for a public
+  function's values. Float traces compare within tol.
 - The periodic learning condition, the cycle window's violation and the
   agreement windows all read the trace's J- masks
   (`BoostTrace.repeated_mistakes`).
@@ -106,7 +109,7 @@ class TransitionGroups:
     the float64 weights and r_prev, r_cur the float64 edges. In exact mode
     they hold the trace's integer form: w_prev the lattice points
     [D, a_1..a_n] of the weights, r_prev and r_cur rows [p, q] of the edges,
-    so that every identity computed from them is an integer cross-product.
+    so that every identity computed from them is an integer equality.
     A mass is summed when read: `_mass` gives float64 masses, or in exact
     mode the integer numerator sums over each row's D. A float mass is summed in
     another order than a left-to-right sum over the group, so it may differ
@@ -184,25 +187,47 @@ class EdgeUpdateReport:
     matches: bool
 
 
-def _edge_update(groups: TransitionGroups, tol: float) -> Tuple[object, np.ndarray]:
-    """The simplified edges (1 + r_prev - 2*sum_{J+} w_prev) / (1 + r_prev)
-    of every transition, and whether each equals (exact) or lies within tol
-    of (float) the true edge.
+def _previous_edge(groups: TransitionGroups) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact mode: p' and q' of the previous edges r_prev = p'/q', and c, rem
+    = D // q', D % q' of the previous weights' denominators D, so that D =
+    c q' + rem. The kernel's edge r_prev is (A+ - A-)/D in lowest terms, so
+    on a trace it wrote q' divides D and rem is 0."""
+    p_prev, q_prev = groups.r_prev.T
+    d = groups.w_prev[:, 0]
+    return p_prev, q_prev, d // q_prev, d % q_prev
 
-    In exact mode, with r_prev = p'/q', w_prev = a/D and J = sum_{J+} a, the
-    simplified edge is ((q'+p')D - 2Jq') / ((q'+p')D), returned as the pair
-    (numerators, denominators) of integer columns; it equals the true edge
-    p/q exactly when ((q'+p')D - 2Jq') q == p (q'+p') D.
-    """
-    j_plus = groups.was_right & ~groups.is_right
+
+def _simplified_edges(groups: TransitionGroups) -> object:
+    """The simplified edges (1 + r_prev - 2*sum_{J+} w_prev) / (1 + r_prev)
+    of every transition: float64, or in exact mode, with r_prev = p'/q',
+    w_prev = a/D and J = sum_{J+} a, the pair of integer columns
+    ((q'+p')D - 2Jq', (q'+p')D) of numerators and denominators."""
+    j_plus = groups._mass(groups.was_right & ~groups.is_right)
     if groups.exact:
-        (p_prev, q_prev), (p, q) = groups.r_prev.T, groups.r_cur.T
+        p_prev, q_prev = groups.r_prev.T
         den = (q_prev + p_prev) * groups.w_prev[:, 0]
-        num = den - 2 * groups._mass(j_plus) * q_prev
-        return (num, den), num * q == p * den
-    r_prev = groups.r_prev
-    simplified = (1 + r_prev - 2 * groups._mass(j_plus)) / (1 + r_prev)
-    return simplified, np.abs(simplified - groups.r_cur) <= tol
+        return den - 2 * j_plus * q_prev, den
+    return (1 + groups.r_prev - 2 * j_plus) / (1 + groups.r_prev)
+
+
+def _edge_update(groups: TransitionGroups, tol: float) -> np.ndarray:
+    """Whether the simplified edge of each transition equals (exact) or lies
+    within tol of (float) the true edge.
+
+    In exact mode the simplified edge ((q'+p')D - 2Jq') / ((q'+p')D) (see
+    `_simplified_edges`) equals the true edge p/q exactly when ((q'+p')D -
+    2Jq') q == p (q'+p') D. With D = c q' + rem (`_previous_edge`), den1 =
+    (q'+p')c and num1 = den1 - 2J, that reads q'(num1 q - p den1) == (q'+p')
+    rem (p - q).
+    """
+    if groups.exact:
+        p_prev, q_prev, c, rem = _previous_edge(groups)
+        p, q = groups.r_cur.T
+        plus = q_prev + p_prev
+        den1 = plus * c
+        num1 = den1 - 2 * groups._mass(groups.was_right & ~groups.is_right)
+        return q_prev * (num1 * q - p * den1) == plus * rem * (p - q)
+    return np.abs(_simplified_edges(groups) - groups.r_cur) <= tol
 
 
 def check_edge_update(trace: BoostTrace, tol: float = 1e-12) -> List[EdgeUpdateReport]:
@@ -212,7 +237,7 @@ def check_edge_update(trace: BoostTrace, tol: float = 1e-12) -> List[EdgeUpdateR
     Exact traces compare with equality; float traces within tol.
     """
     groups = transition_groups(trace)
-    simplified, matches = _edge_update(groups, tol)
+    simplified = _simplified_edges(groups)
     if groups.exact:
         simplified = [Fraction(num, den) for num, den in zip(simplified[0].tolist(), simplified[1].tolist())]
     else:
@@ -225,7 +250,7 @@ def check_edge_update(trace: BoostTrace, tol: float = 1e-12) -> List[EdgeUpdateR
             j_minus_empty.tolist(),
             simplified,
             trace.edges()[1:],
-            matches.tolist(),
+            _edge_update(groups, tol).tolist(),
         )
     ]
 
@@ -575,7 +600,7 @@ def _check_edge_update(trace, report, groups, index, tol) -> CheckResult:
     name = "edge-update"
     if groups is None:
         return _too_short(name, trace)
-    matches = np.concatenate([_edge_update(block, tol)[1] for _, block in groups.blocks()])
+    matches = np.concatenate([_edge_update(block, tol) for _, block in groups.blocks()])
     j_minus_empty = ~groups.j_minus.any(axis=1)
     broken = (np.flatnonzero((matches != j_minus_empty)[index]) + 1).tolist()
     mismatch = (np.flatnonzero(~matches[index]) + 1).tolist()
@@ -590,16 +615,17 @@ def _check_edge_update(trace, report, groups, index, tol) -> CheckResult:
 
 def _subsums_inconsistent(groups: TransitionGroups) -> np.ndarray:
     """Exact subsums: whether b == 1/2 or a + c == 1/2 fails at each
-    transition, as integer cross-products. With r_prev = p'/q', w_prev = a/D,
-    I- = sum_{I-} a and W = sum_{I+ and J+} a (the points right at t-1), b ==
-    1/2 reads 2 I- q' == D (q' - p') and a + c == 1/2 reads 2 W q' ==
-    D (q' + p'). a == r/2 and c == (1 - r)/2 follow from these two, since
-    the edge r is a - c + b."""
-    p_prev, q_prev = groups.r_prev.T
-    d = groups.w_prev[:, 0]
+    transition. With r_prev = p'/q', w_prev = a/D, I- = sum_{I-} a and W =
+    sum_{I+ and J+} a (the points right at t-1), b == 1/2 reads 2 I- q' ==
+    D (q' - p') and a + c == 1/2 reads 2 W q' == D (q' + p'). With D = c q'
+    + rem (`_previous_edge`) they read q'(2 I- - c(q' - p')) == rem (q' - p')
+    and q'(2 W - c(q' + p')) == rem (q' + p'). a == r/2 and c == (1 - r)/2
+    follow from these two, since the edge r is a - c + b."""
+    p_prev, q_prev, c, rem = _previous_edge(groups)
+    minus, plus = q_prev - p_prev, q_prev + p_prev
     i_minus = groups._mass(~groups.was_right & groups.is_right)
     was_right = groups._mass(groups.was_right)
-    return (2 * i_minus * q_prev != d * (q_prev - p_prev)) | (2 * was_right * q_prev != d * (q_prev + p_prev))
+    return (q_prev * (2 * i_minus - c * minus) != rem * minus) | (q_prev * (2 * was_right - c * plus) != rem * plus)
 
 
 def _check_subsums(trace, report, groups, index, tol) -> CheckResult:

@@ -7,8 +7,8 @@ with one matrix-vector product, and only the rows within the product's
 rounding error of its maximum (nearly always one) are re-scored with the
 reference sum, so the chosen row and edge are bit-identical to scoring
 every row with that sum. The first-above threshold scan is screened the
-same way: only rows whose product comes within that error of the threshold
-are re-scored.
+same way: only rows whose product comes within that error of the threshold,
+or of the least product that surely qualifies, are re-scored.
 
 The primary update is the rational form w_i -> w_i / (1 + eta_i * r), which is
 self-normalizing: when r is the true edge of eta on w, the output sums to 1
@@ -23,12 +23,13 @@ are equal exactly when their forms are). A lattice point is the object array
 s = sum_i eta_i a_i. The update needs only the two class masses: it leaves
 the correct points and the mistakes with half the mass each, so the new
 weights are a_i / (2 A+) and a_i / (2 A-), where A+ is the mass of the
-correct points and A- = D - A+. `_lattice_step` derives from them both the
-edge s / D in lowest terms and the new point in canonical form, in plain
-Python ints. Its gcds of full-size numbers are the masses' gcd and each
-class's gcd of its numerators (none for a one-point class); its last gcd
-divides the first, which is usually small, and is then cheap (see its
-docstring). No Fraction is built per step: a trace's exact `states` column
+correct points and A- = D - A+. `_lattice_step` derives from them the
+edge's numerator s = A+ - A- (the loop checks the selection's s against it,
+with no product), the edge s / D in lowest terms and the new point in
+canonical form, in plain Python ints. Its gcds of full-size numbers are the
+masses' gcd and each class's gcd of its numerators (none for a one-point
+class); its last gcd divides the first, which is usually small, and is then
+cheap (see its docstring). No Fraction is built per step: a trace's exact `states` column
 holds this integer form, and Fractions are built only when values are read
 from it.
 
@@ -139,7 +140,13 @@ SelectionRule = Union[Optimal, FirstAbove, FixedSequence]
 # can neither win nor tie the reference argmax. For the first-above scan, a
 # row whose product is below theta - margin has a reference edge within
 # (n-1) * eps * sum(w) of it, so below theta with room to spare for the
-# rounding of theta - margin itself.
+# rounding of theta - margin itself; mirrored, a row whose product is at
+# least theta + margin surely qualifies. Let m be the least such product. A
+# row whose product exceeds m + margin has a reference edge strictly above
+# that of m's row, by the argument for the argmax mirrored, so it can
+# neither be nor tie the least qualifying edge. Only the rows with products
+# in [theta - margin, m + margin] are re-scored: those within the margin of
+# theta, and those within the margin of m (none lies between).
 # The loop's float weights (uniform 1/n, or quotients by their left-to-right
 # sum, each correctly rounded) sum to within about n * eps/2 of 1, so a float
 # sum of them all, in any order, lies within n * eps of 1: a mistake-free
@@ -200,14 +207,17 @@ def _chooser(pool: HypothesisPool, rule: SelectionRule, exact: bool) -> Choose:
     if isinstance(rule, Optimal):
         return lambda w, t: best(matrix @ w, w)
 
-    # a row whose product is below theta - margin has a reference edge below
-    # theta, by the argument beside SCREEN_MARGIN
+    # only rows with products in [theta - margin, m + margin] can give the
+    # least qualifying edge, m the least product at or above theta + margin,
+    # by the argument beside SCREEN_MARGIN
     theta = rule.theta
-    screen = theta - margin
+    low, high = theta - margin, theta + margin
 
     def first_above(w: np.ndarray, t: int) -> Tuple[int, np.ndarray, Scalar]:
         approx = matrix @ w
-        near = (approx >= screen).nonzero()[0]
+        sure = approx[approx >= high]
+        top = sure.min() + margin if len(sure) else high
+        near = ((approx >= low) & (approx <= top)).nonzero()[0]
         edges = rescored(w, near)
         above = edges >= theta  # exact against a Fraction theta too
         if above.any():
@@ -323,7 +333,7 @@ def _lattice_point(w: Iterable[Union[int, Fraction]]) -> np.ndarray:
     return np.array([d, *(c.numerator * (d // c.denominator) for c in w)], dtype=object)
 
 
-def _lattice_step(point: Sequence[int], eta: Sequence[int]) -> Tuple[int, int, List[int]]:
+def _lattice_step(point: Sequence[int], eta: Sequence[int]) -> Tuple[int, int, int, List[int]]:
     """The exact update kernel: one step of the rational update on the
     lattice point [D, a_1..a_n] with the ±1 signs eta, in plain Python ints.
 
@@ -338,9 +348,9 @@ def _lattice_step(point: Sequence[int], eta: Sequence[int]) -> Tuple[int, int, L
     (a_i/g+)(v/k) and (a_i/g-)(u/k). It is canonical by construction: the
     two classes' numerators have the coprime gcds v/k and u/k.
 
-    Returns p, q and the new point as a list. Raises ValueError when eta
-    puts every point in one class: the edge is then ±1, where the update is
-    undefined.
+    Returns the edge's numerator A+ - A- over D, p, q and the new point as
+    a list. Raises ValueError when eta puts every point in one class: the
+    edge is then ±1, where the update is undefined.
     """
     d, *a = point
     right = [x for x, e in zip(a, eta) if e > 0]
@@ -358,7 +368,7 @@ def _lattice_step(point: Sequence[int], eta: Sequence[int]) -> Tuple[int, int, L
     u, v = mass // g_right, rest // g_wrong
     k = math.gcd(h, u, v)  # k divides A+ and A-, so h, which is usually small: then this is cheap
     u, v = u // k, v // k
-    return p, q, [2 * u * v * k, *(c // g_right * v if e > 0 else c // g_wrong * u for c, e in zip(a, eta))]
+    return mass - rest, p, q, [2 * u * v * k, *(c // g_right * v if e > 0 else c // g_wrong * u for c, e in zip(a, eta))]
 
 
 def weight_update(w: WeightVector, eta: MistakeDichotomy, r: Scalar) -> WeightVector:
@@ -367,7 +377,8 @@ def weight_update(w: WeightVector, eta: MistakeDichotomy, r: Scalar) -> WeightVe
     Correct points shrink by 1/(1+r), misclassified ones grow by 1/(1-r).
     Requires 0 < r < 1 and r equal to the edge of eta on w; under that
     consistency the output sums to 1 identically. An exact update derives
-    the edge from w and eta, and raises ValueError when r is not it.
+    the edge from w and eta in lowest terms, and raises ValueError when r,
+    a Fraction and so in lowest terms too, is not that pair.
     """
     if len(w) != len(eta):
         raise DimensionMismatch("weight/dichotomy length mismatch")
@@ -376,8 +387,8 @@ def weight_update(w: WeightVector, eta: MistakeDichotomy, r: Scalar) -> WeightVe
     if r <= 0:
         raise ValueError(f"invalid edge {r!r}: must be positive")
     if is_exact(w) and is_exact((r,)):
-        p, q, (d, *a) = _lattice_step(_lattice_point(w).tolist(), eta.entries)
-        if p * r.denominator != r.numerator * q:
+        _, p, q, (d, *a) = _lattice_step(_lattice_point(w).tolist(), eta.entries)
+        if (p, q) != (r.numerator, r.denominator):
             raise ValueError(f"edge {r} is not the edge {Fraction(p, q)} of eta on the weights")
         return WeightVector(tuple(Fraction(x, d) for x in a))
     # a float edge or float weights make a float update
@@ -672,8 +683,9 @@ def boost(
     least 1 - SCREEN_MARGIN * n on signs with no -1 is a perfect
     classification. In exact mode choose gives the edge's numerator s over
     the lattice point's denominator D, so the halts are s <= 0 and s >= D;
-    `_lattice_step` derives the edge from the weights, and a choose whose s
-    is not that edge's numerator raises ValueError.
+    `_lattice_step` derives the edge from the weights, with its unreduced
+    numerator A+ - A- over D, and a choose whose s is not that numerator
+    raises ValueError.
     The new point sums to 1 by construction. Float weights are renormalised,
     and validated as a WeightVector once, after the last step: a
     weight that underflows to 0, or turns NaN, stays so, so the last vector
@@ -706,8 +718,8 @@ def boost(
             halt = "perfect_classification"
             break
         if exact:
-            p, q, keys[t + 1] = _lattice_step(w.tolist(), eta.tolist())
-            if r * q != p * w[0]:
+            s, p, q, keys[t + 1] = _lattice_step(w.tolist(), eta.tolist())
+            if r != s:
                 raise ValueError(f"choose gave the edge {Fraction(r, w[0])}, not the edge {Fraction(p, q)} of its signs")
             r = (p, q)
         else:

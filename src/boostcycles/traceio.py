@@ -23,11 +23,11 @@ The replay is also the check. In float mode every recorded edge must be the
 edge of its row on the replayed weights, and every checkpoint must match the
 replay, within the rounding bounds argued in `_replay_drift`. In exact mode
 the engine's kernel derives each step's edge from the replayed weights, the
-recorded edge must equal it (a cross product of integers), and a checkpoint
-must equal the replay. After a checkpoint the replay continues from the
-stored values, so a checkpoint may stand on any step. A record's fields
-other than `row`, its edge and `weights` are ignored, as unknown header
-fields are.
+recorded edge must equal it (the same pair of integers, or else equal by a
+cross product), and a checkpoint must equal the replay. After a checkpoint
+the replay continues from the stored values, so a checkpoint may stand on
+any step. A record's fields other than `row`, its edge and `weights` are
+ignored, as unknown header fields are.
 
 A float run that falls into a cycle repeats bit for bit: once the key (the
 bits of the weights before step t, t mod L) repeats, with L the `fixed:`
@@ -59,12 +59,13 @@ number is written by `farey._ratio_text` from a pair of ints and read by
 `_parse_ratio` into one. (Other text, such as `1e-9`, is read by
 `farey._parse_fraction`, which bounds its exponent.) The reader keeps each
 decimal `p/q` edge as a pair with no gcd: the pair need not be in lowest
-terms, since it is only compared with the kernel's edge by a cross product,
-and the states column keeps the kernel's reduced edge. It turns stored
-weights into canonical lattice points (integer numerators over their least
-common denominator, one gcd per checkpoint), and replays with the engine's
-integer kernel; the writer reduces a lattice point's numerators to `p/q`
-text only at checkpoints. The header's initial weights are read and written
+terms. It is compared with the kernel's reduced edge as a pair first, which
+decides every edge the writer wrote, and by a cross product only when the
+pairs differ; the states column keeps the kernel's reduced edge. It turns
+stored weights into canonical lattice points (integer numerators over their
+least common denominator, one gcd per checkpoint), and replays with the
+engine's integer kernel; the writer reduces a lattice point's numerators to
+`p/q` text only at checkpoints. The header's initial weights are read and written
 as a checkpoint's, exact or float, their values checked before their length.
 Fractions are built only for the loaded trace's initial weights and
 threshold, and for the message of a failing value, so the messages are those
@@ -163,7 +164,8 @@ def _hex_pair(text: str) -> Tuple[int, int]:
 
 
 def _is_digits(text: str) -> bool:
-    return text.isascii() and text.isdigit()
+    # bytes.isdigit reads ASCII digits alone, much faster than str.isdigit
+    return text.isascii() and text.encode().isdigit()
 
 
 def _parse_ratio(value: Union[str, float, int]) -> Tuple[int, int]:
@@ -388,11 +390,11 @@ def _replay(
 
     Exact weights are lattice points and exact edges (steps, 2) rows
     [p, q], not necessarily in lowest terms. The replay runs in step order
-    with `_lattice_step`, which derives each step's edge from the weights;
-    the file's edge must equal it (a cross product), and a checkpoint must
-    equal the replayed point. The pass stops at its first failure, the
-    earliest. The states column holds the kernel's reduced edges, in
-    integer form (see BoostTrace).
+    with `_lattice_step`, which derives each step's edge from the weights
+    in lowest terms; the file's edge must equal it (as a pair, or else by a
+    cross product), and a checkpoint must equal the replayed point. The
+    pass stops at its first failure, the earliest. The states column holds
+    the kernel's reduced edges, in integer form (see BoostTrace).
 
     Float weights are float64 rows and float edges a float64 column. The
     steps are cut into segments, each starting at the initial weights or at
@@ -404,7 +406,7 @@ def _replay(
     in place (`_rescaled`): the loop's float update, bit for bit. A checkpoint
     may stand on any step, and every checkpoint ends a segment (a document
     that stores every step's weights has one-step segments); after the loop,
-    all of them are compared at once, each within _replay_drift of the
+    they are compared STEP_BLOCK at a time, each within _replay_drift of the
     replay that ends on it, and a step whose weights are stored keeps the
     stored values. The weights before
     every step are then the initial weights and the states' weights, so
@@ -419,11 +421,15 @@ def _replay(
         point, states = initial, []
         for t, (eta, s, d) in enumerate(zip(signs.tolist(), edges[:, 0].tolist(), edges[:, 1].tolist())):
             try:
-                p, q, point = _lattice_step(point, eta)
+                _, p, q, point = _lattice_step(point, eta)
             except ValueError:  # eta puts every point in one class: the edge is ±1
                 consistent = False
             else:
-                consistent = p * d == s * q
+                # the file's pair is the kernel's reduced one as the writer
+                # writes it; another pair (unreduced p/q) is compared by a
+                # cross product
+                reduced = (s, d) == (p, q)
+                consistent = reduced or p * d == s * q
             if not consistent:
                 raise TraceFormatError(
                     f"step {t}: edge {Fraction(s, d)} is not the edge of row {rows[t]} on the replayed weights"
@@ -431,9 +437,9 @@ def _replay(
             # canonical lattice points are equal exactly when their weights are
             if t in checkpoints and checkpoints[t] != point:
                 raise TraceFormatError(f"step {t}: stored weights do not match the replayed update")
-            # the file's ints when they are the reduced edge already (as the
-            # writer writes it), so the states and edge columns share them
-            states += (s, d) if (s, d) == (p, q) else (p, q)
+            # the file's ints when they are the reduced edge already, so the
+            # states and edge columns share them
+            states += (s, d) if reduced else (p, q)
             states += point
         return np.array(states, dtype=object).reshape(steps, n + 3)
 
@@ -470,11 +476,15 @@ def _replay(
         j = k
     # each step's offset in its segment; a checkpoint's is its segment's last
     offsets = np.arange(steps) - np.repeat(cuts[:-1], np.diff(cuts))
+    # the checkpoints, read in step order, compared STEP_BLOCK at a time
     stored = np.array(list(checkpoints), dtype=np.int64)
-    expected = np.array([checkpoints[t] for t in checkpoints], dtype=np.float64).reshape(-1, n)
-    drift = _replay_drift(offsets[stored] + 1, n)[:, None] * expected
-    failed = stored[~(np.abs(states[stored, 1:] - expected) <= drift).all(axis=1)]
-    states[stored, 1:] = expected
+    failed = []
+    for lo in range(0, len(stored), STEP_BLOCK):
+        block = stored[lo : lo + STEP_BLOCK]
+        expected = np.array([checkpoints[t] for t in block.tolist()], dtype=np.float64).reshape(-1, n)
+        drift = _replay_drift(offsets[block] + 1, n)[:, None] * expected
+        failed += block[~(np.abs(states[block, 1:] - expected) <= drift).all(axis=1)].tolist()
+        states[block, 1:] = expected
     # every step's edge on the weights before it
     replayed = np.empty(steps)
     for lo in range(0, steps, STEP_BLOCK):

@@ -43,6 +43,8 @@ from boostcycles.cycles import (
     ALL_CHECKS,
     AgreementReport,
     CycleReport,
+    _edge_update,
+    _subsums_inconsistent,
     analyze_trace,
     attach_farey,
     transition_groups,
@@ -708,3 +710,124 @@ class TestSharedArrays:
     def test_unknown_check(self, golden_float):
         with pytest.raises(ValueError, match="unknown checks"):
             analyze_trace(golden_float, checks=("margins",))
+
+
+# --- the exact identities' forms ---
+
+
+def cross_product_edge_update(groups):
+    """The exact edge update as it was tested before the kernel wrote it
+    over D // q' and D % q': the simplified edge (num, den) = ((q'+p')D -
+    2Jq', (q'+p')D), and whether num q == p den."""
+    (p_prev, q_prev), (p, q) = groups.r_prev.T, groups.r_cur.T
+    den = (q_prev + p_prev) * groups.w_prev[:, 0]
+    num = den - 2 * groups._mass(groups.was_right & ~groups.is_right) * q_prev
+    return (num, den), num * q == p * den
+
+
+def cross_product_subsums_failed(groups):
+    """The exact subsums as they were tested before: b == 1/2 as 2 I- q' ==
+    D (q' - p'), a + c == 1/2 as 2 W q' == D (q' + p')."""
+    p_prev, q_prev = groups.r_prev.T
+    d = groups.w_prev[:, 0]
+    i_minus = groups._mass(~groups.was_right & groups.is_right)
+    was_right = groups._mass(groups.was_right)
+    return (2 * i_minus * q_prev != d * (q_prev - p_prev)) | (2 * was_right * q_prev != d * (q_prev + p_prev))
+
+
+def assert_same_identity_forms(trace, case):
+    """The kernels decide every transition's identities as the cross
+    products do, and check_edge_update's values are the cross products'
+    Fractions; returns the matches and whether any q' fails to divide D."""
+    groups = transition_groups(trace)
+    (num, den), matches = cross_product_edge_update(groups)
+    assert _edge_update(groups, 0.0).tolist() == matches.tolist(), case
+    assert _subsums_inconsistent(groups).tolist() == cross_product_subsums_failed(groups).tolist(), case
+    values = [Fraction(a, b) for a, b in zip(num.tolist(), den.tolist())]
+    assert [r.simplified_edge for r in check_edge_update(trace)] == values, case
+    return matches.tolist(), any(d % q for d, q in zip(groups.w_prev[:, 0].tolist(), groups.r_prev[:, 1].tolist()))
+
+
+class TestExactIdentityForms:
+    """The exact edge-update and subsum identities are tested over c, rem =
+    D // q', D % q' (`cycles._previous_edge`), with no product of full-size
+    integers when rem is 0. They must decide every transition as the cross
+    products did, on traces the kernel wrote (where q' divides D) and on
+    traces it could not have written: tampered states, edges not in lowest
+    terms, and random states whose q' does not divide D."""
+
+    def test_fuzz_corpus(self, fuzz_exact_traces):
+        for i, trace in enumerate(fuzz_exact_traces):
+            if len(trace) >= 2:
+                _, indivisible = assert_same_identity_forms(trace, i)
+                assert not indivisible, i
+
+    def test_tampered_traces(self, named_traces, lattice_states):
+        trace = named_traces["golden exact 300"]
+        for t, delta in ((0, Fraction(1, 10**6)), (150, Fraction(-1, 7)), (280, Fraction(1, 3**50))):
+            edge, *weights = trace.state(t)
+            states = trace.states.copy()
+            states[t] = lattice_states([(edge + delta, *weights)])[0]
+            matches, _ = assert_same_identity_forms(replace(trace, states=states), t)
+            assert not all(matches[t:]), t
+        # weights moved along the simplex: the same denominator D
+        states = trace.states.copy()
+        states[100, 3] += 1
+        states[100, 4] -= 1
+        matches, _ = assert_same_identity_forms(replace(trace, states=states), "moved")
+        assert not matches[101]
+
+    def test_edges_not_in_lowest_terms(self, named_traces, fuzz_exact_traces):
+        # every edge p/q written as kp/kq, and every lattice point scaled by
+        # g: the same values, so the same verdicts as the trace's own,
+        # while q' need not divide D
+        rng = random.Random(31)
+        indivisible = 0
+        for case, trace in [("golden", named_traces["golden exact 300"]), *enumerate(fuzz_exact_traces[:300])]:
+            if len(trace) < 2:
+                continue
+            want, _ = assert_same_identity_forms(trace, case)
+            for g in (1, 6):
+                k = [rng.choice((2, 3, 10**20 + 39, rng.randrange(2, 10**6))) for _ in range(len(trace))]
+                states = trace.states.copy()
+                states[:, 0] *= k
+                states[:, 1] *= k
+                states[:, 2:] *= g
+                matches, rem = assert_same_identity_forms(replace(trace, states=states), (case, g))
+                assert matches == want, (case, g)
+                indivisible += rem
+        assert indivisible > 300
+
+    def test_random_states(self, fuzz_exact_traces):
+        # the fuzz traces' pools and rows under random states: edges p/q of up
+        # to 300 bits and lattice points [D, a_1..a_n] (a_i > 0, summing to D)
+        # drawn independently, so that the identities fail and q' rarely
+        # divides D; now and then the next edge is set to the simplified one
+        rng = random.Random(32)
+        held = 0
+        for i, trace in enumerate(fuzz_exact_traces[:300]):
+            if len(trace) < 2:
+                continue
+            n = len(trace.initial_weights)
+            states = np.empty(trace.states.shape, dtype=object)
+            for t in range(len(trace)):
+                bits = rng.choice((8, 64, 300))
+                q = rng.randrange(2, 2**bits)
+                d = rng.randrange(n, 2**bits + n)
+                cuts = {0, d}
+                while len(cuts) < n + 1:
+                    cuts.add(rng.randrange(1, d))
+                cuts = sorted(cuts)
+                states[t] = [rng.randrange(1, q), q, d, *(b - a for a, b in zip(cuts, cuts[1:]))]
+            base = replace(trace, states=states)
+            (num, den), _ = cross_product_edge_update(transition_groups(base))
+            states = states.copy()
+            for t in range(1, len(trace), 3):
+                value = Fraction(num[t - 1], den[t - 1])
+                if 0 < value < 1:
+                    states[t, :2] = [value.numerator * 5, value.denominator * 5]
+            matches, rem = assert_same_identity_forms(replace(trace, states=states), i)
+            assert rem, i
+            held += sum(matches)
+        assert held > 50
+

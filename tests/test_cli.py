@@ -830,6 +830,19 @@ class TestCliErrors:
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(f": error: bad threshold {raw!r}: {reason}\n")
 
+    @pytest.mark.parametrize("raw, reason", [
+        ("abc", "Invalid literal for Fraction: 'abc'"),
+        ("1e-100000", "'1e-100000' has an exponent beyond 4300 in magnitude"),
+        ("1/0", "Fraction(1, 0) has a zero denominator"),
+        ("1e400", "integer division result too large for a float"),
+    ])
+    def test_bad_ref_keeps_the_parsers_reason(self, golden_trace_file, tmp_path, capsys, raw, reason):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("plot", golden_trace_file, "--out", str(tmp_path / "f.svg"), "--ref", raw)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f": error: bad reference value {raw!r}: {reason}\n")
+        assert not (tmp_path / "f.svg").exists()
+
     def test_orbit_power_word_note(self, capsys):
         assert run_cli("farey", "orbit", "--word", "RR") == 0
         assert "note: RR is a power word; primitive period 1\n" in capsys.readouterr().out

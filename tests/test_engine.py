@@ -122,12 +122,15 @@ def wide_pool(seed, n_points=64, n_pairs=100):
     return HypothesisPool.from_signs(rows)
 
 
-def full_scan(w, pool, rule):
-    """(row, edge) as the rule defines it on every row's reference edge:
-    optimal is reference_select; first-above takes the smallest edge at or
-    above theta, ties to the lowest index, else falls back to optimal."""
+def full_scan(w, pool, rule, edges=None):
+    """(row, edge) as the rule defines it on every row's reference edge
+    (edges, when given, are those of the pool's rows on w): optimal is
+    reference_select; first-above takes the smallest edge at or above
+    theta, ties to the lowest index, else falls back to optimal."""
     if isinstance(rule, FirstAbove):
-        qualifying = [(r, i) for i, r in enumerate(edge_dot(w, d) for d in pool.rows) if r >= rule.theta]
+        if edges is None:
+            edges = [edge_dot(w, d) for d in pool.rows]
+        qualifying = [(r, i) for i, r in enumerate(edges) if r >= rule.theta]
         if qualifying:
             return min(qualifying)[::-1]
     return reference_select(w, pool)
@@ -179,12 +182,24 @@ class TestScreenedSelect:
         pool = wide_pool(seed)
         w = uniform_weights(pool.n_points, "float")
         checked = {theta: 0 for theta in THETAS}
-        for _ in range(100):
+        margin = engine.SCREEN_MARGIN * pool.n_points
+        for step in range(100):
             edges = [edge_dot(w, d) for d in pool.rows]
             for theta in checked:
                 # the full scan the screen replaces
-                assert select(w, pool, FirstAbove(theta))[::2] == full_scan(w, pool, FirstAbove(theta))
+                assert select(w, pool, FirstAbove(theta))[::2] == full_scan(w, pool, FirstAbove(theta), edges)
                 checked[theta] += any(r >= theta for r in edges)
+            if step % 5 == 0:
+                # thresholds on a row's edge, an ulp beside it, and within
+                # or just past the screen's margin of it: the row is then
+                # the least sure product, or within the margin of theta
+                positive = sorted({r for r in edges if 0 < r < 1})
+                for r in positive[:: max(1, len(positive) // 8)] + positive[-1:]:
+                    beside = (math.nextafter(r, 0), math.nextafter(r, 1), *(r + k * margin for k in (-2, -0.5, 0.5, 2)))
+                    for theta in (r, *beside):
+                        if 0 < theta < 1:
+                            rule = FirstAbove(theta)
+                            assert select(w, pool, rule)[::2] == full_scan(w, pool, rule, edges), (step, theta)
             row, d, r = select(w, pool, Optimal())
             w = weight_update(w, d, r)
         assert checked[0.99] == 0  # no row reaches it: always the fallback
@@ -313,7 +328,10 @@ class TestLatticeStep:
             signs = [rng.choice((1, -1)) for _ in range(n)]
             signs[0], signs[-1] = 1, -1
             r = edge_dot(w, eta(*signs))
-            p, q, point = _lattice_step(_lattice_point(w).tolist(), signs)
+            start = _lattice_point(w).tolist()
+            s, p, q, point = _lattice_step(start, signs)
+            # the edge's numerator over D as the selection sums it, and in lowest terms
+            assert s == sum(e * a for e, a in zip(signs, start[1:]))
             assert (p, q) == (r.numerator, r.denominator)
             d, *a = point
             assert math.gcd(*point) == 1

@@ -1,8 +1,9 @@
+import re
 from xml.dom import minidom
 
 import pytest
 
-from boostcycles.figures import save_figure
+from boostcycles.figures import _NOT_XML, save_figure
 
 
 def chart(tmp_path, edges, refs=(), title="edges", last=None):
@@ -113,3 +114,14 @@ def test_plot_of_a_converged_float_run(run_python, tmp_path):
     assert done.returncode == 0, done.stderr
     svg = (tmp_path / "p.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+
+def test_not_xml_class_is_the_complement_of_what_xml_holds():
+    # the class of what XML 1.0 cannot hold, against the complement of the
+    # XML Char production, at every range boundary of either and one beside it
+    xml_char = re.compile("[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+    bounds = (0x00, 0x08, 0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x0E, 0x1F, 0x20, 0xD7FF, 0xD800,
+              0xDFFF, 0xE000, 0xFFFD, 0xFFFE, 0xFFFF, 0x10000, 0x10FFFF)
+    points = {c + d for c in bounds for d in (-1, 0, 1) if 0 <= c + d <= 0x10FFFF}
+    for c in sorted(points):
+        assert bool(_NOT_XML.fullmatch(chr(c))) == (not xml_char.fullmatch(chr(c))), hex(c)

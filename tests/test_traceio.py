@@ -699,6 +699,17 @@ class TestReplayVerification:
         assert kept > 2.5e6
         assert transient < trace.states.nbytes == 2.6e6
 
+    def test_float_replay_memory_every_1(self):
+        # every step's weights stored: 5000 one-step segments. The stored
+        # weights (an array each), the segments' start weights and one block
+        # of update factors are each about the states column's size; the
+        # checkpoint compare's temporaries are a block's, not (steps x points)
+        trace = run(wide_pool(0), Optimal(), 5000, "float")
+        doc = json.loads(json.dumps(v2_trace_to_dict(trace, every=1)))
+        kept, transient = self.replay_memory(doc, trace)
+        assert kept > 2.5e6
+        assert transient < 5 * trace.states.nbytes
+
     def test_edge_outside_unit_interval(self, pool3):
         doc = json.loads(dumps_trace(run(pool3, Optimal(), 3, "exact")))
         doc["steps"][1]["r_exact"] = "1"
